@@ -210,7 +210,8 @@ def field_build(p: int, b: int) -> FiniteField:
             if _is_irreducible(coeffs, p):
                 modulus = coeffs
                 break
-        assert modulus is not None
+        if modulus is None:
+            raise RuntimeError(f"no monic irreducible of degree {b} found over GF({p})")
 
     group_order = q - 1
     prime_factors = list(factorize(group_order))
@@ -236,7 +237,8 @@ def field_build(p: int, b: int) -> FiniteField:
         if order_is_full(e):
             primitive = e
             break
-    assert primitive is not None
+    if primitive is None:
+        raise RuntimeError(f"no primitive element found in GF({q})")
 
     exp_table = [1] * group_order
     gpoly = _element_to_poly(primitive, p, b)
@@ -337,7 +339,9 @@ class TwoSquares:
     m: int
 
     def __post_init__(self):
-        assert self.m == self.g * self.g + 4 * self.h * self.h and self.g % 4 == 1
+        if self.m != self.g * self.g + 4 * self.h * self.h or self.g % 4 != 1:
+            raise ValueError(f"(g, h, m) = {(self.g, self.h, self.m)}: need m = g^2 + 4h^2 "
+                             "and g = 1 mod 4")
 
 
 def two_squares(m: int) -> list[TwoSquares]:

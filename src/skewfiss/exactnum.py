@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, sqrt
+from math import gcd, isqrt, lcm, sqrt
 from typing import Iterable, Mapping, Union
 
 Rational = Fraction
@@ -60,95 +60,89 @@ def _as_fraction(x: RationalLike) -> Fraction:
 class SurdSum:
     """Finite sum of c_i * sqrt(n_i) with rational c_i and squarefree n_i >= 1.
 
-    The rational part lives under radicand 1.  Terms are kept normalized
-    (squarefree radicands, no zero coefficients), so structural equality of
-    the term map is equality of values: sqrt(n_i) for distinct squarefree
-    n_i are linearly independent over Q.
+    Stored as integer numerators (radicand -> numerator, the rational part
+    under radicand 1, no zeros) over one positive shared denominator,
+    reduced so that the denominator and all numerators are coprime.  That
+    form is canonical, so structural equality is equality of values:
+    sqrt(n_i) for distinct squarefree n_i are linearly independent over Q.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_num", "_den")
 
     def __init__(self, value: RationalLike | "SurdSum" = 0):
         if isinstance(value, SurdSum):
-            self._terms = dict(value._terms)
+            self._num, self._den = dict(value._num), value._den
         else:
             c = _as_fraction(value)
-            self._terms = {1: c} if c else {}
+            self._num, self._den = ({1: c.numerator} if c else {}), c.denominator
 
     @classmethod
     def _make(cls, terms: Mapping[int, Fraction]) -> "SurdSum":
-        out = cls.__new__(cls)
-        out._terms = {n: c for n, c in terms.items() if c}
-        return out
+        den = lcm(*(c.denominator for c in terms.values()))
+        return _reduced({n: c.numerator * (den // c.denominator)
+                         for n, c in terms.items() if c}, den)
 
     @property
     def terms(self) -> dict[int, Fraction]:
-        return dict(self._terms)
+        return {n: Fraction(c, self._den) for n, c in self._num.items()}
 
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_rational(self) -> bool:
-        return all(n == 1 for n in self._terms)
+        return self._num.keys() <= {1}
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        return self._terms.get(1, Fraction(0))
+        return Fraction(self._num.get(1, 0), self._den)
 
     def as_integer(self) -> int | None:
         """The integer value of this sum, or None if it is not a rational integer."""
-        if not self._terms:
-            return 0
-        if self.is_rational():
-            c = self._terms[1]
-            if c.denominator == 1:
-                return c.numerator
+        if self.is_rational() and self._den == 1:
+            return self._num.get(1, 0)
         return None
 
     def sign(self) -> int:
-        """Exact sign in {-1, 0, +1}, decided purely by rational arithmetic.
+        """Exact sign in {-1, 0, +1}, decided purely by integer arithmetic.
 
-        Normal form empty means zero.  Single-sign coefficient sets are
-        immediate; a two-term mixed sum compares c1^2*n1 against c2^2*n2;
-        anything larger is resolved by refining rational bounds on each
-        sqrt(n_i) until the enclosing interval excludes zero (guaranteed to
-        terminate because a nonempty normal form is a nonzero value).
+        The denominator is positive, so only the numerators matter.  Normal
+        form empty means zero.  Single-sign coefficient sets are immediate;
+        a two-term mixed sum compares c1^2*n1 against c2^2*n2; anything
+        larger is resolved by refining integer bounds on scale*sqrt(n_i)
+        until the enclosing interval excludes zero (guaranteed to terminate
+        because a nonempty normal form is a nonzero value).
         """
-        if not self._terms:
+        if not self._num:
             return 0
-        signs = {1 if c > 0 else -1 for c in self._terms.values()}
+        signs = {c > 0 for c in self._num.values()}
         if len(signs) == 1:
-            return signs.pop()
-        if len(self._terms) == 2:
-            (n1, c1), (n2, c2) = self._terms.items()
-            # exactly one of c1, c2 is positive here
-            pos = (n1, c1) if c1 > 0 else (n2, c2)
-            neg = (n1, c1) if c1 < 0 else (n2, c2)
-            lhs = pos[1] ** 2 * pos[0]
-            rhs = neg[1] ** 2 * neg[0]
-            if lhs == rhs:
+            return 1 if signs.pop() else -1
+        if len(self._num) == 2:
+            (n1, c1), (n2, c2) = self._num.items()
+            # exactly one of c1, c2 is positive here; it wins if its square does
+            diff = c1 * c1 * n1 - c2 * c2 * n2
+            if diff == 0:
                 return 0
-            return 1 if lhs > rhs else -1
+            return 1 if (diff > 0) == (c1 > 0) else -1
         shift = 16
         while True:
             scale = 1 << shift
-            lo = Fraction(0)
-            hi = Fraction(0)
-            for n, c in self._terms.items():
+            lo = hi = 0
+            for n, c in self._num.items():
                 if n == 1:
-                    lo += c
-                    hi += c
+                    lo += c * scale
+                    hi += c * scale
                     continue
                 root_lo = isqrt(n * scale * scale)
                 if c > 0:
-                    lo += c * Fraction(root_lo, scale)
-                    hi += c * Fraction(root_lo + 1, scale)
+                    lo += c * root_lo
+                    hi += c * (root_lo + 1)
                 else:
-                    lo += c * Fraction(root_lo + 1, scale)
-                    hi += c * Fraction(root_lo, scale)
+                    lo += c * (root_lo + 1)
+                    hi += c * root_lo
             if lo > 0:
                 return 1
             if hi < 0:
@@ -161,19 +155,21 @@ class SurdSum:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self._terms)
-        for n, c in other._terms.items():
-            c2 = terms.get(n, Fraction(0)) + c
-            if c2:
-                terms[n] = c2
+        g = gcd(self._den, other._den)
+        f1, f2 = other._den // g, self._den // g
+        num = {n: c * f1 for n, c in self._num.items()}
+        for n, c in other._num.items():
+            total = num.get(n, 0) + c * f2
+            if total:
+                num[n] = total
             else:
-                terms.pop(n, None)
-        return SurdSum._make(terms)
+                del num[n]
+        return _reduced(num, self._den * f1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "SurdSum":
-        return SurdSum._make({n: -c for n, c in self._terms.items()})
+        return _reduced({n: -c for n, c in self._num.items()}, self._den)
 
     def __sub__(self, other) -> "SurdSum":
         other = _coerce(other)
@@ -191,20 +187,19 @@ class SurdSum:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms: dict[int, Fraction] = {}
-        for n1, c1 in self._terms.items():
-            for n2, c2 in other._terms.items():
+        num: dict[int, int] = {}
+        for n1, c1 in self._num.items():
+            for n2, c2 in other._num.items():
                 # sqrt(n1)*sqrt(n2) = g*sqrt((n1/g)*(n2/g)) with g = gcd:
                 # the reduced radicand is squarefree because n1, n2 are.
                 g = gcd(n1, n2)
                 rad = (n1 // g) * (n2 // g)
-                c = c1 * c2 * g
-                c2tot = terms.get(rad, Fraction(0)) + c
-                if c2tot:
-                    terms[rad] = c2tot
+                total = num.get(rad, 0) + c1 * c2 * g
+                if total:
+                    num[rad] = total
                 else:
-                    terms.pop(rad, None)
-        return SurdSum._make(terms)
+                    del num[rad]
+        return _reduced(num, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -212,7 +207,9 @@ class SurdSum:
         d = _as_fraction(other)
         if d == 0:
             raise ZeroDivisionError("division of a surd sum by zero")
-        return SurdSum._make({n: c / d for n, c in self._terms.items()})
+        sgn = -1 if d < 0 else 1
+        return _reduced({n: sgn * c * d.denominator for n, c in self._num.items()},
+                        self._den * abs(d.numerator))
 
     # -- comparison -------------------------------------------------------
 
@@ -220,7 +217,7 @@ class SurdSum:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._terms == other._terms
+        return self._den == other._den and self._num == other._num
 
     def __lt__(self, other) -> bool:
         other = _coerce(other)
@@ -241,20 +238,23 @@ class SurdSum:
         return not self < other
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
+        # a rational value hashes like its Fraction (and int), which it equals
+        if self.is_rational():
+            return hash(self.rational_value())
+        return hash((frozenset(self._num.items()), self._den))
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._num)
 
     # -- conversion and display --------------------------------------------
 
     def __float__(self) -> float:
         """Diagnostic only; never used to decide equality or sign."""
-        return float(sum(float(c) * sqrt(n) for n, c in self._terms.items()))
+        return float(sum(c / self._den * sqrt(n) for n, c in self._num.items()))
 
     def to_triples(self) -> list[tuple[int, int, int]]:
         """Serialize as (radicand, numerator, denominator) triples."""
-        return [(n, c.numerator, c.denominator) for n, c in sorted(self._terms.items())]
+        return [(n, c.numerator, c.denominator) for n, c in sorted(self.terms.items())]
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[int, int, int]]) -> "SurdSum":
@@ -264,10 +264,10 @@ class SurdSum:
         return total
 
     def __str__(self) -> str:
-        if not self._terms:
+        if not self._num:
             return "0"
         parts = []
-        for n, c in sorted(self._terms.items()):
+        for n, c in sorted(self.terms.items()):
             if n == 1:
                 text = str(c)
             elif c == 1:
@@ -284,6 +284,17 @@ class SurdSum:
 
     def __repr__(self) -> str:
         return f"SurdSum({self})"
+
+
+def _reduced(num: dict[int, int], den: int) -> SurdSum:
+    """SurdSum of nonzero integer numerators over den > 0, divided by their gcd."""
+    g = gcd(den, *num.values())
+    out = SurdSum.__new__(SurdSum)
+    if g == 1:
+        out._num, out._den = num, den
+    else:
+        out._num, out._den = {n: c // g for n, c in num.items()}, den // g
+    return out
 
 
 def _coerce(x) -> SurdSum:
@@ -305,7 +316,7 @@ def surd_sqrt(x: RationalLike) -> SurdSum:
     if x == 0:
         return SurdSum(0)
     a, b = square_split(x.numerator * x.denominator)
-    return SurdSum._make({b: Fraction(a, x.denominator)})
+    return _reduced({b: a}, x.denominator)
 
 
 def surd_sign(a: SurdSum | RationalLike) -> int:
@@ -330,6 +341,9 @@ class ComplexSurd:
 
     def is_real(self) -> bool:
         return self.im.is_zero()
+
+    def real_part(self) -> SurdSum:
+        return self.re
 
     def __add__(self, other) -> "ComplexSurd":
         other = _coerce_complex(other)
@@ -369,7 +383,8 @@ class ComplexSurd:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self) -> int:
-        return hash((self.re, self.im))
+        # a real value hashes like its real part, which it equals
+        return hash(self.re) if self.im.is_zero() else hash((self.re, self.im))
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))

@@ -11,22 +11,27 @@ closed forms in the graph parameters or from the eigenvalue identity
 
 and the two derivations must agree exactly on every candidate.
 
+Both identities run through one kernel: the weighted product of entries
+i and j is formed once per summation index and reused for every l, and
+only i <= j is computed (the sums are symmetric in i and j).
+
 Pseudocyclic (conference) splits have table entries with nested radicals
 sqrt(c + e*sqrt(q)).  Those live outside the plain surd kernel, but all
 products appearing in the tensor formulas close inside the module
 Q(sqrt(q)) + Q(sqrt(q))*i*u+ + Q(sqrt(q))*i*u-, where u+- are the two
 nested radicals and u+ * u- collapses to (h/4)*sqrt(q).  The conference
-path computes in that module, so tensor entries and Krein signs are exact
-there as well.
+path computes in that module, each element stored as six integer
+coordinates over Q(sqrt(s)) (s the squarefree part of q) with one shared
+denominator, so tensor entries and Krein signs are exact there as well.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
-from .exactnum import ComplexSurd, SurdSum, surd_sqrt
+from .exactnum import ComplexSurd, SurdSum, square_split, surd_sqrt
 from .scheme_core import IntersectionTensor
 
 TYPE_I, TYPE_II, TYPE_III = "I", "II", "III"
@@ -157,8 +162,9 @@ def type3_auxiliary(p: SrgParams, z) -> tuple[Fraction, Fraction, Fraction]:
     b = Fraction(p.m1 * p.k, p.k2 * p.m2) * z
     y = Fraction(p.k, p.k2 * p.m1) * (p.n * p.k2 - p.m1 * z)
     c = Fraction(p.n * p.k2 - p.m1 * z, p.m2)
-    assert y > 0 and b > 0 and c > 0
-    assert p.m1 * surd_sqrt(y * z) == p.m2 * surd_sqrt(b * c)
+    if not (y > 0 and b > 0 and c > 0 and p.m1 * surd_sqrt(y * z) == p.m2 * surd_sqrt(b * c)):
+        raise ConsistencyError(
+            f"type-III side conditions fail at z = {z}: (y, b, c) = {(y, b, c)}")
     return y, b, c
 
 
@@ -364,84 +370,89 @@ def conference_table(q: int, g: int) -> CharacterTable:
 class _ConferenceAlgebra:
     """Arithmetic in Q(sqrt(q)) + Q(sqrt(q))*i*u+ + Q(sqrt(q))*i*u-.
 
-    u+- = sqrt((q +- g*sqrt(q))/8); the products u+^2, u-^2 and
-    u+ * u- = (h/4)*sqrt(q) all land back in Q(sqrt(q)), so the span is a
-    ring and every element is an exact triple of SurdSums.
+    u+- = sqrt((q +- g*sqrt(q))/8).  With sqrt(q) = r*sqrt(s), s squarefree,
+    u+-^2 = (q +- g*r*sqrt(s))/8 and u+ * u- = (h*r/4)*sqrt(s) land back in
+    Q(sqrt(s)), so the span is a ring.  An element is six integers
+    (a0, a1, b0, b1, c0, c1) over a shared denominator d > 0, meaning
+    ((a0 + a1 sqrt(s)) + (b0 + b1 sqrt(s)) i u+ + (c0 + c1 sqrt(s)) i u-) / d.
     """
 
     def __init__(self, q: int, g: int, h: int):
-        self.q, self.g, self.h = q, g, h
-        sq = surd_sqrt(q)
-        self.sq = sq
-        self.up2 = (SurdSum(q) + g * sq) / 8
-        self.um2 = (SurdSum(q) - g * sq) / 8
-        self.upm = (h * sq) / 4
+        self.q, self.g = q, g
+        self.r, self.s = square_split(q)
+        self.gr, self.hr = g * self.r, h * self.r
 
     def from_entry(self, e: ConferenceEntry) -> "_ConfElement":
-        real = e.real_surd()
-        if e.is_real():
-            return _ConfElement(self, real, SurdSum(0), SurdSum(0))
-        if (e.c, e.e) == (Fraction(self.q, 8), Fraction(self.g, 8)):
-            return _ConfElement(self, real, SurdSum(e.im_sign), SurdSum(0))
-        if (e.c, e.e) == (Fraction(self.q, 8), Fraction(-self.g, 8)):
-            return _ConfElement(self, real, SurdSum(0), SurdSum(e.im_sign))
-        raise ValueError(f"entry radical ({e.c}, {e.e}) outside the (q,g) algebra")
+        a, b = e.a, e.b * self.r
+        d = lcm(a.denominator, b.denominator)
+        v = [a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), 0, 0, 0, 0]
+        if not e.is_real():
+            if (e.c, abs(e.e)) != (Fraction(self.q, 8), Fraction(abs(self.g), 8)):
+                raise ValueError(f"entry radical ({e.c}, {e.e}) outside the (q,g) algebra")
+            v[2 if e.e == Fraction(self.g, 8) else 4] = e.im_sign * d
+        return _ConfElement(self, tuple(v), d)
 
 
 class _ConfElement:
-    __slots__ = ("alg", "A", "B", "C")
+    __slots__ = ("alg", "v", "d")
 
-    def __init__(self, alg: _ConferenceAlgebra, A: SurdSum, B: SurdSum, C: SurdSum):
-        self.alg, self.A, self.B, self.C = alg, A, B, C
+    def __init__(self, alg: _ConferenceAlgebra, v: tuple, d: int):
+        g = gcd(d, *v)
+        self.alg, self.v, self.d = alg, tuple(x // g for x in v), d // g
 
     def __add__(self, other: "_ConfElement") -> "_ConfElement":
-        return _ConfElement(self.alg, self.A + other.A, self.B + other.B, self.C + other.C)
+        g = gcd(self.d, other.d)
+        f1, f2 = other.d // g, self.d // g
+        return _ConfElement(self.alg, tuple(x * f1 + y * f2 for x, y in zip(self.v, other.v)),
+                            self.d * f1)
 
     def __mul__(self, other) -> "_ConfElement":
-        if isinstance(other, (int, Fraction, SurdSum)):
-            return _ConfElement(self.alg, self.A * other, self.B * other, self.C * other)
-        a = self.alg
-        A = (self.A * other.A - self.B * other.B * a.up2 - self.C * other.C * a.um2
-             - (self.B * other.C + self.C * other.B) * a.upm)
-        B = self.A * other.B + self.B * other.A
-        C = self.A * other.C + self.C * other.A
-        return _ConfElement(a, A, B, C)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other) -> "_ConfElement":
-        return _ConfElement(self.alg, self.A / other, self.B / other, self.C / other)
+        alg = self.alg
+        if not isinstance(other, _ConfElement):
+            w = Fraction(other)
+            return _ConfElement(alg, tuple(x * w.numerator for x in self.v),
+                                self.d * w.denominator)
+        s, q, gr, hr = alg.s, alg.q, alg.gr, alg.hr
+        a0, a1, b0, b1, c0, c1 = self.v
+        A0, A1, B0, B1, C0, C1 = other.v
+        # products in Q(sqrt(s)): bB = (u0, u1), cC = (v0, v1), bC + cB = (w0, w1)
+        u0, u1 = b0 * B0 + s * b1 * B1, b0 * B1 + b1 * B0
+        v0, v1 = c0 * C0 + s * c1 * C1, c0 * C1 + c1 * C0
+        w0 = b0 * C0 + c0 * B0 + s * (b1 * C1 + c1 * B1)
+        w1 = b0 * C1 + b1 * C0 + c0 * B1 + c1 * B0
+        # (i u+)^2 = -u+^2, (i u-)^2 = -u-^2, (i u+)(i u-) = -u+ u-; all over 8
+        v = (8 * (a0 * A0 + s * a1 * A1) - q * (u0 + v0) - s * gr * (u1 - v1) - 2 * s * hr * w1,
+             8 * (a0 * A1 + a1 * A0) - gr * (u0 - v0) - q * (u1 + v1) - 2 * hr * w0,
+             8 * (a0 * B0 + b0 * A0 + s * (a1 * B1 + b1 * A1)),
+             8 * (a0 * B1 + a1 * B0 + b0 * A1 + b1 * A0),
+             8 * (a0 * C0 + c0 * A0 + s * (a1 * C1 + c1 * A1)),
+             8 * (a0 * C1 + a1 * C0 + c0 * A1 + c1 * A0))
+        return _ConfElement(alg, v, 8 * self.d * other.d)
 
     def conjugate(self) -> "_ConfElement":
-        return _ConfElement(self.alg, self.A, -self.B, -self.C)
+        a0, a1, b0, b1, c0, c1 = self.v
+        return _ConfElement(self.alg, (a0, a1, -b0, -b1, -c0, -c1), self.d)
 
     def is_real(self) -> bool:
-        return self.B.is_zero() and self.C.is_zero()
+        return not any(self.v[2:])
 
-    def real_value(self) -> SurdSum:
-        if not self.is_real():
-            raise ValueError(f"value {self} is not real")
-        return self.A
+    def _surd(self, x0: int, x1: int) -> SurdSum:
+        return SurdSum._make({1: Fraction(x0, self.d), self.alg.s: Fraction(x1, self.d)})
+
+    def real_part(self) -> SurdSum:
+        return self._surd(*self.v[:2])
 
     def __str__(self) -> str:
-        return f"({self.A}) + ({self.B})iu+ + ({self.C})iu-"
+        a0, a1, b0, b1, c0, c1 = self.v
+        return f"({self._surd(a0, a1)}) + ({self._surd(b0, b1)})iu+ + ({self._surd(c0, c1)})iu-"
 
 
 def _table_elements(t: CharacterTable) -> list[list]:
+    """Table entries as ring elements sharing conjugate, +, *, is_real, real_part."""
     if t.kind == "surd":
         return [list(row) for row in t.entries]
     alg = _ConferenceAlgebra(t.q, t.g, t.h)
     return [[alg.from_entry(e) for e in row] for row in t.entries]
-
-
-def _real_part(x) -> SurdSum:
-    if isinstance(x, ComplexSurd):
-        if not x.im.is_zero():
-            raise ConsistencyError(f"tensor entry has nonzero imaginary part: {x}")
-        return x.re
-    if not x.is_real():
-        raise ConsistencyError(f"tensor entry has nonzero imaginary part: {x}")
-    return x.real_value()
 
 
 def check_orthogonality(t: CharacterTable) -> None:
@@ -450,36 +461,43 @@ def check_orthogonality(t: CharacterTable) -> None:
     d1 = len(t.entries)
     for i in range(d1):
         for j in range(d1):
-            acc = None
-            for h in range(d1):
-                term = t.multiplicities[h] * (P[h][i] * P[h][j].conjugate())
-                acc = term if acc is None else acc + term
+            acc = P[0][i] * P[0][j].conjugate() * t.multiplicities[0]
+            for h in range(1, d1):
+                acc = acc + P[h][i] * P[h][j].conjugate() * t.multiplicities[h]
             expected = SurdSum(t.n * t.valencies[i]) if i == j else SurdSum(0)
-            if _real_part(acc) != expected or not _is_imag_zero(acc):
+            if not acc.is_real() or acc.real_part() != expected:
                 raise ConsistencyError(f"orthogonality fails at columns ({i},{j}): {acc}")
 
 
-def _is_imag_zero(x) -> bool:
-    if isinstance(x, ComplexSurd):
-        return x.im.is_zero()
-    return x.is_real()
+def _identity_sums(E: list[list], weights) -> list:
+    """S[i][j][l] = sum_h weights[h] E[h][i] E[h][j] conj(E[h][l]), each real.
+
+    The weighted product of E[h][i] and E[h][j] is formed once per h and
+    i <= j, and (j, i) mirrors (i, j): the products commute, so the sum is
+    symmetric in (i, j) whatever the table.
+    """
+    d1 = len(E)
+    conj = [[x.conjugate() for x in row] for row in E]
+    S = [[[None] * d1 for _ in range(d1)] for _ in range(d1)]
+    for i in range(d1):
+        for j in range(i, d1):
+            w = [E[h][i] * E[h][j] * weights[h] for h in range(d1)]
+            for l in range(d1):
+                acc = w[0] * conj[0][l]
+                for h in range(1, d1):
+                    acc = acc + w[h] * conj[h][l]
+                if not acc.is_real():
+                    raise ConsistencyError(
+                        f"tensor entry ({i},{j},{l}) has nonzero imaginary part: {acc}")
+                S[i][j][l] = S[j][i][l] = acc.real_part()
+    return S
 
 
 def p_values_from_table(t: CharacterTable) -> tuple:
     """Eigenvalue-identity values p^l_ij as exact SurdSums, no integrality gate."""
-    P = _table_elements(t)
-    d1 = len(t.entries)
-    p = [[[None] * d1 for _ in range(d1)] for _ in range(d1)]
-    for l in range(d1):
-        scale = Fraction(t.n) * t.valencies[l]
-        for i in range(d1):
-            for j in range(d1):
-                acc = None
-                for h in range(d1):
-                    term = t.multiplicities[h] * (P[h][i] * P[h][j] * P[h][l].conjugate())
-                    acc = term if acc is None else acc + term
-                p[i][j][l] = _real_part(acc / scale)
-    return tuple(tuple(tuple(row) for row in plane) for plane in p)
+    S = _identity_sums(_table_elements(t), t.multiplicities)
+    return tuple(tuple(tuple(x / (t.n * t.valencies[l]) for l, x in enumerate(row))
+                       for row in plane) for plane in S)
 
 
 def p_from_table(t: CharacterTable) -> IntersectionTensor:
@@ -540,21 +558,12 @@ class KreinTensor:
 
 def q_from_table(t: CharacterTable) -> KreinTensor:
     """Krein numbers from the eigenvalue identity; negativity is a result."""
-    P = _table_elements(t)
-    d1 = len(t.entries)
-    q = [[[None] * d1 for _ in range(d1)] for _ in range(d1)]
-    inv_k2 = [Fraction(1) / (t.valencies[h] * t.valencies[h]) for h in range(d1)]
-    for i in range(d1):
-        for j in range(d1):
-            for l in range(d1):
-                acc = None
-                for h in range(d1):
-                    term = inv_k2[h] * (P[i][h] * P[j][h] * P[l][h].conjugate())
-                    acc = term if acc is None else acc + term
-                value = acc * Fraction(t.multiplicities[i] * t.multiplicities[j], t.n)
-                q[i][j][l] = _real_part(value)
-    frozen = tuple(tuple(tuple(row) for row in plane) for plane in q)
-    return KreinTensor(q=frozen)
+    columns = [list(col) for col in zip(*_table_elements(t))]
+    S = _identity_sums(columns, [Fraction(1) / (k * k) for k in t.valencies])
+    m, n = t.multiplicities, t.n
+    return KreinTensor(q=tuple(tuple(tuple(x * Fraction(m[i] * m[j], n) for x in row)
+                                     for j, row in enumerate(plane))
+                               for i, plane in enumerate(S)))
 
 
 # -- closed-form intersection matrices ---------------------------------------

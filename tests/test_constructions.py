@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import skewfiss as sf
@@ -96,6 +101,19 @@ def test_two_squares():
     assert sf.two_squares(1) == []
     with pytest.raises(ValueError):
         sf.two_squares(0)
+
+
+def test_two_squares_invariant_survives_optimize():
+    """The TwoSquares check is an explicit exception, so python -O keeps it."""
+    with pytest.raises(ValueError):
+        sf.TwoSquares(g=3, h=1, m=13)
+    env = {**os.environ, "PYTHONPATH": str(Path(sf.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c",
+         "from skewfiss.constructions import TwoSquares; TwoSquares(g=3, h=1, m=13)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode != 0
+    assert "ValueError" in proc.stderr
 
 
 def test_two_squares_unique_for_primes():

@@ -80,6 +80,21 @@ def test_normal_form_canonical():
     assert c.is_zero() and c.terms == {}
 
 
+def test_equal_values_hash_equally():
+    assert len({SurdSum(3), 3, Fraction(3)}) == 1
+    assert len({SurdSum(Fraction(1, 2)), Fraction(1, 2)}) == 1
+    assert len({ComplexSurd(3), 3}) == 1
+    assert hash(SurdSum(0)) == hash(0) == hash(ComplexSurd(0))
+    assert len({surd_sqrt(8), 2 * surd_sqrt(2), ComplexSurd(2 * surd_sqrt(2))}) == 1
+
+
+def test_operator_aliases_for_call_counting():
+    """Reflected operators stay aliases, so one wrapper counts both spellings."""
+    assert SurdSum.__dict__["__rmul__"] is SurdSum.__dict__["__mul__"]
+    assert SurdSum.__dict__["__radd__"] is SurdSum.__dict__["__add__"]
+    assert ComplexSurd.__dict__["__rmul__"] is ComplexSurd.__dict__["__mul__"]
+
+
 def test_ordering():
     assert surd_sqrt(2) < surd_sqrt(3)
     assert SurdSum(2) > surd_sqrt(2)

@@ -209,6 +209,24 @@ def test_p_from_table_agrees_with_closed_form_57():
     assert sf.p_from_table(table) == sf.intersection_matrices_closed_form(p, cand).tensor()
 
 
+def test_surd_tables_multiply_through_complex_surd(monkeypatch):
+    """The eigenvalue identity on a surd table runs on ComplexSurd products."""
+    calls = []
+    mul = ComplexSurd.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(ComplexSurd, "__mul__", counted)
+    monkeypatch.setattr(ComplexSurd, "__rmul__", counted)
+    p = sf.srg_derive(57, 14, 1, 4)
+    table = sf.character_table(p, sf.make_candidate(p, TYPE_III, 27))
+    sf.p_from_table(table)
+    sf.q_from_table(table)
+    assert calls
+
+
 def test_p_from_table_rejects_johnson_type2():
     p = sf.srg_derive(21, 10, 5, 4)
     table = sf.character_table(p, sf.make_candidate(p, TYPE_II))
