@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import constructions, feasibility, scheme_core
@@ -176,8 +175,7 @@ def cmd_scan(args) -> int:
         records = feasibility.conference_scan(n_max)
     elif family == "srg":
         n_max = args.max_n if args.max_n is not None else 1300
-        threads = int(os.environ.get("SKEWFISS_THREADS", "1"))
-        records = feasibility.scan_srg(n_max, threads=threads)
+        records = feasibility.scan_srg(n_max)
     elif family == "imprimitive":
         n_max = args.max_n if args.max_n is not None else 100
         records = feasibility.imprimitive_scan(n_max)

@@ -2,10 +2,12 @@
 
 Four families cover all symmetrizations: pseudocyclic/conference graphs,
 ordinary strongly regular graphs, imprimitive (clique-blown-up) graphs and
-the 2-subset intersection family.  Each scanner emits ScanRecords whose
+the 2-subset intersection family.  All four scanners emit ScanRecords whose
 feasible and Krein-excluded entries have passed the dual-derivation check:
-closed-form intersection matrices equal to the eigenvalue-identity tensor,
-entry by entry, in exact arithmetic.
+closed-form intersection matrices (the cyclotomic ones for conference
+graphs) equal to the eigenvalue-identity tensor, entry by entry, in exact
+arithmetic.  Each record then gets its exact Krein verdict from one helper,
+_krein_verdict.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .spectra import (
     intersection_matrices_closed_form,
     make_candidate,
     p_from_table,
+    p_values_from_table,
     q_from_table,
     srg_derive,
 )
@@ -101,53 +104,66 @@ class ScanRecord:
 # -- conference / pseudocyclic scan -------------------------------------------
 
 
-def conference_scan(n_max: int, deep: bool = False) -> list[ScanRecord]:
+def conference_scan(n_max: int) -> list[ScanRecord]:
     """Feasible pseudocyclic splits on up to n_max points.
 
     One record per two-squares representation of each q = 5 mod 8, marked
     realizable when q is a prime power coprime to g (the cyclotomic
-    construction then provides the scheme).  With deep=True every record is
-    re-derived through the eigenvalue identity and its Krein numbers are
-    sign-checked exactly; the fast path defers that to the test suite.
+    construction then provides the scheme).  Every record is re-derived
+    through the eigenvalue identity, which must reproduce the cyclotomic
+    closed form for one sign of h (kept as realized_h), and its Krein
+    numbers are sign-checked exactly.
     """
     records = []
     for q in range(5, n_max + 1, 8):
         pp = prime_power(q)
         for ts in two_squares(q):
-            realizable = "+" if pp is not None and gcd(ts.g, q) == 1 else "?"
+            table = conference_table(q, ts.g)
+            realized = _realized_h(q, ts.g, ts.h, p_from_table(table).p)
+            if realized is None:
+                raise ConsistencyError(
+                    f"conference table (q={q}, g={ts.g}) tensor matches neither sign of h")
             rec = ScanRecord(family="conference", n=q,
-                             params={"q": q, "g": ts.g, "h": ts.h},
-                             realizable=realizable)
-            if deep:
-                _conference_deep_check(rec)
-            records.append(rec)
+                             params={"q": q, "g": ts.g, "h": ts.h, "realized_h": realized},
+                             realizable="+" if pp is not None and gcd(ts.g, q) == 1 else "?")
+            records.append(_krein_verdict(rec, table))
     records.sort(key=ScanRecord.sort_key)
     return records
 
 
-def _conference_deep_check(rec: ScanRecord) -> None:
-    """Dual derivation + exact Krein signs for one conference record."""
-    q, g, h = rec.params["q"], rec.params["g"], rec.params["h"]
-    table = conference_table(q, g)
-    tensor = p_from_table(table)
+def _realized_h(q: int, g: int, h: int, planes) -> int | None:
+    """The sign of h whose cyclotomic closed form has these intersection planes."""
     f = (q - 1) // 4
-    realized = None
     for hh in (h, -h):
         cf = cyc4_closed_form(q, g, hh)
-        if tensor == assemble_tensor(cf.b1, cf.b2, (1, f, f, f, f)):
-            realized = hh
-            break
-    if realized is None:
-        raise ConsistencyError(
-            f"conference table (q={q}, g={g}) tensor matches neither sign of h")
-    rec.params["realized_h"] = realized
-    negatives = q_from_table(table).negatives()
+        if planes == assemble_tensor(cf.b1, cf.b2, (1, f, f, f, f)).p:
+            return hh
+    return None
+
+
+def _krein_verdict(rec: ScanRecord, table: CharacterTable, witness=None) -> ScanRecord:
+    """Attach the table and mark rec Krein-excluded by its first negative q^l_ij.
+
+    witness = (l, i, j) names the entry to report instead, and raises
+    ConsistencyError unless that entry is negative.
+    """
+    krein = q_from_table(table)
+    if witness is None:
+        negatives = krein.negatives()
+    else:
+        l, i, j = witness
+        value = krein[i, j, l]
+        if value.sign() >= 0:
+            raise ConsistencyError(
+                f"n = {rec.n}, z = {rec.z}: q^{l}_({i},{j}) = {value} is not negative")
+        negatives = [(witness, value)]
     if negatives:
-        (idx, value) = negatives[0]
+        (l, i, j), value = negatives[0]
         rec.status = KREIN_EXCLUDED
-        rec.krein_index, rec.krein_value = idx, value
-        rec.notes = f"q^{idx[0]}_({idx[1]},{idx[2]}) = {value} < 0"
+        rec.krein_index, rec.krein_value = (l, i, j), value
+        rec.notes = f"q^{l}_({i},{j}) = {value} < 0"
     rec.table = table
+    return rec
 
 
 # -- strongly regular graph scan ------------------------------------------------
@@ -221,34 +237,50 @@ def _type3_z_candidates(p: SrgParams):
             yield z
 
 
-def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, closed_form) -> ScanRecord:
-    """Eq-(1) round trip against the closed forms, then exact Krein signs."""
-    tensor_cf = closed_form.tensor()
+def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, closed_form,
+                            witness=None) -> ScanRecord:
+    """Eq-(1) round trip against the closed forms, then exact Krein signs.
+
+    Integral closed forms must equal the eigenvalue-identity tensor.  A
+    closed form that fails the integrality gate is reported only with a
+    Krein witness; its rational entries must then equal the identity's
+    values, and the note names the first non-integral entry.
+    """
     table = character_table(p, cand)
     try:
-        tensor_eq = p_from_table(table)
+        tensor_cf = closed_form.tensor()
     except InfeasibleError as exc:
-        raise ConsistencyError(
-            f"{p.quad()} type {cand}: closed forms are integral but the "
-            f"eigenvalue identity is not: {exc}") from exc
-    if tensor_eq != tensor_cf:
-        raise ConsistencyError(
-            f"{p.quad()} type {cand}: eigenvalue-identity tensor differs "
-            "from the closed-form matrices")
+        if witness is None:
+            raise
+        non_integral = exc
+        if p_values_from_table(table) != closed_form.rational_tensor():
+            raise ConsistencyError(
+                f"{p.quad()} type {cand}: rational closed-form tensor differs "
+                "from the eigenvalue-identity values")
+    else:
+        non_integral = None
+        try:
+            tensor_eq = p_from_table(table)
+        except InfeasibleError as exc:
+            raise ConsistencyError(
+                f"{p.quad()} type {cand}: closed forms are integral but the "
+                f"eigenvalue identity is not: {exc}") from exc
+        if tensor_eq != tensor_cf:
+            raise ConsistencyError(
+                f"{p.quad()} type {cand}: eigenvalue-identity tensor differs "
+                "from the closed-form matrices")
     rec = ScanRecord(
         family="srg", n=p.n,
         params={"k": p.k, "lam": p.lam, "mu": p.mu,
                 "r": p.r.as_integer(), "s": p.s.as_integer(),
                 "m1": p.m1, "m2": p.m2},
         table_type=cand.table_type,
-        z=None if cand.z is None else int(cand.z),
-        table=table)
-    negatives = q_from_table(table).negatives()
-    if negatives:
-        idx, value = negatives[0]
-        rec.status = KREIN_EXCLUDED
-        rec.krein_index, rec.krein_value = idx, value
-        rec.notes = f"q^{idx[0]}_({idx[1]},{idx[2]}) = {value} < 0"
+        z=None if cand.z is None else int(cand.z))
+    _krein_verdict(rec, table, witness)
+    if non_integral is not None:
+        i, j, l = non_integral.where
+        rec.notes += (f"; intersection numbers also non-integral "
+                      f"(p^{l}_({i},{j}) = {non_integral.value})")
     return rec
 
 
@@ -292,11 +324,20 @@ def _fission_scan_quad(quad: tuple) -> list[ScanRecord]:
 def scan_srg(n_max: int, threads: int | None = None) -> list[ScanRecord]:
     """fission_scan over every arithmetically feasible parameter set <= n_max.
 
-    threads > 1 fans candidates out over a process pool (the scan is pure);
-    results are merged and sorted deterministically either way.
+    threads (default: the SKEWFISS_THREADS environment variable, else 1)
+    must be a positive integer and is capped at the CPUs this process may
+    use; above 1 the parameter sets fan out over a process pool (the scan
+    is pure).  Results are merged and sorted deterministically either way.
     """
     if threads is None:
-        threads = int(os.environ.get("SKEWFISS_THREADS", "1"))
+        raw = os.environ.get("SKEWFISS_THREADS", "1")
+        try:
+            threads = int(raw)
+        except ValueError:
+            raise ValueError(f"SKEWFISS_THREADS = {raw!r} is not an integer") from None
+    if threads <= 0:
+        raise ValueError(f"thread count {threads} is not positive")
+    threads = min(threads, len(os.sched_getaffinity(0)))
     params = list(srg_candidates(n_max))
     records: list[ScanRecord] = []
     if threads > 1:
@@ -370,30 +411,22 @@ def johnson_scan(v_max: int) -> list[ScanRecord]:
         p = srg_derive(n, k, lam, mu)
         found = fission_scan(p)
         z_krein = v * (v - 3) ** 2 // 4
-        seen_zk = None
-        for rec in found:
-            rec.family = "johnson"
-            rec.params = {"v": v, "k": k, "lam": lam, "mu": mu, **{
-                kk: vv for kk, vv in rec.params.items() if kk in ("r", "s", "m1", "m2")}}
-            if rec.table_type == TYPE_III and rec.z == z_krein:
-                seen_zk = rec
-            records.append(rec)
+        seen_zk = next((rec for rec in found
+                        if rec.table_type == TYPE_III and rec.z == z_krein), None)
         if seen_zk is not None:
-            if seen_zk.status != KREIN_EXCLUDED:
-                raise ConsistencyError(
-                    f"v = {v}: structural candidate z = {z_krein} was not "
-                    "rejected by the Krein condition")
-            q311 = q_from_table(seen_zk.table)[1, 1, 3]
-            if q311.sign() >= 0:
-                raise ConsistencyError(f"v = {v}: q^3_(1,1) = {q311} is not negative")
-            seen_zk.notes = f"q^3_(1,1) = {q311} < 0"
-            seen_zk.krein_index, seen_zk.krein_value = (3, 1, 1), q311
+            _krein_verdict(seen_zk, seen_zk.table, witness=(3, 1, 1))
         else:
             # v = 3 mod 8: the entry p^2_(2,2) = (v-4)(v-7)/8 is a half-integer,
             # so the generic pipeline drops this z before the Krein stage.  The
             # putative table still exists and its Krein number is a standalone
             # rejection certificate, so it is reported here explicitly.
-            records.append(_johnson_structural_record(p, v, z_krein))
+            cand = make_candidate(p, TYPE_III, z_krein)
+            found.append(_dual_derivation_record(
+                p, cand, intersection_matrices_closed_form(p, cand), witness=(3, 1, 1)))
+        for rec in found:
+            rec.family = "johnson"
+            rec.params = {"v": v, **rec.params}
+            records.append(rec)
         z_big = v * (v - 3) ** 2 // 2
         c_val = Fraction((v - 1) * (6 - v), 2)
         records.append(ScanRecord(
@@ -404,38 +437,6 @@ def johnson_scan(v_max: int) -> list[ScanRecord]:
             notes=f"auxiliary c = (v-1)(6-v)/2 = {c_val} <= 0"))
     records.sort(key=ScanRecord.sort_key)
     return records
-
-
-def _johnson_structural_record(p: SrgParams, v: int, z: int) -> ScanRecord:
-    """Krein-witness record for z = v(v-3)^2/4 when integrality already fails."""
-    from .spectra import p_values_from_table
-
-    cand = make_candidate(p, TYPE_III, z)
-    cf = intersection_matrices_closed_form(p, cand)
-    table = character_table(p, cand)
-    values = p_values_from_table(table)
-    rational = cf.rational_tensor()
-    for i in range(5):
-        for j in range(5):
-            for l in range(5):
-                if values[i][j][l] != SurdSum(rational[i][j][l]):
-                    raise ConsistencyError(
-                        f"v = {v}, z = {z}: rational tensors disagree at "
-                        f"({i},{j},{l}): {values[i][j][l]} vs {rational[i][j][l]}")
-    q311 = q_from_table(table)[1, 1, 3]
-    if q311.sign() >= 0:
-        raise ConsistencyError(f"v = {v}: q^3_(1,1) = {q311} is not negative")
-    p222 = rational[2][2][2]
-    return ScanRecord(
-        family="johnson", n=p.n,
-        params={"v": v, "k": p.k, "lam": p.lam, "mu": p.mu,
-                "r": p.r.as_integer(), "s": p.s.as_integer(),
-                "m1": p.m1, "m2": p.m2},
-        table_type=TYPE_III, z=z, status=KREIN_EXCLUDED,
-        krein_index=(3, 1, 1), krein_value=q311,
-        notes=(f"q^3_(1,1) = {q311} < 0; intersection numbers also "
-               f"non-integral (p^2_(2,2) = {p222})"),
-        table=table)
 
 
 # -- classification of a concrete scheme ----------------------------------------
@@ -523,56 +524,38 @@ def classify_scheme(s: AssociationScheme) -> Classification:
 
         if p.conference:
             for ts in two_squares(n):
-                for hh in (ts.h, -ts.h):
-                    cf = cyc4_closed_form(n, ts.g, hh)
-                    f = (n - 1) // 4
-                    if perm == assemble_tensor(cf.b1, cf.b2, (1, f, f, f, f)).p:
-                        matches.append(Classification(
-                            family="conference", n=n,
-                            params={"q": n, "g": ts.g, "h": hh},
-                            relabeling=sigma,
-                            table=conference_table(n, ts.g)))
+                hh = _realized_h(n, ts.g, ts.h, perm)
+                if hh is not None:
+                    matches.append(Classification(
+                        family="conference", n=n,
+                        params={"q": n, "g": ts.g, "h": hh},
+                        relabeling=sigma,
+                        table=conference_table(n, ts.g)))
             continue
 
-        if mu == 0:
-            f = k + 1
-            g = n // f
-            cand = make_candidate(p, TYPE_I)
-            cf = intersection_matrices_closed_form(p, cand)
-            if cf.all_nonneg_integers() and perm == cf.tensor().p:
-                matches.append(Classification(
-                    family="imprimitive", n=n, params={"f": f, "g": g},
-                    table_type=TYPE_I, relabeling=sigma,
-                    table=character_table(p, cand)))
-            continue
         if mu == k:
             continue  # complete multipartite side; the paired relabeling has mu = 0
-
-        if p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2:
+        if mu == 0:
+            family, params = "imprimitive", {"f": k + 1, "g": n // (k + 1)}
+            trials = [(TYPE_I, None)]
+        elif p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2:
             continue
-        for table_type in (TYPE_I, TYPE_II):
-            cand = make_candidate(p, table_type)
-            cf = intersection_matrices_closed_form(p, cand)
-            if cf.all_nonneg_integers() and perm == cf.tensor().p:
-                matches.append(Classification(
-                    family="srg", n=n,
-                    params={"k": k, "lam": lam, "mu": mu},
-                    table_type=table_type, relabeling=sigma,
-                    table=character_table(p, cand)))
-        z = _solve_type3_z(p, perm)
-        if z is not None:
+        else:
+            family, params = "srg", {"k": k, "lam": lam, "mu": mu}
+            z = _solve_type3_z(p, perm)
+            trials = [(TYPE_I, None), (TYPE_II, None)] + ([(TYPE_III, z)] if z is not None else [])
+        for table_type, z in trials:
             try:
-                cand = make_candidate(p, TYPE_III, z)
+                cand = make_candidate(p, table_type, z)
                 cf = intersection_matrices_closed_form(p, cand)
             except InfeasibleError:
-                cand = cf = None
-            if cf is not None and cf.all_nonneg_integers() and perm == cf.tensor().p:
-                note_z = int(z) if Fraction(z).denominator == 1 else z
+                continue  # irrational sqrt(yz)
+            if perm == cf.rational_tensor():
+                if z is not None and z.denominator == 1:
+                    z = int(z)
                 matches.append(Classification(
-                    family="srg", n=n,
-                    params={"k": k, "lam": lam, "mu": mu},
-                    table_type=TYPE_III, z=note_z, relabeling=sigma,
-                    table=character_table(p, cand)))
+                    family=family, n=n, params=params, table_type=table_type, z=z,
+                    relabeling=sigma, table=character_table(p, cand)))
 
     if not matches:
         raise ClassificationError(

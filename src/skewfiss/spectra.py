@@ -506,22 +506,33 @@ def p_from_table(t: CharacterTable) -> IntersectionTensor:
     Raises InfeasibleError naming the first (i, j, l) whose entry is not a
     nonnegative integer: such a table belongs to no scheme.
     """
-    values = p_values_from_table(t)
-    d1 = len(t.entries)
+    return _integral_tensor(p_values_from_table(t), t.valencies)
+
+
+def _integral_tensor(values, valencies) -> IntersectionTensor:
+    """The integrality gate every tensor path passes through.
+
+    values[i][j][l] = p^l_ij may be int, Fraction or SurdSum; rationals are
+    tested directly.  Raises InfeasibleError at the first (i, j, l), in
+    lexicographic order, whose entry is not a nonnegative integer.
+    """
+    d1 = len(values)
     p = [[[0] * d1 for _ in range(d1)] for _ in range(d1)]
     for i in range(d1):
         for j in range(d1):
             for l in range(d1):
-                real = values[i][j][l]
-                iv = real.as_integer()
+                x = values[i][j][l]
+                if isinstance(x, SurdSum):
+                    iv = x.as_integer()
+                else:
+                    iv = int(x) if x.denominator == 1 else None
                 if iv is None or iv < 0:
                     raise InfeasibleError(
-                        f"p^{l}_({i},{j}) = {real} is not a nonnegative integer",
-                        where=(i, j, l), value=real)
+                        f"p^{l}_({i},{j}) = {x} is not a nonnegative integer",
+                        where=(i, j, l), value=x)
                 p[i][j][l] = iv
     frozen = tuple(tuple(tuple(row) for row in plane) for plane in p)
-    valencies = tuple(int(v) for v in t.valencies)
-    return IntersectionTensor(p=frozen, valencies=valencies)
+    return IntersectionTensor(p=frozen, valencies=tuple(int(v) for v in valencies))
 
 
 @dataclass(frozen=True)
@@ -546,15 +557,6 @@ class KreinTensor:
                         out.append(((l, i, j), v))
         return out
 
-    def min_entry(self) -> SurdSum:
-        best = None
-        for plane in self.q:
-            for row in plane:
-                for v in row:
-                    if best is None or (v - best).sign() < 0:
-                        best = v
-        return best
-
 
 def q_from_table(t: CharacterTable) -> KreinTensor:
     """Krein numbers from the eigenvalue identity; negativity is a result."""
@@ -573,9 +575,9 @@ def q_from_table(t: CharacterTable) -> KreinTensor:
 class ClosedForm:
     """Principal 4x4 parts of B1 and B2 (exact rationals) plus bookkeeping.
 
-    B3 and B4 are views through p^k_ij = p^{k'}_{j'i'}; ``tensor()`` builds
-    the completed 5x5x5 integer tensor and raises InfeasibleError if any
-    entry fails to be a nonnegative integer.
+    B3 and B4 are views through p^k_ij = p^{k'}_{j'i'}; ``rational_tensor()``
+    completes them into the 5x5x5 planes and ``tensor()`` passes those
+    through the integrality gate.
     """
 
     b1: tuple
@@ -591,57 +593,38 @@ class ClosedForm:
         return all(x.denominator == 1 and x >= 0 for x in self.entries())
 
     def tensor(self) -> IntersectionTensor:
-        for mat, name in ((self.b1, "B1"), (self.b2, "B2")):
-            for jj, row in enumerate(mat):
-                for kk, x in enumerate(row):
-                    if x.denominator != 1 or x < 0:
-                        raise InfeasibleError(
-                            f"{name} principal entry ({jj + 1},{kk + 1}) = {x} "
-                            "is not a nonnegative integer",
-                            where=(name, jj + 1, kk + 1), value=x)
-        b1_full = _complete_matrix(self.b1, rel=1, valency=self.k_half)
-        b2_full = _complete_matrix(self.b2, rel=2, valency=self.k2_half)
+        """The completed integer tensor; InfeasibleError names the first bad (i, j, l)."""
         vals = (1, self.k_half, self.k2_half, self.k2_half, self.k_half)
-        return assemble_tensor(b1_full, b2_full, vals)
+        return _integral_tensor(self.rational_tensor(), vals)
 
     def rational_tensor(self) -> tuple:
         """Completed 5x5x5 tensor of exact rationals, no integrality gate."""
-        b1_full = _complete_matrix(self.b1, rel=1, valency=self.k_half, cast=Fraction)
-        b2_full = _complete_matrix(self.b2, rel=2, valency=self.k2_half, cast=Fraction)
-        p = [[[Fraction(0)] * 5 for _ in range(5)] for _ in range(5)]
-        for j in range(5):
-            for k in range(5):
-                p[0][j][k] = Fraction(1 if j == k else 0)
-                p[1][j][k] = b1_full[j][k]
-                p[2][j][k] = b2_full[j][k]
-                p[3][j][k] = b2_full[PAIRED[j]][PAIRED[k]]
-                p[4][j][k] = b1_full[PAIRED[j]][PAIRED[k]]
-        return tuple(tuple(tuple(row) for row in plane) for plane in p)
+        return _planes(_complete_matrix(self.b1, rel=1, valency=self.k_half),
+                       _complete_matrix(self.b2, rel=2, valency=self.k2_half))
 
 
-def _complete_matrix(principal, rel: int, valency: int, cast=int):
+def _complete_matrix(principal, rel: int, valency: int) -> list:
     """Add row 0 (p^k_{i0} = [k = i]) and column 0 (p^0_{ij} = k_i [j = i'])."""
-    full = [[cast(0)] * 5 for _ in range(5)]
+    full = [[0] * 5 for _ in range(5)]
     for j in range(4):
-        for k in range(4):
-            full[j + 1][k + 1] = cast(principal[j][k])
-    full[0][rel] = cast(1)
-    full[PAIRED[rel]][0] = cast(valency)
+        full[j + 1][1:] = principal[j]
+    full[0][rel] = 1
+    full[PAIRED[rel]][0] = valency
     return full
 
 
+def _planes(b1_full, b2_full) -> tuple:
+    """Planes p[i][j][k] = p^k_ij from full B1 and B2; B3, B4 by transpose symmetry."""
+    rng = range(5)
+    identity = tuple(tuple(int(j == k) for k in rng) for j in rng)
+    direct = lambda b: tuple(tuple(row) for row in b)
+    mirrored = lambda b: tuple(tuple(b[PAIRED[j]][PAIRED[k]] for k in rng) for j in rng)
+    return (identity, direct(b1_full), direct(b2_full), mirrored(b2_full), mirrored(b1_full))
+
+
 def assemble_tensor(b1_full, b2_full, valencies) -> IntersectionTensor:
-    """Full tensor from B1 and B2; B3, B4 follow from transpose symmetry."""
-    p = [[[0] * 5 for _ in range(5)] for _ in range(5)]
-    for j in range(5):
-        for k in range(5):
-            p[0][j][k] = 1 if j == k else 0
-            p[1][j][k] = int(b1_full[j][k])
-            p[2][j][k] = int(b2_full[j][k])
-            p[3][j][k] = int(b2_full[PAIRED[j]][PAIRED[k]])
-            p[4][j][k] = int(b1_full[PAIRED[j]][PAIRED[k]])
-    frozen = tuple(tuple(tuple(row) for row in plane) for plane in p)
-    return IntersectionTensor(p=frozen, valencies=tuple(int(v) for v in valencies))
+    """Full integer tensor from full B1 and B2, through the integrality gate."""
+    return _integral_tensor(_planes(b1_full, b2_full), valencies)
 
 
 def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> ClosedForm:

@@ -188,7 +188,7 @@ def test_criterion_5_johnson_nonexistence():
 def test_criterion_6_dual_derivation_consistency():
     # conference rows: eigenvalue identity against the cyclotomic closed forms,
     # and exact Krein signs (ConsistencyError would fail the test)
-    conference = sf.conference_scan(325, deep=True)
+    conference = sf.conference_scan(325)
     assert len(conference) == 33
     assert all(r.status == FEASIBLE for r in conference)
     assert all("realized_h" in r.params for r in conference)

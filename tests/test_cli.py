@@ -1,9 +1,11 @@
 import json
+import os
 
 import pytest
 
 import skewfiss.cli as cli
 import skewfiss.feasibility as feasibility
+from skewfiss.scheme_core import IntersectionTensor
 from skewfiss.spectra import ConsistencyError
 
 
@@ -120,3 +122,56 @@ def test_exit_code_internal_consistency(capsys, monkeypatch):
     monkeypatch.setattr(feasibility, "scan_srg", boom)
     code, _, err = run(capsys, "scan", "srg", "--max-n", "60")
     assert code == 2 and "consistency" in err
+
+
+def test_scan_conference_checks_every_record(capsys, monkeypatch):
+    """A tensor that no longer matches the closed form is a consistency failure."""
+    real = feasibility.p_from_table
+
+    def perturbed(table):
+        t = real(table)
+        p = [[list(row) for row in plane] for plane in t.p]
+        p[1][1][1] += 1
+        return IntersectionTensor(p=tuple(tuple(map(tuple, plane)) for plane in p),
+                                  valencies=t.valencies)
+
+    monkeypatch.setattr(feasibility, "p_from_table", perturbed)
+    code, out, err = run(capsys, "scan", "conference", "--max-n", "61")
+    assert code == 2 and "matches neither sign of h" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two", ""])
+def test_threads_env_rejects_non_positive(capsys, monkeypatch, value):
+    monkeypatch.setenv("SKEWFISS_THREADS", value)
+    monkeypatch.setattr(feasibility, "Pool", None)  # any pool use would fail loudly
+    code, out, err = run(capsys, "scan", "srg", "--max-n", "60")
+    assert code == 1 and "error" in err and out == ""
+
+
+def test_threads_env_clamped_to_usable_cpus(capsys, monkeypatch):
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for multiprocessing.Pool: records the size, maps in-process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(feasibility, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setenv("SKEWFISS_THREADS", "100000")
+    code, many, _ = run(capsys, "scan", "srg", "--max-n", "120")
+    assert code == 0 and sizes == [3]
+    monkeypatch.setenv("SKEWFISS_THREADS", "1")
+    code, one, _ = run(capsys, "scan", "srg", "--max-n", "120")
+    assert code == 0 and sizes == [3] and many == one

@@ -41,7 +41,7 @@ def test_conference_scan_coprimality_annotation():
 
 
 def test_conference_scan_deep():
-    recs = sf.conference_scan(61, deep=True)
+    recs = sf.conference_scan(61)
     for r in recs:
         assert r.status == FEASIBLE
         assert r.params["realized_h"] in (r.params["h"], -r.params["h"])

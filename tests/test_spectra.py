@@ -376,3 +376,23 @@ def test_table_json_round_trip_shapes():
     d2 = t2.to_json_dict()
     assert d2["kind"] == "conference"
     assert d2["entries"][1][1]["q"] == 13
+
+
+def test_closed_form_tensor_names_first_non_integral_entry():
+    """tensor() gates the same completed planes that rational_tensor() returns."""
+    p = sf.srg_derive(55, 18, 9, 4)
+    cf = sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_III, 176))
+    with pytest.raises(sf.InfeasibleError) as info:
+        cf.tensor()
+    i, j, l = info.value.where
+    assert cf.rational_tensor()[i][j][l] == info.value.value
+    assert info.value.value.denominator != 1
+
+
+def test_assemble_tensor_rejects_non_integral_entries():
+    cf = sf.cyc4_closed_form(13, -3, 1)
+    b1 = [list(row) for row in cf.b1]
+    b1[1][1] = Fraction(1, 2)
+    with pytest.raises(sf.InfeasibleError) as info:
+        assemble_tensor(b1, cf.b2, (1, 3, 3, 3, 3))
+    assert info.value.where == (1, 1, 1)
