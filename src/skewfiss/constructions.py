@@ -292,14 +292,13 @@ def cyclotomic_scheme(q: int, d: int) -> AssociationScheme:
         # i + 2 mod 4; ordering the classes (1, 2, 4, 3) pairs them up.
         perm = np.array([0, 1, 2, 4, 3], dtype=np.int16)
         cls = perm[cls]
-    if b == 1:
-        diff = (np.arange(q)[:, None] - np.arange(q)[None, :]) % q
-        rel = cls[diff]
-    else:
-        rel = np.zeros((q, q), dtype=np.int16)
-        for x in range(q):
-            for y in range(q):
-                rel[x, y] = cls[field.sub(x, y)]
+    # x - y digit by digit in base p, the encoding FiniteField.sub uses
+    elems = np.arange(q, dtype=np.int32)
+    diff = np.zeros((q, q), dtype=np.int32)
+    for t in range(b):
+        digit = elems // p ** t % p
+        diff += (digit[:, None] - digit[None, :]) % p * p ** t
+    rel = cls[diff]
     scheme = AssociationScheme(rel, d=d)
     report = verify_axioms(scheme)
     if not report.ok:

@@ -4,6 +4,21 @@ A scheme on n points is stored as an n x n matrix of relation indices in
 0..d.  Everything here is verified by counting: the regularity axiom is
 checked over all ordered point pairs, never a sample, and the intersection
 tensor is the by-product of that count.
+
+The count multiplies float32 indicator matrices A_i; that is exact because
+every partial sum is an integer of at most n <= MAX_POINTS < 2**24.  Two
+kinds of product are not formed, and neither is sampled:
+
+- the trivial planes.  Once axiom (i) holds, A_0 = I, so A_0 A_j = A_j and
+  A_i A_0 = A_i, and p^k_0j = p^k_j0 = delta_jk with no count needed.
+- the mirrored half.  Once axiom (iii) holds, A_i^T = A_i' and
+  (A_i A_j)^T = A_j' A_i', so the product for (j', i') is the transpose of
+  the product for (i, j).  When that one was counted over all pairs and
+  found constant on every R_k, it is constant p^k_ij on every R_k' =
+  R_k^T.  A pair whose partner failed is counted itself, so a broken
+  scheme reports every failing pair.
+
+For d = 4 skew this forms 10 of the 25 products.
 """
 
 from __future__ import annotations
@@ -31,6 +46,32 @@ class SchemeParseError(SchemeError):
 
 class FusionError(SchemeError):
     pass
+
+
+# Cells per block of a class-constancy check: its temporaries stay a few MB
+# whatever n is.
+_CHECK_CELLS = 1 << 18
+
+
+def _class_cells(rel: np.ndarray, d: int) -> tuple:
+    """One (row, column) cell of each class R_0..R_d, as an index pair of
+    arrays; an empty class gets the cell (0, 0)."""
+    first = [int((rel == i).argmax()) for i in range(d + 1)]
+    return np.unravel_index(first, rel.shape)
+
+
+def _class_values(m: np.ndarray, rel: np.ndarray, cells: tuple) -> np.ndarray | None:
+    """The value of m on each class, or None if m varies within some class.
+
+    m is compared cell by cell with its value at ``cells`` spread over rel,
+    one block of rows at a time.
+    """
+    values = m[cells]
+    rows = max(1, _CHECK_CELLS // rel.shape[1])
+    for r in range(0, rel.shape[0], rows):
+        if not np.array_equal(m[r:r + rows], values.take(rel[r:r + rows])):
+            return None
+    return values
 
 
 class AssociationScheme:
@@ -73,16 +114,12 @@ class AssociationScheme:
 
     def transpose_map(self) -> list[int] | None:
         """i -> i' with R_i^T = R_{i'}, or None if transposes are not classes."""
-        relT = self.rel.T
-        out = [0] * (self.d + 1)
-        for i in range(self.d + 1):
-            cells = relT[self.rel == i]
-            if cells.size == 0:
-                return None
-            j = int(cells[0])
-            if not (cells == j).all():
-                return None
-            out[i] = j
+        if not all(self.relation_sizes()):
+            return None
+        values = _class_values(self.rel.T, self.rel, _class_cells(self.rel, self.d))
+        if values is None:
+            return None
+        out = values.tolist()
         if sorted(out) != list(range(self.d + 1)):
             return None
         return out
@@ -141,10 +178,6 @@ class AxiomReport:
         return "\n".join(lines)
 
 
-def _class_masks(s: AssociationScheme) -> list[np.ndarray]:
-    return [s.rel == i for i in range(s.d + 1)]
-
-
 def verify_axioms(s: AssociationScheme) -> AxiomReport:
     """Check all four scheme axioms by counting; O(n^3) via matrix products.
 
@@ -179,15 +212,32 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
         rep.failures.append("some relation's transpose is not a relation")
     rep.transpose_map = tmap
 
-    masks = _class_masks(s)
-    floats = [m.astype(np.float64) for m in masks]
+    class_cells = _class_cells(rel, d)
+    ind = [(rel == i).astype(np.float32) for i in range(d + 1)]
+    counts = np.empty((n, n), dtype=np.float32)
     p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
+    counted = set()  # pairs counted and found constant on every class
     regular = True
     for i in range(d + 1):
         for j in range(d + 1):
-            counts = floats[i] @ floats[j]
+            if rep.diagonal_ok and 0 in (i, j):
+                p[i][j][i + j] = 1  # A_0 = I: p^k_0j = delta_jk, p^k_i0 = delta_ik
+                continue
+            if rep.transpose_ok and (tmap[j], tmap[i]) in counted:
+                a, b = tmap[j], tmap[i]  # (A_a A_b)^T = A_i A_j
+                for k in range(d + 1):
+                    p[i][j][tmap[k]] = p[a][b][k]
+                continue
+            np.matmul(ind[i], ind[j], out=counts)
+            values = _class_values(counts, rel, class_cells)
+            if values is not None:
+                for k in range(d + 1):
+                    if sizes[k]:
+                        p[i][j][k] = int(values[k])
+                counted.add((i, j))
+                continue
             for k in range(d + 1):
-                cells = counts[masks[k]]
+                cells = counts[rel == k]
                 if cells.size == 0:
                     continue
                 lo, hi = cells.min(), cells.max()
@@ -290,16 +340,17 @@ def imprimitive_blocks(s: AssociationScheme) -> list[list[int]]:
     if tmap is None:
         raise SchemeError("transposes of relations are not relations")
     orbits = [b for b in _orbit_partition(tmap) if 0 not in b]
-    masks = _class_masks(s)
     found = []
     for pick in range(1, (1 << len(orbits)) - 1):
         idx = sorted({0} | {i for bit, orb in enumerate(orbits) if pick >> bit & 1 for i in orb})
-        union = np.zeros((s.n, s.n), dtype=bool)
-        for i in idx:
-            union |= masks[i]
+        member = np.zeros(s.d + 1, dtype=bool)
+        member[idx] = True
+        union = member[s.rel]
         # union is reflexive and symmetric by construction; transitivity:
-        # the support of union @ union must not leave union
-        reach = union.astype(np.float64) @ union.astype(np.float64) > 0
+        # the support of union @ union must not leave union (float32 counts
+        # are at most n, so exact)
+        ones = union.astype(np.float32)
+        reach = ones @ ones > 0
         if (reach == union).all():
             found.append(idx)
     return found
@@ -314,8 +365,8 @@ def imprimitive_blocks(s: AssociationScheme) -> list[list[int]]:
 def save_scheme(s: AssociationScheme, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{s.n} {s.d}\n")
-        for row in s.rel:
-            fh.write(" ".join(str(int(v)) for v in row) + "\n")
+        names = [str(v) for v in range(s.d + 1)]
+        fh.writelines(" ".join(map(names.__getitem__, row)) + "\n" for row in s.rel.tolist())
 
 
 def load_scheme(path: str) -> AssociationScheme:
@@ -337,10 +388,17 @@ def load_scheme(path: str) -> AssociationScheme:
     if len(lines) < n + 1:
         raise SchemeParseError(f"expected {n} matrix rows, file has {len(lines) - 1}", len(lines))
     rel = np.zeros((n, n), dtype=np.int16)
+    index = {str(v): v for v in range(d + 1)}
     for r in range(n):
         fields = lines[r + 1].split()
         if len(fields) != n:
             raise SchemeParseError(f"expected {n} entries, got {len(fields)}", r + 2)
+        values = list(map(index.get, fields))
+        if None not in values and values[r] == 0 and values.count(0) == 1:
+            rel[r] = values
+            continue
+        # a bad token, or one int() reads but not in canonical form: walk
+        # the row token by token to name the first offence
         for c, tok in enumerate(fields):
             try:
                 v = int(tok)

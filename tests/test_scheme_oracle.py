@@ -1,0 +1,179 @@
+"""The counting verifier and the .ascm parser against the frozen reference.
+
+``reference_scheme_core`` keeps the first implementation: (d+1)^2 float64
+products with a mask gather per class, a per-class transpose map and a
+token-by-token parser.  Every property here compares whole results with it:
+the full ``AxiomReport`` (flags, failures in order, transpose map, tensor)
+on perturbed schemes, and the exception class, line, column and message on
+malformed scheme files.
+"""
+
+from functools import lru_cache
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_scheme_core as ref
+import skewfiss as sf
+from skewfiss import scheme_core
+from skewfiss.scheme_core import AssociationScheme, SchemeParseError, load_scheme, save_scheme
+
+
+@lru_cache(maxsize=None)
+def corpus(name: str) -> AssociationScheme:
+    if name == "cyc13":
+        return sf.cyclotomic_scheme(13, 4)
+    if name == "cyc29":
+        return sf.cyclotomic_scheme(29, 4)
+    if name == "thin_z5":
+        return AssociationScheme(np.array([[(x - y) % 5 for y in range(5)] for x in range(5)]))
+    if name == "wreath_3_7":
+        return sf.wreath(sf.cyclotomic_scheme(3, 2), sf.cyclotomic_scheme(7, 2))
+    return sf.johnson2_scheme(5)
+
+
+NAMES = ["cyc13", "cyc29", "thin_z5", "wreath_3_7", "j52"]
+PERTURBATIONS = ["diagonal", "flip", "swap", "empty"]
+
+
+def perturb(rel: np.ndarray, d: int, kind: str, draw) -> None:
+    """Break one axiom (or, by chance, none) of the relation matrix in place."""
+    n = len(rel)
+    x, y = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "diagonal":
+        rel[x, x] = draw(st.integers(1, d))
+    elif kind == "flip":
+        rel[x, y] = draw(st.integers(0, d))
+    elif kind == "swap":
+        rel[x, y], rel[y, x] = rel[y, x], rel[x, y]
+    else:
+        k = draw(st.integers(1, d))
+        rel[rel == k] = draw(st.sampled_from([c for c in range(1, d + 1) if c != k]))
+
+
+def assert_reports_equal(s: AssociationScheme) -> sf.AxiomReport:
+    fast, slow = sf.verify_axioms(s), ref.verify_axioms(s)
+    assert fast.failures == slow.failures
+    assert (fast.diagonal_ok, fast.partition_ok, fast.transpose_ok, fast.regular_ok) == \
+        (slow.diagonal_ok, slow.partition_ok, slow.transpose_ok, slow.regular_ok)
+    assert fast.transpose_map == slow.transpose_map == s.transpose_map() == ref.transpose_map(s)
+    assert fast.tensor == slow.tensor
+    assert fast == slow
+    return fast
+
+
+def test_corpus_matches_reference():
+    for name in NAMES:
+        assert assert_reports_equal(corpus(name)).ok
+
+
+@given(st.sampled_from(NAMES),
+       st.lists(st.sampled_from(PERTURBATIONS), min_size=1, max_size=3),
+       st.data())
+@settings(max_examples=120, deadline=None)
+def test_perturbed_reports_match_reference(name, kinds, data):
+    s = corpus(name)
+    rel = np.array(s.rel)
+    for kind in kinds:
+        perturb(rel, s.d, kind, data.draw)
+    assert_reports_equal(AssociationScheme(rel, d=s.d))
+
+
+def test_skew_d4_forms_ten_products(cyc13, monkeypatch):
+    """Trivial planes and mirrored pairs are derived, not multiplied again."""
+    calls = []
+    real = np.matmul
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scheme_core.np, "matmul", counting)
+    assert sf.verify_axioms(cyc13).ok
+    assert len(calls) == 10
+
+
+def test_verify_peak_allocation_n1013():
+    """Working set: d+1 float32 indicator matrices plus one product.
+
+    The slack covers one boolean n x n mask alive while an indicator is
+    built and the row-block temporaries of the regularity check.
+    """
+    s = sf.cyclotomic_scheme(1013, 4)
+    n, d = s.n, s.d
+    tracemalloc.start()
+    try:
+        rep = sf.verify_axioms(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    working_set = (d + 1) * n * n * 4 + n * n * 4
+    slack = n * n + 16 * scheme_core._CHECK_CELLS
+    assert peak <= working_set + slack, (peak, working_set, slack)
+
+
+# -- .ascm parser --------------------------------------------------------------------
+
+TOKENS = ["0", "1", "2", "3", "4", "5", "-1", "+1", "01", "1_0", "٣", "x", "1.0",
+          "300", "99999999999999999999", "", "0 0", "\t"]
+SEPARATORS = ["\n", "\r\n", "\r", " ", "\x0c", "\n\n"]
+
+
+def scheme_text(s: AssociationScheme) -> list[list[str]]:
+    return [[str(s.n), str(s.d)]] + [[str(int(v)) for v in row] for row in s.rel]
+
+
+@st.composite
+def ascm_texts(draw):
+    """A valid scheme file with a few tokens, rows or the header broken."""
+    rows = scheme_text(corpus(draw(st.sampled_from(["cyc13", "thin_z5", "j52"]))))
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.integers(0, len(rows) - 1))
+        what = draw(st.sampled_from(["replace", "delete", "insert", "drop_row", "dup_row"]))
+        if what == "drop_row":
+            del rows[r]
+        elif what == "dup_row":
+            rows.insert(r, list(rows[r]))
+        elif what == "delete" and rows[r]:
+            del rows[r][draw(st.integers(0, len(rows[r]) - 1))]
+        elif what == "insert":
+            rows[r].insert(draw(st.integers(0, len(rows[r]))), draw(st.sampled_from(TOKENS)))
+        elif rows[r]:
+            rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(st.sampled_from(TOKENS))
+    sep = draw(st.sampled_from(SEPARATORS))
+    return sep.join(" ".join(row) for row in rows) + draw(st.sampled_from(["", "\n"]))
+
+
+def parse_both(tmp_path, text: str):
+    path = tmp_path / "case.ascm"
+    path.write_text(text, encoding="utf-8", newline="")
+    outcomes = []
+    for parse in (load_scheme, ref.load_scheme):
+        try:
+            outcomes.append(("ok", parse(str(path))))
+        except SchemeParseError as exc:
+            outcomes.append((type(exc), exc.line, exc.column, str(exc)))
+        except sf.SchemeError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+@given(st.one_of(ascm_texts(), st.text(alphabet="0123 \n-x+\r", max_size=40)))
+@settings(max_examples=300, deadline=None)
+def test_parser_matches_reference(tmp_path_factory, text):
+    fast, slow = parse_both(tmp_path_factory.getbasetemp(), text)
+    assert fast == slow
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_saved_bytes_round_trip(tmp_path, name):
+    s = corpus(name)
+    path = tmp_path / "s.ascm"
+    save_scheme(s, str(path))
+    expected = "".join(" ".join(row) + "\n" for row in scheme_text(s))
+    assert path.read_text(encoding="utf-8") == expected
+    assert load_scheme(str(path)) == ref.load_scheme(str(path)) == s
