@@ -1,8 +1,14 @@
-"""Exact arithmetic over rationals and sums of real quadratic surds.
+"""Exact arithmetic over rationals and sums of quadratic surds.
 
 Every eigenvalue, intersection-number and Krein computation in this package
 runs on these types.  Floating point appears only in diagnostics (``float()``
 conversion, cross-checks in the test suite) and never decides a result.
+
+``SurdSum`` (real) and ``ComplexSurd`` share one stored form: a map from
+squarefree radicands to integer numerators over one reduced positive
+denominator.  A ``ComplexSurd`` radicand may be negative, sqrt(-n) meaning
+i*sqrt(n), so both classes add and multiply through the same two loops
+(``_sum`` and ``_product``).
 """
 
 from __future__ import annotations
@@ -155,16 +161,7 @@ class SurdSum:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        g = gcd(self._den, other._den)
-        f1, f2 = other._den // g, self._den // g
-        num = {n: c * f1 for n, c in self._num.items()}
-        for n, c in other._num.items():
-            total = num.get(n, 0) + c * f2
-            if total:
-                num[n] = total
-            else:
-                del num[n]
-        return _reduced(num, self._den * f1)
+        return _reduced(*_sum(self, other))
 
     __radd__ = __add__
 
@@ -187,29 +184,12 @@ class SurdSum:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        num: dict[int, int] = {}
-        for n1, c1 in self._num.items():
-            for n2, c2 in other._num.items():
-                # sqrt(n1)*sqrt(n2) = g*sqrt((n1/g)*(n2/g)) with g = gcd:
-                # the reduced radicand is squarefree because n1, n2 are.
-                g = gcd(n1, n2)
-                rad = (n1 // g) * (n2 // g)
-                total = num.get(rad, 0) + c1 * c2 * g
-                if total:
-                    num[rad] = total
-                else:
-                    del num[rad]
-        return _reduced(num, self._den * other._den)
+        return _reduced(*_product(self, other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalLike) -> "SurdSum":
-        d = _as_fraction(other)
-        if d == 0:
-            raise ZeroDivisionError("division of a surd sum by zero")
-        sgn = -1 if d < 0 else 1
-        return _reduced({n: sgn * c * d.denominator for n, c in self._num.items()},
-                        self._den * abs(d.numerator))
+        return _reduced(*_divided(self, other))
 
     # -- comparison -------------------------------------------------------
 
@@ -286,15 +266,62 @@ class SurdSum:
         return f"SurdSum({self})"
 
 
-def _reduced(num: dict[int, int], den: int) -> SurdSum:
-    """SurdSum of nonzero integer numerators over den > 0, divided by their gcd."""
+def _reduced(num: dict[int, int], den: int, cls=SurdSum):
+    """cls (SurdSum or ComplexSurd) of nonzero numerators over den > 0, divided by their gcd."""
     g = gcd(den, *num.values())
-    out = SurdSum.__new__(SurdSum)
+    out = cls.__new__(cls)
     if g == 1:
         out._num, out._den = num, den
     else:
         out._num, out._den = {n: c // g for n, c in num.items()}, den // g
     return out
+
+
+def _sum(x, y) -> tuple[dict[int, int], int]:
+    """Numerators and denominator of x + y, both in the stored form."""
+    g = gcd(x._den, y._den)
+    f1, f2 = y._den // g, x._den // g
+    num = {n: c * f1 for n, c in x._num.items()}
+    for n, c in y._num.items():
+        total = num.get(n, 0) + c * f2
+        if total:
+            num[n] = total
+        else:
+            del num[n]
+    return num, x._den * f1
+
+
+def _product(x, y) -> tuple[dict[int, int], int]:
+    """Numerators and denominator of x * y, both in the stored form.
+
+    sqrt(a)*sqrt(b) = g*sqrt((a/g)*(b/g)) with g = gcd(a, b): the new
+    radicand is squarefree because a and b are, and it is negative when
+    exactly one of them is.  When both are, sqrt(-a)*sqrt(-b) = -sqrt(ab),
+    which taking g negative gives.
+    """
+    num: dict[int, int] = {}
+    for a, c1 in x._num.items():
+        for b, c2 in y._num.items():
+            g = gcd(a, b)
+            if a < 0 and b < 0:
+                g = -g
+            rad = (a // g) * (b // g)
+            total = num.get(rad, 0) + c1 * c2 * g
+            if total:
+                num[rad] = total
+            else:
+                del num[rad]
+    return num, x._den * y._den
+
+
+def _divided(x, other: RationalLike) -> tuple[dict[int, int], int]:
+    """Numerators and denominator of x / other for a nonzero rational other."""
+    d = _as_fraction(other)
+    if d == 0:
+        raise ZeroDivisionError("division of a surd sum by zero")
+    sgn = -1 if d < 0 else 1
+    return ({n: sgn * c * d.denominator for n, c in x._num.items()},
+            x._den * abs(d.numerator))
 
 
 def _coerce(x) -> SurdSum:
@@ -328,19 +355,40 @@ def as_integer(a: SurdSum | RationalLike) -> int | None:
 
 
 class ComplexSurd:
-    """Complex number with SurdSum real part and SurdSum coefficient of i."""
+    """Finite sum of c_i * sqrt(n_i) with rational c_i and squarefree n_i != 0.
 
-    __slots__ = ("re", "im")
+    sqrt(-n) means i*sqrt(n): radicand -n carries the coefficient of
+    i*sqrt(n), and -1 that of i.  The keys +-n over squarefree n >= 1 are
+    a Q-basis of the complex surds, so the SurdSum form (integer numerators
+    over one reduced positive denominator) is canonical here as well, and
+    SurdSum's product and sum loops serve both classes.  ``re`` and ``im``
+    are read-only views: the canonical SurdSums of the positive keys and of
+    the negative keys negated.
+    """
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, re: SurdSum | RationalLike = 0, im: SurdSum | RationalLike = 0):
-        self.re = _coerce(re)
-        self.im = _coerce(im)
+        re, im = _coerce(re), _coerce(im)
+        # disjoint keys over the lcm of two reduced denominators: already reduced
+        self._den = lcm(re._den, im._den)
+        self._num = {n: c * (self._den // re._den) for n, c in re._num.items()}
+        self._num.update((-n, c * (self._den // im._den)) for n, c in im._num.items())
+
+    @property
+    def re(self) -> SurdSum:
+        return _reduced({n: c for n, c in self._num.items() if n > 0}, self._den)
+
+    @property
+    def im(self) -> SurdSum:
+        return _reduced({-n: c for n, c in self._num.items() if n < 0}, self._den)
 
     def conjugate(self) -> "ComplexSurd":
-        return ComplexSurd(self.re, -self.im)
+        return _reduced({n: -c if n < 0 else c for n, c in self._num.items()},
+                        self._den, ComplexSurd)
 
     def is_real(self) -> bool:
-        return self.im.is_zero()
+        return min(self._num, default=1) > 0
 
     def real_part(self) -> SurdSum:
         return self.re
@@ -349,12 +397,12 @@ class ComplexSurd:
         other = _coerce_complex(other)
         if other is NotImplemented:
             return NotImplemented
-        return ComplexSurd(self.re + other.re, self.im + other.im)
+        return _reduced(*_sum(self, other), ComplexSurd)
 
     __radd__ = __add__
 
     def __neg__(self) -> "ComplexSurd":
-        return ComplexSurd(-self.re, -self.im)
+        return _reduced({n: -c for n, c in self._num.items()}, self._den, ComplexSurd)
 
     def __sub__(self, other) -> "ComplexSurd":
         other = _coerce_complex(other)
@@ -366,35 +414,33 @@ class ComplexSurd:
         other = _coerce_complex(other)
         if other is NotImplemented:
             return NotImplemented
-        return ComplexSurd(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        return _reduced(*_product(self, other), ComplexSurd)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalLike) -> "ComplexSurd":
-        return ComplexSurd(self.re / other, self.im / other)
+        return _reduced(*_divided(self, other), ComplexSurd)
 
     def __eq__(self, other) -> bool:
         other = _coerce_complex(other)
         if other is NotImplemented:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self) -> int:
         # a real value hashes like its real part, which it equals
-        return hash(self.re) if self.im.is_zero() else hash((self.re, self.im))
+        return hash(self.re) if self.is_real() else hash((self.re, self.im))
 
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
     def __str__(self) -> str:
-        if self.im.is_zero():
-            return str(self.re)
-        if self.re.is_zero():
-            return f"({self.im})i"
-        return f"{self.re}+({self.im})i"
+        re, im = self.re, self.im
+        if im.is_zero():
+            return str(re)
+        if re.is_zero():
+            return f"({im})i"
+        return f"{re}+({im})i"
 
     def __repr__(self) -> str:
         return f"ComplexSurd({self})"
@@ -404,5 +450,6 @@ def _coerce_complex(x) -> ComplexSurd:
     if isinstance(x, ComplexSurd):
         return x
     if isinstance(x, (int, Fraction, SurdSum)):
-        return ComplexSurd(x, 0)
+        x = _coerce(x)
+        return _reduced(x._num, x._den, ComplexSurd)
     return NotImplemented

@@ -15,7 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 from multiprocessing import Pool
 
 from .constructions import (
@@ -176,23 +176,29 @@ def srg_candidates(n_max: int):
     multiplicities, and the two classical Krein inequalities of the 2-class
     scheme.  Disconnected (mu = 0) and complete multipartite (mu = k)
     parameters belong to the imprimitive family and are excluded here.
+
+    With eigenvalues r and s = -m, k = mu + r*m and k - lam - 1 = (r+1)(m-1),
+    so mu divides k(k - lam - 1) exactly when it divides r(r+1)(m-1)m: mu
+    runs over those divisors only (m = 1 gives n = k + 1, never a set here).
     """
     if n_max > 5000:
         raise ValueError("scan capped at n_max = 5000")
     found = []
-    kmax = (n_max - 1) // 2
-    for m in range(1, kmax + 1):
+    kmax = max((n_max - 1) // 2, 0)
+    factors = _consecutive_factors(kmax)
+    for m in range(2, kmax + 1):
         for r in range(1, kmax // m + 1):
-            for mu in range(1, kmax - r * m + 1):
-                k = mu + r * m
+            rm, x = r * m, (r + 1) * (m - 1)
+            # n - 1 = rm + x + mu + rm*x/mu >= rm + x + 2*sqrt(rm*x), increasing in r
+            if 1 + rm + x + 2 * isqrt(rm * x) > n_max:
+                break
+            # lam = mu + r - m >= 0, k <= kmax, and mu <= x is 2k <= n - 1
+            for mu in _divisors_between(factors[r], factors[m - 1],
+                                        max(1, m - r), min(kmax - rm, x)):
+                k = mu + rm
                 lam = mu + r - m
-                if lam < 0:
-                    continue
-                num = k * (k - lam - 1)
-                if num % mu:
-                    continue
-                n = 1 + k + num // mu
-                if n > n_max or 2 * k > n - 1:
+                n = 1 + k + k * x // mu
+                if n > n_max:
                     continue
                 s = -m
                 numer = (n - 1) * m - k
@@ -210,6 +216,41 @@ def srg_candidates(n_max: int):
     found.sort()
     for quad in found:
         yield srg_derive(*quad)
+
+
+def _consecutive_factors(limit: int) -> list:
+    """factors[t] = {prime: exponent} of t*(t+1) for 1 <= t <= limit."""
+    spf = list(range(limit + 2))
+    for q in range(2, isqrt(limit + 1) + 1):
+        if spf[q] == q:
+            for multiple in range(q * q, limit + 2, q):
+                if spf[multiple] == multiple:
+                    spf[multiple] = q
+    single = [{} for _ in range(limit + 2)]
+    for t in range(2, limit + 2):
+        q = spf[t]
+        single[t] = dict(single[t // q])
+        single[t][q] = single[t].get(q, 0) + 1
+    # t and t+1 are coprime, so their factorisations merge without overlap
+    return [{}] + [{**single[t], **single[t + 1]} for t in range(1, limit + 1)]
+
+
+def _divisors_between(f1: dict, f2: dict, lo: int, hi: int) -> list[int]:
+    """Divisors d of the product of two factorisations with lo <= d <= hi."""
+    merged = dict(f1)
+    for q, e in f2.items():
+        merged[q] = merged.get(q, 0) + e
+    divisors = [1]
+    for q, e in merged.items():
+        grown = []
+        for d in divisors:
+            for _ in range(e):
+                d *= q
+                if d > hi:
+                    break
+                grown.append(d)
+        divisors += grown
+    return [d for d in divisors if lo <= d <= hi]
 
 
 def _type3_z_candidates(p: SrgParams):

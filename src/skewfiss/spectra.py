@@ -154,6 +154,8 @@ def type3_auxiliary(p: SrgParams, z) -> tuple[Fraction, Fraction, Fraction]:
 
     Requires 0 < z < n*k2/m1 so that all of y, b, c stay positive; the
     square-root balance m1*sqrt(y*z) = m2*sqrt(b*c) then holds identically.
+    With y, z, b, c > 0 it is checked squared, m1^2*y*z = m2^2*b*c, so no
+    radicand is ever factored here.
     """
     z = Fraction(z)
     if not 0 < z < Fraction(p.n * p.k2, p.m1):
@@ -162,7 +164,7 @@ def type3_auxiliary(p: SrgParams, z) -> tuple[Fraction, Fraction, Fraction]:
     b = Fraction(p.m1 * p.k, p.k2 * p.m2) * z
     y = Fraction(p.k, p.k2 * p.m1) * (p.n * p.k2 - p.m1 * z)
     c = Fraction(p.n * p.k2 - p.m1 * z, p.m2)
-    if not (y > 0 and b > 0 and c > 0 and p.m1 * surd_sqrt(y * z) == p.m2 * surd_sqrt(b * c)):
+    if not (y > 0 and b > 0 and c > 0 and p.m1 ** 2 * y * z == p.m2 ** 2 * b * c):
         raise ConsistencyError(
             f"type-III side conditions fail at z = {z}: (y, b, c) = {(y, b, c)}")
     return y, b, c
@@ -668,11 +670,12 @@ def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> C
         aux = {}
     elif cand.table_type == TYPE_III:
         y, b, c, z = cand.y, cand.b, cand.c, cand.z
-        syz = surd_sqrt(y * z)
-        if not syz.is_rational():
-            raise InfeasibleError(f"sqrt(y*z) = {syz} is irrational: no rational "
+        yz = y * z
+        root_num, root_den = isqrt(yz.numerator), isqrt(yz.denominator)
+        if root_num ** 2 != yz.numerator or root_den ** 2 != yz.denominator:
+            raise InfeasibleError(f"sqrt(y*z) = sqrt({yz}) is irrational: no rational "
                                   "intersection numbers exist for this z")
-        syz = syz.rational_value()
+        syz = Fraction(root_num, root_den)
         sbc = Fraction(p.m1, p.m2) * syz
         gamma = p.m1 * r * z + p.m2 * s * c
         phi = p.m1 * r * syz - p.m2 * s * sbc

@@ -68,6 +68,44 @@ def test_srg_candidates_rejects_krein_violations():
     assert (28, 9, 0, 4) not in [p.quad() for p in sf.srg_candidates(30)]
 
 
+def _srg_quads_by_triple_loop(n_max):
+    """The first srg_candidates enumeration (every mu up to kmax - r*m), as a reference."""
+    found = []
+    kmax = (n_max - 1) // 2
+    for m in range(1, kmax + 1):
+        for r in range(1, kmax // m + 1):
+            for mu in range(1, kmax - r * m + 1):
+                k = mu + r * m
+                lam = mu + r - m
+                if lam < 0:
+                    continue
+                num = k * (k - lam - 1)
+                if num % mu:
+                    continue
+                n = 1 + k + num // mu
+                if n > n_max or 2 * k > n - 1:
+                    continue
+                s = -m
+                numer = (n - 1) * m - k
+                if numer % (r + m):
+                    continue
+                m1 = numer // (r + m)
+                m2 = n - 1 - m1
+                if m1 <= 0 or m2 <= 0 or m1 == m2:
+                    continue
+                if (r + 1) * (k + r + 2 * r * s) > (k + r) * (s + 1) ** 2:
+                    continue
+                if (s + 1) * (k + s + 2 * r * s) > (k + s) * (r + 1) ** 2:
+                    continue
+                found.append((n, k, lam, mu))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("n_max", [300, 1300])
+def test_srg_candidates_match_triple_loop(n_max):
+    assert [p.quad() for p in sf.srg_candidates(n_max)] == _srg_quads_by_triple_loop(n_max)
+
+
 def test_fission_scan_57():
     recs = sf.fission_scan(sf.srg_derive(57, 14, 1, 4))
     assert [(r.table_type, r.z, r.status) for r in recs] == [(TYPE_III, 27, FEASIBLE)]

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import reference_kernel as ref
 import skewfiss as sf
-from skewfiss.exactnum import SurdSum, surd_sqrt
+from skewfiss.exactnum import ComplexSurd, SurdSum, surd_sqrt
 from skewfiss.feasibility import _type3_z_candidates
 from skewfiss.spectra import TYPE_I, TYPE_II, TYPE_III, p_values_from_table
 
@@ -128,3 +128,69 @@ def test_surdsum_matches_reference(xs, ys, r):
     assert (a == b) == (a_ref == b_ref)
     assert SurdSum.from_triples(a.to_triples()) == a
     assert SurdSum._make(a.terms) == a
+
+
+# -- ComplexSurd against the reference class ---------------------------------------
+
+# (re terms, im terms, terms whose radicand appears in both parts)
+complex_parts = st.tuples(term_lists, term_lists,
+                          st.lists(st.tuples(rationals, rationals, radicands), max_size=2))
+
+
+def _complex_both(parts):
+    re_terms, im_terms, shared = parts
+    (re, re_ref), (im, im_ref) = (_both(re_terms + [(a, n) for a, _, n in shared]),
+                                  _both(im_terms + [(b, n) for _, b, n in shared]))
+    return ComplexSurd(re, im), ref.ComplexSurd(re_ref, im_ref)
+
+
+def _same_complex(new, old):
+    _same(new.re, old.re)
+    _same(new.im, old.im)
+    assert new.is_real() == old.is_real()
+    assert str(new) == str(old)
+    assert complex(new) == complex(old)
+    assert new == ComplexSurd(new.re, new.im)
+    # the hash rule of the re/im form: a real value hashes like its real part
+    assert hash(new) == (hash(new.re) if new.im.is_zero() else hash((new.re, new.im)))
+
+
+@given(complex_parts, complex_parts, term_lists, rationals)
+@settings(max_examples=150, deadline=None)
+def test_complex_surd_matches_reference(xs, ys, ss, r):
+    a, a_ref = _complex_both(xs)
+    b, b_ref = _complex_both(ys)
+    s, s_ref = _both(ss)
+    _same_complex(a, a_ref)
+    _same_complex(a + b, a_ref + b_ref)
+    _same_complex(a - b, a_ref - b_ref)
+    _same_complex(a * b, a_ref * b_ref)
+    _same_complex(-a, -a_ref)
+    _same_complex(a.conjugate(), a_ref.conjugate())
+    _same_complex(a * a.conjugate(), a_ref * a_ref.conjugate())
+    _same_complex(a * s, a_ref * s_ref)
+    _same_complex(s * a, s_ref * a_ref)
+    _same_complex(r * a, r * a_ref)
+    _same_complex(a + r, a_ref + r)
+    if r:
+        _same_complex(a / r, a_ref / r)
+    assert (a == b) == (a_ref == b_ref)
+    assert (a == s) == (a_ref == s_ref) == (s == a)
+    assert (a * b) * a == a * (b * a)
+    assert hash((a + b) - b) == hash(a) and (a + b) - b == a
+    if a.is_real():
+        assert a.real_part() == a.re and hash(a) == hash(a.re)
+
+
+def test_complex_surd_signed_radicands():
+    i = ComplexSurd(0, 1)
+    i_sqrt3 = ComplexSurd(0, surd_sqrt(3))
+    assert i * i == -1 and hash(i * i) == hash(-1)
+    assert i_sqrt3 * i_sqrt3 == -3
+    assert i_sqrt3 * ComplexSurd(0, surd_sqrt(6)) == -3 * surd_sqrt(2)
+    assert i * surd_sqrt(5) == ComplexSurd(0, surd_sqrt(5))
+    both = ComplexSurd(surd_sqrt(2), surd_sqrt(2))
+    assert (both.re, both.im) == (surd_sqrt(2), surd_sqrt(2))
+    assert both * both.conjugate() == 4 and (both * both).re == 0
+    assert (both / Fraction(-2, 3)).im == Fraction(-3, 2) * surd_sqrt(2)
+    assert not both.is_real() and (both + both.conjugate()).is_real()

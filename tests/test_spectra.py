@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,27 @@ def test_closed_form_rejects_irrational_sqrt():
     p = sf.srg_derive(57, 14, 1, 4)
     with pytest.raises(sf.InfeasibleError):
         sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_III, 26))
+
+
+def test_type3_large_prime_z_returns_promptly():
+    """No radicand is factored for a type-III z: a z whose numerator and
+    denominator are large primes is settled by exact rational identities."""
+    p = sf.srg_derive(57, 14, 1, 4)
+    z = Fraction(10**9 + 7, 10**9 + 9)
+
+    def expire(signum, frame):
+        raise TimeoutError("type-III candidate took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        cand = sf.make_candidate(p, TYPE_III, z)
+        with pytest.raises(sf.InfeasibleError):
+            sf.intersection_matrices_closed_form(p, cand)  # y*z is not a square
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert p.m1 ** 2 * cand.y * z == p.m2 ** 2 * cand.b * cand.c
 
 
 def test_closed_form_column_sums():
