@@ -99,12 +99,7 @@ def _poly_divisible(num: tuple, div: tuple, p: int) -> bool:
 def _monic_polys(deg: int, p: int):
     """All monic polynomials of the given degree, little-endian tuples."""
     for t in range(p ** deg):
-        coeffs = []
-        v = t
-        for _ in range(deg):
-            coeffs.append(v % p)
-            v //= p
-        yield tuple(coeffs) + (1,)
+        yield _element_to_poly(t, p, deg) + (1,)
 
 
 def _is_irreducible(poly: tuple, p: int) -> bool:
@@ -140,22 +135,16 @@ class FiniteField:
     log: tuple
 
     def add(self, x: int, y: int) -> int:
-        if self.b == 1:
-            return (x + y) % self.p
-        out, mult = 0, 1
-        for _ in range(self.b):
-            out += ((x + y) % self.p) * mult
-            x //= self.p
-            y //= self.p
-            mult *= self.p
-        return out
+        return self._digitwise(x, y, 1)
 
     def sub(self, x: int, y: int) -> int:
-        if self.b == 1:
-            return (x - y) % self.p
+        return self._digitwise(x, y, -1)
+
+    def _digitwise(self, x: int, y: int, sign: int) -> int:
+        """x + sign*y, one base-p digit (coefficient) at a time."""
         out, mult = 0, 1
         for _ in range(self.b):
-            out += ((x - y) % self.p) * mult
+            out += ((x + sign * y) % self.p) * mult
             x //= self.p
             y //= self.p
             mult *= self.p
@@ -200,13 +189,8 @@ def field_build(p: int, b: int) -> FiniteField:
         modulus = None
         # smallest (c_{b-1}, ..., c_0) in lexicographic order
         for t in range(q):
-            digits = []
-            v = t
-            for _ in range(b):
-                digits.append(v % p)
-                v //= p
-            # digits are (c_0, ..., c_{b-1}) of t; we need the reversed scan order
-            coeffs = tuple(reversed(digits)) + (1,)
+            # t's digits are (c_0, ..., c_{b-1}); the scan order is their reverse
+            coeffs = tuple(reversed(_element_to_poly(t, p, b))) + (1,)
             if _is_irreducible(coeffs, p):
                 modulus = coeffs
                 break

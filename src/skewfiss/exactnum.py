@@ -335,15 +335,16 @@ def _coerce(x) -> SurdSum:
 def surd_sqrt(x: RationalLike) -> SurdSum:
     """Exact square root of a nonnegative rational as a SurdSum.
 
-    The radicand of the result is the squarefree part of numerator*denominator.
+    The radicand of the result is the squarefree part of numerator*denominator;
+    they are coprime and split one at a time (trial division to each cube root).
     """
     x = _as_fraction(x)
     if x < 0:
         raise ValueError(f"surd_sqrt of a negative rational: {x}")
     if x == 0:
         return SurdSum(0)
-    a, b = square_split(x.numerator * x.denominator)
-    return _reduced({b: a}, x.denominator)
+    (a1, b1), (a2, b2) = square_split(x.numerator), square_split(x.denominator)
+    return _reduced({b1 * b2: a1 * a2}, x.denominator)
 
 
 def surd_sign(a: SurdSum | RationalLike) -> int:

@@ -35,7 +35,6 @@ from .spectra import (
     FissionCandidate,
     InfeasibleError,
     SrgParams,
-    assemble_tensor,
     character_table,
     conference_table,
     corollary_filters,
@@ -132,11 +131,14 @@ def conference_scan(n_max: int) -> list[ScanRecord]:
 
 
 def _realized_h(q: int, g: int, h: int, planes) -> int | None:
-    """The sign of h whose cyclotomic closed form has these intersection planes."""
-    f = (q - 1) // 4
+    """The sign of h whose cyclotomic closed form has these intersection planes.
+
+    Only planes 1 and 2 are compared: the others follow from them in a
+    scheme's tensor and in the identity's on a conference table.
+    """
     for hh in (h, -h):
         cf = cyc4_closed_form(q, g, hh)
-        if planes == assemble_tensor(cf.b1, cf.b2, (1, f, f, f, f)).p:
+        if planes[1] == cf.b1 and planes[2] == cf.b2:
             return hh
     return None
 

@@ -24,6 +24,7 @@ For d = 4 skew this forms 10 of the 25 products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -113,13 +114,21 @@ class AssociationScheme:
         return [int(c) for c in counts]
 
     def transpose_map(self) -> list[int] | None:
-        """i -> i' with R_i^T = R_{i'}, or None if transposes are not classes."""
+        """i -> i' with R_i^T = R_{i'}, or None if transposes are not classes.
+
+        Computed on the first call and kept: rel is read-only after
+        construction.
+        """
+        return None if self._transpose is None else list(self._transpose)
+
+    @cached_property
+    def _transpose(self) -> tuple[int, ...] | None:
         if not all(self.relation_sizes()):
             return None
         values = _class_values(self.rel.T, self.rel, _class_cells(self.rel, self.d))
         if values is None:
             return None
-        out = values.tolist()
+        out = tuple(values.tolist())
         if sorted(out) != list(range(self.d + 1)):
             return None
         return out

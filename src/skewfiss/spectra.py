@@ -11,27 +11,29 @@ closed forms in the graph parameters or from the eigenvalue identity
 
 and the two derivations must agree exactly on every candidate.
 
-Both identities run through one kernel: the weighted product of entries
-i and j is formed once per summation index and reused for every l, and
-only i <= j is computed (the sums are symmetric in i and j).
-
-Pseudocyclic (conference) splits have table entries with nested radicals
-sqrt(c + e*sqrt(q)).  Those live outside the plain surd kernel, but all
-products appearing in the tensor formulas close inside the module
-Q(sqrt(q)) + Q(sqrt(q))*i*u+ + Q(sqrt(q))*i*u-, where u+- are the two
-nested radicals and u+ * u- collapses to (h/4)*sqrt(q).  The conference
-path computes in that module, each element stored as six integer
-coordinates over Q(sqrt(s)) (s the squarefree part of q) with one shared
-denominator, so tensor entries and Krein signs are exact there as well.
+Surd tables run the identity on ComplexSurd entries, forming the weighted
+product of entries i and j once per summation index and only for i <= j.
+Pseudocyclic (conference) tables have nested radicals sqrt(c + e*sqrt(q)),
+but every product in the identity closes in the module
+Q(sqrt(q)) + Q(sqrt(q))*i*u+ + Q(sqrt(q))*i*u-, u+- the two radicals.
+There each entry is six integers over one denominator, multiplication is
+a fixed 6x6x6 integer tensor per (q, g, h), and each identity is two
+integer contractions, in int64 where an explicit bound on every partial
+sum stays below 2^63 and on Python ints otherwise.  Values are reduced
+once, when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from functools import lru_cache
+from itertools import product
+from math import isqrt, lcm, prod
 
-from .exactnum import ComplexSurd, SurdSum, square_split, surd_sqrt
+import numpy as np
+
+from .exactnum import ComplexSurd, SurdSum, _reduced, square_split, surd_sqrt
 from .scheme_core import IntersectionTensor
 
 TYPE_I, TYPE_II, TYPE_III = "I", "II", "III"
@@ -366,109 +368,134 @@ def conference_table(q: int, g: int) -> CharacterTable:
                           n=q, kind="conference", q=q, g=g, h=h)
 
 
-# -- exact algebra for conference (nested-radical) tables ---------------------
+# -- exact integer kernel for conference (nested-radical) tables --------------
+
+_INT64_LIMIT = 1 << 63
 
 
-class _ConferenceAlgebra:
-    """Arithmetic in Q(sqrt(q)) + Q(sqrt(q))*i*u+ + Q(sqrt(q))*i*u-.
+def _int_array(values) -> np.ndarray:
+    """Nested lists of ints as int64 when every |entry| < 2^63, else as Python ints."""
+    a = np.array(values, dtype=object)
+    return a.astype(np.int64) if -_INT64_LIMIT < a.min() and a.max() < _INT64_LIMIT else a
 
-    u+- = sqrt((q +- g*sqrt(q))/8).  With sqrt(q) = r*sqrt(s), s squarefree,
-    u+-^2 = (q +- g*r*sqrt(s))/8 and u+ * u- = (h*r/4)*sqrt(s) land back in
-    Q(sqrt(s)), so the span is a ring.  An element is six integers
-    (a0, a1, b0, b1, c0, c1) over a shared denominator d > 0, meaning
-    ((a0 + a1 sqrt(s)) + (b0 + b1 sqrt(s)) i u+ + (c0 + c1 sqrt(s)) i u-) / d.
+
+def _exact_einsum(spec: str, *operands, limit: int = _INT64_LIMIT) -> np.ndarray:
+    """np.einsum on integer arrays, in int64 only where that is exact.
+
+    (number of summed terms) * prod(max(1, max |operand|)) bounds every
+    partial product and partial sum, in any evaluation order; at or above
+    ``limit`` (2^63) the contraction runs on Python ints (dtype object).
     """
-
-    def __init__(self, q: int, g: int, h: int):
-        self.q, self.g = q, g
-        self.r, self.s = square_split(q)
-        self.gr, self.hr = g * self.r, h * self.r
-
-    def from_entry(self, e: ConferenceEntry) -> "_ConfElement":
-        a, b = e.a, e.b * self.r
-        d = lcm(a.denominator, b.denominator)
-        v = [a.numerator * (d // a.denominator), b.numerator * (d // b.denominator), 0, 0, 0, 0]
-        if not e.is_real():
-            if (e.c, abs(e.e)) != (Fraction(self.q, 8), Fraction(abs(self.g), 8)):
-                raise ValueError(f"entry radical ({e.c}, {e.e}) outside the (q,g) algebra")
-            v[2 if e.e == Fraction(self.g, 8) else 4] = e.im_sign * d
-        return _ConfElement(self, tuple(v), d)
+    inputs, output = spec.split("->")
+    size = {c: n for sub, op in zip(inputs.split(","), operands) for c, n in zip(sub, op.shape)}
+    bound = prod(size[c] for c in size.keys() - set(output))
+    for op in operands:
+        bound *= max(1, -int(op.min()), int(op.max()))
+    dtype = np.int64 if bound < limit else object
+    return np.einsum(spec, *(op.astype(dtype, copy=False) for op in operands))
 
 
-class _ConfElement:
-    __slots__ = ("alg", "v", "d")
+@lru_cache(maxsize=256)
+def _structure_tensor(q: int, g: int, h: int) -> tuple[np.ndarray, int]:
+    """(M, s) with x*y = sum_ab x_a y_b M[a, b, :] / 8 in the conference module.
 
-    def __init__(self, alg: _ConferenceAlgebra, v: tuple, d: int):
-        g = gcd(d, *v)
-        self.alg, self.v, self.d = alg, tuple(x // g for x in v), d // g
-
-    def __add__(self, other: "_ConfElement") -> "_ConfElement":
-        g = gcd(self.d, other.d)
-        f1, f2 = other.d // g, self.d // g
-        return _ConfElement(self.alg, tuple(x * f1 + y * f2 for x, y in zip(self.v, other.v)),
-                            self.d * f1)
-
-    def __mul__(self, other) -> "_ConfElement":
-        alg = self.alg
-        if not isinstance(other, _ConfElement):
-            w = Fraction(other)
-            return _ConfElement(alg, tuple(x * w.numerator for x in self.v),
-                                self.d * w.denominator)
-        s, q, gr, hr = alg.s, alg.q, alg.gr, alg.hr
-        a0, a1, b0, b1, c0, c1 = self.v
-        A0, A1, B0, B1, C0, C1 = other.v
-        # products in Q(sqrt(s)): bB = (u0, u1), cC = (v0, v1), bC + cB = (w0, w1)
-        u0, u1 = b0 * B0 + s * b1 * B1, b0 * B1 + b1 * B0
-        v0, v1 = c0 * C0 + s * c1 * C1, c0 * C1 + c1 * C0
-        w0 = b0 * C0 + c0 * B0 + s * (b1 * C1 + c1 * B1)
-        w1 = b0 * C1 + b1 * C0 + c0 * B1 + c1 * B0
-        # (i u+)^2 = -u+^2, (i u-)^2 = -u-^2, (i u+)(i u-) = -u+ u-; all over 8
-        v = (8 * (a0 * A0 + s * a1 * A1) - q * (u0 + v0) - s * gr * (u1 - v1) - 2 * s * hr * w1,
-             8 * (a0 * A1 + a1 * A0) - gr * (u0 - v0) - q * (u1 + v1) - 2 * hr * w0,
-             8 * (a0 * B0 + b0 * A0 + s * (a1 * B1 + b1 * A1)),
-             8 * (a0 * B1 + a1 * B0 + b0 * A1 + b1 * A0),
-             8 * (a0 * C0 + c0 * A0 + s * (a1 * C1 + c1 * A1)),
-             8 * (a0 * C1 + a1 * C0 + c0 * A1 + c1 * A0))
-        return _ConfElement(alg, v, 8 * self.d * other.d)
-
-    def conjugate(self) -> "_ConfElement":
-        a0, a1, b0, b1, c0, c1 = self.v
-        return _ConfElement(self.alg, (a0, a1, -b0, -b1, -c0, -c1), self.d)
-
-    def is_real(self) -> bool:
-        return not any(self.v[2:])
-
-    def _surd(self, x0: int, x1: int) -> SurdSum:
-        return SurdSum._make({1: Fraction(x0, self.d), self.alg.s: Fraction(x1, self.d)})
-
-    def real_part(self) -> SurdSum:
-        return self._surd(*self.v[:2])
-
-    def __str__(self) -> str:
-        a0, a1, b0, b1, c0, c1 = self.v
-        return f"({self._surd(a0, a1)}) + ({self._surd(b0, b1)})iu+ + ({self._surd(c0, c1)})iu-"
+    With sqrt(q) = r sqrt(s), s squarefree, an element is six coordinates
+    (a0, a1, b0, b1, c0, c1) meaning
+    (a0 + a1 sqrt(s)) + (b0 + b1 sqrt(s)) i u+ + (c0 + c1 sqrt(s)) i u-.
+    It is a ring: (i u+-)^2 = -(q +- g r sqrt(s))/8, (i u+)(i u-) = -(h r/4) sqrt(s).
+    """
+    r, s = square_split(q)
+    # (slot of x, slot of y): (slot of x*y, 8 * its factor k0 + k1 sqrt(s)),
+    # the slots being 1, i u+ and i u-
+    rules = {(0, 0): (0, 8, 0), (0, 1): (1, 8, 0), (1, 0): (1, 8, 0), (0, 2): (2, 8, 0),
+             (2, 0): (2, 8, 0), (1, 1): (0, -q, -g * r), (2, 2): (0, -q, g * r),
+             (1, 2): (0, 0, -2 * h * r), (2, 1): (0, 0, -2 * h * r)}
+    M = [[[0] * 6 for _ in range(6)] for _ in range(6)]
+    for (x, y), (z, *k) in rules.items():
+        for i, j, l in product((0, 1), repeat=3):  # sqrt(s)^(i + j + l)
+            M[2 * x + i][2 * y + j][2 * z + (i + j + l) % 2] += k[l] * s ** ((i + j + l) // 2)
+    M = _int_array(M)
+    M.setflags(write=False)
+    return M, s
 
 
-def _table_elements(t: CharacterTable) -> list[list]:
-    """Table entries as ring elements sharing conjugate, +, *, is_real, real_part."""
-    if t.kind == "surd":
-        return [list(row) for row in t.entries]
-    alg = _ConferenceAlgebra(t.q, t.g, t.h)
-    return [[alg.from_entry(e) for e in row] for row in t.entries]
+def _conference_vectors(t: CharacterTable) -> tuple[np.ndarray, int]:
+    """(E, D): entry (h, i) as the six integers E[h, i] over one denominator D."""
+    r = square_split(t.q)[0]
+    D = lcm(*(x.denominator for row in t.entries for e in row for x in (e.a, e.b)))
+    c8, up, um = Fraction(t.q, 8), Fraction(t.g, 8), Fraction(-t.g, 8)
+    rows = [[[e.a.numerator * (D // e.a.denominator),
+              e.b.numerator * r * (D // e.b.denominator), 0, 0, 0, 0] for e in row]
+            for row in t.entries]
+    for h, row in enumerate(t.entries):
+        for i, e in enumerate(row):
+            if e.c or e.e:
+                if e.c != c8 or (e.e != up and e.e != um):
+                    raise ValueError(f"entry radical ({e.c}, {e.e}) outside the (q,g) algebra")
+                rows[h][i][2 if e.e == up else 4] = e.im_sign * D
+    return _int_array(rows), D
+
+
+def _conference_factors(t: CharacterTable, weights, columns=False, limit=_INT64_LIMIT):
+    """(X, L, D, den, s): X[h, i] = w_h E[h, i] (weights scaled to integers),
+    L[0, h, j] and L[1, h, j] the multiplication matrices of E[h, j] and
+    conj(E[h, j]), den the denominator of a product X*L.  columns=True
+    reads the table transposed, E[h, i] = P[i][h]."""
+    M, s = _structure_tensor(t.q, t.g, t.h)
+    E, D = _conference_vectors(t)
+    if columns:
+        E = E.transpose(1, 0, 2)
+    scale = lcm(*(Fraction(w).denominator for w in weights))
+    X = _exact_einsum("h,hia->hia", _int_array([int(w * scale) for w in weights]), E,
+                      limit=limit)
+    conj = E * np.array([1, 1, -1, -1, -1, -1])
+    L = _exact_einsum("xhjb,abc->xhjac", np.stack((E, conj)), M, limit=limit)
+    return X, L, D, 8 * D * D * scale, s
+
+
+def _conference_sums(t: CharacterTable, weights, columns=False, limit=_INT64_LIMIT):
+    """(S, den, s) with sum_h w_h E[h][i] E[h][j] conj(E[h][l]) = (x0 + x1 sqrt(s))/den
+    for [x0, x1] = S[i][j][l]: two contractions, W[h, i, j] = w_h E[h, i] E[h, j]
+    and S[i, j, l] = sum_h W[h, i, j] conj(E[h, l]), with no reduction on the
+    way.  ConsistencyError names the first (i, j, l) that is not real."""
+    X, L, D, den, s = _conference_factors(t, weights, columns, limit)
+    den *= 8 * D
+    W = _exact_einsum("hia,hjac->hijc", X, L[0], limit=limit)
+    S = _exact_einsum("hija,hlac->ijlc", W, L[1], limit=limit)
+    bad = np.argwhere(S[..., 2:].any(axis=-1))
+    if len(bad):
+        i, j, l = bad[0].tolist()
+        raise ConsistencyError(f"tensor entry ({i},{j},{l}) has nonzero imaginary part: "
+                               f"coordinates {S[i, j, l].tolist()} over {den}")
+    return S[..., :2].tolist(), den, s
+
+
+def _surd(x: list, s: int, scale) -> SurdSum:
+    """(x[0] + x[1] sqrt(s)) / scale for a positive int or Fraction scale."""
+    return _reduced({k: c * scale.denominator for k, c in ((1, x[0]), (s, x[1])) if c},
+                    scale.numerator)
 
 
 def check_orthogonality(t: CharacterTable) -> None:
     """Column orthogonality sum_h m_h P[h][i] conj(P[h][j]) = n k_i [i=j], exactly."""
-    P = _table_elements(t)
     d1 = len(t.entries)
+    if t.kind == "conference":
+        X, L, _, den, s = _conference_factors(t, t.multiplicities)
+        sums = _exact_einsum("hia,hjac->ijc", X, L[1]).tolist()
+        real = lambda i, j: None if any(sums[i][j][2:]) else _surd(sums[i][j], s, den)
+    else:
+        P, m = t.entries, t.multiplicities
+
+        def real(i, j):
+            acc = P[0][i] * P[0][j].conjugate() * m[0]
+            for h in range(1, d1):
+                acc = acc + P[h][i] * P[h][j].conjugate() * m[h]
+            return acc.real_part() if acc.is_real() else None
     for i in range(d1):
         for j in range(d1):
-            acc = P[0][i] * P[0][j].conjugate() * t.multiplicities[0]
-            for h in range(1, d1):
-                acc = acc + P[h][i] * P[h][j].conjugate() * t.multiplicities[h]
-            expected = SurdSum(t.n * t.valencies[i]) if i == j else SurdSum(0)
-            if not acc.is_real() or acc.real_part() != expected:
-                raise ConsistencyError(f"orthogonality fails at columns ({i},{j}): {acc}")
+            value = real(i, j)
+            if value is None or value != (t.n * t.valencies[i] if i == j else 0):
+                raise ConsistencyError(f"orthogonality fails at columns ({i},{j}): {value}")
 
 
 def _identity_sums(E: list[list], weights) -> list:
@@ -497,9 +524,15 @@ def _identity_sums(E: list[list], weights) -> list:
 
 def p_values_from_table(t: CharacterTable) -> tuple:
     """Eigenvalue-identity values p^l_ij as exact SurdSums, no integrality gate."""
-    S = _identity_sums(_table_elements(t), t.multiplicities)
-    return tuple(tuple(tuple(x / (t.n * t.valencies[l]) for l, x in enumerate(row))
-                       for row in plane) for plane in S)
+    if t.kind == "conference":
+        S, den, s = _conference_sums(t, t.multiplicities)
+        scales = [den * t.n * k for k in t.valencies]
+        value = lambda x, l: _surd(x, s, scales[l])
+    else:
+        S = _identity_sums([list(row) for row in t.entries], t.multiplicities)
+        value = lambda x, l: x / (t.n * t.valencies[l])
+    return tuple(tuple(tuple(value(x, l) for l, x in enumerate(row)) for row in plane)
+                 for plane in S)
 
 
 def p_from_table(t: CharacterTable) -> IntersectionTensor:
@@ -562,10 +595,14 @@ class KreinTensor:
 
 def q_from_table(t: CharacterTable) -> KreinTensor:
     """Krein numbers from the eigenvalue identity; negativity is a result."""
-    columns = [list(col) for col in zip(*_table_elements(t))]
-    S = _identity_sums(columns, [Fraction(1) / (k * k) for k in t.valencies])
-    m, n = t.multiplicities, t.n
-    return KreinTensor(q=tuple(tuple(tuple(x * Fraction(m[i] * m[j], n) for x in row)
+    weights = [Fraction(1) / (k * k) for k in t.valencies]
+    if t.kind == "conference":
+        S, den, s = _conference_sums(t, weights, columns=True)
+        S = [[[_surd(x, s, den) for x in row] for row in plane] for plane in S]
+    else:
+        S = _identity_sums([list(col) for col in zip(*t.entries)], weights)
+    scale = [[Fraction(mi * mj, t.n) for mj in t.multiplicities] for mi in t.multiplicities]
+    return KreinTensor(q=tuple(tuple(tuple(x * scale[i][j] for x in row)
                                      for j, row in enumerate(plane))
                                for i, plane in enumerate(S)))
 
@@ -746,43 +783,3 @@ def corollary_filters(p: SrgParams, table_type: str) -> FilterResult:
         reasons.append(f"k2(k - mu - r) = {k2 * (k - mu - r)} "
                        f"is not 0 mod 4*k = {4 * k}")
     return FilterResult(not reasons, tuple(reasons))
-
-
-# -- numeric diagnostic for conference tables ---------------------------------
-
-
-def conference_numeric_check(t: CharacterTable, tensor: IntersectionTensor,
-                             tol: float = 1e-9) -> float:
-    """Cross-check the conference tensor at 128-bit float precision.
-
-    Purely diagnostic: returns the largest deviation found and raises
-    ConsistencyError if it exceeds tol.  Exact decisions never come from
-    this path.
-    """
-    import mpmath as mp
-
-    with mp.workprec(128):
-        sq = mp.sqrt(t.q)
-
-        def val(e: ConferenceEntry):
-            re = mp.mpf(e.a.numerator) / e.a.denominator + mp.mpf(e.b.numerator) / e.b.denominator * sq
-            rad = mp.mpf(e.c.numerator) / e.c.denominator + mp.mpf(e.e.numerator) / e.e.denominator * sq
-            return re + e.im_sign * 1j * mp.sqrt(rad)
-
-        P = [[val(e) for e in row] for row in t.entries]
-        worst = mp.mpf(0)
-        for l in range(5):
-            kl = mp.mpf(t.valencies[l].numerator) / t.valencies[l].denominator
-            for i in range(5):
-                for j in range(5):
-                    acc = mp.mpc(0)
-                    for hh in range(5):
-                        m = mp.mpf(t.multiplicities[hh].numerator) / t.multiplicities[hh].denominator
-                        acc += m * P[hh][i] * P[hh][j] * mp.conj(P[hh][l])
-                    approx = acc / (t.n * kl)
-                    dev = abs(approx - tensor[i, j, l])
-                    worst = max(worst, dev)
-        if worst > tol:
-            raise ConsistencyError(
-                f"numeric tensor deviates from exact by {float(worst)} > {tol}")
-        return float(worst)

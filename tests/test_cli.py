@@ -5,6 +5,7 @@ import pytest
 
 import skewfiss.cli as cli
 import skewfiss.feasibility as feasibility
+import skewfiss.scheme_core as scheme_core
 from skewfiss.scheme_core import IntersectionTensor
 from skewfiss.spectra import ConsistencyError
 
@@ -28,6 +29,27 @@ def test_construct_verify_classify(tmp_path, capsys):
     code, text, _ = run(capsys, "classify", out)
     assert code == 0
     assert "conference q=13 g=-3 h=1" in text
+
+
+def test_transpose_map_computed_once_per_command(tmp_path, capsys, monkeypatch):
+    """verify asks for the pairing three times, classify and krein twice; the
+    scheme computes it once and keeps it."""
+    out = str(tmp_path / "c13.ascm")
+    assert run(capsys, "construct", "cyc", "--q", "13", "--d", "4", "-o", out)[0] == 0
+    calls = []
+    cached = vars(scheme_core.AssociationScheme)["_transpose"]
+    real = cached.func
+
+    def counted(scheme):
+        calls.append(scheme.n)
+        return real(scheme)
+
+    monkeypatch.setattr(cached, "func", counted)
+    for command in ("verify", "classify", "krein"):
+        calls.clear()
+        code, text, _ = run(capsys, command, out)
+        assert code == 0 and calls == [13], command
+    assert "transpose pairing: [0, 4, 3, 2, 1]" in run(capsys, "verify", out)[1]
 
 
 def test_construct_wreath(tmp_path, capsys):

@@ -8,21 +8,29 @@ canonical ``to_triples`` form.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_kernel as ref
 import skewfiss as sf
 from skewfiss.exactnum import ComplexSurd, SurdSum, surd_sqrt
 from skewfiss.feasibility import _type3_z_candidates
-from skewfiss.spectra import TYPE_I, TYPE_II, TYPE_III, p_values_from_table
+from skewfiss.spectra import (
+    TYPE_I,
+    TYPE_II,
+    TYPE_III,
+    _conference_sums,
+    _exact_einsum,
+    p_values_from_table,
+)
 
 # small non-conference parameter sets whose multiplicities and valencies split
 SPLITTABLE = [p for p in sf.srg_candidates(300)
               if not (p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2)]
 TYPE3 = [(p, z) for p in SPLITTABLE for z in _type3_z_candidates(p)]
-CONFERENCE = [(q, ts.g) for q in range(5, 326, 8) for ts in sf.two_squares(q)]
+CONFERENCE = [(q, ts.g) for q in range(5, 5001, 8) for ts in sf.two_squares(q)]
 
 
 def _triples(tensor):
@@ -62,10 +70,43 @@ def test_type3_rational_z_matches_reference(p, frac):
     assert_kernel_matches_reference(sf.character_table(p, sf.make_candidate(p, TYPE_III, z)))
 
 
+# composite q with several g: 325 = 5^2 * 13, 1885 = 5 * 13 * 29, 3965 = 5 * 13 * 61
 @given(st.sampled_from(CONFERENCE))
+@example((325, -15))
+@example((1885, 21))
+@example((1885, -43))
+@example((3965, -11))
+@example((3965, -59))
 @settings(max_examples=6, deadline=None)
 def test_conference_matches_reference(qg):
     assert_kernel_matches_reference(sf.conference_table(*qg))
+
+
+@pytest.mark.parametrize("qg", [(13, -3), (325, 17), (1885, -27), (4981, 9)])
+def test_conference_object_path_matches_int64(qg):
+    """limit=0 forces every contraction onto Python ints."""
+    t = sf.conference_table(*qg)
+    for weights, columns in ((t.multiplicities, False),
+                             ([Fraction(1) / (k * k) for k in t.valencies], True)):
+        assert (_conference_sums(t, weights, columns, limit=0)
+                == _conference_sums(t, weights, columns))
+
+
+def test_exact_einsum_bound_picks_dtype():
+    # bound = (summed terms) * prod(max(1, max |operand|))
+    just_below = _exact_einsum("ij->i", np.array([[2**63 - 1]], dtype=object))
+    assert just_below.dtype == np.int64 and just_below.tolist() == [2**63 - 1]
+    at_limit = _exact_einsum("ij->i", np.array([[2**62, 2**62]], dtype=object))
+    assert at_limit.dtype == object and at_limit.tolist() == [2**63]
+    negative = _exact_einsum("ij->i", np.array([[-2**62] * 3], dtype=object))
+    assert negative.dtype == object and negative.tolist() == [-3 * 2**62]
+    x = np.array([[2**40, -3], [5, 2**40]], dtype=object)
+    product = _exact_einsum("ij,jk->ik", x, x)  # bound 2 * 2^80
+    assert product.dtype == object
+    assert product.tolist() == [[2**80 - 15, -3 * 2**40 - 3 * 2**40],
+                                [5 * 2**40 + 5 * 2**40, 2**80 - 15]]
+    small = _exact_einsum("ij,jk->ik", x // 2**20, x // 2**20)
+    assert small.dtype == np.int64
 
 
 def test_exact_rejections_still_raise():

@@ -3,6 +3,7 @@ import signal
 from fractions import Fraction
 
 import pytest
+from conference_numeric import conference_numeric_check
 
 import skewfiss as sf
 from skewfiss.exactnum import ComplexSurd, SurdSum, surd_sqrt
@@ -11,7 +12,6 @@ from skewfiss.spectra import (
     TYPE_II,
     TYPE_III,
     assemble_tensor,
-    conference_numeric_check,
     p_values_from_table,
 )
 
@@ -192,6 +192,29 @@ def test_type3_large_prime_z_returns_promptly():
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert p.m1 ** 2 * cand.y * z == p.m2 ** 2 * cand.b * cand.c
+
+
+def test_type3_large_prime_z_table_returns_promptly():
+    """character_table factors the numerators and denominators of z, y, b
+    and c one at a time, so trial division stops at the cube root of the
+    larger, not of their product (about 10^8 divisions for this z)."""
+    p = sf.srg_derive(57, 14, 1, 4)
+    top, bottom = 10**12 + 39, 10**12 + 61  # both prime
+    z = Fraction(top, bottom)
+
+    def expire(signum, frame):
+        raise TimeoutError("type-III table took more than 1 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        t = sf.character_table(p, sf.make_candidate(p, TYPE_III, z))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # tau = (t + i sqrt(z))/2 with sqrt(z) = sqrt(top * bottom) / bottom
+    assert t.entry(1, 2).im == SurdSum._make({top * bottom: Fraction(1, 2 * bottom)})
+    sf.check_orthogonality(t)
 
 
 def test_closed_form_column_sums():
