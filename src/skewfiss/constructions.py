@@ -1,10 +1,17 @@
 """Concrete scheme builders and parameter generators.
 
-Finite fields are built deterministically (lexicographically smallest
-irreducible modulus and primitive element), cyclotomic class counts are
-obtained by brute-force enumeration over the field, and the closed forms
-for the 4-class cyclotomic case serve as an independent oracle against the
-counted tensors.
+An element of GF(p^b) is represented only by its base-p encoding, the
+integer sum c_t p^t standing for the polynomial sum c_t x^t.  Field
+arithmetic is digit-wise on encodings, for Python ints and integer numpy
+arrays alike: ``_axpy`` gives x + c*y (so x - y), and ``_mul`` gives g*u by
+Horner's rule over the digits of g, each step a multiplication by x
+reduced by the modulus (``_xtimes``).  The field tables, the difference
+table of ``cyclotomic_scheme`` and the sums 1 + s of ``cyclotomic_number``
+all use these.  Fields are built deterministically (lexicographically
+smallest irreducible modulus, smallest primitive element), cyclotomic
+class counts are obtained by brute-force enumeration over the field, and
+the closed forms for the 4-class cyclotomic case serve as an independent
+oracle against the counted tensors.
 """
 
 from __future__ import annotations
@@ -57,73 +64,70 @@ def prime_power(n: int) -> tuple[int, int] | None:
 
 
 # -- finite fields -------------------------------------------------------------
+#
+# Elements are base-p encodings (see the module docstring); the modulus is
+# x^b + m, with m the encoding of its lower terms.
 
 
-def _poly_mul_mod(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:
-    """Product of coefficient tuples reduced mod (modulus, p); little-endian."""
-    deg_m = len(modulus) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                prod[i + j] = (prod[i + j] + ca * cb) % p
-    # reduce by the monic modulus
-    for i in range(len(prod) - 1, deg_m - 1, -1):
-        c = prod[i]
-        if c:
-            prod[i] = 0
-            for j in range(deg_m):
-                prod[i - deg_m + j] = (prod[i - deg_m + j] - c * modulus[j]) % p
-    out = prod[:deg_m]
-    while len(out) < deg_m:
-        out.append(0)
-    return tuple(out)
+def _axpy(x, y, c, p: int, b: int):
+    """x + c*y, digit by digit mod p (c an int or an array; c = -1 gives x - y)."""
+    out = 0
+    for t in range(b):
+        w = p ** t
+        out = out + (x // w + c * (y // w)) % p * w
+    return out
 
 
-def _poly_divisible(num: tuple, div: tuple, p: int) -> bool:
-    """Whether div (monic, little-endian) divides num over GF(p)."""
-    rem = list(num)
-    dd = len(div) - 1
-    while len(rem) - 1 >= dd:
-        c = rem[-1]
-        if c:
-            shift = len(rem) - 1 - dd
-            for j in range(dd + 1):
-                rem[shift + j] = (rem[shift + j] - c * div[j]) % p
-        rem.pop()
-        while rem and rem[-1] == 0 and len(rem) - 1 >= dd:
-            rem.pop()
-    return all(c == 0 for c in rem)
+def _xtimes(u, p: int, b: int, m):
+    """x*u reduced by the modulus x^b + m: shift up one digit, fold the top back."""
+    top = u // p ** (b - 1)
+    return _axpy(u % p ** (b - 1) * p, m, -top, p, b)
 
 
-def _monic_polys(deg: int, p: int):
-    """All monic polynomials of the given degree, little-endian tuples."""
-    for t in range(p ** deg):
-        yield _element_to_poly(t, p, deg) + (1,)
+def _mul(g: int, u, p: int, b: int, m):
+    """g*u by Horner's rule over the digits of g, highest first."""
+    acc = 0 * u
+    for t in reversed(range(b)):
+        if p ** t <= g:  # a leading zero digit leaves acc at 0
+            acc = _axpy(_xtimes(acc, p, b, m), u, g // p ** t % p, p, b)
+    return acc
 
 
-def _is_irreducible(poly: tuple, p: int) -> bool:
-    deg = len(poly) - 1
-    if deg == 1:
-        return True
-    if poly[0] == 0:  # divisible by x
-        return False
-    for d in range(1, deg // 2 + 1):
-        for cand in _monic_polys(d, p):
-            if _poly_divisible(poly, cand, p):
-                return False
+def _pow(g: int, e: int, p: int, b: int, m: int) -> int:
+    """g^e by square-and-multiply."""
+    acc = 1
+    while e:
+        if e & 1:
+            acc = _mul(g, acc, p, b, m)
+        g = _mul(g, g, p, b, m)
+        e >>= 1
+    return acc
+
+
+def _is_irreducible(m: int, p: int, b: int) -> bool:
+    """Whether x^b + m is irreducible over GF(p), by trial division.
+
+    For each degree d <= b/2, Horner's rule over the coefficients of x^b + m
+    gives its remainder modulo every monic x^d + r at once (r = 0..p^d - 1).
+    """
+    for d in range(1, b // 2 + 1):
+        r = np.arange(p ** d)
+        rem = 1  # the leading coefficient
+        for t in reversed(range(b)):
+            rem = _axpy(_xtimes(rem, p, d, r), 1, m // p ** t % p, p, d)
+        if not rem.all():
+            return False
     return True
 
 
 @dataclass(frozen=True)
 class FiniteField:
-    """GF(p^b) with exp/log tables over a deterministic modulus.
+    """GF(p^b) as its exp/log tables over a deterministic modulus.
 
-    Elements are integers in [0, q) encoding coefficient vectors in base p,
-    least significant digit = constant term.  The modulus is the monic
-    irreducible polynomial of degree b whose coefficient tuple (highest
-    degree first) is lexicographically smallest; the primitive element is
-    the smallest integer encoding that generates the multiplicative group.
+    Elements are their base-p encodings in [0, q), least significant digit
+    = constant term.  ``modulus`` is the coefficient tuple (c_0, ..., c_b = 1)
+    of the monic irreducible of degree b; ``exp[i]`` is the encoding of
+    primitive^i and ``log`` its inverse (``log[0]`` is 0 and unused).
     """
 
     p: int
@@ -134,47 +138,17 @@ class FiniteField:
     exp: tuple
     log: tuple
 
-    def add(self, x: int, y: int) -> int:
-        return self._digitwise(x, y, 1)
-
-    def sub(self, x: int, y: int) -> int:
-        return self._digitwise(x, y, -1)
-
-    def _digitwise(self, x: int, y: int, sign: int) -> int:
-        """x + sign*y, one base-p digit (coefficient) at a time."""
-        out, mult = 0, 1
-        for _ in range(self.b):
-            out += ((x + sign * y) % self.p) * mult
-            x //= self.p
-            y //= self.p
-            mult *= self.p
-        return out
-
-    def mul(self, x: int, y: int) -> int:
-        if x == 0 or y == 0:
-            return 0
-        return self.exp[(self.log[x] + self.log[y]) % (self.q - 1)]
-
-
-def _element_to_poly(e: int, p: int, b: int) -> tuple:
-    coeffs = []
-    for _ in range(b):
-        coeffs.append(e % p)
-        e //= p
-    return tuple(coeffs)
-
-
-def _poly_to_element(poly: tuple, p: int) -> int:
-    out, mult = 0, 1
-    for c in poly:
-        out += c * mult
-        mult *= p
-    return out
-
 
 @lru_cache(maxsize=None)
 def field_build(p: int, b: int) -> FiniteField:
-    """Deterministic GF(p^b) with full exp/log tables; p^b capped at 10^6."""
+    """Deterministic GF(p^b) with full exp/log tables; p^b capped at 10^6.
+
+    The modulus x^b + m is the monic irreducible whose coefficients
+    (c_0, ..., c_{b-1}) are lexicographically smallest (x for b = 1, so the
+    prime field is the integers mod p).  The primitive element is the
+    smallest encoding g with g^((q-1)/l) != 1 for every prime l | q - 1.
+    The exp table walks one vectorised table of g*u over all encodings u.
+    """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if b < 1:
@@ -183,58 +157,29 @@ def field_build(p: int, b: int) -> FiniteField:
     if q > MAX_FIELD:
         raise ValueError(f"field size {q} exceeds {MAX_FIELD}")
 
-    if b == 1:
-        modulus = (0, 1)  # reduction mod x: the prime field itself
-    else:
-        modulus = None
-        # smallest (c_{b-1}, ..., c_0) in lexicographic order
-        for t in range(q):
-            # t's digits are (c_0, ..., c_{b-1}); the scan order is their reverse
-            coeffs = tuple(reversed(_element_to_poly(t, p, b))) + (1,)
-            if _is_irreducible(coeffs, p):
-                modulus = coeffs
+    m = 0
+    if b > 1:
+        # t = sum c_i p^(b-1-i) runs through the coefficients in lexicographic
+        # order; every t < p^(b-1) has c_0 = 0, so x divides it
+        for t in range(p ** (b - 1), q):
+            m = sum(t // p ** (b - 1 - i) % p * p ** i for i in range(b))
+            if _is_irreducible(m, p, b):
                 break
-        if modulus is None:
-            raise RuntimeError(f"no monic irreducible of degree {b} found over GF({p})")
 
-    group_order = q - 1
-    prime_factors = list(factorize(group_order))
+    order = q - 1
+    cofactors = [order // ell for ell in factorize(order)]
+    primitive = next(g for g in range(1, q)
+                     if all(_pow(g, e, p, b, m) != 1 for e in cofactors))
 
-    def order_is_full(e: int) -> bool:
-        epoly = _element_to_poly(e, p, b)
-        for ell in prime_factors:
-            power = group_order // ell
-            acc = (1,) + (0,) * (b - 1)
-            basep = epoly
-            m = power
-            while m:
-                if m & 1:
-                    acc = _poly_mul_mod(acc, basep, modulus, p)
-                basep = _poly_mul_mod(basep, basep, modulus, p)
-                m >>= 1
-            if _poly_to_element(acc, p) == 1:
-                return False
-        return True
-
-    primitive = None
-    for e in range(2, q):
-        if order_is_full(e):
-            primitive = e
-            break
-    if primitive is None:
-        raise RuntimeError(f"no primitive element found in GF({q})")
-
-    exp_table = [1] * group_order
-    gpoly = _element_to_poly(primitive, p, b)
-    acc = (1,) + (0,) * (b - 1)
-    for i in range(1, group_order):
-        acc = _poly_mul_mod(acc, gpoly, modulus, p)
-        exp_table[i] = _poly_to_element(acc, p)
-    log_table = [0] * q
-    for i, e in enumerate(exp_table):
-        log_table[e] = i
-    return FiniteField(p=p, b=b, q=q, modulus=modulus, primitive=primitive,
-                       exp=tuple(exp_table), log=tuple(log_table))
+    times_g = _mul(primitive, np.arange(q), p, b, m).tolist()
+    exp_table = [1] * order
+    for i in range(1, order):
+        exp_table[i] = times_g[exp_table[i - 1]]
+    del times_g  # q ints fewer alive while the log table is built
+    log_table = np.zeros(q, dtype=np.int64)
+    log_table[exp_table] = np.arange(order)
+    return FiniteField(p=p, b=b, q=q, modulus=tuple(m // p ** i % p for i in range(b)) + (1,),
+                       primitive=primitive, exp=tuple(exp_table), log=tuple(log_table.tolist()))
 
 
 # -- cyclotomic schemes --------------------------------------------------------
@@ -250,10 +195,18 @@ def cyc_skew_predicate(p: int, b: int) -> bool:
 def _class_lookup(field: FiniteField, d: int) -> np.ndarray:
     """cls[u] = i in 1..d for u in the coset alpha^i <alpha^d>; cls[0] = 0."""
     cls = np.zeros(field.q, dtype=np.int16)
-    for u in range(1, field.q):
-        i = field.log[u] % d
-        cls[u] = i if i else d
+    cls[np.array(field.exp)] = (np.arange(field.q - 1) - 1) % d + 1
     return cls
+
+
+def _cyclotomic_field(q: int, d: int) -> FiniteField:
+    """GF(q) for the d classes of a cyclotomic scheme; q and d are checked."""
+    pb = prime_power(q)
+    if pb is None:
+        raise ValueError(f"{q} is not a prime power")
+    if (q - 1) % d:
+        raise ValueError(f"d = {d} does not divide q - 1 = {q - 1}")
+    return field_build(*pb)
 
 
 def cyclotomic_scheme(q: int, d: int) -> AssociationScheme:
@@ -263,26 +216,15 @@ def cyclotomic_scheme(q: int, d: int) -> AssociationScheme:
     sit in positions (1,4) and (2,3); the output is fully re-verified by
     counting.
     """
-    pb = prime_power(q)
-    if pb is None:
-        raise ValueError(f"{q} is not a prime power")
-    p, b = pb
-    if (q - 1) % d:
-        raise ValueError(f"d = {d} does not divide q - 1 = {q - 1}")
-    field = field_build(p, b)
+    field = _cyclotomic_field(q, d)
     cls = _class_lookup(field, d)
-    if d == 4 and cyc_skew_predicate(p, b):
+    if d == 4 and cyc_skew_predicate(field.p, field.b):
         # -1 lies in the coset of alpha^2, so transposition maps class i to
         # i + 2 mod 4; ordering the classes (1, 2, 4, 3) pairs them up.
         perm = np.array([0, 1, 2, 4, 3], dtype=np.int16)
         cls = perm[cls]
-    # x - y digit by digit in base p, the encoding FiniteField.sub uses
     elems = np.arange(q, dtype=np.int32)
-    diff = np.zeros((q, q), dtype=np.int32)
-    for t in range(b):
-        digit = elems // p ** t % p
-        diff += (digit[:, None] - digit[None, :]) % p * p ** t
-    rel = cls[diff]
+    rel = cls[_axpy(elems[:, None], elems[None, :], -1, field.p, field.b)]
     scheme = AssociationScheme(rel, d=d)
     report = verify_axioms(scheme)
     if not report.ok:
@@ -293,21 +235,10 @@ def cyclotomic_scheme(q: int, d: int) -> AssociationScheme:
 def cyclotomic_number(q: int, d: int, i: int, j: int) -> int:
     """(i, j) of order d over GF(q): count of s in the coset of alpha^i with
     1 + s in the coset of alpha^j, by direct enumeration."""
-    pb = prime_power(q)
-    if pb is None:
-        raise ValueError(f"{q} is not a prime power")
-    p, b = pb
-    if (q - 1) % d:
-        raise ValueError(f"d = {d} does not divide q - 1 = {q - 1}")
-    field = field_build(p, b)
-    one = 1
-    count = 0
-    for idx in range(i % d, q - 1, d):
-        s = field.exp[idx]
-        v = field.add(one, s)
-        if v and field.log[v] % d == j % d:
-            count += 1
-    return count
+    field = _cyclotomic_field(q, d)
+    s = np.array(field.exp[i % d::d])
+    one_plus_s = _axpy(1, s, 1, field.p, field.b)
+    return int(np.count_nonzero(_class_lookup(field, d)[one_plus_s] == (j % d or d)))
 
 
 # -- two-squares representations -----------------------------------------------
@@ -463,15 +394,9 @@ def johnson2_scheme(v: int) -> AssociationScheme:
     """The 2-class scheme on 2-subsets of a v-set (relation by intersection size)."""
     if v < 4:
         raise ValueError(f"need v >= 4, got {v}")
-    pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
-    n = len(pairs)
-    rel = np.zeros((n, n), dtype=np.int16)
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            if i == j:
-                continue
-            shared = len({a, b} & {c, d})
-            rel[i, j] = 2 - shared
+    a, b = np.triu_indices(v, 1)  # the 2-subsets {a, b}, a < b, in lexicographic order
+    shared = sum(x[:, None] == y[None, :] for x in (a, b) for y in (a, b))
+    rel = (2 - shared).astype(np.int16)
     scheme = AssociationScheme(rel, d=2)
     report = verify_axioms(scheme)
     if not report.ok:

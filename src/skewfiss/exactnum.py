@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, lcm, sqrt
+from math import fsum, gcd, isqrt, lcm, sqrt
 from typing import Iterable, Mapping, Union
 
 Rational = Fraction
@@ -229,8 +229,9 @@ class SurdSum:
     # -- conversion and display --------------------------------------------
 
     def __float__(self) -> float:
-        """Diagnostic only; never used to decide equality or sign."""
-        return float(sum(c / self._den * sqrt(n) for n, c in self._num.items()))
+        """Diagnostic only; never used to decide equality or sign.  The terms are
+        summed exactly (fsum), so the result does not depend on their order."""
+        return fsum(c / self._den * sqrt(n) for n, c in self._num.items())
 
     def to_triples(self) -> list[tuple[int, int, int]]:
         """Serialize as (radicand, numerator, denominator) triples."""

@@ -255,24 +255,29 @@ def _divisors_between(f1: dict, f2: dict, lo: int, hi: int) -> list[int]:
     return [d for d in divisors if lo <= d <= hi]
 
 
+def _type3_z_map(p: SrgParams) -> tuple[int, int, int]:
+    """(slope, offset, den) with z = (slope * e - offset) / den, where
+    e = (n k (n-2k+lam) + Gamma)/(4 n k2) is the z-linear closed-form entry
+    p^2_(1,2)."""
+    r, s, _, _ = p.eig_ints()
+    n, k2 = p.n, p.k2
+    return 4 * n * k2, n * p.k * (n - 2 * p.k + p.lam) + s * n * k2, (r - s) * p.m1
+
+
 def _type3_z_candidates(p: SrgParams):
     """Integer z in (0, n*k2/m1) worth a full check.
 
-    The closed-form entry (n k (n-2k+lam) + Gamma)/(4 n k2) is linear in z
-    and must be a nonnegative integer, which pins z to one residue class
-    per integer value of that entry; everything else is skipped unseen.
+    The closed-form entry p^2_(1,2) is linear in z and must be a
+    nonnegative integer, which pins z to one residue class per integer
+    value of that entry; everything else is skipped unseen.
     """
-    n, k, k2, m1 = p.n, p.k, p.k2, p.m1
-    r, s, _, _ = p.eig_ints()
-    base = n * k * (n - 2 * k + p.lam)
-    den = 4 * n * k2
-    lo = base + s * n * k2
-    hi = base + r * n * k2
-    jlo = max(0, -((-lo) // den))
-    jhi = hi // den
-    step = (r - s) * m1
+    n, k2, m1 = p.n, p.k2, p.m1
+    slope, offset, step = _type3_z_map(p)
+    # 0 < z < n k2/m1 puts slope * e between offset and offset + (r-s) n k2
+    jlo = max(0, -(-offset // slope))
+    jhi = (offset + step // m1 * n * k2) // slope
     for j in range(jlo, jhi + 1):
-        numz = den * j - base - s * n * k2
+        numz = slope * j - offset
         if numz <= 0 or numz % step:
             continue
         z = numz // step
@@ -618,11 +623,8 @@ def classify_scheme(s: AssociationScheme) -> Classification:
 
 def _solve_type3_z(p: SrgParams, perm) -> Fraction | None:
     """Invert the z-linear closed-form entry at position p^2_(1,2)."""
-    r, s, _, _ = p.eig_ints()
-    n, k, k2, m1 = p.n, p.k, p.k2, p.m1
-    entry = perm[1][2][2]
-    gamma = Fraction(4 * n * k2) * entry - n * k * (n - 2 * k + p.lam)
-    z = (gamma - s * n * k2) / Fraction((r - s) * m1)
-    if 0 < z < Fraction(n * k2, m1):
+    slope, offset, den = _type3_z_map(p)
+    z = Fraction(slope * perm[1][2][2] - offset, den)
+    if 0 < z < Fraction(p.n * p.k2, p.m1):
         return z
     return None

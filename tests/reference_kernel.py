@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, sqrt
+from math import fsum, gcd, isqrt, sqrt
 from typing import Iterable, Mapping, Union
 
 from skewfiss.spectra import CharacterTable, ConferenceEntry, ConsistencyError
@@ -258,7 +258,7 @@ class SurdSum:
 
     def __float__(self) -> float:
         """Diagnostic only; never used to decide equality or sign."""
-        return float(sum(float(c) * sqrt(n) for n, c in self._terms.items()))
+        return fsum(float(c) * sqrt(n) for n, c in self._terms.items())
 
     def to_triples(self) -> list[tuple[int, int, int]]:
         """Serialize as (radicand, numerator, denominator) triples."""

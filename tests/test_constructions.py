@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import skewfiss as sf
@@ -14,7 +15,6 @@ def test_field_build_prime():
     f13 = field_build(13, 1)
     assert f13.primitive == 2
     assert f13.q == 13
-    assert f13.sub(3, 7) == 9
     assert sorted(f13.exp) == list(range(1, 13))
 
 
@@ -24,12 +24,15 @@ def test_field_build_extension():
     assert len(f125.modulus) == 4 and f125.modulus[-1] == 1
     # exp table enumerates the whole multiplicative group
     assert sorted(f125.exp) == list(range(1, 125))
-    # additive inverse round trip
-    for x in (0, 1, 37, 124):
-        assert f125.sub(x, x) == 0
-        assert f125.add(f125.sub(0, x), x) == 0
     # multiplicative order of the primitive element is exactly 124
     assert f125.exp[0] == 1 and 1 not in f125.exp[1:]
+
+
+def test_field_build_gf2():
+    """1 generates GF(2)*, so GF(2) has primitive 1 and one-entry tables."""
+    f2 = field_build(2, 1)
+    assert (f2.q, f2.modulus, f2.primitive) == (2, (0, 1), 1)
+    assert f2.exp == (1,) and f2.log == (0, 0)
 
 
 def test_field_build_errors():
@@ -83,14 +86,15 @@ def test_cyclotomic_number_examples():
 def test_cyclotomic_number_tensor_identity(cyc13):
     """Counted tensor entries equal the class counts, through the canonical
     reordering (positions 3 and 4 hold the third and fourth power classes
-    swapped)."""
-    T = sf.intersection_tensor(cyc13)
+    swapped).  GF(125) makes 1 + s a digit-wise sum in an extension field."""
     pos_to_nat = [0, 1, 2, 4, 3]
-    for i in range(1, 5):
-        for j in range(1, 5):
-            for k in range(1, 5):
-                ni, nj, nk = pos_to_nat[i], pos_to_nat[j], pos_to_nat[k]
-                assert T[i, j, k] == sf.cyclotomic_number(13, 4, (nj - ni) % 4, (nk - ni) % 4)
+    for q, scheme in ((13, cyc13), (125, sf.cyclotomic_scheme(125, 4))):
+        T = sf.intersection_tensor(scheme)
+        for i in range(1, 5):
+            for j in range(1, 5):
+                for k in range(1, 5):
+                    ni, nj, nk = pos_to_nat[i], pos_to_nat[j], pos_to_nat[k]
+                    assert T[i, j, k] == sf.cyclotomic_number(q, 4, (nj - ni) % 4, (nk - ni) % 4)
 
 
 def test_two_squares():
@@ -192,6 +196,24 @@ def test_johnson2_scheme_tensor(j52):
     T = sf.intersection_tensor(j52)
     assert T.valencies == (1, 6, 3)
     assert T[1, 1, 1] == 3 and T[1, 1, 2] == 4
+
+
+def _johnson2_rel_by_loop(v: int) -> np.ndarray:
+    """Relation matrix of the 2-subset scheme from the pairwise definition."""
+    pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
+    rel = np.zeros((len(pairs), len(pairs)), dtype=np.int16)
+    for i, (a, b) in enumerate(pairs):
+        for j, (c, d) in enumerate(pairs):
+            if i != j:
+                rel[i, j] = 2 - len({a, b} & {c, d})
+    return rel
+
+
+def test_johnson2_scheme_matches_pairwise_definition():
+    for v in range(4, 13):
+        rel = sf.johnson2_scheme(v).rel
+        expected = _johnson2_rel_by_loop(v)
+        assert rel.dtype == expected.dtype and np.array_equal(rel, expected)
 
 
 def test_symmetrize_cyc4_equals_cyc2():
