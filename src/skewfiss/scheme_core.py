@@ -6,8 +6,8 @@ checked over all ordered point pairs, never a sample, and the intersection
 tensor is the by-product of that count.
 
 The count multiplies float32 indicator matrices A_i; that is exact because
-every partial sum is an integer of at most n <= MAX_POINTS < 2**24.  Two
-kinds of product are not formed, and neither is sampled:
+every partial sum is an integer of at most n <= MAX_POINTS < 2**24.  Three
+kinds of product are not formed, and none is sampled:
 
 - the trivial planes.  Once axiom (i) holds, A_0 = I, so A_0 A_j = A_j and
   A_i A_0 = A_i, and p^k_0j = p^k_j0 = delta_jk with no count needed.
@@ -17,12 +17,18 @@ kinds of product are not formed, and neither is sampled:
   found constant on every R_k, it is constant p^k_ij on every R_k' =
   R_k^T.  A pair whose partner failed is counted itself, so a broken
   scheme reports every failing pair.
+- the last unknown product of each row.  A_0 + ... + A_d = J, so
+  sum_j A_i A_j = A_i J, which is k_i J when A_i has constant row sums
+  k_i (an O(n^2) count).  When every other product of row i was found
+  constant on every R_k, so is A_i A_j* for the last one, j*, with
+  p^k_ij* = k_i - sum_{j != j*} p^k_ij.  Otherwise it is counted.
 
-For d = 4 skew this forms 10 of the 25 products.
+For d = 4 skew this forms 6 of the 25 products: 3, 2, 1 and 0 in rows 1..4.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -222,42 +228,65 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
     rep.transpose_map = tmap
 
     class_cells = _class_cells(rel, d)
-    ind = [(rel == i).astype(np.float32) for i in range(d + 1)]
+    # with A_0 = I no product has A_0 as a factor
+    ind = [None if i == 0 and rep.diagonal_ok else (rel == i).astype(np.float32)
+           for i in range(d + 1)]
     counts = np.empty((n, n), dtype=np.float32)
     p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
-    counted = set()  # pairs counted and found constant on every class
+    counted = set()  # pairs counted or derived, and constant on every class
+
+    def count(i: int, j: int) -> bool:
+        """Form A_i A_j and read off p^k_ij; False if it varies on a class."""
+        np.matmul(ind[i], ind[j], out=counts)
+        values = _class_values(counts, rel, class_cells)
+        if values is not None:
+            for k in range(d + 1):
+                if sizes[k]:
+                    p[i][j][k] = int(values[k])
+            counted.add((i, j))
+            return True
+        for k in range(d + 1):
+            cells = counts[rel == k]
+            if cells.size == 0:
+                continue
+            lo, hi = cells.min(), cells.max()
+            if lo != hi:
+                rep.failures.append(
+                    f"count of (R_{i}, R_{j}) paths over R_{k} pairs varies: "
+                    f"{int(lo)} .. {int(hi)}"
+                )
+            else:
+                p[i][j][k] = int(lo)
+        return False
+
     regular = True
     for i in range(d + 1):
+        unknown = []
         for j in range(d + 1):
             if rep.diagonal_ok and 0 in (i, j):
                 p[i][j][i + j] = 1  # A_0 = I: p^k_0j = delta_jk, p^k_i0 = delta_ik
-                continue
-            if rep.transpose_ok and (tmap[j], tmap[i]) in counted:
+            elif rep.transpose_ok and (tmap[j], tmap[i]) in counted:
                 a, b = tmap[j], tmap[i]  # (A_a A_b)^T = A_i A_j
                 for k in range(d + 1):
                     p[i][j][tmap[k]] = p[a][b][k]
-                continue
-            np.matmul(ind[i], ind[j], out=counts)
-            values = _class_values(counts, rel, class_cells)
-            if values is not None:
-                for k in range(d + 1):
-                    if sizes[k]:
-                        p[i][j][k] = int(values[k])
-                counted.add((i, j))
-                continue
-            for k in range(d + 1):
-                cells = counts[rel == k]
-                if cells.size == 0:
-                    continue
-                lo, hi = cells.min(), cells.max()
-                if lo != hi:
-                    regular = False
-                    rep.failures.append(
-                        f"count of (R_{i}, R_{j}) paths over R_{k} pairs varies: "
-                        f"{int(lo)} .. {int(hi)}"
-                    )
-                else:
-                    p[i][j][k] = int(lo)
+            else:
+                unknown.append(j)
+        if not unknown:
+            continue
+        *rest, last = unknown
+        rest_ok = all([count(i, j) for j in rest])  # a list: every pair is counted
+        regular &= rest_ok
+        row_sums = ind[i].sum(axis=1)
+        if not (rest_ok and (row_sums == row_sums[0]).all()):
+            regular &= count(i, last)
+            continue
+        # sum_j A_i A_j = A_i J = k_i J, and every other product of the row
+        # is constant on every class, so A_i A_last is too
+        k_i = int(row_sums[0])
+        for k in range(d + 1):
+            if sizes[k]:
+                p[i][last][k] = k_i - sum(p[i][j][k] for j in range(d + 1) if j != last)
+        counted.add((i, last))
     rep.regular_ok = regular
 
     if rep.ok:
@@ -369,18 +398,90 @@ def imprimitive_blocks(s: AssociationScheme) -> list[list[int]]:
 #
 # UTF-8 text.  Line 1: "n d".  Lines 2..n+1: n space-separated relation
 # indices in 0..d.  Relation 0 must be the diagonal.
+#
+# save_scheme writes one canonical layout from one byte buffer: each index
+# in decimal, followed by " ", the last one of a row by "\n".  load_scheme
+# reads that layout as one byte array; any other file is parsed token by
+# token, which names the line and column of the first offence.
+
+_CANONICAL_HEADER = re.compile(rb"([1-9][0-9]{0,4}) (0|[1-9][0-9]{0,2})\n")
 
 
 def save_scheme(s: AssociationScheme, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{s.n} {s.d}\n")
-        names = [str(v) for v in range(s.d + 1)]
-        fh.writelines(" ".join(map(names.__getitem__, row)) + "\n" for row in s.rel.tolist())
+    names = [str(v) for v in range(s.d + 1)]
+    width = len(names[-1])
+    # table[0][v]: index v's digits, then " "; table[1][v]: then "\n";
+    # zero-padded to width + 1 bytes, the padding dropped before writing
+    table = np.zeros((2, s.d + 1, width + 1), dtype=np.uint8)
+    for v, name in enumerate(names):
+        table[:, v, :len(name)] = np.frombuffer(name.encode(), dtype=np.uint8)
+        table[:, v, len(name)] = (ord(" "), ord("\n"))
+    cells = table[0].take(s.rel, axis=0)
+    cells[:, -1] = table[1].take(s.rel[:, -1], axis=0)
+    cells = cells.ravel()
+    with open(path, "wb") as fh:
+        fh.write(f"{s.n} {s.d}\n".encode())
+        fh.write(np.compress(cells != 0, cells))
 
 
 def load_scheme(path: str) -> AssociationScheme:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        data.decode("utf-8")  # raises UnicodeDecodeError, whatever the layout
+    return _read_canonical(data) or _read_tokens(data.decode("utf-8"))
+
+
+def _read_canonical(data: bytes) -> AssociationScheme | None:
+    """The scheme in a file of save_scheme's layout, else None.
+
+    Bytes after the n-th row are not read.  Every token must be at most
+    len(str(d)) decimal digits (a leading zero reads as int() reads it), in
+    0..d, with 0 exactly on the diagonal; anything else is left to the
+    token walk, which names the first offence.
+    """
+    head = _CANONICAL_HEADER.match(data)
+    if head is None:
+        return None
+    n, d, width = int(head[1]), int(head[2]), len(head[2])
+    if n > MAX_POINTS or d > MAX_CLASSES:
+        return None
+    # body[0] is the header's "\n": every token starts after a separator
+    start = head.end() - 1
+    body = np.frombuffer(data, dtype=np.uint8, offset=start,
+                         count=min(len(data) - start, 1 + n * n * (width + 1)))
+    ends = np.flatnonzero(body == ord("\n"))
+    if len(ends) <= n:
+        return None
+    body = body[:ends[n] + 1]
+    digits = body - ord("0")
+    is_digit = digits < 10
+    is_sep = ~is_digit
+    if np.count_nonzero(is_sep) != n * n + 1:
+        return None  # before want: n rows of nothing must not cost n^2 bytes
+    want = np.full(n * n + 1, ord(" "), dtype=np.uint8)
+    want[::n] = ord("\n")
+    if not np.array_equal(np.compress(is_sep, body), want) or (is_sep[1:] & is_sep[:-1]).any():
+        return None
+    # value[q]: the number spelt by the digit run that ends at byte q
+    value = (digits * is_digit).astype(np.int16)
+    run = is_digit.copy()
+    for t in range(1, width):
+        run[t:] &= is_digit[:-t]
+        value[t:] += (digits[:-t] * run[t:]).astype(np.int16) * 10 ** t
+    if (run[width:] & is_digit[:-width]).any():
+        return None  # a token longer than str(d)
+    rel = np.compress(is_sep[1:], value[:-1])
+    if rel.max() > d:
+        return None
+    zeros = np.flatnonzero(rel == 0)
+    if len(zeros) != n or (zeros != np.arange(0, n * n, n + 1)).any():
+        return None
+    return AssociationScheme(rel.reshape(n, n), d=d)
+
+
+def _read_tokens(text: str) -> AssociationScheme:
+    lines = text.splitlines()
     if not lines:
         raise SchemeParseError("empty file", 1)
     head = lines[0].split()
@@ -397,17 +498,10 @@ def load_scheme(path: str) -> AssociationScheme:
     if len(lines) < n + 1:
         raise SchemeParseError(f"expected {n} matrix rows, file has {len(lines) - 1}", len(lines))
     rel = np.zeros((n, n), dtype=np.int16)
-    index = {str(v): v for v in range(d + 1)}
     for r in range(n):
         fields = lines[r + 1].split()
         if len(fields) != n:
             raise SchemeParseError(f"expected {n} entries, got {len(fields)}", r + 2)
-        values = list(map(index.get, fields))
-        if None not in values and values[r] == 0 and values.count(0) == 1:
-            rel[r] = values
-            continue
-        # a bad token, or one int() reads but not in canonical form: walk
-        # the row token by token to name the first offence
         for c, tok in enumerate(fields):
             try:
                 v = int(tok)

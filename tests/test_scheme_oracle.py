@@ -28,6 +28,8 @@ def corpus(name: str) -> AssociationScheme:
         return sf.cyclotomic_scheme(13, 4)
     if name == "cyc29":
         return sf.cyclotomic_scheme(29, 4)
+    if name == "cyc13_d12":
+        return sf.cyclotomic_scheme(13, 12)
     if name == "thin_z5":
         return AssociationScheme(np.array([[(x - y) % 5 for y in range(5)] for x in range(5)]))
     if name == "wreath_3_7":
@@ -35,7 +37,7 @@ def corpus(name: str) -> AssociationScheme:
     return sf.johnson2_scheme(5)
 
 
-NAMES = ["cyc13", "cyc29", "thin_z5", "wreath_3_7", "j52"]
+NAMES = ["cyc13", "cyc29", "cyc13_d12", "thin_z5", "wreath_3_7", "j52"]
 PERTURBATIONS = ["diagonal", "flip", "swap", "empty"]
 
 
@@ -82,8 +84,18 @@ def test_perturbed_reports_match_reference(name, kinds, data):
     assert_reports_equal(AssociationScheme(rel, d=s.d))
 
 
-def test_skew_d4_forms_ten_products(cyc13, monkeypatch):
-    """Trivial planes and mirrored pairs are derived, not multiplied again."""
+def test_last_product_needs_constant_row_sums():
+    """A_1 A_1 = 0 is constant on every class, but A_1's row sums are 2, 0, 0,
+    so A_1 A_2 does not follow from A_1 J: it is counted and its variation
+    reported."""
+    s = AssociationScheme(np.array([[0, 1, 1], [2, 0, 2], [2, 2, 0]]))
+    rep = assert_reports_equal(s)
+    assert any(f.startswith("count of (R_1, R_2) paths") for f in rep.failures)
+
+
+def test_skew_d4_forms_six_products(cyc13, monkeypatch):
+    """Trivial planes, mirrored pairs and the last product of each row are
+    derived, not multiplied: rows 1..4 form 3, 2, 1 and 0 products."""
     calls = []
     real = np.matmul
 
@@ -93,11 +105,12 @@ def test_skew_d4_forms_ten_products(cyc13, monkeypatch):
 
     monkeypatch.setattr(scheme_core.np, "matmul", counting)
     assert sf.verify_axioms(cyc13).ok
-    assert len(calls) == 10
+    assert len(calls) == 6
 
 
 def test_verify_peak_allocation_n1013():
-    """Working set: d+1 float32 indicator matrices plus one product.
+    """Working set: d float32 indicator matrices plus one product (A_0 = I
+    enters no product, so it gets no indicator).
 
     The slack covers one boolean n x n mask alive while an indicator is
     built and the row-block temporaries of the regularity check.
@@ -111,7 +124,7 @@ def test_verify_peak_allocation_n1013():
     finally:
         tracemalloc.stop()
     assert rep.ok
-    working_set = (d + 1) * n * n * 4 + n * n * 4
+    working_set = d * n * n * 4 + n * n * 4
     slack = n * n + 16 * scheme_core._CHECK_CELLS
     assert peak <= working_set + slack, (peak, working_set, slack)
 
@@ -130,7 +143,7 @@ def scheme_text(s: AssociationScheme) -> list[list[str]]:
 @st.composite
 def ascm_texts(draw):
     """A valid scheme file with a few tokens, rows or the header broken."""
-    rows = scheme_text(corpus(draw(st.sampled_from(["cyc13", "thin_z5", "j52"]))))
+    rows = scheme_text(corpus(draw(st.sampled_from(["cyc13", "cyc13_d12", "thin_z5", "j52"]))))
     for _ in range(draw(st.integers(0, 3))):
         r = draw(st.integers(0, len(rows) - 1))
         what = draw(st.sampled_from(["replace", "delete", "insert", "drop_row", "dup_row"]))
@@ -148,9 +161,13 @@ def ascm_texts(draw):
     return sep.join(" ".join(row) for row in rows) + draw(st.sampled_from(["", "\n"]))
 
 
-def parse_both(tmp_path, text: str):
+def scheme_bytes(s: AssociationScheme) -> bytes:
+    return "".join(" ".join(row) + "\n" for row in scheme_text(s)).encode()
+
+
+def parse_both(tmp_path, text: str | bytes):
     path = tmp_path / "case.ascm"
-    path.write_text(text, encoding="utf-8", newline="")
+    path.write_bytes(text.encode() if isinstance(text, str) else text)
     outcomes = []
     for parse in (load_scheme, ref.load_scheme):
         try:
@@ -159,6 +176,8 @@ def parse_both(tmp_path, text: str):
             outcomes.append((type(exc), exc.line, exc.column, str(exc)))
         except sf.SchemeError as exc:
             outcomes.append((type(exc), str(exc)))
+        except Exception as exc:  # e.g. UnicodeDecodeError: the class must match
+            outcomes.append((type(exc),))
     return outcomes
 
 
@@ -169,11 +188,87 @@ def test_parser_matches_reference(tmp_path_factory, text):
     assert fast == slow
 
 
+def _edit_row(data: bytes, row: int, edit) -> bytes:
+    lines = data.split(b"\n")
+    lines[row] = edit(lines[row])
+    return b"\n".join(lines)
+
+
+def _edit_token(data: bytes, row: int, col: int, edit) -> bytes:
+    def on_row(line):
+        tokens = line.split(b" ")
+        tokens[col] = edit(tokens[col])
+        return b" ".join(tokens)
+    return _edit_row(data, row, on_row)
+
+
+# Byte-level departures from the canonical layout, each applied to a saved
+# file.  Line r >= 1 is row r - 1, so the token in column r - 1 of line r is
+# the diagonal one and column 3 of lines 1, 2 and 5 is off the diagonal.
+BYTE_CASES = {
+    "canonical": lambda b, d: b,
+    "crlf": lambda b, d: b.replace(b"\n", b"\r\n"),
+    "tab": lambda b, d: _edit_row(b, 2, lambda r: r.replace(b" ", b"\t", 1)),
+    "form_feed": lambda b, d: _edit_row(b, 2, lambda r: r.replace(b" ", b"\x0c", 1)),
+    "trailing_space": lambda b, d: _edit_row(b, 1, lambda r: r + b" "),
+    "doubled_space": lambda b, d: _edit_row(b, 3, lambda r: r.replace(b" ", b"  ", 1)),
+    "empty_diagonal_token": lambda b, d: _edit_token(b, 2, 1, lambda t: b""),
+    "leading_zero": lambda b, d: _edit_token(b, 1, 3, lambda t: b"0" + t),
+    "index_above_d": lambda b, d: _edit_token(b, 2, 3, lambda t: b"%d" % (d + 1)),
+    "index_too_wide": lambda b, d: _edit_token(b, 2, 3, lambda t: b"1" * (len(str(d)) + 1)),
+    "zero_off_diagonal": lambda b, d: _edit_token(b, 5, 3, lambda t: b"0"),
+    "header_d_above_cap": lambda b, d: _edit_row(b, 0, lambda r: r.split(b" ")[0] + b" 256"),
+    "header_leading_zero": lambda b, d: b"0" + b,
+    "utf8_bom": lambda b, d: b"\xef\xbb\xbf" + b,
+    "invalid_utf8_after_rows": lambda b, d: b + b"\xff\xfe\n",
+    "utf8_after_rows": lambda b, d: b + "\u2028\u00e9\n".encode(),
+    "extra_lines": lambda b, d: b + b"1 2 3\nnot a row\n",
+    "no_final_newline": lambda b, d: b[:-1],
+    "missing_row": lambda b, d: b[:b.rindex(b"\n", 0, -1) + 1],
+}
+
+
+@pytest.mark.parametrize("case", BYTE_CASES)
+@pytest.mark.parametrize("name", ["cyc13", "cyc13_d12"])
+def test_byte_cases_match_reference(tmp_path, name, case):
+    s = corpus(name)
+    fast, slow = parse_both(tmp_path, BYTE_CASES[case](scheme_bytes(s), s.d))
+    assert fast == slow
+    if case in ("canonical", "crlf", "extra_lines", "utf8_after_rows", "no_final_newline"):
+        assert fast == ("ok", s)
+
+
+def test_empty_rows_allocate_nothing_large():
+    """A header promising n rows, then n empty lines: the byte reader gives
+    the file up before filling any buffer of n^2 bytes."""
+    data = b"2000 4\n" + b"\n" * 2001
+    tracemalloc.start()
+    try:
+        assert scheme_core._read_canonical(data) is None
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2000 * 2000 // 4, peak
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_saved_bytes_round_trip(tmp_path, name):
     s = corpus(name)
     path = tmp_path / "s.ascm"
     save_scheme(s, str(path))
-    expected = "".join(" ".join(row) + "\n" for row in scheme_text(s))
-    assert path.read_text(encoding="utf-8") == expected
+    assert path.read_bytes() == scheme_bytes(s)
+    assert load_scheme(str(path)) == ref.load_scheme(str(path)) == s
+
+
+@given(st.sampled_from([1, 4, 9, 10, 99, 100, 255]), st.integers(1, 40), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_random_index_matrices_round_trip(tmp_path_factory, d, n, seed):
+    """Any index matrix with 0 exactly on the diagonal, in every token width."""
+    rng = np.random.default_rng(seed)
+    rel = rng.integers(1, d + 1, size=(n, n))
+    np.fill_diagonal(rel, 0)
+    s = AssociationScheme(rel, d=d)
+    path = tmp_path_factory.getbasetemp() / "random.ascm"
+    save_scheme(s, str(path))
+    assert path.read_bytes() == scheme_bytes(s)
     assert load_scheme(str(path)) == ref.load_scheme(str(path)) == s
