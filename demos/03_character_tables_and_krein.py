@@ -32,10 +32,12 @@ table = character_table(p, cand)
 print("\ncharacter table:")
 print(table.pretty())
 
+# the closed form holds the full 5x5 B1; row and column 0 are fixed by the
+# valencies, so the paper's closed forms are the 4x4 principal part
 closed = intersection_matrices_closed_form(p, cand)
 print("\nB1 principal part (closed form):")
-for row in closed.b1:
-    print("  ", [str(x) for x in row])
+for row in closed.b1[1:]:
+    print("  ", [str(x) for x in row[1:]])
 
 # the eigenvalue identity reproduces the same integers entry by entry
 assert p_from_table(table) == closed.tensor()

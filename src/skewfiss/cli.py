@@ -105,23 +105,30 @@ def format_records(records: list[ScanRecord], family: str, fmt: str) -> str:
     return "\n".join(lines)
 
 
-def _apply_annotations(records: list[ScanRecord], path: str) -> None:
+def _load_annotations(path: str) -> dict:
+    """The --annotations file: a JSON object mapping 'n,k,lam,mu' to objects
+    with an optional bool 'exists' and string 'cite'.  ValueError otherwise."""
     with open(path, "r", encoding="utf-8") as fh:
         notes = json.load(fh)
+    if not isinstance(notes, dict):
+        raise ValueError(f"annotations {path}: expected a JSON object")
+    for key, entry in notes.items():
+        if not (isinstance(entry, dict) and isinstance(entry.get("exists", False), bool)
+                and isinstance(entry.get("cite", ""), str)):
+            raise ValueError(f"annotations {path}: entry {key!r} must be an object whose "
+                             "optional 'exists' is a boolean and 'cite' a string")
+    return notes
+
+
+def _apply_annotations(records: list[ScanRecord], notes: dict) -> None:
     for rec in records:
         if rec.family != "srg":
             continue
-        key = f"{rec.n},{rec.params['k']},{rec.params['lam']},{rec.params['mu']}"
-        if key not in notes:
-            continue
-        entry = notes[key]
-        cite = entry.get("cite", "")
-        if entry.get("exists") is False:
-            rec.realizable = "0"
-            rec.notes = (rec.notes + " " if rec.notes else "") + f"0 [{cite}]"
-        elif entry.get("exists") is True:
-            rec.realizable = "+"
-            rec.notes = (rec.notes + " " if rec.notes else "") + f"+ [{cite}]"
+        entry = notes.get(f"{rec.n},{rec.params['k']},{rec.params['lam']},{rec.params['mu']}", {})
+        if "exists" in entry:
+            rec.realizable = "+" if entry["exists"] else "0"
+            note = f"{rec.realizable} [{entry.get('cite', '')}]"
+            rec.notes = f"{rec.notes} {note}" if rec.notes else note
 
 
 # -- commands ---------------------------------------------------------------------
@@ -170,6 +177,7 @@ def cmd_classify(args) -> int:
 
 def cmd_scan(args) -> int:
     family = args.family
+    notes = _load_annotations(args.annotations) if args.annotations else {}
     if family == "conference":
         n_max = args.max_n if args.max_n is not None else 325
         records = feasibility.conference_scan(n_max)
@@ -181,8 +189,7 @@ def cmd_scan(args) -> int:
         records = feasibility.imprimitive_scan(n_max)
     else:
         records = feasibility.johnson_scan(args.max_v)
-    if args.annotations:
-        _apply_annotations(records, args.annotations)
+    _apply_annotations(records, notes)
     print(format_records(records, family, args.format))
     return 0
 

@@ -23,6 +23,7 @@ from math import isqrt
 import numpy as np
 
 from .scheme_core import AssociationScheme, SchemeError, verify_axioms
+from .spectra import ClosedForm
 
 MAX_FIELD = 10 ** 6
 
@@ -261,8 +262,8 @@ class TwoSquares:
 def two_squares(m: int) -> list[TwoSquares]:
     """All representations m = g^2 + 4h^2 with h > 0, sorted by g descending.
 
-    Empty iff some prime factor 3 mod 4 of m has odd exponent (or the only
-    representations have h = 0).
+    g is odd, so m must be too.  Empty iff m is even, some prime factor
+    3 mod 4 of m has odd exponent, or the only representation is m = g^2.
     """
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
@@ -275,7 +276,7 @@ def two_squares(m: int) -> list[TwoSquares]:
             if h > 0 and 4 * h * h == rem:
                 signed = g if g % 4 == 1 else -g
                 found.append(TwoSquares(g=signed, h=h, m=m))
-        g += 2 if m % 2 else 1
+        g += 2
     found.sort(key=lambda ts: -ts.g)
     return found
 
@@ -283,29 +284,10 @@ def two_squares(m: int) -> list[TwoSquares]:
 # -- closed forms for the 4-class cyclotomic scheme ------------------------------
 
 
-@dataclass(frozen=True)
-class Cyc4ClosedForm:
-    """The five distinct intersection entries and the assembled B1, B2."""
-
-    q: int
-    g: int
-    h: int
-    A: int
-    B: int
-    C: int
-    D: int
-    E: int
-    b1: tuple
-    b2: tuple
-
-    def abcde(self) -> tuple[int, int, int, int, int]:
-        return (self.A, self.B, self.C, self.D, self.E)
-
-
-def cyc4_closed_form(q: int, g: int, h: int) -> Cyc4ClosedForm:
+def cyc4_closed_form(q: int, g: int, h: int) -> ClosedForm:
     """Intersection matrices of the 4-class skew cyclotomic scheme on GF(q),
-    from the two-squares data (g, h); entries must come out nonnegative
-    integers or the data is rejected."""
+    from the two-squares data (g, h), with the five distinct entries A..E in
+    aux; entries must come out nonnegative integers or the data is rejected."""
     if q % 8 != 5:
         raise ValueError(f"q = {q} is not 5 mod 8")
     if g % 4 != 1 or q != g * g + 4 * h * h:
@@ -335,7 +317,7 @@ def cyc4_closed_form(q: int, g: int, h: int) -> Cyc4ClosedForm:
           (0, D, A, C, B),
           (f, E, A, A, E),
           (0, B, E, D, E))
-    return Cyc4ClosedForm(q=q, g=g, h=h, A=A, B=B, C=C, D=D, E=E, b1=b1, b2=b2)
+    return ClosedForm(b1=b1, b2=b2, valencies=(1, f, f, f, f), aux=vals)
 
 
 # -- wreath products -------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt
 from multiprocessing import Pool
 
@@ -31,6 +32,7 @@ from .spectra import (
     TYPE_II,
     TYPE_III,
     CharacterTable,
+    ClosedForm,
     ConsistencyError,
     FissionCandidate,
     InfeasibleError,
@@ -130,15 +132,10 @@ def conference_scan(n_max: int) -> list[ScanRecord]:
     return records
 
 
-def _realized_h(q: int, g: int, h: int, planes) -> int | None:
-    """The sign of h whose cyclotomic closed form has these intersection planes.
-
-    Only planes 1 and 2 are compared: the others follow from them in a
-    scheme's tensor and in the identity's on a conference table.
-    """
+def _realized_h(q: int, g: int, h: int, planes: tuple) -> int | None:
+    """The sign of h whose cyclotomic closed form's planes() are these planes."""
     for hh in (h, -h):
-        cf = cyc4_closed_form(q, g, hh)
-        if planes[1] == cf.b1 and planes[2] == cf.b2:
+        if planes == cyc4_closed_form(q, g, hh).planes():
             return hh
     return None
 
@@ -285,35 +282,34 @@ def _type3_z_candidates(p: SrgParams):
             yield z
 
 
-def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, closed_form,
+def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, closed,
                             witness=None) -> ScanRecord:
     """Eq-(1) round trip against the closed forms, then exact Krein signs.
 
-    Integral closed forms must equal the eigenvalue-identity tensor.  A
-    closed form that fails the integrality gate is reported only with a
-    Krein witness; its rational entries must then equal the identity's
-    values, and the note names the first non-integral entry.
+    closed is the closed-form tensor, already through the integrality gate;
+    it must equal the eigenvalue-identity tensor.  With a Krein witness it
+    may instead be a ClosedForm: one that fails the gate is reported only
+    if its planes() equal the identity's values, and the note names its
+    first non-integral entry.
     """
     table = character_table(p, cand)
+    non_integral = None
     try:
-        tensor_cf = closed_form.tensor()
+        closed = closed.tensor() if isinstance(closed, ClosedForm) else closed
     except InfeasibleError as exc:
-        if witness is None:
-            raise
         non_integral = exc
-        if p_values_from_table(table) != closed_form.rational_tensor():
+        if p_values_from_table(table) != closed.planes():
             raise ConsistencyError(
                 f"{p.quad()} type {cand}: rational closed-form tensor differs "
                 "from the eigenvalue-identity values")
     else:
-        non_integral = None
         try:
             tensor_eq = p_from_table(table)
         except InfeasibleError as exc:
             raise ConsistencyError(
                 f"{p.quad()} type {cand}: closed forms are integral but the "
                 f"eigenvalue identity is not: {exc}") from exc
-        if tensor_eq != tensor_cf:
+        if tensor_eq != closed:
             raise ConsistencyError(
                 f"{p.quad()} type {cand}: eigenvalue-identity tensor differs "
                 "from the closed-form matrices")
@@ -336,32 +332,22 @@ def fission_scan(p: SrgParams) -> list[ScanRecord]:
     """All split candidates over one non-conference parameter set.
 
     Types I and II pass the quick congruence filters before their closed
-    forms are checked; type III enumerates integer z.  Candidates reaching
-    full integrality are emitted as feasible or krein_excluded; everything
-    else is dropped silently.
+    forms are checked; type III enumerates integer z.  Candidates whose
+    closed form passes the integrality gate are emitted as feasible or
+    krein_excluded; everything else is dropped silently.
     """
     if p.conference:
         raise ValueError("fission_scan needs non-conference parameters")
     records = []
     if p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2:
         return records
-    for table_type in (TYPE_I, TYPE_II):
-        if not corollary_filters(p, table_type):
-            continue
-        cand = make_candidate(p, table_type)
-        cf = intersection_matrices_closed_form(p, cand)
-        if not cf.all_nonneg_integers():
-            continue
-        records.append(_dual_derivation_record(p, cand, cf))
-    for z in _type3_z_candidates(p):
-        cand = make_candidate(p, TYPE_III, z)
+    typed = [make_candidate(p, t) for t in (TYPE_I, TYPE_II) if corollary_filters(p, t)]
+    for cand in chain(typed, (make_candidate(p, TYPE_III, z) for z in _type3_z_candidates(p))):
         try:
-            cf = intersection_matrices_closed_form(p, cand)
+            tensor = intersection_matrices_closed_form(p, cand).tensor()
         except InfeasibleError:
-            continue  # irrational sqrt(yz)
-        if not cf.all_nonneg_integers():
-            continue
-        records.append(_dual_derivation_record(p, cand, cf))
+            continue  # irrational sqrt(yz) or a non-integral entry
+        records.append(_dual_derivation_record(p, cand, tensor))
     return records
 
 
@@ -417,10 +403,12 @@ def imprimitive_scan(n_max: int) -> list[ScanRecord]:
         while f * g <= n_max:
             p = srg_derive(f * g, f - 1, f - 2, 0)
             cand = make_candidate(p, TYPE_I)
-            cf = intersection_matrices_closed_form(p, cand)
-            if not cf.all_nonneg_integers():
-                raise ConsistencyError(f"imprimitive closed form not integral at {(f, g)}")
-            rec = _dual_derivation_record(p, cand, cf)
+            try:
+                tensor = intersection_matrices_closed_form(p, cand).tensor()
+            except InfeasibleError as exc:
+                raise ConsistencyError(
+                    f"imprimitive closed form not integral at {(f, g)}") from exc
+            rec = _dual_derivation_record(p, cand, tensor)
             rec.family = "imprimitive"
             rec.params = {"f": f, "g": g}
             rec.realizable = ("+" if prime_power(f) is not None
@@ -598,7 +586,7 @@ def classify_scheme(s: AssociationScheme) -> Classification:
                 cf = intersection_matrices_closed_form(p, cand)
             except InfeasibleError:
                 continue  # irrational sqrt(yz)
-            if perm == cf.rational_tensor():
+            if perm == cf.planes():
                 if z is not None and z.denominator == 1:
                     z = int(z)
                 matches.append(Classification(

@@ -612,62 +612,41 @@ def q_from_table(t: CharacterTable) -> KreinTensor:
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """Principal 4x4 parts of B1 and B2 (exact rationals) plus bookkeeping.
+    """Closed-form B1 and B2 of one family, full 5x5 (ints or exact Fractions).
 
-    B3 and B4 are views through p^k_ij = p^{k'}_{j'i'}; ``rational_tensor()``
-    completes them into the 5x5x5 planes and ``tensor()`` passes those
-    through the integrality gate.
+    b_i[j][k] = p^k_ij.  B3 and B4 are B2 and B1 mirrored through PAIRED
+    (p^k_ij = p^{k'}_{j'i'}), so ``planes()`` is the one completion of the
+    5x5x5 tensor and ``tensor()`` passes it through the integrality gate.
+    aux holds the family's auxiliary values (Gamma, Phi, Pi for type III;
+    A..E for the cyclotomic form).
     """
 
     b1: tuple
     b2: tuple
-    k_half: int
-    k2_half: int
+    valencies: tuple
     aux: dict
 
-    def entries(self):
-        return [x for rows in (self.b1, self.b2) for row in rows for x in row]
-
-    def all_nonneg_integers(self) -> bool:
-        return all(x.denominator == 1 and x >= 0 for x in self.entries())
+    def planes(self) -> tuple:
+        """Planes p[i][j][k] = p^k_ij: identity, B1, B2, then B2 and B1 mirrored."""
+        rng = range(5)
+        identity = tuple(tuple(int(j == k) for k in rng) for j in rng)
+        mirrored = lambda b: tuple(tuple(b[PAIRED[j]][PAIRED[k]] for k in rng) for j in rng)
+        return (identity, self.b1, self.b2, mirrored(self.b2), mirrored(self.b1))
 
     def tensor(self) -> IntersectionTensor:
         """The completed integer tensor; InfeasibleError names the first bad (i, j, l)."""
-        vals = (1, self.k_half, self.k2_half, self.k2_half, self.k_half)
-        return _integral_tensor(self.rational_tensor(), vals)
-
-    def rational_tensor(self) -> tuple:
-        """Completed 5x5x5 tensor of exact rationals, no integrality gate."""
-        return _planes(_complete_matrix(self.b1, rel=1, valency=self.k_half),
-                       _complete_matrix(self.b2, rel=2, valency=self.k2_half))
+        return _integral_tensor(self.planes(), self.valencies)
 
 
-def _complete_matrix(principal, rel: int, valency: int) -> list:
+def _complete_matrix(principal, rel: int, valency: int) -> tuple:
     """Add row 0 (p^k_{i0} = [k = i]) and column 0 (p^0_{ij} = k_i [j = i'])."""
-    full = [[0] * 5 for _ in range(5)]
-    for j in range(4):
-        full[j + 1][1:] = principal[j]
-    full[0][rel] = 1
-    full[PAIRED[rel]][0] = valency
-    return full
-
-
-def _planes(b1_full, b2_full) -> tuple:
-    """Planes p[i][j][k] = p^k_ij from full B1 and B2; B3, B4 by transpose symmetry."""
-    rng = range(5)
-    identity = tuple(tuple(int(j == k) for k in rng) for j in rng)
-    direct = lambda b: tuple(tuple(row) for row in b)
-    mirrored = lambda b: tuple(tuple(b[PAIRED[j]][PAIRED[k]] for k in rng) for j in rng)
-    return (identity, direct(b1_full), direct(b2_full), mirrored(b2_full), mirrored(b1_full))
-
-
-def assemble_tensor(b1_full, b2_full, valencies) -> IntersectionTensor:
-    """Full integer tensor from full B1 and B2, through the integrality gate."""
-    return _integral_tensor(_planes(b1_full, b2_full), valencies)
+    rows = [tuple(int(k == rel) for k in range(5))]
+    rows += [(valency if j == PAIRED[rel] else 0, *row) for j, row in enumerate(principal, 1)]
+    return tuple(rows)
 
 
 def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> ClosedForm:
-    """Exact principal parts of B1, B2 for one candidate type.
+    """Exact B1, B2 for one candidate type, completed from their principal parts.
 
     Type III uses Gamma = m1*r*z + m2*s*c, Phi = m1*r*sqrt(yz) - m2*s*sqrt(bc)
     and Pi = m1*r*y + m2*b*s; sqrt(yz) must be rational or the candidate is
@@ -695,14 +674,10 @@ def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> C
         )
         w = n - 2 * k + mu - 2
         b2 = (
-            (F(k - lam - 1 + u, 4), F(k - mu + r, 4),
-             F(k - mu - r, 4), F(k - lam - 1 - u, 4)),
             (F(k2 * (k - mu - r), 4 * k), F(w + t, 4),
              F(w - 3 * t, 4), F(k2 * (k - mu - r), 4 * k)),
             (F(k2 * (k - mu + r), 4 * k), F(w + t, 4),
              F(w + t, 4), F(k2 * (k - mu + r), 4 * k)),
-            (F(k - lam - 1 - u, 4), F(k - mu + r, 4),
-             F(k - mu - r, 4), F(k - lam - 1 + u, 4)),
         )
         aux = {}
     elif cand.table_type == TYPE_III:
@@ -731,19 +706,19 @@ def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> C
              F(nk2 * mu - nk - pi, 4 * nk2), F(nk * lam + pi, 4 * nk)),
         )
         b2 = (
-            (F(nk2 * mu - nk - pi, 4 * nk), F(nk * w1 + gamma, 4 * nk2),
-             F(nk * w1 - gamma + 2 * phi, 4 * nk2), F(nk + nk2 * mu - 2 * phi + pi, 4 * nk)),
             (F(nk * w1 - gamma - 2 * phi, 4 * nk), F(nk2 * w2 - gamma - 3 * nk2, 4 * nk2),
              F(nk2 * w2 + nk2 + 3 * gamma, 4 * nk2), F(nk * w1 + 2 * phi - gamma, 4 * nk)),
             (F(nk * w1 + gamma, 4 * nk), F(nk2 * w2 - gamma - 3 * nk2, 4 * nk2),
              F(nk2 * w2 - gamma - 3 * nk2, 4 * nk2), F(nk * w1 + gamma, 4 * nk)),
-            (F(nk + nk2 * mu + pi + 2 * phi, 4 * nk), F(nk * w1 + gamma, 4 * nk2),
-             F(nk * w1 - gamma - 2 * phi, 4 * nk2), F(nk2 * mu - nk - pi, 4 * nk)),
         )
         aux = {"gamma": gamma, "phi": phi, "pi": pi, "sqrt_yz": syz, "sqrt_bc": sbc}
     else:
         raise ValueError(f"unknown table type {cand.table_type!r}")
-    return ClosedForm(b1=b1, b2=b2, k_half=k // 2, k2_half=k2 // 2, aux=aux)
+    # B2's outer rows repeat B1's: p^k_21 = p^k_12 and p^k_24 = p^k'_13
+    b2 = (b1[1], *b2, b1[2][::-1])
+    valencies = (1, k // 2, k2 // 2, k2 // 2, k // 2)
+    return ClosedForm(b1=_complete_matrix(b1, 1, valencies[1]),
+                      b2=_complete_matrix(b2, 2, valencies[2]), valencies=valencies, aux=aux)
 
 
 # -- quick arithmetic filters --------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ import skewfiss.cli as cli
 import skewfiss.feasibility as feasibility
 import skewfiss.scheme_core as scheme_core
 from skewfiss.scheme_core import IntersectionTensor
-from skewfiss.spectra import ConsistencyError
+from skewfiss.spectra import ClosedForm, ConsistencyError
 
 
 def run(capsys, *argv):
@@ -117,6 +118,34 @@ def test_annotations(tmp_path, capsys):
     assert "0 [tables]" in row
 
 
+def test_annotations_exists_true_and_absent(tmp_path, capsys):
+    notes = tmp_path / "notes.json"
+    notes.write_text(json.dumps({"57,14,1,4": {"exists": True}, "63,30,13,15": {"cite": "x"}}))
+    code, text, _ = run(capsys, "scan", "srg", "--max-n", "64", "--format", "tsv",
+                        "--annotations", str(notes))
+    assert code == 0
+    rows = text.splitlines()
+    assert next(l for l in rows if l.startswith("57\t")).endswith("+ []")
+    plain = run(capsys, "scan", "srg", "--max-n", "64", "--format", "tsv")[1].splitlines()
+    assert [l for l in rows if not l.startswith("57\t")] == \
+        [l for l in plain if not l.startswith("57\t")]
+
+
+@pytest.mark.parametrize("notes,named", [
+    ({"21,10,3,6": True}, "'21,10,3,6'"),
+    ({"57,14,1,4": {"exists": "no"}}, "'57,14,1,4'"),
+    ({"57,14,1,4": {"exists": None}}, "'57,14,1,4'"),
+    ({"57,14,1,4": {"exists": False, "cite": 7}}, "'57,14,1,4'"),
+    ([{"exists": False}], "expected a JSON object"),
+], ids=["value-not-object", "exists-string", "exists-null", "cite-int", "top-level-list"])
+def test_annotations_rejects_malformed_input(tmp_path, capsys, notes, named):
+    path = tmp_path / "notes.json"
+    path.write_text(json.dumps(notes))
+    code, out, err = run(capsys, "scan", "srg", "--max-n", "60", "--annotations", str(path))
+    assert code == 1 and err.startswith("error: ") and named in err
+    assert "Traceback" not in err and out == ""
+
+
 def test_krein_command(tmp_path, capsys):
     out = str(tmp_path / "c5.ascm")
     run(capsys, "construct", "cyc", "--q", "5", "--d", "4", "-o", out)
@@ -144,6 +173,23 @@ def test_exit_code_internal_consistency(capsys, monkeypatch):
     monkeypatch.setattr(feasibility, "scan_srg", boom)
     code, _, err = run(capsys, "scan", "srg", "--max-n", "60")
     assert code == 2 and "consistency" in err
+
+
+def test_scan_imprimitive_non_integral_closed_form_exits_2(capsys, monkeypatch):
+    """A non-integral imprimitive closed form is a consistency failure, not a skip."""
+    real = feasibility.intersection_matrices_closed_form
+
+    def halved(p, cand):
+        cf = real(p, cand)
+        b1 = [list(row) for row in cf.b1]
+        b1[1][1] = Fraction(1, 2)
+        return ClosedForm(b1=tuple(map(tuple, b1)), b2=cf.b2, valencies=cf.valencies,
+                          aux=cf.aux)
+
+    monkeypatch.setattr(feasibility, "intersection_matrices_closed_form", halved)
+    code, out, err = run(capsys, "scan", "imprimitive", "--max-n", "21")
+    assert code == 2 and "imprimitive closed form not integral at (3, 3)" in err
+    assert out == ""
 
 
 def test_scan_conference_checks_every_record(capsys, monkeypatch):

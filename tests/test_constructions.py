@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from math import isqrt
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,6 @@ import pytest
 
 import skewfiss as sf
 from skewfiss.constructions import field_build, is_prime, prime_power
-from skewfiss.spectra import assemble_tensor
 
 
 def test_field_build_prime():
@@ -107,6 +107,20 @@ def test_two_squares():
         sf.two_squares(0)
 
 
+def test_two_squares_even_m_is_empty():
+    """g is odd, so an even m has no representation (and no ValueError)."""
+    for m in (2, 4, 8, 20, 40, 52):
+        assert sf.two_squares(m) == []
+
+
+def test_two_squares_matches_brute_force():
+    for m in range(1, 2001):
+        brute = sorted(((g, h) for g in range(-isqrt(m), isqrt(m) + 1) if g % 4 == 1
+                        for h in range(1, isqrt(m) + 1) if g * g + 4 * h * h == m),
+                       key=lambda gh: -gh[0])
+        assert [(t.g, t.h) for t in sf.two_squares(m)] == brute, m
+
+
 def test_two_squares_invariant_survives_optimize():
     """The TwoSquares check is an explicit exception, so python -O keeps it."""
     with pytest.raises(ValueError):
@@ -128,14 +142,14 @@ def test_two_squares_unique_for_primes():
 
 def test_cyc4_closed_form_values():
     cf = sf.cyc4_closed_form(13, -3, 1)
-    assert cf.abcde() == (0, 1, 2, 0, 1)
+    assert tuple(cf.aux[x] for x in "ABCDE") == (0, 1, 2, 0, 1)
     cf5 = sf.cyc4_closed_form(5, 1, 1)
-    assert cf5.abcde() == (0, 1, 0, 0, 0)
+    assert tuple(cf5.aux[x] for x in "ABCDE") == (0, 1, 0, 0, 0)
     # B1 of the 5-point case is a permutation matrix
     assert all(sum(row) == 1 for row in cf5.b1)
     assert all(sum(col) == 1 for col in zip(*cf5.b1))
     cf29 = sf.cyc4_closed_form(29, 5, 1)
-    assert cf29.abcde() == (2, 3, 0, 2, 1)
+    assert tuple(cf29.aux[x] for x in "ABCDE") == (2, 3, 0, 2, 1)
     for col in zip(*cf29.b1):
         assert sum(col) == 7
     with pytest.raises(ValueError):
@@ -147,7 +161,8 @@ def test_cyc4_closed_form_values():
 def test_counted_equals_closed_form(cyc13):
     T = sf.intersection_tensor(cyc13)
     cf = sf.cyc4_closed_form(13, -3, 1)
-    assert T == assemble_tensor(cf.b1, cf.b2, (1, 3, 3, 3, 3))
+    assert cf.valencies == (1, 3, 3, 3, 3)
+    assert T == cf.tensor()
 
 
 def test_wreath_21_point(wreath_3_7, wreath_7_3):

@@ -1,5 +1,7 @@
 """Byte-for-byte regression pins on the scan output of every family, on the
-finite-field tables and on constructed ``.ascm`` files.
+finite-field tables, on constructed ``.ascm`` files, on what ``verify``,
+``classify`` and ``krein`` print for constructed schemes, and on the stdout
+of every demo.
 
 Each scan digest is the sha256 of the stdout of one ``skewfiss scan`` call,
 run in-process.  The conference JSON pin is the serialisation of the records
@@ -12,6 +14,10 @@ hash the file that ``skewfiss construct cyc`` writes.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -81,3 +87,87 @@ def test_construct_cyc_ascm_digest(tmp_path, capsys, q, d, digest):
     assert cli.main(["construct", "cyc", "--q", str(q), "--d", str(d), "-o", str(path)]) == 0
     capsys.readouterr()
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# (name, construct arguments); a wreath names the files of earlier entries
+SCHEMES = [
+    ("c3", ("cyc", "--q", "3", "--d", "2")),
+    ("c7", ("cyc", "--q", "7", "--d", "2")),
+    ("cyc5", ("cyc", "--q", "5", "--d", "4")),
+    ("cyc13", ("cyc", "--q", "13", "--d", "4")),
+    ("cyc29", ("cyc", "--q", "29", "--d", "4")),
+    ("cyc125", ("cyc", "--q", "125", "--d", "4")),
+    ("wreath3_7", ("wreath", "--inner", "c3", "--outer", "c7")),
+    ("wreath7_3", ("wreath", "--inner", "c7", "--outer", "c3")),
+    ("wreath3_3", ("wreath", "--inner", "c3", "--outer", "c3")),
+]
+
+
+@pytest.fixture(scope="module")
+def scheme_files(tmp_path_factory):
+    """Each entry of SCHEMES written by ``skewfiss construct``."""
+    root = tmp_path_factory.mktemp("schemes")
+    paths = {}
+    for name, args in SCHEMES:
+        args = [str(root / f"{a}.ascm") if a in paths else a for a in args]
+        path = root / f"{name}.ascm"
+        with open(os.devnull, "w") as sink:
+            stdout, sys.stdout = sys.stdout, sink
+            try:
+                assert cli.main(["construct", *args, "-o", str(path)]) == 0
+            finally:
+                sys.stdout = stdout
+        paths[name] = path
+    return paths
+
+
+COMMAND_GOLDEN = [
+    ("verify", "cyc5", "ff831f08455af43f20b655b81b3033c9037472c20e694c67076602588d1068ac"),
+    ("classify", "cyc5", "8082e381a7031eeb152dd0dcf1e304ec105cd0d4e5a90944f776e719be657aec"),
+    ("krein", "cyc5", "81d2535fe13d5d2b54aa1c811093d67c91160a1e8354b823cebf697f69b723fa"),
+    ("verify", "cyc13", "c720ea71040fb8106443436b2d79a1389c2c0ed2de4cacbded177a314bcf9435"),
+    ("classify", "cyc13", "eef8dea49641e8d90011d405ba0d27b85faa0c8d5803f8f8a2349446ad082955"),
+    ("krein", "cyc13", "0533af86bc2b1c8776f0c7ae96b7904cf565e82f2700911c18216a059f06cc27"),
+    ("verify", "cyc29", "98d7431affffcdfe540242a4a6168926c34614704761f30a1adb10818656efa6"),
+    ("classify", "cyc29", "f1f990ee8922ab66340a03d8d04a873333d83ae57f8cd5571d535e2acfebfdc6"),
+    ("krein", "cyc29", "cd48c4876e5eea20a5c29adff10102bc73120e678f9e20700947b22d2c677d03"),
+    ("verify", "cyc125", "f5e71a4090519f6a1052534f85b750e98926773a148d58177cac8c39d61af1c9"),
+    ("classify", "cyc125", "b6a30331f75fd43032af849b98d559cbc6135b7fd1c53be271b57b4f8a932384"),
+    ("krein", "cyc125", "730cd0771dde5135e3ee34f0258ce36d1025ae6542d189940cfce573ae7cdf52"),
+    ("verify", "wreath3_7", "f137f4f129a3e4abafec02bd3e24e35713e08350cf59b0e07014f626efb56656"),
+    ("classify", "wreath3_7", "f756af37c7d1d1727ea2ff39feb697ec99b8392b6c5b59e78a949791517094cf"),
+    ("krein", "wreath3_7", "be1db4d158ae28aa6a2faa0ec720291794d9b3a0f6dfed1cb587e09d51965b5a"),
+    ("verify", "wreath7_3", "64f5d5ef3898c768da3c56976b6ed45a0838d101fb8399c0f63aee969d0a5c73"),
+    ("classify", "wreath7_3", "c097d52dda0dd87fa9f4d99047d2cb9f9a3bc024bbc92f3d04770d977297e61f"),
+    ("krein", "wreath7_3", "e6d52c5da769b2bb80bdc84632e2d9c2bcbb451085f82eef6723ef090294d736"),
+    ("verify", "wreath3_3", "bac69d819876bae1cbe50af20a7799d6bd1c05c918a6eec2adddcc51139e7463"),
+    ("classify", "wreath3_3", "5479e95164f689826c6db28c63eab6061d35d9c6b79e1f2455be81d8900a8407"),
+    ("krein", "wreath3_3", "c52736f60c5c3a19a736b43c2e376b0515ea20ac9149f8320fb96f9ca86b0169"),
+]
+
+
+@pytest.mark.parametrize("command,scheme,digest", COMMAND_GOLDEN,
+                         ids=[f"{c}-{s}" for c, s, _ in COMMAND_GOLDEN])
+def test_scheme_command_digest(capsys, scheme_files, command, scheme, digest):
+    capsys.readouterr()
+    assert cli.main([command, str(scheme_files[scheme])]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+DEMO_GOLDEN = [
+    ("01_exact_surd_arithmetic.py", "776e2074f593bd3d6269b33144707b158324b61fcaec34b3cb04e618c6d277c5"),
+    ("02_schemes_and_verification.py", "f5eee9f646cb1da77067808818675710ce5220ae1dcf841fe1cd657005d5b398"),
+    ("03_character_tables_and_krein.py", "cff7264bb9255cf134ced77a0304e440b337075a410c102124101a8ab15eac08"),
+    ("04_feasibility_tables.py", "547f8f8894c306765ca91a65da32de24059a40875ff3a524a7d8f5d667153e52"),
+]
+
+
+@pytest.mark.parametrize("demo,digest", DEMO_GOLDEN, ids=[d for d, _ in DEMO_GOLDEN])
+def test_demo_stdout_digest(demo, digest):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run([sys.executable, str(DEMOS / demo)], capture_output=True, env=env)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest

@@ -11,7 +11,6 @@ from skewfiss.spectra import (
     TYPE_I,
     TYPE_II,
     TYPE_III,
-    assemble_tensor,
     p_values_from_table,
 )
 
@@ -151,20 +150,22 @@ def test_closed_form_type3_57():
     assert cf.aux["pi"] == -798
     assert cf.aux["phi"] == 4788
     assert cf.aux["gamma"] == -4788
-    assert cf.b1[0] == (0, 2, 0, 1)
-    assert cf.all_nonneg_integers()
+    assert cf.b1[1][1:] == (0, 2, 0, 1)
+    assert cf.b1[0] == (0, 1, 0, 0, 0) and [row[0] for row in cf.b1] == [0, 0, 0, 0, 7]
+    cf.tensor()  # every entry is a nonnegative integer
 
 
 def test_closed_form_imprimitive_f3():
     p = sf.srg_derive(21, 2, 1, 0)
     cf = sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_I))
-    assert [list(r) for r in cf.b1] == [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]]
+    assert [list(r[1:]) for r in cf.b1[1:]] == [[0, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0],
+                                               [0, 0, 0, 0]]
 
 
 def test_closed_form_105_all_integer():
     p = sf.srg_derive(105, 26, 13, 4)
     cf = sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_III, 540))
-    assert cf.all_nonneg_integers()
+    cf.tensor()  # every entry is a nonnegative integer
 
 
 def test_closed_form_rejects_irrational_sqrt():
@@ -240,7 +241,7 @@ def test_p_from_table_thin_z5():
     matched = False
     for hh in (1, -1):
         cf = sf.cyc4_closed_form(5, 1, hh)
-        if tensor == assemble_tensor(cf.b1, cf.b2, (1, 1, 1, 1, 1)):
+        if tensor == cf.tensor():
             matched = True
     assert matched
     # every product of permutation relations is a single relation
@@ -344,8 +345,11 @@ def test_corollary_never_rejects_fully_integral():
         checked += 1
         for typ in (TYPE_I, TYPE_II):
             cf = sf.intersection_matrices_closed_form(p, sf.make_candidate(p, typ))
-            if cf.all_nonneg_integers():
-                assert sf.corollary_filters(p, typ).passed
+            try:
+                cf.tensor()
+            except sf.InfeasibleError:
+                continue  # not fully integral: the filter may reject it
+            assert sf.corollary_filters(p, typ).passed
 
 
 def test_conference_numeric_diagnostic():
@@ -397,13 +401,14 @@ def test_two_class_krein_inequalities_vs_tensor():
         assert ineq_ok == tensor_ok
 
 
-def test_rational_tensor_matches_eq1_values_even_when_non_integral():
+def test_closed_form_planes_match_eq1_values_even_when_non_integral():
     """v = 11, z = 176: entries are half-integers but both derivations agree."""
     p = sf.srg_derive(55, 18, 9, 4)
     cand = sf.make_candidate(p, TYPE_III, 176)
     cf = sf.intersection_matrices_closed_form(p, cand)
-    assert not cf.all_nonneg_integers()
-    rational = cf.rational_tensor()
+    with pytest.raises(sf.InfeasibleError):
+        cf.tensor()
+    rational = cf.planes()
     values = p_values_from_table(sf.character_table(p, cand))
     for i in range(5):
         for j in range(5):
@@ -424,20 +429,22 @@ def test_table_json_round_trip_shapes():
 
 
 def test_closed_form_tensor_names_first_non_integral_entry():
-    """tensor() gates the same completed planes that rational_tensor() returns."""
+    """tensor() gates the same completed planes that planes() returns."""
     p = sf.srg_derive(55, 18, 9, 4)
     cf = sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_III, 176))
     with pytest.raises(sf.InfeasibleError) as info:
         cf.tensor()
     i, j, l = info.value.where
-    assert cf.rational_tensor()[i][j][l] == info.value.value
+    assert cf.planes()[i][j][l] == info.value.value
     assert info.value.value.denominator != 1
 
 
-def test_assemble_tensor_rejects_non_integral_entries():
+def test_closed_form_tensor_rejects_a_fraction_entry():
+    """A ClosedForm of any family with one Fraction entry fails the gate there."""
     cf = sf.cyc4_closed_form(13, -3, 1)
     b1 = [list(row) for row in cf.b1]
     b1[1][1] = Fraction(1, 2)
     with pytest.raises(sf.InfeasibleError) as info:
-        assemble_tensor(b1, cf.b2, (1, 3, 3, 3, 3))
+        sf.ClosedForm(b1=b1, b2=cf.b2, valencies=cf.valencies, aux=cf.aux).tensor()
     assert info.value.where == (1, 1, 1)
+    assert info.value.value == Fraction(1, 2)
