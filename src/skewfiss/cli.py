@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan = sub.add_parser("scan", help="emit feasibility tables")
     p_scan.add_argument("family", choices=["conference", "srg", "imprimitive", "johnson"])
     p_scan.add_argument("--max-n", type=int, default=None)
-    p_scan.add_argument("--max-v", type=int, default=200)
+    p_scan.add_argument("--max-v", type=int, default=None)
     p_scan.add_argument("--format", choices=["tsv", "json", "md"], default="tsv")
     p_scan.add_argument("--annotations", default=None,
                         help="JSON file mapping 'n,k,lam,mu' to existence verdicts")
@@ -175,20 +175,22 @@ def cmd_classify(args) -> int:
     return 0
 
 
+# family: (its bound's argument, the bound's default, the feasibility scanner)
+_SCANS = {"conference": ("max_n", 325, "conference_scan"), "srg": ("max_n", 1300, "scan_srg"),
+          "imprimitive": ("max_n", 100, "imprimitive_scan"),
+          "johnson": ("max_v", 200, "johnson_scan")}
+
+
 def cmd_scan(args) -> int:
     family = args.family
+    bound, default, scanner = _SCANS[family]
+    other = "max_v" if bound == "max_n" else "max_n"
+    if getattr(args, other) is not None:
+        raise ValueError(f"--{other.replace('_', '-')} does not apply to scan {family}; "
+                         f"its bound is --{bound.replace('_', '-')}")
     notes = _load_annotations(args.annotations) if args.annotations else {}
-    if family == "conference":
-        n_max = args.max_n if args.max_n is not None else 325
-        records = feasibility.conference_scan(n_max)
-    elif family == "srg":
-        n_max = args.max_n if args.max_n is not None else 1300
-        records = feasibility.scan_srg(n_max)
-    elif family == "imprimitive":
-        n_max = args.max_n if args.max_n is not None else 100
-        records = feasibility.imprimitive_scan(n_max)
-    else:
-        records = feasibility.johnson_scan(args.max_v)
+    limit = getattr(args, bound)
+    records = getattr(feasibility, scanner)(default if limit is None else limit)
     _apply_annotations(records, notes)
     print(format_records(records, family, args.format))
     return 0

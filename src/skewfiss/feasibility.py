@@ -328,26 +328,30 @@ def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, closed,
     return rec
 
 
-def fission_scan(p: SrgParams) -> list[ScanRecord]:
+def fission_scan(p: SrgParams, witness=None) -> list[ScanRecord]:
     """All split candidates over one non-conference parameter set.
 
     Types I and II pass the quick congruence filters before their closed
     forms are checked; type III enumerates integer z.  Candidates whose
     closed form passes the integrality gate are emitted as feasible or
-    krein_excluded; everything else is dropped silently.
+    krein_excluded; everything else is dropped silently.  witness =
+    (z, (l, i, j)) has the type-III record at z report q^l_ij (see
+    _krein_verdict).
     """
     if p.conference:
         raise ValueError("fission_scan needs non-conference parameters")
     records = []
     if p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2:
         return records
+    witness_z, entry = witness or (None, None)
     typed = [make_candidate(p, t) for t in (TYPE_I, TYPE_II) if corollary_filters(p, t)]
     for cand in chain(typed, (make_candidate(p, TYPE_III, z) for z in _type3_z_candidates(p))):
         try:
             tensor = intersection_matrices_closed_form(p, cand).tensor()
         except InfeasibleError:
             continue  # irrational sqrt(yz) or a non-integral entry
-        records.append(_dual_derivation_record(p, cand, tensor))
+        records.append(_dual_derivation_record(p, cand, tensor,
+                                               entry if cand.z == witness_z else None))
     return records
 
 
@@ -445,13 +449,9 @@ def johnson_scan(v_max: int) -> list[ScanRecord]:
                 notes=f"multiplicity parity: {reason}"))
             continue
         p = srg_derive(n, k, lam, mu)
-        found = fission_scan(p)
         z_krein = v * (v - 3) ** 2 // 4
-        seen_zk = next((rec for rec in found
-                        if rec.table_type == TYPE_III and rec.z == z_krein), None)
-        if seen_zk is not None:
-            _krein_verdict(seen_zk, seen_zk.table, witness=(3, 1, 1))
-        else:
+        found = fission_scan(p, witness=(z_krein, (3, 1, 1)))
+        if not any(rec.table_type == TYPE_III and rec.z == z_krein for rec in found):
             # v = 3 mod 8: the entry p^2_(2,2) = (v-4)(v-7)/8 is a half-integer,
             # so the generic pipeline drops this z before the Krein stage.  The
             # putative table still exists and its Krein number is a standalone

@@ -2,9 +2,11 @@
 
 A 2-class symmetric scheme (a strongly regular graph) may split into a
 4-class scheme whose nontrivial relations pair up with their transposes.
-The 5x5 character table of such a split comes in three closed forms (here
-called types I, II and III); the intersection matrices follow either from
-closed forms in the graph parameters or from the eigenvalue identity
+The 5x5 character table of such a split comes in three types (I, II and
+III); types I and II are type III at the two ends of its free parameter's
+range, so one table builder and one closed form serve all three.  The
+intersection matrices follow either from that closed form in the graph
+parameters or from the eigenvalue identity
 
     p^l_ij = (1/(n k_l)) sum_h m_h P[h][i] P[h][j] conj(P[h][l])
     q^l_ij = (m_i m_j / n) sum_h P[i][h] P[j][h] conj(P[l][h]) / k_h^2
@@ -163,13 +165,30 @@ def type3_auxiliary(p: SrgParams, z) -> tuple[Fraction, Fraction, Fraction]:
     if not 0 < z < Fraction(p.n * p.k2, p.m1):
         raise InfeasibleError(
             f"z = {z} outside (0, n*k2/m1 = {Fraction(p.n * p.k2, p.m1)})")
-    b = Fraction(p.m1 * p.k, p.k2 * p.m2) * z
-    y = Fraction(p.k, p.k2 * p.m1) * (p.n * p.k2 - p.m1 * z)
-    c = Fraction(p.n * p.k2 - p.m1 * z, p.m2)
+    y, b, c = _side_values(p, z)
     if not (y > 0 and b > 0 and c > 0 and p.m1 ** 2 * y * z == p.m2 ** 2 * b * c):
         raise ConsistencyError(
             f"type-III side conditions fail at z = {z}: (y, b, c) = {(y, b, c)}")
     return y, b, c
+
+
+def _side_values(p: SrgParams, z: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """(y, b, c) as the type-III side conditions give them for z."""
+    return (Fraction(p.k, p.k2 * p.m1) * (p.n * p.k2 - p.m1 * z),
+            Fraction(p.m1 * p.k, p.k2 * p.m2) * z, Fraction(p.n * p.k2 - p.m1 * z, p.m2))
+
+
+def _table_parameters(p: SrgParams, cand: FissionCandidate) -> tuple:
+    """(z, y, b, c) of a candidate: its own values for type III; type I is
+    type III at z = n*k2/m1 (y = c = 0) and type II at z = 0 (b = 0)."""
+    if cand.table_type == TYPE_III:
+        if cand.z is None:
+            raise InfeasibleError("type III candidate without z")
+        return cand.z, cand.y, cand.b, cand.c
+    if cand.table_type not in (TYPE_I, TYPE_II):
+        raise ValueError(f"unknown table type {cand.table_type!r}")
+    z = Fraction(p.n * p.k2, p.m1) if cand.table_type == TYPE_I else Fraction(0)
+    return (z, *_side_values(p, z))
 
 
 def make_candidate(p: SrgParams, table_type: str, z=None) -> FissionCandidate:
@@ -282,7 +301,13 @@ class CharacterTable:
 
 
 def character_table(p: SrgParams, cand: FissionCandidate) -> CharacterTable:
-    """The 5x5 table for a non-conference candidate, with exact surd entries."""
+    """The 5x5 table for a non-conference candidate, with exact surd entries.
+
+    rho, tau, sigma and omega have imaginary parts sqrt(y)/2, sqrt(z)/2,
+    sqrt(b)/2 and -sqrt(c)/2; types I and II are type III at z = n*k2/m1
+    and z = 0, except that type II takes the other root, +sqrt(c)/2, for
+    omega (at type I's end c = 0).
+    """
     if p.conference:
         raise InfeasibleError("conference parameters: use conference_table(q, g)")
     if p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2:
@@ -290,32 +315,12 @@ def character_table(p: SrgParams, cand: FissionCandidate) -> CharacterTable:
             f"{p.quad()}: multiplicities and valencies must all be even to split")
     r, s, t, u = (Fraction(x) for x in p.eig_ints())
     n, k, k2, m1, m2 = p.n, p.k, p.k2, p.m1, p.m2
-
-    if cand.table_type == TYPE_I:
-        b = Fraction(n * k, m2)
-        z = Fraction(n * k2, m1)
-        rho = ComplexSurd(Fraction(r, 2))
-        sigma = ComplexSurd(Fraction(s, 2), surd_sqrt(b) / 2)
-        tau = ComplexSurd(Fraction(t, 2), surd_sqrt(z) / 2)
-        omega = ComplexSurd(Fraction(u, 2))
-    elif cand.table_type == TYPE_II:
-        y = Fraction(n * k, m1)
-        c = Fraction(n * k2, m2)
-        rho = ComplexSurd(Fraction(r, 2), surd_sqrt(y) / 2)
-        sigma = ComplexSurd(Fraction(s, 2))
-        tau = ComplexSurd(Fraction(t, 2))
-        omega = ComplexSurd(Fraction(u, 2), surd_sqrt(c) / 2)
-    elif cand.table_type == TYPE_III:
-        if cand.z is None:
-            raise InfeasibleError("type III candidate without z")
-        y, b, c = cand.y, cand.b, cand.c
-        rho = ComplexSurd(Fraction(r, 2), surd_sqrt(y) / 2)
-        tau = ComplexSurd(Fraction(t, 2), surd_sqrt(cand.z) / 2)
-        sigma = ComplexSurd(Fraction(s, 2), surd_sqrt(b) / 2)
-        omega = ComplexSurd(Fraction(u, 2), -(surd_sqrt(c) / 2))
-    else:
-        raise ValueError(f"unknown table type {cand.table_type!r}")
-
+    z, y, b, c = _table_parameters(p, cand)
+    omega_im = surd_sqrt(c) / 2
+    rho = ComplexSurd(Fraction(r, 2), surd_sqrt(y) / 2)
+    tau = ComplexSurd(Fraction(t, 2), surd_sqrt(z) / 2)
+    sigma = ComplexSurd(Fraction(s, 2), surd_sqrt(b) / 2)
+    omega = ComplexSurd(Fraction(u, 2), omega_im if cand.table_type == TYPE_II else -omega_im)
     one = ComplexSurd(1)
     row0 = (one, ComplexSurd(Fraction(k, 2)), ComplexSurd(Fraction(k2, 2)),
             ComplexSurd(Fraction(k2, 2)), ComplexSurd(Fraction(k, 2)))
@@ -617,8 +622,8 @@ class ClosedForm:
     b_i[j][k] = p^k_ij.  B3 and B4 are B2 and B1 mirrored through PAIRED
     (p^k_ij = p^{k'}_{j'i'}), so ``planes()`` is the one completion of the
     5x5x5 tensor and ``tensor()`` passes it through the integrality gate.
-    aux holds the family's auxiliary values (Gamma, Phi, Pi for type III;
-    A..E for the cyclotomic form).
+    aux holds the family's auxiliary values (Gamma, Phi, Pi for the srg
+    types; A..E for the cyclotomic form).
     """
 
     b1: tuple
@@ -648,9 +653,10 @@ def _complete_matrix(principal, rel: int, valency: int) -> tuple:
 def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> ClosedForm:
     """Exact B1, B2 for one candidate type, completed from their principal parts.
 
-    Type III uses Gamma = m1*r*z + m2*s*c, Phi = m1*r*sqrt(yz) - m2*s*sqrt(bc)
-    and Pi = m1*r*y + m2*b*s; sqrt(yz) must be rational or the candidate is
-    structurally infeasible.
+    One formula in Gamma = m1*r*z + m2*s*c, Phi = m1*r*sqrt(yz) - m2*s*sqrt(bc)
+    and Pi = m1*r*y + m2*b*s serves all three types: types I and II are
+    type III at z = n*k2/m1 and z = 0, where sqrt(yz) = Phi = 0.  sqrt(yz)
+    must be rational or the candidate is structurally infeasible.
     """
     if p.conference:
         raise InfeasibleError("conference parameters have no rational closed form; "
@@ -658,62 +664,37 @@ def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> C
     n, k, k2, lam, mu = p.n, p.k, p.k2, p.lam, p.mu
     r, s, t, u = p.eig_ints()
     F = Fraction
-
-    if cand.table_type in (TYPE_I, TYPE_II):
-        if cand.table_type == TYPE_II:
-            r, s, t, u = s, r, u, t
-        b1 = (
-            (F(lam + s, 4), F(k * (k - lam - 1 - u), 4 * k2),
-             F(k * (k - lam - 1 - u), 4 * k2), F(lam - 3 * s, 4)),
-            (F(k - lam - 1 + u, 4), F(k - mu + r, 4),
-             F(k - mu - r, 4), F(k - lam - 1 - u, 4)),
-            (F(k - lam - 1 + u, 4), F(k - mu - r, 4),
-             F(k - mu + r, 4), F(k - lam - 1 - u, 4)),
-            (F(lam + s, 4), F(k * (k - lam - 1 + u), 4 * k2),
-             F(k * (k - lam - 1 + u), 4 * k2), F(lam + s, 4)),
-        )
-        w = n - 2 * k + mu - 2
-        b2 = (
-            (F(k2 * (k - mu - r), 4 * k), F(w + t, 4),
-             F(w - 3 * t, 4), F(k2 * (k - mu - r), 4 * k)),
-            (F(k2 * (k - mu + r), 4 * k), F(w + t, 4),
-             F(w + t, 4), F(k2 * (k - mu + r), 4 * k)),
-        )
-        aux = {}
-    elif cand.table_type == TYPE_III:
-        y, b, c, z = cand.y, cand.b, cand.c, cand.z
-        yz = y * z
-        root_num, root_den = isqrt(yz.numerator), isqrt(yz.denominator)
-        if root_num ** 2 != yz.numerator or root_den ** 2 != yz.denominator:
-            raise InfeasibleError(f"sqrt(y*z) = sqrt({yz}) is irrational: no rational "
-                                  "intersection numbers exist for this z")
-        syz = Fraction(root_num, root_den)
-        sbc = Fraction(p.m1, p.m2) * syz
-        gamma = p.m1 * r * z + p.m2 * s * c
-        phi = p.m1 * r * syz - p.m2 * s * sbc
-        pi = p.m1 * r * y + p.m2 * b * s
-        nk, nk2 = n * k, n * k2
-        w1 = n - 2 * k + lam
-        w2 = n - 2 * k + mu
-        b1 = (
-            (F(nk * lam + pi, 4 * nk), F(nk2 * mu + nk + 2 * phi + pi, 4 * nk2),
-             F(nk2 * mu + nk - 2 * phi + pi, 4 * nk2), F(nk * lam - 3 * pi, 4 * nk)),
-            (F(nk2 * mu - nk - pi, 4 * nk), F(nk * w1 + gamma, 4 * nk2),
-             F(nk * w1 - gamma + 2 * phi, 4 * nk2), F(nk + nk2 * mu - 2 * phi + pi, 4 * nk)),
-            (F(nk2 * mu - nk - pi, 4 * nk), F(nk * w1 - gamma - 2 * phi, 4 * nk2),
-             F(nk * w1 + gamma, 4 * nk2), F(nk + nk2 * mu + pi + 2 * phi, 4 * nk)),
-            (F(nk * lam + pi, 4 * nk), F(nk2 * mu - nk - pi, 4 * nk2),
-             F(nk2 * mu - nk - pi, 4 * nk2), F(nk * lam + pi, 4 * nk)),
-        )
-        b2 = (
-            (F(nk * w1 - gamma - 2 * phi, 4 * nk), F(nk2 * w2 - gamma - 3 * nk2, 4 * nk2),
-             F(nk2 * w2 + nk2 + 3 * gamma, 4 * nk2), F(nk * w1 + 2 * phi - gamma, 4 * nk)),
-            (F(nk * w1 + gamma, 4 * nk), F(nk2 * w2 - gamma - 3 * nk2, 4 * nk2),
-             F(nk2 * w2 - gamma - 3 * nk2, 4 * nk2), F(nk * w1 + gamma, 4 * nk)),
-        )
-        aux = {"gamma": gamma, "phi": phi, "pi": pi, "sqrt_yz": syz, "sqrt_bc": sbc}
-    else:
-        raise ValueError(f"unknown table type {cand.table_type!r}")
+    z, y, b, c = _table_parameters(p, cand)
+    yz = y * z
+    root_num, root_den = isqrt(yz.numerator), isqrt(yz.denominator)
+    if root_num ** 2 != yz.numerator or root_den ** 2 != yz.denominator:
+        raise InfeasibleError(f"sqrt(y*z) = sqrt({yz}) is irrational: no rational "
+                              "intersection numbers exist for this z")
+    syz = Fraction(root_num, root_den)
+    sbc = Fraction(p.m1, p.m2) * syz
+    gamma = p.m1 * r * z + p.m2 * s * c
+    phi = p.m1 * r * syz - p.m2 * s * sbc
+    pi = p.m1 * r * y + p.m2 * b * s
+    nk, nk2 = n * k, n * k2
+    w1 = n - 2 * k + lam
+    w2 = n - 2 * k + mu
+    b1 = (
+        (F(nk * lam + pi, 4 * nk), F(nk2 * mu + nk + 2 * phi + pi, 4 * nk2),
+         F(nk2 * mu + nk - 2 * phi + pi, 4 * nk2), F(nk * lam - 3 * pi, 4 * nk)),
+        (F(nk2 * mu - nk - pi, 4 * nk), F(nk * w1 + gamma, 4 * nk2),
+         F(nk * w1 - gamma + 2 * phi, 4 * nk2), F(nk + nk2 * mu - 2 * phi + pi, 4 * nk)),
+        (F(nk2 * mu - nk - pi, 4 * nk), F(nk * w1 - gamma - 2 * phi, 4 * nk2),
+         F(nk * w1 + gamma, 4 * nk2), F(nk + nk2 * mu + pi + 2 * phi, 4 * nk)),
+        (F(nk * lam + pi, 4 * nk), F(nk2 * mu - nk - pi, 4 * nk2),
+         F(nk2 * mu - nk - pi, 4 * nk2), F(nk * lam + pi, 4 * nk)),
+    )
+    b2 = (
+        (F(nk * w1 - gamma - 2 * phi, 4 * nk), F(nk2 * w2 - gamma - 3 * nk2, 4 * nk2),
+         F(nk2 * w2 + nk2 + 3 * gamma, 4 * nk2), F(nk * w1 + 2 * phi - gamma, 4 * nk)),
+        (F(nk * w1 + gamma, 4 * nk), F(nk2 * w2 - gamma - 3 * nk2, 4 * nk2),
+         F(nk2 * w2 - gamma - 3 * nk2, 4 * nk2), F(nk * w1 + gamma, 4 * nk)),
+    )
+    aux = {"gamma": gamma, "phi": phi, "pi": pi, "sqrt_yz": syz, "sqrt_bc": sbc}
     # B2's outer rows repeat B1's: p^k_21 = p^k_12 and p^k_24 = p^k'_13
     b2 = (b1[1], *b2, b1[2][::-1])
     valencies = (1, k // 2, k2 // 2, k2 // 2, k // 2)

@@ -1,0 +1,81 @@
+"""Reference oracle for the type-I and type-II tables and closed forms (tests only).
+
+A frozen copy of the formulas the package used before types I and II were
+built as type III at the ends of z's range: the type-I/II intersection
+matrices, written out with an r <-> s swap for type II, and the two
+character-table branches.  The tests compare them with
+``intersection_matrices_closed_form`` and ``character_table`` on every
+splittable parameter set of the three srg-like families.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from skewfiss.exactnum import ComplexSurd, surd_sqrt
+from skewfiss.spectra import PAIRED, TYPE_I, TYPE_II, SrgParams
+
+
+def _complete_matrix(principal, rel: int, valency: int) -> tuple:
+    rows = [tuple(int(k == rel) for k in range(5))]
+    rows += [(valency if j == PAIRED[rel] else 0, *row) for j, row in enumerate(principal, 1)]
+    return tuple(rows)
+
+
+def closed_form(p: SrgParams, table_type: str) -> tuple[tuple, tuple]:
+    """Full 5x5 (B1, B2) of a type-I or type-II candidate."""
+    n, k, k2, lam, mu = p.n, p.k, p.k2, p.lam, p.mu
+    r, s, t, u = p.eig_ints()
+    F = Fraction
+    if table_type == TYPE_II:
+        r, s, t, u = s, r, u, t
+    b1 = (
+        (F(lam + s, 4), F(k * (k - lam - 1 - u), 4 * k2),
+         F(k * (k - lam - 1 - u), 4 * k2), F(lam - 3 * s, 4)),
+        (F(k - lam - 1 + u, 4), F(k - mu + r, 4),
+         F(k - mu - r, 4), F(k - lam - 1 - u, 4)),
+        (F(k - lam - 1 + u, 4), F(k - mu - r, 4),
+         F(k - mu + r, 4), F(k - lam - 1 - u, 4)),
+        (F(lam + s, 4), F(k * (k - lam - 1 + u), 4 * k2),
+         F(k * (k - lam - 1 + u), 4 * k2), F(lam + s, 4)),
+    )
+    w = n - 2 * k + mu - 2
+    b2 = (
+        (F(k2 * (k - mu - r), 4 * k), F(w + t, 4),
+         F(w - 3 * t, 4), F(k2 * (k - mu - r), 4 * k)),
+        (F(k2 * (k - mu + r), 4 * k), F(w + t, 4),
+         F(w + t, 4), F(k2 * (k - mu + r), 4 * k)),
+    )
+    b2 = (b1[1], *b2, b1[2][::-1])
+    return (_complete_matrix(b1, 1, k // 2), _complete_matrix(b2, 2, k2 // 2))
+
+
+def table_entries(p: SrgParams, table_type: str) -> tuple:
+    """The 5x5 entries of the type-I or type-II character table."""
+    r, s, t, u = (Fraction(x) for x in p.eig_ints())
+    n, k, k2, m1, m2 = p.n, p.k, p.k2, p.m1, p.m2
+    if table_type == TYPE_I:
+        b = Fraction(n * k, m2)
+        z = Fraction(n * k2, m1)
+        rho = ComplexSurd(Fraction(r, 2))
+        sigma = ComplexSurd(Fraction(s, 2), surd_sqrt(b) / 2)
+        tau = ComplexSurd(Fraction(t, 2), surd_sqrt(z) / 2)
+        omega = ComplexSurd(Fraction(u, 2))
+    else:
+        y = Fraction(n * k, m1)
+        c = Fraction(n * k2, m2)
+        rho = ComplexSurd(Fraction(r, 2), surd_sqrt(y) / 2)
+        sigma = ComplexSurd(Fraction(s, 2))
+        tau = ComplexSurd(Fraction(t, 2))
+        omega = ComplexSurd(Fraction(u, 2), surd_sqrt(c) / 2)
+    one = ComplexSurd(1)
+    row0 = (one, ComplexSurd(Fraction(k, 2)), ComplexSurd(Fraction(k2, 2)),
+            ComplexSurd(Fraction(k2, 2)), ComplexSurd(Fraction(k, 2)))
+    cj = lambda x: x.conjugate()
+    return (
+        row0,
+        (one, rho, tau, cj(tau), cj(rho)),
+        (one, sigma, omega, cj(omega), cj(sigma)),
+        (one, cj(sigma), cj(omega), omega, sigma),
+        (one, cj(rho), cj(tau), tau, rho),
+    )

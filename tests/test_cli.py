@@ -108,6 +108,14 @@ def test_scan_johnson(capsys):
     assert "feasible" not in text.replace("krein_excluded", "")
 
 
+@pytest.mark.parametrize("family,flag", [("johnson", "--max-n"), ("srg", "--max-v"),
+                                         ("conference", "--max-v"), ("imprimitive", "--max-v")])
+def test_scan_rejects_a_bound_of_another_family(capsys, family, flag):
+    code, out, err = run(capsys, "scan", family, flag, "50")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and flag in err and "Traceback" not in err
+
+
 def test_annotations(tmp_path, capsys):
     notes = tmp_path / "notes.json"
     notes.write_text(json.dumps({"57,14,1,4": {"exists": False, "cite": "tables"}}))

@@ -1,6 +1,7 @@
 import pytest
 
 import skewfiss as sf
+import skewfiss.feasibility as feasibility
 from skewfiss.exactnum import ComplexSurd, SurdSum, surd_sqrt
 from skewfiss.feasibility import (
     FEASIBLE,
@@ -174,6 +175,17 @@ def test_johnson_scan_v7_witnesses():
     assert by_z[28].krein_value == (SurdSum(9) - 3 * surd_sqrt(21)) / 25
     assert by_z[56].status == INTEGRALITY_EXCLUDED
     assert "c =" in by_z[56].notes
+
+
+def test_johnson_scan_one_krein_tensor_per_table(monkeypatch):
+    """The Krein witness rides on the one verdict of each record: 49 tables
+    (v = 3 mod 4, 7 <= v <= 199), 49 Krein tensors."""
+    calls = []
+    real = feasibility.q_from_table
+    monkeypatch.setattr(feasibility, "q_from_table", lambda t: calls.append(t) or real(t))
+    recs = sf.johnson_scan(200)
+    assert sum(r.table is not None for r in recs) == 49
+    assert len(calls) == 49
 
 
 def test_johnson_scan_parity_exclusions():

@@ -27,12 +27,17 @@ from skewfiss.constructions import field_build, prime_power
 GOLDEN = [
     (("srg", "--max-n", "300", "--format", "json"),
      "27937a9ad2bb64df39a4dad9226fd682906538ef0f57d8bc9219a6f9b81ed457"),
+    # the paper's 1300-point table: 5 type-I and 7 type-II character tables
+    (("srg", "--max-n", "1300", "--format", "json"),
+     "57a50b70ef31acf68e54827a88936fe114e207bd760b3aeb0e5cc367ef314d7a"),
     # covers both Johnson witness records: the generic z (v = 7 mod 8) and
     # the non-integral structural one (v = 3 mod 8)
     (("johnson", "--max-v", "60", "--format", "json"),
      "f96ca10dfb26ba0b0b9540fd0f2b0b87bbf97608f94f58b46f0c06d5b19f95dc"),
     (("imprimitive", "--max-n", "100", "--format", "json"),
      "401e89af86addd8011a615f40830991106739f1234b37d792fc1b2a64dc29ac2"),
+    (("imprimitive", "--max-n", "600", "--format", "json"),
+     "86cc703f5fc4f9d926062ab02692dc8c88e23cf71a9a8be4d8ad5df66ef17e2b"),
     (("conference", "--max-n", "125", "--format", "tsv"),
      "57a35bd8a0b5a6c5b4e4502d6df08a5d7aae6f66e5074a95fe35e0a2b4f3f73c"),
     (("conference", "--max-n", "125", "--format", "json"),

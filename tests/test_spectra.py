@@ -3,6 +3,7 @@ import signal
 from fractions import Fraction
 
 import pytest
+import reference_closed_form as ref
 from conference_numeric import conference_numeric_check
 
 import skewfiss as sf
@@ -117,8 +118,35 @@ def test_character_table_errors():
     p = sf.srg_derive(57, 14, 1, 4)
     with pytest.raises(sf.InfeasibleError):
         sf.character_table(p, sf.FissionCandidate(TYPE_III))  # no z
+    with pytest.raises(sf.InfeasibleError):
+        sf.intersection_matrices_closed_form(p, sf.FissionCandidate(TYPE_III))
     with pytest.raises(ValueError):
         sf.make_candidate(p, TYPE_I, z=5)
+
+
+def _splittable_params():
+    """Every splittable set of srg_candidates(1300), the 2-subset family
+    v = 3 mod 4 up to 200 and the imprimitive family fg <= 1000."""
+    srg = [p for p in sf.srg_candidates(1300)
+           if not (p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2)]
+    johnson = [sf.srg_derive(*sf.johnson2_params(v)) for v in range(7, 201, 4)]
+    imprimitive = [sf.srg_derive(f * g, f - 1, f - 2, 0) for f in range(3, 334, 4)
+                   for g in range(3, 1000 // f + 1, 4)]
+    return srg + johnson + imprimitive
+
+
+def test_types_1_and_2_match_their_own_formulas():
+    """Types I and II built as type III at z = n*k2/m1 and z = 0 give the
+    tables and closed forms of their own formulas on 1115 parameter sets."""
+    params = _splittable_params()
+    assert len(params) == 1115
+    for p in params:
+        for table_type in (TYPE_I, TYPE_II):
+            cand = sf.make_candidate(p, table_type)
+            cf = sf.intersection_matrices_closed_form(p, cand)
+            assert (cf.b1, cf.b2) == ref.closed_form(p, table_type), (p.quad(), table_type)
+            assert sf.character_table(p, cand).entries == ref.table_entries(p, table_type), \
+                (p.quad(), table_type)
 
 
 def test_conference_table_values():
