@@ -109,7 +109,10 @@ def _load_annotations(path: str) -> dict:
     """The --annotations file: a JSON object mapping 'n,k,lam,mu' to objects
     with an optional bool 'exists' and string 'cite'.  ValueError otherwise."""
     with open(path, "r", encoding="utf-8") as fh:
-        notes = json.load(fh)
+        try:
+            notes = json.load(fh)
+        except ValueError as exc:  # malformed JSON or UTF-8
+            raise ValueError(f"annotations {path}: not valid JSON: {exc}") from None
     if not isinstance(notes, dict):
         raise ValueError(f"annotations {path}: expected a JSON object")
     for key, entry in notes.items():
@@ -122,8 +125,6 @@ def _load_annotations(path: str) -> dict:
 
 def _apply_annotations(records: list[ScanRecord], notes: dict) -> None:
     for rec in records:
-        if rec.family != "srg":
-            continue
         entry = notes.get(f"{rec.n},{rec.params['k']},{rec.params['lam']},{rec.params['mu']}", {})
         if "exists" in entry:
             rec.realizable = "+" if entry["exists"] else "0"
@@ -188,10 +189,14 @@ def cmd_scan(args) -> int:
     if getattr(args, other) is not None:
         raise ValueError(f"--{other.replace('_', '-')} does not apply to scan {family}; "
                          f"its bound is --{bound.replace('_', '-')}")
-    notes = _load_annotations(args.annotations) if args.annotations else {}
+    if args.annotations is not None and family != "srg":
+        raise ValueError(f"--annotations does not apply to scan {family}; "
+                         "it annotates srg parameter sets")
+    notes = {} if args.annotations is None else _load_annotations(args.annotations)
     limit = getattr(args, bound)
     records = getattr(feasibility, scanner)(default if limit is None else limit)
-    _apply_annotations(records, notes)
+    if notes:  # only srg records carry the (n, k, lam, mu) key
+        _apply_annotations(records, notes)
     print(format_records(records, family, args.format))
     return 0
 

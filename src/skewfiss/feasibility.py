@@ -2,13 +2,14 @@
 
 Four families cover all symmetrizations: pseudocyclic/conference graphs,
 ordinary strongly regular graphs, imprimitive (clique-blown-up) graphs and
-the 2-subset intersection family.  All four scanners emit ScanRecords whose
-feasible and Krein-excluded entries have passed the dual-derivation check:
-closed-form intersection matrices (the cyclotomic ones for conference
-graphs) equal to the eigenvalue-identity tensor, entry by entry, in exact
-arithmetic.  Each record then gets its exact Krein verdict from one helper,
-_krein_verdict.
-"""
+the 2-subset intersection family.  Each scanner is one call of _scan, which
+maps a per-unit function (a q, an srg parameter set, an (f, g) or a v) over
+the family's units, fanned out over SKEWFISS_THREADS processes, and sorts
+the records.  All feasible and Krein-excluded records have passed the
+dual-derivation check: closed-form intersection matrices (the cyclotomic
+ones for conference graphs) equal to the eigenvalue-identity tensor, entry
+by entry, in exact arithmetic.  Each record then gets its exact Krein
+verdict from one helper, _krein_verdict."""
 
 from __future__ import annotations
 
@@ -102,6 +103,35 @@ class ScanRecord:
         return out
 
 
+# -- the scan driver ---------------------------------------------------------------
+
+
+def _scan(units, work) -> list[ScanRecord]:
+    """Every record of work(unit) over the units, sorted by ScanRecord.sort_key.
+
+    SKEWFISS_THREADS (default 1) must be a positive integer and is capped at
+    the CPUs this process may use; above 1 the units fan out over one process
+    pool, so work is a module-level function.  Pool.map keeps the units'
+    order, so the sorted records are the same at every thread count.
+    """
+    raw = os.environ.get("SKEWFISS_THREADS", "1")
+    try:
+        threads = int(raw)
+    except ValueError:
+        threads = 0
+    if threads <= 0:
+        raise ValueError(f"SKEWFISS_THREADS = {raw!r} is not a positive integer")
+    threads = min(threads, len(os.sched_getaffinity(0)))
+    if threads > 1:
+        with Pool(processes=threads) as pool:
+            batches = pool.map(work, units, chunksize=8)
+    else:
+        batches = map(work, units)
+    records = list(chain.from_iterable(batches))
+    records.sort(key=ScanRecord.sort_key)
+    return records
+
+
 # -- conference / pseudocyclic scan -------------------------------------------
 
 
@@ -115,20 +145,22 @@ def conference_scan(n_max: int) -> list[ScanRecord]:
     closed form for one sign of h (kept as realized_h), and its Krein
     numbers are sign-checked exactly.
     """
+    return _scan(range(5, n_max + 1, 8), _conference_records)
+
+
+def _conference_records(q: int) -> list[ScanRecord]:
+    pp = prime_power(q)
     records = []
-    for q in range(5, n_max + 1, 8):
-        pp = prime_power(q)
-        for ts in two_squares(q):
-            table = conference_table(q, ts.g)
-            realized = _realized_h(q, ts.g, ts.h, p_from_table(table).p)
-            if realized is None:
-                raise ConsistencyError(
-                    f"conference table (q={q}, g={ts.g}) tensor matches neither sign of h")
-            rec = ScanRecord(family="conference", n=q,
-                             params={"q": q, "g": ts.g, "h": ts.h, "realized_h": realized},
-                             realizable="+" if pp is not None and gcd(ts.g, q) == 1 else "?")
-            records.append(_krein_verdict(rec, table))
-    records.sort(key=ScanRecord.sort_key)
+    for ts in two_squares(q):
+        table = conference_table(q, ts.g)
+        realized = _realized_h(q, ts.g, ts.h, p_from_table(table).p)
+        if realized is None:
+            raise ConsistencyError(
+                f"conference table (q={q}, g={ts.g}) tensor matches neither sign of h")
+        rec = ScanRecord(family="conference", n=q,
+                         params={"q": q, "g": ts.g, "h": ts.h, "realized_h": realized},
+                         realizable="+" if pp is not None and gcd(ts.g, q) == 1 else "?")
+        records.append(_krein_verdict(rec, table))
     return records
 
 
@@ -282,61 +314,61 @@ def _type3_z_candidates(p: SrgParams):
             yield z
 
 
-def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, closed,
-                            witness=None) -> ScanRecord:
-    """Eq-(1) round trip against the closed forms, then exact Krein signs.
+def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, closed: ClosedForm,
+                            witness=None, family: str = "srg", params: dict | None = None,
+                            realizable: str = "?") -> ScanRecord | None:
+    """Integrality gate, eq-(1) round trip, then exact Krein signs.
 
-    closed is the closed-form tensor, already through the integrality gate;
-    it must equal the eigenvalue-identity tensor.  With a Krein witness it
-    may instead be a ClosedForm: one that fails the gate is reported only
-    if its planes() equal the identity's values, and the note names its
-    first non-integral entry.
+    A closed form that fails the gate gives None, unless a Krein witness is
+    named: that record is reported if the closed form's planes() equal the
+    identity's values, with a note naming its first non-integral entry.  A
+    gated closed form must equal the eigenvalue-identity tensor.  params
+    default to the srg parameters of p.
     """
-    table = character_table(p, cand)
-    non_integral = None
     try:
-        closed = closed.tensor() if isinstance(closed, ClosedForm) else closed
+        expected, note = closed.tensor(), ""
     except InfeasibleError as exc:
-        non_integral = exc
-        if p_values_from_table(table) != closed.planes():
-            raise ConsistencyError(
-                f"{p.quad()} type {cand}: rational closed-form tensor differs "
-                "from the eigenvalue-identity values")
-    else:
-        try:
-            tensor_eq = p_from_table(table)
-        except InfeasibleError as exc:
-            raise ConsistencyError(
-                f"{p.quad()} type {cand}: closed forms are integral but the "
-                f"eigenvalue identity is not: {exc}") from exc
-        if tensor_eq != closed:
-            raise ConsistencyError(
-                f"{p.quad()} type {cand}: eigenvalue-identity tensor differs "
-                "from the closed-form matrices")
+        if witness is None:
+            return None
+        (i, j, l), expected = exc.where, closed.planes()
+        note = f"; intersection numbers also non-integral (p^{l}_({i},{j}) = {exc.value})"
+    table = character_table(p, cand)
+    try:
+        derived = p_values_from_table(table) if note else p_from_table(table)
+    except InfeasibleError as exc:
+        raise ConsistencyError(
+            f"{p.quad()} type {cand}: closed forms are integral but the "
+            f"eigenvalue identity is not: {exc}") from exc
+    if derived != expected:
+        raise ConsistencyError(
+            f"{p.quad()} type {cand}: eigenvalue identity differs from the closed form")
     rec = ScanRecord(
-        family="srg", n=p.n,
-        params={"k": p.k, "lam": p.lam, "mu": p.mu,
-                "r": p.r.as_integer(), "s": p.s.as_integer(),
-                "m1": p.m1, "m2": p.m2},
+        family=family, n=p.n,
+        params=_srg_params(p) if params is None else dict(params),
         table_type=cand.table_type,
-        z=None if cand.z is None else int(cand.z))
+        z=None if cand.z is None else int(cand.z),
+        realizable=realizable)
     _krein_verdict(rec, table, witness)
-    if non_integral is not None:
-        i, j, l = non_integral.where
-        rec.notes += (f"; intersection numbers also non-integral "
-                      f"(p^{l}_({i},{j}) = {non_integral.value})")
+    rec.notes += note
     return rec
 
 
-def fission_scan(p: SrgParams, witness=None) -> list[ScanRecord]:
+def _srg_params(p: SrgParams) -> dict:
+    return {"k": p.k, "lam": p.lam, "mu": p.mu, "r": p.r.as_integer(),
+            "s": p.s.as_integer(), "m1": p.m1, "m2": p.m2}
+
+
+def fission_scan(p: SrgParams, witness=None, family: str = "srg",
+                 params: dict | None = None) -> list[ScanRecord]:
     """All split candidates over one non-conference parameter set.
 
     Types I and II pass the quick congruence filters before their closed
     forms are checked; type III enumerates integer z.  Candidates whose
     closed form passes the integrality gate are emitted as feasible or
     krein_excluded; everything else is dropped silently.  witness =
-    (z, (l, i, j)) has the type-III record at z report q^l_ij (see
-    _krein_verdict).
+    (z, (l, i, j)) has the type-III record at z report q^l_ij whether or
+    not it passes the gate (see _dual_derivation_record).  family and
+    params label the records.
     """
     if p.conference:
         raise ValueError("fission_scan needs non-conference parameters")
@@ -347,47 +379,19 @@ def fission_scan(p: SrgParams, witness=None) -> list[ScanRecord]:
     typed = [make_candidate(p, t) for t in (TYPE_I, TYPE_II) if corollary_filters(p, t)]
     for cand in chain(typed, (make_candidate(p, TYPE_III, z) for z in _type3_z_candidates(p))):
         try:
-            tensor = intersection_matrices_closed_form(p, cand).tensor()
+            closed = intersection_matrices_closed_form(p, cand)
         except InfeasibleError:
-            continue  # irrational sqrt(yz) or a non-integral entry
-        records.append(_dual_derivation_record(p, cand, tensor,
-                                               entry if cand.z == witness_z else None))
+            continue  # irrational sqrt(yz)
+        rec = _dual_derivation_record(p, cand, closed, entry if cand.z == witness_z else None,
+                                      family, params)
+        if rec is not None:
+            records.append(rec)
     return records
 
 
-def _fission_scan_quad(quad: tuple) -> list[ScanRecord]:
-    return fission_scan(srg_derive(*quad))
-
-
-def scan_srg(n_max: int, threads: int | None = None) -> list[ScanRecord]:
-    """fission_scan over every arithmetically feasible parameter set <= n_max.
-
-    threads (default: the SKEWFISS_THREADS environment variable, else 1)
-    must be a positive integer and is capped at the CPUs this process may
-    use; above 1 the parameter sets fan out over a process pool (the scan
-    is pure).  Results are merged and sorted deterministically either way.
-    """
-    if threads is None:
-        raw = os.environ.get("SKEWFISS_THREADS", "1")
-        try:
-            threads = int(raw)
-        except ValueError:
-            raise ValueError(f"SKEWFISS_THREADS = {raw!r} is not an integer") from None
-    if threads <= 0:
-        raise ValueError(f"thread count {threads} is not positive")
-    threads = min(threads, len(os.sched_getaffinity(0)))
-    params = list(srg_candidates(n_max))
-    records: list[ScanRecord] = []
-    if threads > 1:
-        quads = [p.quad() for p in params]
-        with Pool(processes=threads) as pool:
-            for recs in pool.map(_fission_scan_quad, quads, chunksize=32):
-                records.extend(recs)
-    else:
-        for p in params:
-            records.extend(fission_scan(p))
-    records.sort(key=ScanRecord.sort_key)
-    return records
+def scan_srg(n_max: int) -> list[ScanRecord]:
+    """fission_scan over every arithmetically feasible parameter set <= n_max."""
+    return _scan(srg_candidates(n_max), fission_scan)
 
 
 # -- imprimitive scan ------------------------------------------------------------
@@ -400,28 +404,21 @@ def imprimitive_scan(n_max: int) -> list[ScanRecord]:
     type-I table; the record is marked realizable when both f and g are
     prime powers (wreath product of the two quadratic-residue tournaments).
     """
-    records = []
-    f = 3
-    while 3 * f <= n_max:
-        g = 3
-        while f * g <= n_max:
-            p = srg_derive(f * g, f - 1, f - 2, 0)
-            cand = make_candidate(p, TYPE_I)
-            try:
-                tensor = intersection_matrices_closed_form(p, cand).tensor()
-            except InfeasibleError as exc:
-                raise ConsistencyError(
-                    f"imprimitive closed form not integral at {(f, g)}") from exc
-            rec = _dual_derivation_record(p, cand, tensor)
-            rec.family = "imprimitive"
-            rec.params = {"f": f, "g": g}
-            rec.realizable = ("+" if prime_power(f) is not None
-                              and prime_power(g) is not None else "?")
-            records.append(rec)
-            g += 4
-        f += 4
-    records.sort(key=ScanRecord.sort_key)
-    return records
+    return _scan([(f, g) for f in range(3, n_max // 3 + 1, 4)
+                  for g in range(3, n_max // f + 1, 4)], _imprimitive_records)
+
+
+def _imprimitive_records(fg: tuple[int, int]) -> list[ScanRecord]:
+    f, g = fg
+    p = srg_derive(f * g, f - 1, f - 2, 0)
+    cand = make_candidate(p, TYPE_I)
+    rec = _dual_derivation_record(
+        p, cand, intersection_matrices_closed_form(p, cand), family="imprimitive",
+        params={"f": f, "g": g},
+        realizable="+" if prime_power(f) is not None and prime_power(g) is not None else "?")
+    if rec is None:
+        raise ConsistencyError(f"imprimitive closed form not integral at {fg}")
+    return [rec]
 
 
 # -- 2-subset family scan ----------------------------------------------------------
@@ -436,42 +433,27 @@ def johnson_scan(v_max: int) -> list[ScanRecord]:
     z = v(v-3)^2/4 carries the negative Krein witness q^3_(1,1), and
     z = v(v-3)^2/2 drives the auxiliary c nonpositive.
     """
-    records = []
-    for v in range(5, v_max + 1):
-        n, k, lam, mu = johnson2_params(v)
-        if v % 4 != 3:
-            reason = (f"m1 = v-1 = {v - 1} odd" if (v - 1) % 2
-                      else f"m2 = v(v-3)/2 = {v * (v - 3) // 2} odd")
-            records.append(ScanRecord(
-                family="johnson", n=n,
-                params={"v": v, "k": k, "lam": lam, "mu": mu},
-                status=INTEGRALITY_EXCLUDED,
-                notes=f"multiplicity parity: {reason}"))
-            continue
-        p = srg_derive(n, k, lam, mu)
-        z_krein = v * (v - 3) ** 2 // 4
-        found = fission_scan(p, witness=(z_krein, (3, 1, 1)))
-        if not any(rec.table_type == TYPE_III and rec.z == z_krein for rec in found):
-            # v = 3 mod 8: the entry p^2_(2,2) = (v-4)(v-7)/8 is a half-integer,
-            # so the generic pipeline drops this z before the Krein stage.  The
-            # putative table still exists and its Krein number is a standalone
-            # rejection certificate, so it is reported here explicitly.
-            cand = make_candidate(p, TYPE_III, z_krein)
-            found.append(_dual_derivation_record(
-                p, cand, intersection_matrices_closed_form(p, cand), witness=(3, 1, 1)))
-        for rec in found:
-            rec.family = "johnson"
-            rec.params = {"v": v, **rec.params}
-            records.append(rec)
-        z_big = v * (v - 3) ** 2 // 2
-        c_val = Fraction((v - 1) * (6 - v), 2)
-        records.append(ScanRecord(
-            family="johnson", n=n,
-            params={"v": v, "k": k, "lam": lam, "mu": mu},
-            table_type=TYPE_III, z=z_big,
-            status=INTEGRALITY_EXCLUDED,
-            notes=f"auxiliary c = (v-1)(6-v)/2 = {c_val} <= 0"))
-    records.sort(key=ScanRecord.sort_key)
+    return _scan(range(5, v_max + 1), _johnson_records)
+
+
+def _johnson_records(v: int) -> list[ScanRecord]:
+    n, k, lam, mu = johnson2_params(v)
+    params = {"v": v, "k": k, "lam": lam, "mu": mu}
+    if v % 4 != 3:
+        reason = (f"m1 = v-1 = {v - 1} odd" if (v - 1) % 2
+                  else f"m2 = v(v-3)/2 = {v * (v - 3) // 2} odd")
+        return [ScanRecord(family="johnson", n=n, params=params, status=INTEGRALITY_EXCLUDED,
+                           notes=f"multiplicity parity: {reason}")]
+    p = srg_derive(n, k, lam, mu)
+    # z = v(v-3)^2/4 is a type-III candidate for every such v.  For v = 3 mod 8
+    # its entry p^2_(2,2) = (v-4)(v-7)/8 is a half-integer, so the gate would
+    # drop it; its Krein number is still a standalone rejection certificate.
+    records = fission_scan(p, witness=(v * (v - 3) ** 2 // 4, (3, 1, 1)), family="johnson",
+                           params={"v": v, **_srg_params(p)})
+    c_val = Fraction((v - 1) * (6 - v), 2)
+    records.append(ScanRecord(
+        family="johnson", n=n, params=params, table_type=TYPE_III, z=v * (v - 3) ** 2 // 2,
+        status=INTEGRALITY_EXCLUDED, notes=f"auxiliary c = (v-1)(6-v)/2 = {c_val} <= 0"))
     return records
 
 

@@ -17,6 +17,11 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# one small bound per family, for the tests that run every scan
+SMALL_SCANS = {"conference": ("--max-n", "61"), "srg": ("--max-n", "120"),
+               "imprimitive": ("--max-n", "60"), "johnson": ("--max-v", "24")}
+
+
 def test_construct_verify_classify(tmp_path, capsys):
     out = str(tmp_path / "c13.ascm")
     code, text, _ = run(capsys, "construct", "cyc", "--q", "13", "--d", "4", "-o", out)
@@ -116,6 +121,25 @@ def test_scan_rejects_a_bound_of_another_family(capsys, family, flag):
     assert err.startswith("error: ") and flag in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("family", ["conference", "imprimitive", "johnson"])
+def test_annotations_only_apply_to_srg(tmp_path, capsys, family):
+    notes = tmp_path / "notes.json"
+    notes.write_text(json.dumps({"21,10,5,4": {"exists": True}}))
+    code, out, err = run(capsys, "scan", family, *SMALL_SCANS[family],
+                         "--annotations", str(notes))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error: --annotations does not apply to scan " + family)
+
+
+@pytest.mark.parametrize("text", ["", "{", b"\xff{}"], ids=["empty", "truncated", "not-utf8"])
+def test_annotations_invalid_json_names_the_file(tmp_path, capsys, text):
+    path = tmp_path / "notes.json"
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
+    code, out, err = run(capsys, "scan", "srg", "--max-n", "60", "--annotations", str(path))
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith(f"error: annotations {path}: not valid JSON")
+
+
 def test_annotations(tmp_path, capsys):
     notes = tmp_path / "notes.json"
     notes.write_text(json.dumps({"57,14,1,4": {"exists": False, "cite": "tables"}}))
@@ -175,7 +199,7 @@ def test_exit_code_invalid_input(tmp_path, capsys):
 
 
 def test_exit_code_internal_consistency(capsys, monkeypatch):
-    def boom(n_max, threads=1):
+    def boom(n_max):
         raise ConsistencyError("forced for the exit-code contract")
 
     monkeypatch.setattr(feasibility, "scan_srg", boom)
@@ -183,7 +207,7 @@ def test_exit_code_internal_consistency(capsys, monkeypatch):
     assert code == 2 and "consistency" in err
 
 
-def test_scan_imprimitive_non_integral_closed_form_exits_2(capsys, monkeypatch):
+def test_scan_imprimitive_non_integral_closed_form_exits_2(capsys, monkeypatch, pool_sizes):
     """A non-integral imprimitive closed form is a consistency failure, not a skip."""
     real = feasibility.intersection_matrices_closed_form
 
@@ -195,9 +219,12 @@ def test_scan_imprimitive_non_integral_closed_form_exits_2(capsys, monkeypatch):
                           aux=cf.aux)
 
     monkeypatch.setattr(feasibility, "intersection_matrices_closed_form", halved)
-    code, out, err = run(capsys, "scan", "imprimitive", "--max-n", "21")
-    assert code == 2 and "imprimitive closed form not integral at (3, 3)" in err
-    assert out == ""
+    for threads in ("1", "2"):  # in process, then raised inside a (stand-in) worker
+        monkeypatch.setenv("SKEWFISS_THREADS", threads)
+        code, out, err = run(capsys, "scan", "imprimitive", "--max-n", "21")
+        assert code == 2 and "imprimitive closed form not integral at (3, 3)" in err
+        assert out == ""
+    assert pool_sizes == [2]
 
 
 def test_scan_conference_checks_every_record(capsys, monkeypatch):
@@ -217,20 +244,13 @@ def test_scan_conference_checks_every_record(capsys, monkeypatch):
     assert out == ""
 
 
-@pytest.mark.parametrize("value", ["0", "-3", "two", ""])
-def test_threads_env_rejects_non_positive(capsys, monkeypatch, value):
-    monkeypatch.setenv("SKEWFISS_THREADS", value)
-    monkeypatch.setattr(feasibility, "Pool", None)  # any pool use would fail loudly
-    code, out, err = run(capsys, "scan", "srg", "--max-n", "60")
-    assert code == 1 and "error" in err and out == ""
-
-
-def test_threads_env_clamped_to_usable_cpus(capsys, monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces feasibility.Pool with an in-process stand-in on a 3-CPU affinity
+    mask; the returned list collects the size of every pool opened."""
     sizes = []
 
     class RecordingPool:
-        """Stands in for multiprocessing.Pool: records the size, maps in-process."""
-
         def __init__(self, processes):
             sizes.append(processes)
 
@@ -245,9 +265,24 @@ def test_threads_env_clamped_to_usable_cpus(capsys, monkeypatch):
 
     monkeypatch.setattr(feasibility, "Pool", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    monkeypatch.setenv("SKEWFISS_THREADS", "100000")
-    code, many, _ = run(capsys, "scan", "srg", "--max-n", "120")
-    assert code == 0 and sizes == [3]
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")
-    code, one, _ = run(capsys, "scan", "srg", "--max-n", "120")
-    assert code == 0 and sizes == [3] and many == one
+    return sizes
+
+
+@pytest.mark.parametrize("value", ["0", "-3", "two", ""])
+def test_threads_env_rejects_non_positive(capsys, monkeypatch, value):
+    monkeypatch.setenv("SKEWFISS_THREADS", value)
+    monkeypatch.setattr(feasibility, "Pool", None)  # any pool use would fail loudly
+    for family, bound in SMALL_SCANS.items():
+        code, out, err = run(capsys, "scan", family, *bound)
+        assert code == 1 and out == "" and err.startswith("error: SKEWFISS_THREADS"), family
+
+
+def test_threads_env_clamped_to_usable_cpus(capsys, monkeypatch, pool_sizes):
+    for family, bound in SMALL_SCANS.items():
+        monkeypatch.setenv("SKEWFISS_THREADS", "100000")
+        code, many, _ = run(capsys, "scan", family, *bound, "--format", "json")
+        assert code == 0 and pool_sizes == [3], family
+        monkeypatch.setenv("SKEWFISS_THREADS", "1")
+        code, one, _ = run(capsys, "scan", family, *bound, "--format", "json")
+        assert code == 0 and pool_sizes == [3] and many == one != "[]", family
+        pool_sizes.clear()

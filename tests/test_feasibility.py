@@ -236,11 +236,17 @@ def test_scan_srg_statuses_small():
     assert by_key[(21, TYPE_III, 28)] == KREIN_EXCLUDED
 
 
-def test_scan_srg_threads_match():
-    single = sf.scan_srg(300, threads=1)
-    double = sf.scan_srg(300, threads=2)
-    assert [(r.n, r.table_type, r.z, r.status) for r in single] == \
-           [(r.n, r.table_type, r.z, r.status) for r in double]
+@pytest.mark.parametrize("family", ["conference", "srg", "imprimitive", "johnson"])
+def test_scan_threads_match(monkeypatch, family):
+    """Every scanner gives the same records in process and over two workers."""
+    scanner, bound = {"conference": (sf.conference_scan, 200), "srg": (sf.scan_srg, 300),
+                      "imprimitive": (sf.imprimitive_scan, 100),
+                      "johnson": (sf.johnson_scan, 40)}[family]
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("SKEWFISS_THREADS", threads)
+        runs.append([r.to_dict() for r in scanner(bound)])
+    assert runs[0] == runs[1] and runs[0]
 
 
 def test_record_json_dict():
