@@ -78,6 +78,8 @@ class SurdSum:
     def __init__(self, value: RationalLike | "SurdSum" = 0):
         if isinstance(value, SurdSum):
             self._num, self._den = dict(value._num), value._den
+        elif type(value) is int:
+            self._num, self._den = ({1: value} if value else {}), 1
         else:
             c = _as_fraction(value)
             self._num, self._den = ({1: c.numerator} if c else {}), c.denominator

@@ -5,11 +5,14 @@ ordinary strongly regular graphs, imprimitive (clique-blown-up) graphs and
 the 2-subset intersection family.  Each scanner is one call of _scan, which
 maps a per-unit function (a q, an srg parameter set, an (f, g) or a v) over
 the family's units, fanned out over SKEWFISS_THREADS processes, and sorts
-the records.  All feasible and Krein-excluded records have passed the
-dual-derivation check: closed-form intersection matrices (the cyclotomic
-ones for conference graphs) equal to the eigenvalue-identity tensor, entry
-by entry, in exact arithmetic.  Each record then gets its exact Krein
-verdict from one helper, _krein_verdict."""
+the records.  In the srg-like families an integer stage
+(spectra.type3_integrality) screens each type-III z first: a z it rejects
+would fail the closed form's integrality gate, and only the survivors get
+a candidate and a closed form.  All feasible and Krein-excluded records
+have passed the dual-derivation check: closed-form intersection matrices
+(the cyclotomic ones for conference graphs) equal to the eigenvalue-identity
+tensor, entry by entry, in exact arithmetic.  Each record then gets its
+exact Krein verdict from one helper, _krein_verdict."""
 
 from __future__ import annotations
 
@@ -47,6 +50,8 @@ from .spectra import (
     p_values_from_table,
     q_from_table,
     srg_derive,
+    type3_integrality,
+    _srg_from_spectrum,
 )
 
 FEASIBLE = "feasible"
@@ -243,10 +248,10 @@ def srg_candidates(n_max: int):
                     continue
                 if (s + 1) * (k + s + 2 * r * s) > (k + s) * (r + 1) ** 2:
                     continue
-                found.append((n, k, lam, mu))
+                found.append((n, k, lam, mu, r, s, m1, m2))
     found.sort()
-    for quad in found:
-        yield srg_derive(*quad)
+    for ints in found:
+        yield _srg_from_spectrum(*ints)
 
 
 def _consecutive_factors(limit: int) -> list:
@@ -294,11 +299,13 @@ def _type3_z_map(p: SrgParams) -> tuple[int, int, int]:
 
 
 def _type3_z_candidates(p: SrgParams):
-    """Integer z in (0, n*k2/m1) worth a full check.
+    """Integer z in (0, n*k2/m1) worth a check.
 
     The closed-form entry p^2_(1,2) is linear in z and must be a
     nonnegative integer, which pins z to one residue class per integer
-    value of that entry; everything else is skipped unseen.
+    value of that entry; everything else is skipped unseen.  The window is
+    not narrowed further here: fission_scan runs the integer stage on each
+    z it yields.
     """
     n, k2, m1 = p.n, p.k2, p.m1
     slope, offset, step = _type3_z_map(p)
@@ -363,12 +370,17 @@ def fission_scan(p: SrgParams, witness=None, family: str = "srg",
     """All split candidates over one non-conference parameter set.
 
     Types I and II pass the quick congruence filters before their closed
-    forms are checked; type III enumerates integer z.  Candidates whose
-    closed form passes the integrality gate are emitted as feasible or
-    krein_excluded; everything else is dropped silently.  witness =
-    (z, (l, i, j)) has the type-III record at z report q^l_ij whether or
-    not it passes the gate (see _dual_derivation_record).  family and
-    params label the records.
+    forms are checked.  Type III enumerates integer z in its window and
+    keeps only those the integer stage (spectra.type3_integrality) passes:
+    a rational sqrt(yz) and every closed-form entry a nonnegative integer,
+    decided without a Fraction.  Only the survivors get a FissionCandidate
+    and a ClosedForm, and they pass the same gate, dual derivation and
+    Krein check as before.  Candidates whose closed form passes the
+    integrality gate are emitted as feasible or krein_excluded; everything
+    else is dropped silently.  witness = (z, (l, i, j)) has the type-III
+    record at z report q^l_ij whether or not it passes the gate (see
+    _dual_derivation_record), so that z skips the integer stage.  family
+    and params label the records.
     """
     if p.conference:
         raise ValueError("fission_scan needs non-conference parameters")
@@ -377,7 +389,10 @@ def fission_scan(p: SrgParams, witness=None, family: str = "srg",
         return records
     witness_z, entry = witness or (None, None)
     typed = [make_candidate(p, t) for t in (TYPE_I, TYPE_II) if corollary_filters(p, t)]
-    for cand in chain(typed, (make_candidate(p, TYPE_III, z) for z in _type3_z_candidates(p))):
+    integral = type3_integrality(p)
+    type3 = (make_candidate(p, TYPE_III, z) for z in _type3_z_candidates(p)
+             if z == witness_z or integral(z))
+    for cand in chain(typed, type3):
         try:
             closed = intersection_matrices_closed_form(p, cand)
         except InfeasibleError:

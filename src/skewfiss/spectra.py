@@ -27,11 +27,12 @@ once, when read.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import isqrt, lcm, prod
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -104,7 +105,6 @@ def srg_derive(n: int, k: int, lam: int, mu: int) -> SrgParams:
     if k * (k - lam - 1) != (n - k - 1) * mu:
         raise ValueError(
             f"parameter identity k(k-lam-1) = (n-k-1)mu fails for ({n},{k},{lam},{mu})")
-    k2 = n - k - 1
     disc = (lam - mu) ** 2 + 4 * (k - mu)
     if disc <= 0:
         raise ValueError(f"degenerate spectrum for ({n},{k},{lam},{mu})")
@@ -119,21 +119,24 @@ def srg_derive(n: int, k: int, lam: int, mu: int) -> SrgParams:
         m2 = n - 1 - m1
         if m1 <= 0 or m2 <= 0:
             raise ValueError(f"non-positive multiplicities for ({n},{k},{lam},{mu})")
-        r, s = SurdSum(r_i), SurdSum(s_i)
-        conference = m1 == m2
-    else:
-        # irrational eigenvalues force equal multiplicities
-        if 2 * k + (n - 1) * (lam - mu) != 0 or (n - 1) % 2:
-            raise ValueError(f"non-integer multiplicities for ({n},{k},{lam},{mu})")
-        m1 = m2 = (n - 1) // 2
-        half = surd_sqrt(disc) / 2
-        r = SurdSum(Fraction(lam - mu, 2)) + half
-        s = SurdSum(Fraction(lam - mu, 2)) - half
-        conference = True
-    minus_one = SurdSum(-1)
-    return SrgParams(n=n, k=k, lam=lam, mu=mu, k2=k2, r=r, s=s,
-                     t=minus_one - r, u=minus_one - s, m1=m1, m2=m2,
-                     conference=conference)
+        return _srg_from_spectrum(n, k, lam, mu, r_i, s_i, m1, m2)
+    # irrational eigenvalues force equal multiplicities
+    if 2 * k + (n - 1) * (lam - mu) != 0 or (n - 1) % 2:
+        raise ValueError(f"non-integer multiplicities for ({n},{k},{lam},{mu})")
+    half = surd_sqrt(disc) / 2
+    rational = SurdSum(Fraction(lam - mu, 2))
+    return _srg_from_spectrum(n, k, lam, mu, rational + half, rational - half,
+                              (n - 1) // 2, (n - 1) // 2)
+
+
+def _srg_from_spectrum(n: int, k: int, lam: int, mu: int, r, s, m1: int,
+                       m2: int) -> SrgParams:
+    """SrgParams with eigenvalues r > s (ints or SurdSums) and multiplicities
+    m1, m2, taken as given: srg_derive computes and checks them first, and
+    srg_candidates has them from its own enumeration."""
+    r, s = SurdSum(r), SurdSum(s)
+    return SrgParams(n=n, k=k, lam=lam, mu=mu, k2=n - k - 1, r=r, s=s, t=-1 - r, u=-1 - s,
+                     m1=m1, m2=m2, conference=m1 == m2)
 
 
 # -- fission candidates -------------------------------------------------------
@@ -601,13 +604,17 @@ class KreinTensor:
 def q_from_table(t: CharacterTable) -> KreinTensor:
     """Krein numbers from the eigenvalue identity; negativity is a result."""
     weights = [Fraction(1) / (k * k) for k in t.valencies]
+    m = t.multiplicities
     if t.kind == "conference":
+        # m_i m_j / n goes into the read-out denominator of each sum
         S, den, s = _conference_sums(t, weights, columns=True)
-        S = [[[_surd(x, s, den) for x in row] for row in plane] for plane in S]
+        scale = [[den * t.n / (mi * mj) for mj in m] for mi in m]
+        value = lambda x, c: _surd(x, s, c)
     else:
         S = _identity_sums([list(col) for col in zip(*t.entries)], weights)
-    scale = [[Fraction(mi * mj, t.n) for mj in t.multiplicities] for mi in t.multiplicities]
-    return KreinTensor(q=tuple(tuple(tuple(x * scale[i][j] for x in row)
+        scale = [[mi * mj / t.n for mj in m] for mi in m]
+        value = lambda x, c: x * c
+    return KreinTensor(q=tuple(tuple(tuple(value(x, scale[i][j]) for x in row)
                                      for j, row in enumerate(plane))
                                for i, plane in enumerate(S)))
 
@@ -661,9 +668,7 @@ def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> C
     if p.conference:
         raise InfeasibleError("conference parameters have no rational closed form; "
                               "use the cyclotomic closed form instead")
-    n, k, k2, lam, mu = p.n, p.k, p.k2, p.lam, p.mu
     r, s, t, u = p.eig_ints()
-    F = Fraction
     z, y, b, c = _table_parameters(p, cand)
     yz = y * z
     root_num, root_den = isqrt(yz.numerator), isqrt(yz.denominator)
@@ -675,31 +680,95 @@ def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> C
     gamma = p.m1 * r * z + p.m2 * s * c
     phi = p.m1 * r * syz - p.m2 * s * sbc
     pi = p.m1 * r * y + p.m2 * b * s
+    b1, b2 = (tuple(tuple(Fraction(num, den) for num, den in row) for row in part)
+              for part in _principal_parts(p, gamma, phi, pi))
+    aux = {"gamma": gamma, "phi": phi, "pi": pi, "sqrt_yz": syz, "sqrt_bc": sbc}
+    valencies = (1, p.k // 2, p.k2 // 2, p.k2 // 2, p.k // 2)
+    return ClosedForm(b1=_complete_matrix(b1, 1, valencies[1]),
+                      b2=_complete_matrix(b2, 2, valencies[2]), valencies=valencies, aux=aux)
+
+
+def _principal_parts(p: SrgParams, gamma, phi, pi) -> tuple:
+    """Principal 4x4 parts of B1 and B2 as (numerator, denominator) pairs.
+
+    Every numerator is a constant plus an integer combination of gamma, phi
+    and pi, over 4nk or 4nk2; the closed form passes their values, the
+    integer stage unit vectors to read off the coefficients.
+    """
+    n, k, k2, lam, mu = p.n, p.k, p.k2, p.lam, p.mu
     nk, nk2 = n * k, n * k2
+    dk, dk2 = 4 * nk, 4 * nk2
     w1 = n - 2 * k + lam
     w2 = n - 2 * k + mu
     b1 = (
-        (F(nk * lam + pi, 4 * nk), F(nk2 * mu + nk + 2 * phi + pi, 4 * nk2),
-         F(nk2 * mu + nk - 2 * phi + pi, 4 * nk2), F(nk * lam - 3 * pi, 4 * nk)),
-        (F(nk2 * mu - nk - pi, 4 * nk), F(nk * w1 + gamma, 4 * nk2),
-         F(nk * w1 - gamma + 2 * phi, 4 * nk2), F(nk + nk2 * mu - 2 * phi + pi, 4 * nk)),
-        (F(nk2 * mu - nk - pi, 4 * nk), F(nk * w1 - gamma - 2 * phi, 4 * nk2),
-         F(nk * w1 + gamma, 4 * nk2), F(nk + nk2 * mu + pi + 2 * phi, 4 * nk)),
-        (F(nk * lam + pi, 4 * nk), F(nk2 * mu - nk - pi, 4 * nk2),
-         F(nk2 * mu - nk - pi, 4 * nk2), F(nk * lam + pi, 4 * nk)),
+        ((nk * lam + pi, dk), (nk2 * mu + nk + 2 * phi + pi, dk2),
+         (nk2 * mu + nk - 2 * phi + pi, dk2), (nk * lam - 3 * pi, dk)),
+        ((nk2 * mu - nk - pi, dk), (nk * w1 + gamma, dk2),
+         (nk * w1 - gamma + 2 * phi, dk2), (nk + nk2 * mu - 2 * phi + pi, dk)),
+        ((nk2 * mu - nk - pi, dk), (nk * w1 - gamma - 2 * phi, dk2),
+         (nk * w1 + gamma, dk2), (nk + nk2 * mu + pi + 2 * phi, dk)),
+        ((nk * lam + pi, dk), (nk2 * mu - nk - pi, dk2),
+         (nk2 * mu - nk - pi, dk2), (nk * lam + pi, dk)),
     )
     b2 = (
-        (F(nk * w1 - gamma - 2 * phi, 4 * nk), F(nk2 * w2 - gamma - 3 * nk2, 4 * nk2),
-         F(nk2 * w2 + nk2 + 3 * gamma, 4 * nk2), F(nk * w1 + 2 * phi - gamma, 4 * nk)),
-        (F(nk * w1 + gamma, 4 * nk), F(nk2 * w2 - gamma - 3 * nk2, 4 * nk2),
-         F(nk2 * w2 - gamma - 3 * nk2, 4 * nk2), F(nk * w1 + gamma, 4 * nk)),
+        ((nk * w1 - gamma - 2 * phi, dk), (nk2 * w2 - gamma - 3 * nk2, dk2),
+         (nk2 * w2 + nk2 + 3 * gamma, dk2), (nk * w1 + 2 * phi - gamma, dk)),
+        ((nk * w1 + gamma, dk), (nk2 * w2 - gamma - 3 * nk2, dk2),
+         (nk2 * w2 - gamma - 3 * nk2, dk2), (nk * w1 + gamma, dk)),
     )
-    aux = {"gamma": gamma, "phi": phi, "pi": pi, "sqrt_yz": syz, "sqrt_bc": sbc}
     # B2's outer rows repeat B1's: p^k_21 = p^k_12 and p^k_24 = p^k'_13
-    b2 = (b1[1], *b2, b1[2][::-1])
-    valencies = (1, k // 2, k2 // 2, k2 // 2, k // 2)
-    return ClosedForm(b1=_complete_matrix(b1, 1, valencies[1]),
-                      b2=_complete_matrix(b2, 2, valencies[2]), valencies=valencies, aux=aux)
+    return b1, (b1[1], *b2, b1[2][::-1])
+
+
+def type3_integrality(p: SrgParams) -> Callable[[int], bool]:
+    """The integer stage: a test of integer z, 0 < z < n*k2/m1, that is true
+    exactly when the type-III closed form at z passes the integrality gate.
+
+    With N = n*k2 - m1*z, sqrt(yz) = sqrt(k*N*z / (k2*m1)) is rational only
+    when x = k*N*z*k2*m1 is a square, and then sqrt(yz) = isqrt(x) / (k2*m1).
+    Gamma = m1(r-s)z + s*n*k2, Phi = m1(r-s)sqrt(yz) and
+    Pi = k(r*N + s*m1*z)/k2 are affine in z and sqrt(yz), so each principal
+    entry of B1 and B2 is (A + B*z + C*isqrt(x)) / M for integers fixed by
+    p.  Those are computed at the first z whose sqrt(yz) is rational, and
+    each distinct entry is then tested for sign and divisibility, in the
+    order of _principal_parts.  Every other entry of the tensor is 0, 1 or
+    a valency.  No Fraction is built.
+    """
+    r, s, _, _ = p.eig_ints()
+    n, k, k2, m1 = p.n, p.k, p.k2, p.m1
+    d = k2 * m1
+    g1 = m1 * (r - s)
+    entries = []
+
+    def coefficients():
+        # numerator = c + a*Gamma + f*Phi + q*Pi; Gamma = g1*z + s*n*k2,
+        # Phi = g1*isqrt(x)/d and k2*Pi = k*r*n*k2 - k*g1*z, all times k2*d
+        at = lambda *unit: [pair for part in _principal_parts(p, *unit) for row in part
+                            for pair in row]
+        forms = {}
+        for (c, den), (ga, _), (ph, _), (pi, _) in zip(at(0, 0, 0), at(1, 0, 0), at(0, 1, 0),
+                                                       at(0, 0, 1)):
+            a, f, q = ga - c, ph - c, pi - c
+            form = ((k2 * (c + a * s * n * k2) + q * k * r * n * k2) * d,
+                    (k2 * a * g1 - q * k * g1) * d, k2 * f * g1, den * k2 * d)
+            g = gcd(*form)
+            forms[tuple(x // g for x in form)] = None
+        return list(forms)
+
+    def integral(z: int) -> bool:
+        x = k * (n * k2 - m1 * z) * z * d
+        root = isqrt(x)
+        if root * root != x:
+            return False
+        if not entries:
+            entries.extend(coefficients())
+        for a, b, c, m in entries:
+            num = a + b * z + c * root
+            if num < 0 or num % m:
+                return False
+        return True
+
+    return integral
 
 
 # -- quick arithmetic filters --------------------------------------------------

@@ -107,6 +107,13 @@ def test_srg_candidates_match_triple_loop(n_max):
     assert [p.quad() for p in sf.srg_candidates(n_max)] == _srg_quads_by_triple_loop(n_max)
 
 
+@pytest.mark.parametrize("n_max", [-5, 0, 1, 2, 5, 9, 10, 50, 300, 1300, 3000, 5000])
+def test_srg_candidates_equal_srg_derive(n_max):
+    """srg_candidates builds SrgParams from its own integers; srg_derive agrees."""
+    for p in sf.srg_candidates(n_max):
+        assert p == sf.srg_derive(*p.quad())
+
+
 def test_fission_scan_57():
     recs = sf.fission_scan(sf.srg_derive(57, 14, 1, 4))
     assert [(r.table_type, r.z, r.status) for r in recs] == [(TYPE_III, 27, FEASIBLE)]

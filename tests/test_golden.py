@@ -30,6 +30,9 @@ GOLDEN = [
     # the paper's 1300-point table: 5 type-I and 7 type-II character tables
     (("srg", "--max-n", "1300", "--format", "json"),
      "57a50b70ef31acf68e54827a88936fe114e207bd760b3aeb0e5cc367ef314d7a"),
+    # the cap: 148 records, pinned before the integer type-III stage landed
+    (("srg", "--max-n", "5000", "--format", "json"),
+     "ecabdbc378809e1f67ec4a3a579ae9a1c3152467ba2879724884eb166a2e58a7"),
     # covers both Johnson witness records: the generic z (v = 7 mod 8) and
     # the non-integral structural one (v = 3 mod 8)
     (("johnson", "--max-v", "60", "--format", "json"),

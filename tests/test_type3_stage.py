@@ -1,0 +1,90 @@
+"""The integer type-III stage against the Fraction path it screens for.
+
+``type3_integrality(p)(z)`` must be true exactly when ``make_candidate``,
+``intersection_matrices_closed_form`` and ``ClosedForm.tensor()`` all
+succeed at z: a z the stage rejects is one the closed form's integrality
+gate would reject, and nothing the gate passes is lost.
+"""
+
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import skewfiss as sf
+import skewfiss.feasibility as feasibility
+from skewfiss.feasibility import _type3_z_candidates
+from skewfiss.spectra import TYPE_III, type3_integrality
+
+
+def gate_passes(p, z) -> bool:
+    """make_candidate -> closed form -> tensor(), the path the stage screens for."""
+    try:
+        sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_III, z)).tensor()
+    except sf.InfeasibleError:
+        return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def splittable(n_max: int) -> list:
+    """Parameter sets up to n_max that can split and have a nonempty z window."""
+    return [p for p in sf.srg_candidates(n_max)
+            if not (p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2)
+            and any(_type3_z_candidates(p))]
+
+
+def test_stage_matches_gate_on_every_z_up_to_1300():
+    tried = passed = 0
+    for p in splittable(1300):
+        integral = type3_integrality(p)
+        for z in _type3_z_candidates(p):
+            assert integral(z) == gate_passes(p, z), (p.quad(), z)
+            tried += 1
+            passed += integral(z)
+    assert (tried, passed) == (3360, 25)
+
+
+@st.composite
+def window_z(draw):
+    """(p, z) with p a splittable set up to 5000 and z in its residue window;
+    half the draws keep only the z whose sqrt(yz) is rational."""
+    sets = splittable(5000)
+    p = sets[draw(st.integers(0, len(sets) - 1))]
+    zs = list(_type3_z_candidates(p))
+    if draw(st.booleans()):
+        rational = []
+        for z in zs:
+            try:
+                sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_III, z))
+                rational.append(z)
+            except sf.InfeasibleError:
+                pass
+        zs = rational or zs
+    return p, draw(st.sampled_from(zs))
+
+
+@given(window_z())
+@settings(max_examples=300, deadline=None)
+def test_stage_matches_gate_up_to_5000(pz):
+    p, z = pz
+    assert type3_integrality(p)(z) == gate_passes(p, z)
+
+
+@pytest.mark.parametrize("quad,z", [((57, 14, 1, 4), 27), ((105, 26, 13, 4), 540),
+                                    ((441, 110, 19, 30), 252), ((21, 10, 5, 4), 28)])
+def test_stage_accepts_known_records(quad, z):
+    assert type3_integrality(sf.srg_derive(*quad))(z)
+
+
+def test_scan_builds_candidates_only_for_survivors(monkeypatch):
+    """scan srg --max-n 1300: 36 typed candidates pass the corollary filters
+    and 25 type-III z pass the stage, out of 3360 in the windows."""
+    monkeypatch.setenv("SKEWFISS_THREADS", "1")
+    built = []
+    real = feasibility.make_candidate
+    monkeypatch.setattr(feasibility, "make_candidate",
+                        lambda p, t, z=None: built.append(t) or real(p, t, z))
+    assert len(sf.scan_srg(1300)) == 37
+    assert len(built) == 61 and built.count(TYPE_III) == 25
