@@ -220,9 +220,10 @@ class SurdSum:
         return not self < other
 
     def __hash__(self) -> int:
-        # a rational value hashes like its Fraction (and int), which it equals
+        # a rational value hashes like the int or Fraction it equals
         if self.is_rational():
-            return hash(self.rational_value())
+            value = self._num.get(1, 0)
+            return hash(value if self._den == 1 else Fraction(value, self._den))
         return hash((frozenset(self._num.items()), self._den))
 
     def __bool__(self) -> bool:

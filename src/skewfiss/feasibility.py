@@ -5,10 +5,11 @@ ordinary strongly regular graphs, imprimitive (clique-blown-up) graphs and
 the 2-subset intersection family.  Each scanner is one call of _scan, which
 maps a per-unit function (a q, an srg parameter set, an (f, g) or a v) over
 the family's units, fanned out over SKEWFISS_THREADS processes, and sorts
-the records.  In the srg-like families an integer stage
-(spectra.type3_integrality) screens each type-III z first: a z it rejects
-would fail the closed form's integrality gate, and only the survivors get
-a candidate and a closed form.  All feasible and Krein-excluded records
+the records.  In the srg-like families the type-III z come from
+spectra.type3_window and pass spectra.type3_integrality, an integer stage:
+a z it rejects would fail the closed form's integrality gate, and only the
+survivors get a candidate and a closed form.  No closed-form entry is
+computed here.  All feasible and Krein-excluded records
 have passed the dual-derivation check: closed-form intersection matrices
 (the cyclotomic ones for conference graphs) equal to the eigenvalue-identity
 tensor, entry by entry, in exact arithmetic.  Each record then gets its
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt
 from multiprocessing import Pool
@@ -30,7 +30,8 @@ from .constructions import (
     two_squares,
 )
 from .exactnum import SurdSum
-from .scheme_core import AssociationScheme, IntersectionTensor, verify_axioms, is_skew_symmetric
+from .scheme_core import (AssociationScheme, IntersectionTensor, _orbit_partition,
+                          is_skew_symmetric, verify_axioms)
 from .spectra import (
     TYPE_I,
     TYPE_II,
@@ -51,6 +52,9 @@ from .spectra import (
     q_from_table,
     srg_derive,
     type3_integrality,
+    type3_window,
+    _side_values,
+    _solve_type3_z,
     _srg_from_spectrum,
 )
 
@@ -289,38 +293,6 @@ def _divisors_between(f1: dict, f2: dict, lo: int, hi: int) -> list[int]:
     return [d for d in divisors if lo <= d <= hi]
 
 
-def _type3_z_map(p: SrgParams) -> tuple[int, int, int]:
-    """(slope, offset, den) with z = (slope * e - offset) / den, where
-    e = (n k (n-2k+lam) + Gamma)/(4 n k2) is the z-linear closed-form entry
-    p^2_(1,2)."""
-    r, s, _, _ = p.eig_ints()
-    n, k2 = p.n, p.k2
-    return 4 * n * k2, n * p.k * (n - 2 * p.k + p.lam) + s * n * k2, (r - s) * p.m1
-
-
-def _type3_z_candidates(p: SrgParams):
-    """Integer z in (0, n*k2/m1) worth a check.
-
-    The closed-form entry p^2_(1,2) is linear in z and must be a
-    nonnegative integer, which pins z to one residue class per integer
-    value of that entry; everything else is skipped unseen.  The window is
-    not narrowed further here: fission_scan runs the integer stage on each
-    z it yields.
-    """
-    n, k2, m1 = p.n, p.k2, p.m1
-    slope, offset, step = _type3_z_map(p)
-    # 0 < z < n k2/m1 puts slope * e between offset and offset + (r-s) n k2
-    jlo = max(0, -(-offset // slope))
-    jhi = (offset + step // m1 * n * k2) // slope
-    for j in range(jlo, jhi + 1):
-        numz = slope * j - offset
-        if numz <= 0 or numz % step:
-            continue
-        z = numz // step
-        if 0 < m1 * z < n * k2:
-            yield z
-
-
 def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, closed: ClosedForm,
                             witness=None, family: str = "srg", params: dict | None = None,
                             realizable: str = "?") -> ScanRecord | None:
@@ -370,12 +342,12 @@ def fission_scan(p: SrgParams, witness=None, family: str = "srg",
     """All split candidates over one non-conference parameter set.
 
     Types I and II pass the quick congruence filters before their closed
-    forms are checked.  Type III enumerates integer z in its window and
-    keeps only those the integer stage (spectra.type3_integrality) passes:
-    a rational sqrt(yz) and every closed-form entry a nonnegative integer,
-    decided without a Fraction.  Only the survivors get a FissionCandidate
-    and a ClosedForm, and they pass the same gate, dual derivation and
-    Krein check as before.  Candidates whose closed form passes the
+    forms are checked.  Type III takes the z of spectra.type3_window (where
+    p^2_(1,2) is a nonnegative integer) and keeps those the integer stage
+    (spectra.type3_integrality) passes: a rational sqrt(yz) and every
+    closed-form entry a nonnegative integer.  Only the survivors get a
+    FissionCandidate and a ClosedForm, which pass the gate, the dual
+    derivation and the Krein check.  Candidates whose closed form passes the
     integrality gate are emitted as feasible or krein_excluded; everything
     else is dropped silently.  witness = (z, (l, i, j)) has the type-III
     record at z report q^l_ij whether or not it passes the gate (see
@@ -390,7 +362,7 @@ def fission_scan(p: SrgParams, witness=None, family: str = "srg",
     witness_z, entry = witness or (None, None)
     typed = [make_candidate(p, t) for t in (TYPE_I, TYPE_II) if corollary_filters(p, t)]
     integral = type3_integrality(p)
-    type3 = (make_candidate(p, TYPE_III, z) for z in _type3_z_candidates(p)
+    type3 = (make_candidate(p, TYPE_III, z) for z in type3_window(p)
              if z == witness_z or integral(z))
     for cand in chain(typed, type3):
         try:
@@ -465,10 +437,11 @@ def _johnson_records(v: int) -> list[ScanRecord]:
     # drop it; its Krein number is still a standalone rejection certificate.
     records = fission_scan(p, witness=(v * (v - 3) ** 2 // 4, (3, 1, 1)), family="johnson",
                            params={"v": v, **_srg_params(p)})
-    c_val = Fraction((v - 1) * (6 - v), 2)
+    z = v * (v - 3) ** 2 // 2
+    c = _side_values(p, z)[2]  # (v-1)(4-v)/2, the c that type3_auxiliary would see
     records.append(ScanRecord(
-        family="johnson", n=n, params=params, table_type=TYPE_III, z=v * (v - 3) ** 2 // 2,
-        status=INTEGRALITY_EXCLUDED, notes=f"auxiliary c = (v-1)(6-v)/2 = {c_val} <= 0"))
+        family="johnson", n=n, params=params, table_type=TYPE_III, z=z,
+        status=INTEGRALITY_EXCLUDED, notes=f"auxiliary c = (v-1)(4-v)/2 = {c} <= 0"))
     return records
 
 
@@ -510,14 +483,8 @@ def _permuted_tensor(t: IntersectionTensor, sigma: tuple) -> tuple:
 
 def _relabelings(tmap: list[int]):
     """All maps of canonical positions (R1, R2, R2^T, R1^T) onto the classes."""
-    orbits = []
-    seen = set()
-    for i in range(1, 5):
-        if i not in seen:
-            orbits.append((i, tmap[i]))
-            seen.update((i, tmap[i]))
-    (a, at), (b, bt) = orbits
-    for first, second in (((a, at), (b, bt)), ((b, bt), (a, at))):
+    a, b = _orbit_partition(tmap)[1:]
+    for first, second in ((a, b), (b, a)):
         for x1 in first:
             for x2 in second:
                 yield (0, x1, x2, tmap[x2], tmap[x1])
@@ -604,12 +571,3 @@ def classify_scheme(s: AssociationScheme) -> Classification:
             raise ClassificationError(
                 f"ambiguous classification: {first} vs {other}")
     return first
-
-
-def _solve_type3_z(p: SrgParams, perm) -> Fraction | None:
-    """Invert the z-linear closed-form entry at position p^2_(1,2)."""
-    slope, offset, den = _type3_z_map(p)
-    z = Fraction(slope * perm[1][2][2] - offset, den)
-    if 0 < z < Fraction(p.n * p.k2, p.m1):
-        return z
-    return None

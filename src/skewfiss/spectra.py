@@ -11,7 +11,11 @@ parameters or from the eigenvalue identity
     p^l_ij = (1/(n k_l)) sum_h m_h P[h][i] P[h][j] conj(P[h][l])
     q^l_ij = (m_i m_j / n) sum_h P[i][h] P[j][h] conj(P[l][h]) / k_h^2
 
-and the two derivations must agree exactly on every candidate.
+and the two derivations must agree exactly on every candidate.  Each is
+written once: the closed form is _principal_parts in Gamma, Phi and Pi
+(_gamma_phi_pi), whose integer coefficients also give the type-III z
+window and the integer stage, and column orthogonality is the identity's
+p^j_(i,0) = [i = j].
 
 Surd tables run the identity on ComplexSurd entries, forming the weighted
 product of entries i and j once per summation index and only for i <= j.
@@ -444,11 +448,14 @@ def _conference_vectors(t: CharacterTable) -> tuple[np.ndarray, int]:
     return _int_array(rows), D
 
 
-def _conference_factors(t: CharacterTable, weights, columns=False, limit=_INT64_LIMIT):
-    """(X, L, D, den, s): X[h, i] = w_h E[h, i] (weights scaled to integers),
-    L[0, h, j] and L[1, h, j] the multiplication matrices of E[h, j] and
-    conj(E[h, j]), den the denominator of a product X*L.  columns=True
-    reads the table transposed, E[h, i] = P[i][h]."""
+def _conference_sums(t: CharacterTable, weights, columns=False, limit=_INT64_LIMIT):
+    """(S, den, s) with sum_h w_h E[h][i] E[h][j] conj(E[h][l]) = (x0 + x1 sqrt(s))/den
+    for [x0, x1] = S[i][j][l]: two contractions, W[h, i, j] = w_h E[h, i] E[h, j]
+    and S[i, j, l] = sum_h W[h, i, j] conj(E[h, l]), with no reduction on the
+    way.  The weights are scaled to integers, and each factor E[h, j] or
+    conj(E[h, l]) enters as its multiplication matrix.  columns=True reads
+    the table transposed, E[h, i] = P[i][h].  ConsistencyError names the
+    first (i, j, l) that is not real."""
     M, s = _structure_tensor(t.q, t.g, t.h)
     E, D = _conference_vectors(t)
     if columns:
@@ -458,16 +465,7 @@ def _conference_factors(t: CharacterTable, weights, columns=False, limit=_INT64_
                       limit=limit)
     conj = E * np.array([1, 1, -1, -1, -1, -1])
     L = _exact_einsum("xhjb,abc->xhjac", np.stack((E, conj)), M, limit=limit)
-    return X, L, D, 8 * D * D * scale, s
-
-
-def _conference_sums(t: CharacterTable, weights, columns=False, limit=_INT64_LIMIT):
-    """(S, den, s) with sum_h w_h E[h][i] E[h][j] conj(E[h][l]) = (x0 + x1 sqrt(s))/den
-    for [x0, x1] = S[i][j][l]: two contractions, W[h, i, j] = w_h E[h, i] E[h, j]
-    and S[i, j, l] = sum_h W[h, i, j] conj(E[h, l]), with no reduction on the
-    way.  ConsistencyError names the first (i, j, l) that is not real."""
-    X, L, D, den, s = _conference_factors(t, weights, columns, limit)
-    den *= 8 * D
+    den = 64 * D ** 3 * scale
     W = _exact_einsum("hia,hjac->hijc", X, L[0], limit=limit)
     S = _exact_einsum("hija,hlac->ijlc", W, L[1], limit=limit)
     bad = np.argwhere(S[..., 2:].any(axis=-1))
@@ -485,25 +483,16 @@ def _surd(x: list, s: int, scale) -> SurdSum:
 
 
 def check_orthogonality(t: CharacterTable) -> None:
-    """Column orthogonality sum_h m_h P[h][i] conj(P[h][j]) = n k_i [i=j], exactly."""
-    d1 = len(t.entries)
-    if t.kind == "conference":
-        X, L, _, den, s = _conference_factors(t, t.multiplicities)
-        sums = _exact_einsum("hia,hjac->ijc", X, L[1]).tolist()
-        real = lambda i, j: None if any(sums[i][j][2:]) else _surd(sums[i][j], s, den)
-    else:
-        P, m = t.entries, t.multiplicities
+    """Column orthogonality sum_h m_h P[h][i] conj(P[h][j]) = n k_i [i=j], exactly.
 
-        def real(i, j):
-            acc = P[0][i] * P[0][j].conjugate() * m[0]
-            for h in range(1, d1):
-                acc = acc + P[h][i] * P[h][j].conjugate() * m[h]
-            return acc.real_part() if acc.is_real() else None
-    for i in range(d1):
-        for j in range(d1):
-            value = real(i, j)
-            if value is None or value != (t.n * t.valencies[i] if i == j else 0):
-                raise ConsistencyError(f"orthogonality fails at columns ({i},{j}): {value}")
+    Column 0 of P is all ones, so that sum is n k_j p^j_(i,0) in the
+    eigenvalue identity, and orthogonality is p^j_(i,0) = [i = j].
+    """
+    for i, row in enumerate(p_values_from_table(t)):
+        for j, value in enumerate(row[0]):
+            if value != int(i == j):
+                raise ConsistencyError(
+                    f"orthogonality fails at columns ({i},{j}): p^{j}_({i},0) = {value}")
 
 
 def _identity_sums(E: list[list], weights) -> list:
@@ -660,40 +649,46 @@ def _complete_matrix(principal, rel: int, valency: int) -> tuple:
 def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> ClosedForm:
     """Exact B1, B2 for one candidate type, completed from their principal parts.
 
-    One formula in Gamma = m1*r*z + m2*s*c, Phi = m1*r*sqrt(yz) - m2*s*sqrt(bc)
-    and Pi = m1*r*y + m2*b*s serves all three types: types I and II are
-    type III at z = n*k2/m1 and z = 0, where sqrt(yz) = Phi = 0.  sqrt(yz)
-    must be rational or the candidate is structurally infeasible.
+    One formula in Gamma, Phi and Pi (_gamma_phi_pi) serves all three types:
+    types I and II are type III at z = n*k2/m1 and z = 0, where
+    sqrt(yz) = Phi = 0.  sqrt(yz) must be rational or the candidate is
+    structurally infeasible.
     """
     if p.conference:
         raise InfeasibleError("conference parameters have no rational closed form; "
                               "use the cyclotomic closed form instead")
-    r, s, t, u = p.eig_ints()
-    z, y, b, c = _table_parameters(p, cand)
+    z, y, _, _ = _table_parameters(p, cand)
     yz = y * z
     root_num, root_den = isqrt(yz.numerator), isqrt(yz.denominator)
     if root_num ** 2 != yz.numerator or root_den ** 2 != yz.denominator:
         raise InfeasibleError(f"sqrt(y*z) = sqrt({yz}) is irrational: no rational "
                               "intersection numbers exist for this z")
     syz = Fraction(root_num, root_den)
-    sbc = Fraction(p.m1, p.m2) * syz
-    gamma = p.m1 * r * z + p.m2 * s * c
-    phi = p.m1 * r * syz - p.m2 * s * sbc
-    pi = p.m1 * r * y + p.m2 * b * s
+    gamma, phi, pi = _gamma_phi_pi(p, z, syz)
     b1, b2 = (tuple(tuple(Fraction(num, den) for num, den in row) for row in part)
               for part in _principal_parts(p, gamma, phi, pi))
-    aux = {"gamma": gamma, "phi": phi, "pi": pi, "sqrt_yz": syz, "sqrt_bc": sbc}
+    aux = {"gamma": gamma, "phi": phi, "pi": pi, "sqrt_yz": syz, "sqrt_bc": syz * p.m1 / p.m2}
     valencies = (1, p.k // 2, p.k2 // 2, p.k2 // 2, p.k // 2)
     return ClosedForm(b1=_complete_matrix(b1, 1, valencies[1]),
                       b2=_complete_matrix(b2, 2, valencies[2]), valencies=valencies, aux=aux)
+
+
+def _gamma_phi_pi(p: SrgParams, z, syz) -> tuple:
+    """Gamma = m1(r-s)z + s*n*k2, Phi = m1(r-s)sqrt(yz), Pi = k(r(n*k2 - m1*z) + s*m1*z)/k2,
+    which are m1*r*z + m2*s*c, m1*r*sqrt(yz) - m2*s*sqrt(bc) and m1*r*y + m2*s*b
+    with (y, b, c) from the side conditions; Pi is a Fraction."""
+    r, s, _, _ = p.eig_ints()
+    g1 = p.m1 * (r - s)
+    return (g1 * z + s * p.n * p.k2, g1 * syz,
+            Fraction(p.k * (r * (p.n * p.k2 - p.m1 * z) + s * p.m1 * z), p.k2))
 
 
 def _principal_parts(p: SrgParams, gamma, phi, pi) -> tuple:
     """Principal 4x4 parts of B1 and B2 as (numerator, denominator) pairs.
 
     Every numerator is a constant plus an integer combination of gamma, phi
-    and pi, over 4nk or 4nk2; the closed form passes their values, the
-    integer stage unit vectors to read off the coefficients.
+    and pi, over 4nk or 4nk2; the closed form passes their values at its z,
+    _principal_forms their values at three points to read off coefficients.
     """
     n, k, k2, lam, mu = p.n, p.k, p.k2, p.lam, p.mu
     nk, nk2 = n * k, n * k2
@@ -720,40 +715,75 @@ def _principal_parts(p: SrgParams, gamma, phi, pi) -> tuple:
     return b1, (b1[1], *b2, b1[2][::-1])
 
 
+def _integer_parts(p: SrgParams, z: int, syz: int) -> tuple:
+    """_principal_parts in ints at (z, sqrt(yz)) = (0, 0), (k2, 0) or (0, 1)."""
+    gamma, phi, pi = _gamma_phi_pi(p, z, syz)
+    return _principal_parts(p, gamma, phi, int(pi))
+
+
+def _principal_forms(p: SrgParams) -> list:
+    """Each principal entry of B1 and B2, in _principal_parts order, as integers
+    (A, B, C, M) with entry = (A + B*z + C*isqrt(x)) / M at integer z.
+
+    Here x = k*N*z*k2*m1 with N = n*k2 - m1*z, so sqrt(yz) = isqrt(x)/(k2*m1)
+    when x is a square.  Gamma, Phi and Pi are affine in z and sqrt(yz), so
+    the closed form's own formula at three points fixes every entry.  The
+    forms are not reduced.
+    """
+    k2, d = p.k2, p.k2 * p.m1
+    flat = lambda z, syz: [pair for part in _integer_parts(p, z, syz) for row in part
+                           for pair in row]
+    return [(a0 * k2 * d, (ak - a0) * d, (a1 - a0) * k2, den * k2 * d)
+            for (a0, den), (ak, _), (a1, _) in zip(flat(0, 0), flat(k2, 0), flat(0, 1))]
+
+
+def _p2_12_form(p: SrgParams) -> tuple[int, int, int]:
+    """(A, B, M) with p^2_(1,2) = (A + B*z)/M, B > 0: B1's entry (2, 2), the one
+    principal entry linear in z alone, read off at z = 0 and z = k2."""
+    (a0, den), (ak, _) = (_integer_parts(p, z, 0)[0][1][1] for z in (0, p.k2))
+    return a0 * p.k2, ak - a0, den * p.k2
+
+
+def type3_window(p: SrgParams):
+    """Integer z in (0, n*k2/m1) worth a check, in increasing order.
+
+    The closed-form entry p^2_(1,2) = (A + B*z)/M must be a nonnegative
+    integer, which pins z to one residue class mod M/gcd(B, M), stepped from
+    the first z where the entry is nonnegative.  The window is not narrowed
+    further here: fission_scan runs type3_integrality on each z it yields.
+    """
+    a, b, m = _p2_12_form(p)
+    g = gcd(b, m)
+    if a % g:
+        return
+    step = m // g
+    z = max(1, -(a // b))  # the entry is nonnegative from z = ceil(-a/b) on
+    z += (-a // g * pow(b // g, -1, step) - z) % step
+    while p.m1 * z < p.n * p.k2:
+        yield z
+        z += step
+
+
+def _solve_type3_z(p: SrgParams, planes) -> Fraction | None:
+    """The z in (0, n*k2/m1) whose p^2_(1,2) is planes[1][2][2], or None."""
+    a, b, m = _p2_12_form(p)
+    z = Fraction(m * planes[1][2][2] - a, b)
+    return z if 0 < z < Fraction(p.n * p.k2, p.m1) else None
+
+
 def type3_integrality(p: SrgParams) -> Callable[[int], bool]:
     """The integer stage: a test of integer z, 0 < z < n*k2/m1, that is true
     exactly when the type-III closed form at z passes the integrality gate.
 
-    With N = n*k2 - m1*z, sqrt(yz) = sqrt(k*N*z / (k2*m1)) is rational only
-    when x = k*N*z*k2*m1 is a square, and then sqrt(yz) = isqrt(x) / (k2*m1).
-    Gamma = m1(r-s)z + s*n*k2, Phi = m1(r-s)sqrt(yz) and
-    Pi = k(r*N + s*m1*z)/k2 are affine in z and sqrt(yz), so each principal
-    entry of B1 and B2 is (A + B*z + C*isqrt(x)) / M for integers fixed by
-    p.  Those are computed at the first z whose sqrt(yz) is rational, and
-    each distinct entry is then tested for sign and divisibility, in the
-    order of _principal_parts.  Every other entry of the tensor is 0, 1 or
-    a valency.  No Fraction is built.
+    sqrt(yz) is rational only when x = k*N*z*k2*m1 is a square.  The forms
+    (A, B, C, M) of _principal_forms are built at the first such z, and each
+    distinct entry (A + B*z + C*isqrt(x)) / M is then tested for sign and
+    divisibility, in the order of _principal_parts.  Every other entry of
+    the tensor is 0, 1 or a valency.  No Fraction is built per z.
     """
-    r, s, _, _ = p.eig_ints()
     n, k, k2, m1 = p.n, p.k, p.k2, p.m1
     d = k2 * m1
-    g1 = m1 * (r - s)
     entries = []
-
-    def coefficients():
-        # numerator = c + a*Gamma + f*Phi + q*Pi; Gamma = g1*z + s*n*k2,
-        # Phi = g1*isqrt(x)/d and k2*Pi = k*r*n*k2 - k*g1*z, all times k2*d
-        at = lambda *unit: [pair for part in _principal_parts(p, *unit) for row in part
-                            for pair in row]
-        forms = {}
-        for (c, den), (ga, _), (ph, _), (pi, _) in zip(at(0, 0, 0), at(1, 0, 0), at(0, 1, 0),
-                                                       at(0, 0, 1)):
-            a, f, q = ga - c, ph - c, pi - c
-            form = ((k2 * (c + a * s * n * k2) + q * k * r * n * k2) * d,
-                    (k2 * a * g1 - q * k * g1) * d, k2 * f * g1, den * k2 * d)
-            g = gcd(*form)
-            forms[tuple(x // g for x in form)] = None
-        return list(forms)
 
     def integral(z: int) -> bool:
         x = k * (n * k2 - m1 * z) * z * d
@@ -761,7 +791,8 @@ def type3_integrality(p: SrgParams) -> Callable[[int], bool]:
         if root * root != x:
             return False
         if not entries:
-            entries.extend(coefficients())
+            entries.extend(dict.fromkeys(tuple(x // gcd(*f) for x in f)
+                                         for f in _principal_forms(p)))
         for a, b, c, m in entries:
             num = a + b * z + c * root
             if num < 0 or num % m:

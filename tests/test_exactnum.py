@@ -88,6 +88,14 @@ def test_equal_values_hash_equally():
     assert len({surd_sqrt(8), 2 * surd_sqrt(2), ComplexSurd(2 * surd_sqrt(2))}) == 1
 
 
+@pytest.mark.parametrize("x", [0, 1, -1, -2, 2 ** 61 - 1, 2 ** 61, -2 ** 64, Fraction(1, 2),
+                               Fraction(-7, 3), Fraction(2 ** 61, 3), Fraction(5, 2 ** 61 - 1)])
+def test_rational_hashes_like_the_number(x):
+    """An integer hashes as its int and a fraction as its Fraction, across
+    the 2^61 - 1 modulus of Python's numeric hash."""
+    assert hash(SurdSum(x)) == hash(x)
+
+
 def test_operator_aliases_for_call_counting():
     """Reflected operators stay aliases, so one wrapper counts both spellings."""
     assert SurdSum.__dict__["__rmul__"] is SurdSum.__dict__["__mul__"]

@@ -7,9 +7,8 @@ from skewfiss.feasibility import (
     FEASIBLE,
     INTEGRALITY_EXCLUDED,
     KREIN_EXCLUDED,
-    _type3_z_candidates,
 )
-from skewfiss.spectra import TYPE_I, TYPE_II, TYPE_III
+from skewfiss.spectra import TYPE_I, TYPE_II, TYPE_III, type3_window
 from fractions import Fraction
 
 
@@ -141,7 +140,7 @@ def test_fission_scan_rejects_conference():
 
 def test_z_candidate_window():
     p = sf.srg_derive(57, 14, 1, 4)
-    zs = list(_type3_z_candidates(p))
+    zs = list(type3_window(p))
     assert 27 in zs
     assert all(0 < z * p.m1 < p.n * p.k2 for z in zs)
     # the window is tiny compared to brute force over the full range

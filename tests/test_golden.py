@@ -34,9 +34,10 @@ GOLDEN = [
     (("srg", "--max-n", "5000", "--format", "json"),
      "ecabdbc378809e1f67ec4a3a579ae9a1c3152467ba2879724884eb166a2e58a7"),
     # covers both Johnson witness records: the generic z (v = 7 mod 8) and
-    # the non-integral structural one (v = 3 mod 8)
+    # the non-integral structural one (v = 3 mod 8); the c <= 0 rows print
+    # the side conditions' c = (v-1)(4-v)/2
     (("johnson", "--max-v", "60", "--format", "json"),
-     "f96ca10dfb26ba0b0b9540fd0f2b0b87bbf97608f94f58b46f0c06d5b19f95dc"),
+     "8dea166776f692a533635027282768fe086e2e2475666773b3f0b321c8c6bb72"),
     (("imprimitive", "--max-n", "100", "--format", "json"),
      "401e89af86addd8011a615f40830991106739f1234b37d792fc1b2a64dc29ac2"),
     (("imprimitive", "--max-n", "600", "--format", "json"),
@@ -168,7 +169,8 @@ DEMO_GOLDEN = [
     ("01_exact_surd_arithmetic.py", "776e2074f593bd3d6269b33144707b158324b61fcaec34b3cb04e618c6d277c5"),
     ("02_schemes_and_verification.py", "f5eee9f646cb1da77067808818675710ce5220ae1dcf841fe1cd657005d5b398"),
     ("03_character_tables_and_krein.py", "cff7264bb9255cf134ced77a0304e440b337075a410c102124101a8ab15eac08"),
-    ("04_feasibility_tables.py", "547f8f8894c306765ca91a65da32de24059a40875ff3a524a7d8f5d667153e52"),
+    # 04 prints the Johnson c <= 0 rows of v = 7, 11 and 15
+    ("04_feasibility_tables.py", "36184468dd21d9e55e38709cfdafa6f5a750813e9e61760d662fea0b600c4e41"),
 ]
 
 

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import reference_kernel as ref
 import skewfiss as sf
 from skewfiss.exactnum import ComplexSurd, SurdSum, surd_sqrt
-from skewfiss.feasibility import _type3_z_candidates
 from skewfiss.spectra import (
     TYPE_I,
     TYPE_II,
@@ -24,12 +23,13 @@ from skewfiss.spectra import (
     _conference_sums,
     _exact_einsum,
     p_values_from_table,
+    type3_window,
 )
 
 # small non-conference parameter sets whose multiplicities and valencies split
 SPLITTABLE = [p for p in sf.srg_candidates(300)
               if not (p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2)]
-TYPE3 = [(p, z) for p in SPLITTABLE for z in _type3_z_candidates(p)]
+TYPE3 = [(p, z) for p in SPLITTABLE for z in type3_window(p)]
 CONFERENCE = [(q, ts.g) for q in range(5, 5001, 8) for ts in sf.two_squares(q)]
 
 

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 
 import skewfiss as sf
 import skewfiss.feasibility as feasibility
-from skewfiss.feasibility import _type3_z_candidates
-from skewfiss.spectra import TYPE_III, type3_integrality
+from skewfiss.spectra import TYPE_III, _solve_type3_z, type3_integrality, type3_window
 
 
 def gate_passes(p, z) -> bool:
@@ -32,18 +31,45 @@ def splittable(n_max: int) -> list:
     """Parameter sets up to n_max that can split and have a nonempty z window."""
     return [p for p in sf.srg_candidates(n_max)
             if not (p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2)
-            and any(_type3_z_candidates(p))]
+            and any(type3_window(p))]
 
 
 def test_stage_matches_gate_on_every_z_up_to_1300():
     tried = passed = 0
     for p in splittable(1300):
         integral = type3_integrality(p)
-        for z in _type3_z_candidates(p):
+        for z in type3_window(p):
             assert integral(z) == gate_passes(p, z), (p.quad(), z)
             tried += 1
             passed += integral(z)
     assert (tried, passed) == (3360, 25)
+
+
+def test_stage_and_window_match_gate_on_every_z_up_to_300():
+    """Every integer z in (0, n*k2/m1), not only the window's: z passes the
+    gate exactly when it is in the window and passes the stage."""
+    sets = [p for p in sf.srg_candidates(300)
+            if not (p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2)]
+    tried = passed = 0
+    for p in sets:
+        window, integral = set(type3_window(p)), type3_integrality(p)
+        for z in range(1, -(-p.n * p.k2 // p.m1)):
+            screened = z in window and integral(z)
+            assert screened == gate_passes(p, z), (p.quad(), z)
+            tried += 1
+            passed += screened
+    assert (len(sets), tried, passed) == (126, 46242, 6)
+
+
+def test_solve_type3_z_inverts_every_record_up_to_1300(monkeypatch):
+    """classify's inverse of p^2_(1,2) gives back each type-III record's z."""
+    monkeypatch.setenv("SKEWFISS_THREADS", "1")
+    records = [rec for rec in sf.scan_srg(1300) if rec.table_type == TYPE_III]
+    assert len(records) == 25
+    for rec in records:
+        p = sf.srg_derive(rec.n, rec.params["k"], rec.params["lam"], rec.params["mu"])
+        closed = sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_III, rec.z))
+        assert _solve_type3_z(p, closed.planes()) == rec.z
 
 
 @st.composite
@@ -52,7 +78,7 @@ def window_z(draw):
     half the draws keep only the z whose sqrt(yz) is rational."""
     sets = splittable(5000)
     p = sets[draw(st.integers(0, len(sets) - 1))]
-    zs = list(_type3_z_candidates(p))
+    zs = list(type3_window(p))
     if draw(st.booleans()):
         rational = []
         for z in zs:
