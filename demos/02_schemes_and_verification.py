@@ -50,7 +50,7 @@ except Exception as exc:
 # a wreath product: 7 blocks of an inner 3-point tournament
 w = wreath(cyclotomic_scheme(3, 2), cyclotomic_scheme(7, 2))
 print("\nwreath on 21 points: skew =", is_skew_symmetric(w),
-      " blocks =", imprimitive_blocks(w))
+      " blocks =", imprimitive_blocks(intersection_tensor(w)))
 
 # a perturbed matrix fails the counting axiom
 rel = np.array(c13.rel)

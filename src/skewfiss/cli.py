@@ -145,7 +145,7 @@ def cmd_verify(args) -> int:
     print(f"valencies: {tensor.valencies}")
     print(f"transpose pairing: {report.transpose_map}")
     print(f"skew-symmetric: {scheme_core.is_skew_symmetric(scheme)}")
-    blocks = scheme_core.imprimitive_blocks(scheme)
+    blocks = scheme_core.imprimitive_blocks(tensor)
     print(f"imprimitive block systems: {blocks if blocks else 'none (primitive)'}")
     for i in range(1, scheme.d + 1):
         print(f"B{i} =")

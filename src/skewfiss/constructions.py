@@ -202,6 +202,8 @@ def _class_lookup(field: FiniteField, d: int) -> np.ndarray:
 
 def _cyclotomic_field(q: int, d: int) -> FiniteField:
     """GF(q) for the d classes of a cyclotomic scheme; q and d are checked."""
+    if d < 1:
+        raise ValueError(f"class count d = {d} must be at least 1")
     pb = prime_power(q)
     if pb is None:
         raise ValueError(f"{q} is not a prime power")

@@ -371,25 +371,22 @@ def fuse(s: AssociationScheme, blocks: list[list[int]]) -> AssociationScheme:
     return fused
 
 
-def imprimitive_blocks(s: AssociationScheme) -> list[list[int]]:
+def imprimitive_blocks(t: IntersectionTensor) -> list[list[int]]:
     """All proper nontrivial unions of classes (with the diagonal) that are
-    equivalence relations; empty list means the scheme is primitive."""
-    tmap = s.transpose_map()
-    if tmap is None:
-        raise SchemeError("transposes of relations are not relations")
+    equivalence relations; empty list means the scheme is primitive.
+
+    Read off the counted tensor: R_i R_j is the union of the R_k with
+    p^k_ij > 0, so a union U of transpose orbits with R_0 is transitive
+    exactly when p^k_ij = 0 for all i, j in U and every k outside U.
+    """
+    m = t.d + 1
+    tmap = [next(j for j in range(m) if t[i, j, 0]) for i in range(m)]  # p^0_ii' = k_i
     orbits = [b for b in _orbit_partition(tmap) if 0 not in b]
     found = []
     for pick in range(1, (1 << len(orbits)) - 1):
         idx = sorted({0} | {i for bit, orb in enumerate(orbits) if pick >> bit & 1 for i in orb})
-        member = np.zeros(s.d + 1, dtype=bool)
-        member[idx] = True
-        union = member[s.rel]
-        # union is reflexive and symmetric by construction; transitivity:
-        # the support of union @ union must not leave union (float32 counts
-        # are at most n, so exact)
-        ones = union.astype(np.float32)
-        reach = ones @ ones > 0
-        if (reach == union).all():
+        outside = [k for k in range(m) if k not in idx]
+        if not any(t[i, j, k] for i in idx for j in idx for k in outside):
             found.append(idx)
     return found
 

@@ -1,12 +1,15 @@
-"""Reference oracle for the counting verifier and the .ascm parser (tests only).
+"""Reference oracle for the counting verifier, the block-system search and the
+.ascm parser (tests only).
 
-A frozen copy of the first implementation of ``verify_axioms`` and
-``load_scheme``: one dense float64 product for every ordered pair of
-classes (all (d+1)^2 of them), a boolean-mask gather per class for the
-regularity check, a mask gather per class for the transpose map, and a
-token-by-token parser.  The only edit to the copied bodies: the verifier
-calls this module's ``transpose_map(s)`` where it called
-``s.transpose_map()``.  It shares the scheme, report and exception types
+A frozen copy of the first implementation of ``verify_axioms``,
+``imprimitive_blocks`` and ``load_scheme``: one dense float64 product for
+every ordered pair of classes (all (d+1)^2 of them), a boolean-mask gather
+per class for the regularity check, a mask gather per class for the
+transpose map, an n x n union and its boolean square for each candidate
+block system, and a token-by-token parser.  The only edits to the copied
+bodies: the verifier and the block search call this module's
+``transpose_map(s)`` where they called ``s.transpose_map()``, and the block
+search lists the transpose orbits itself.  It shares the scheme, report and exception types
 with the package so whole ``AxiomReport``s and parse errors compare equal,
 but none of the counting or parsing code.
 """
@@ -21,6 +24,7 @@ from skewfiss.scheme_core import (
     AssociationScheme,
     AxiomReport,
     IntersectionTensor,
+    SchemeError,
     SchemeParseError,
 )
 
@@ -107,6 +111,30 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
         frozen = tuple(tuple(tuple(row) for row in plane) for plane in p)
         rep.tensor = IntersectionTensor(p=frozen, valencies=valencies)
     return rep
+
+
+def imprimitive_blocks(s: AssociationScheme) -> list[list[int]]:
+    """All proper nontrivial unions of classes (with the diagonal) that are
+    equivalence relations; empty list means the scheme is primitive."""
+    tmap = transpose_map(s)
+    if tmap is None:
+        raise SchemeError("transposes of relations are not relations")
+    # orbits of the transpose involution without {0}, ordered by smallest member
+    orbits = [sorted({i, tmap[i]}) for i in range(1, s.d + 1) if i <= tmap[i]]
+    found = []
+    for pick in range(1, (1 << len(orbits)) - 1):
+        idx = sorted({0} | {i for bit, orb in enumerate(orbits) if pick >> bit & 1 for i in orb})
+        member = np.zeros(s.d + 1, dtype=bool)
+        member[idx] = True
+        union = member[s.rel]
+        # union is reflexive and symmetric by construction; transitivity:
+        # the support of union @ union must not leave union (float32 counts
+        # are at most n, so exact)
+        ones = union.astype(np.float32)
+        reach = ones @ ones > 0
+        if (reach == union).all():
+            found.append(idx)
+    return found
 
 
 def load_scheme(path: str) -> AssociationScheme:

@@ -155,7 +155,7 @@ def test_criterion_4_wreath_realization():
         report = sf.verify_axioms(scheme)
         assert report.ok and scheme.d == 4 and scheme.n == 21
         assert sf.is_skew_symmetric(scheme)
-        assert sf.imprimitive_blocks(scheme), "wreath product should be imprimitive"
+        assert sf.imprimitive_blocks(report.tensor), "wreath product should be imprimitive"
         cls = sf.classify_scheme(scheme)
         assert cls.family == "imprimitive" and cls.table_type == TYPE_I
         assert (cls.params["f"], cls.params["g"]) == (f, g)

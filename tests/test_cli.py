@@ -1,6 +1,9 @@
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -38,8 +41,8 @@ def test_construct_verify_classify(tmp_path, capsys):
 
 
 def test_transpose_map_computed_once_per_command(tmp_path, capsys, monkeypatch):
-    """verify asks for the pairing three times, classify and krein twice; the
-    scheme computes it once and keeps it."""
+    """verify, classify and krein each ask for the pairing twice; the scheme
+    computes it once and keeps it."""
     out = str(tmp_path / "c13.ascm")
     assert run(capsys, "construct", "cyc", "--q", "13", "--d", "4", "-o", out)[0] == 0
     calls = []
@@ -56,6 +59,34 @@ def test_transpose_map_computed_once_per_command(tmp_path, capsys, monkeypatch):
         code, text, _ = run(capsys, command, out)
         assert code == 0 and calls == [13], command
     assert "transpose pairing: [0, 4, 3, 2, 1]" in run(capsys, "verify", out)[1]
+
+
+def test_verify_prints_every_block_system(tmp_path, capsys):
+    """The nested wreath (c3 wr c7) wr c3 has two block systems: the 3-point
+    inner blocks and the 21-point ones."""
+    paths = {name: str(tmp_path / f"{name}.ascm") for name in ("c3", "c7", "w", "nested")}
+    assert run(capsys, "construct", "cyc", "--q", "3", "--d", "2", "-o", paths["c3"])[0] == 0
+    assert run(capsys, "construct", "cyc", "--q", "7", "--d", "2", "-o", paths["c7"])[0] == 0
+    for inner, outer, out in (("c3", "c7", "w"), ("w", "c3", "nested")):
+        code, _, _ = run(capsys, "construct", "wreath", "--inner", paths[inner],
+                         "--outer", paths[outer], "-o", paths[out])
+        assert code == 0
+    code, text, _ = run(capsys, "verify", paths["nested"])
+    assert code == 0
+    assert "imprimitive block systems: [[0, 1, 4], [0, 1, 2, 3, 4]]" in text.splitlines()
+
+
+@pytest.mark.parametrize("d", ["0", "-1"])
+def test_construct_cyc_rejects_class_count_below_one(tmp_path, d):
+    """Run as a program, so an uncaught exception would show as a traceback."""
+    out = tmp_path / "c.ascm"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "skewfiss", "construct", "cyc", "--q", "13",
+                           "--d", d, "-o", str(out)], capture_output=True, text=True, env=env)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert any(line.startswith("error:") for line in proc.stderr.splitlines())
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_construct_wreath(tmp_path, capsys):

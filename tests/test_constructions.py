@@ -74,6 +74,23 @@ def test_cyclotomic_scheme_cases(cyc13):
         sf.cyclotomic_scheme(12, 2)  # not a prime power
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_cyclotomic_class_count_below_one(d, monkeypatch):
+    """d < 1 is a ValueError raised before GF(q) is built, not a
+    ZeroDivisionError from (q - 1) % d or a field built for nothing."""
+    import skewfiss.constructions as constructions
+
+    def unreachable(*args):
+        raise AssertionError("GF(q) built for a class count below 1")
+
+    monkeypatch.setattr(constructions, "prime_power", unreachable)
+    monkeypatch.setattr(constructions, "field_build", unreachable)
+    with pytest.raises(ValueError, match="class count"):
+        sf.cyclotomic_scheme(13, d)
+    with pytest.raises(ValueError, match="class count"):
+        sf.cyclotomic_number(13, d, 1, 1)
+
+
 def test_cyclotomic_number_examples():
     assert sf.cyclotomic_number(5, 2, 0, 0) == 0
     counts = [[sf.cyclotomic_number(13, 4, i, j) for j in range(4)] for i in range(4)]
@@ -169,9 +186,8 @@ def test_wreath_21_point(wreath_3_7, wreath_7_3):
     for scheme, f in ((wreath_3_7, 3), (wreath_7_3, 7)):
         assert scheme.n == 21 and scheme.d == 4
         assert sf.is_skew_symmetric(scheme)
-        blocks = sf.imprimitive_blocks(scheme)
-        assert blocks == [[0, 1, 4]]
         T = sf.intersection_tensor(scheme)
+        assert sf.imprimitive_blocks(T) == [[0, 1, 4]]
         # block relation pair has valency (f-1)/2, the across-block pair the rest
         across = (21 - f) // 2
         assert T.valencies == (1, (f - 1) // 2, across, across, (f - 1) // 2)

@@ -128,9 +128,15 @@ def test_is_skew_symmetric(cyc13, j52):
 
 
 def test_imprimitive_blocks(wreath_3_7, cyc13, thin_z5):
-    assert sf.imprimitive_blocks(wreath_3_7) == [[0, 1, 4]]
-    assert sf.imprimitive_blocks(cyc13) == []
-    assert sf.imprimitive_blocks(thin_z5) == []
+    """Z_12 has its subgroups of order 3, 2, 4 and 6, in the order of the
+    orbit subsets; (c3 wr c7) wr c3 has the 3-point and the 21-point blocks."""
+    z12 = AssociationScheme(np.array([[(x - y) % 12 for y in range(12)] for x in range(12)]))
+    c3, c7 = sf.cyclotomic_scheme(3, 2), sf.cyclotomic_scheme(7, 2)
+    cases = [(wreath_3_7, [[0, 1, 4]]), (cyc13, []), (thin_z5, []),
+             (z12, [[0, 4, 8], [0, 6], [0, 3, 6, 9], [0, 2, 4, 6, 8, 10]]),
+             (sf.wreath(sf.wreath(c3, c7), c3), [[0, 1, 4], [0, 1, 2, 3, 4]])]
+    for scheme, blocks in cases:
+        assert sf.imprimitive_blocks(sf.intersection_tensor(scheme)) == blocks
 
 
 def test_tensor_identities_on_corpus(cyc13, thin_z5, wreath_3_7, j52):

@@ -129,6 +129,65 @@ def test_verify_peak_allocation_n1013():
     assert peak <= working_set + slack, (peak, working_set, slack)
 
 
+# -- block systems --------------------------------------------------------------------
+
+
+def _thin(m: int) -> AssociationScheme:
+    return AssociationScheme(np.array([[(x - y) % m for y in range(m)] for x in range(m)]))
+
+
+def _nested_wreath() -> AssociationScheme:
+    c3, c7 = sf.cyclotomic_scheme(3, 2), sf.cyclotomic_scheme(7, 2)
+    return sf.wreath(sf.wreath(c3, c7), c3)
+
+
+K2 = AssociationScheme(np.array([[0, 1], [1, 0]]))
+BLOCK_CORPUS = {
+    "cyc13": lambda: sf.cyclotomic_scheme(13, 4),
+    "cyc29": lambda: sf.cyclotomic_scheme(29, 4),
+    "cyc125": lambda: sf.cyclotomic_scheme(125, 4),
+    "cyc1013": lambda: sf.cyclotomic_scheme(1013, 4),
+    "cyc31_d6": lambda: sf.cyclotomic_scheme(31, 6),
+    "cyc13_d2": lambda: sf.cyclotomic_scheme(13, 2),
+    "wreath_3_7": lambda: sf.wreath(sf.cyclotomic_scheme(3, 2), sf.cyclotomic_scheme(7, 2)),
+    "wreath_7_3": lambda: sf.wreath(sf.cyclotomic_scheme(7, 2), sf.cyclotomic_scheme(3, 2)),
+    "j52": lambda: sf.johnson2_scheme(5),
+    "thin_z5": lambda: _thin(5),
+    "thin_z6": lambda: _thin(6),
+    "thin_z8": lambda: _thin(8),
+    "thin_z12": lambda: _thin(12),
+    "nested_wreath": _nested_wreath,
+    "one_point": lambda: AssociationScheme(np.zeros((1, 1))),
+    "k3": lambda: AssociationScheme(1 - np.eye(3)),
+    "two_k2": lambda: sf.wreath(K2, K2),
+}
+
+
+@pytest.mark.parametrize("name", BLOCK_CORPUS)
+def test_block_systems_match_reference(name):
+    s = BLOCK_CORPUS[name]()
+    assert sf.imprimitive_blocks(sf.intersection_tensor(s)) == ref.imprimitive_blocks(s)
+
+
+def test_block_systems_read_only_the_tensor(monkeypatch):
+    """No count, no matrix product and no allocation that grows with n: the
+    search reads the 5^3 numbers of the tensor and nothing else."""
+    tensor = sf.intersection_tensor(sf.cyclotomic_scheme(1013, 4))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("imprimitive_blocks counted")
+
+    monkeypatch.setattr(scheme_core, "verify_axioms", forbidden)
+    monkeypatch.setattr(scheme_core.np, "matmul", forbidden)
+    tracemalloc.start()
+    try:
+        assert sf.imprimitive_blocks(tensor) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1013 * 4, peak  # less than one float32 row
+
+
 # -- .ascm parser --------------------------------------------------------------------
 
 TOKENS = ["0", "1", "2", "3", "4", "5", "-1", "+1", "01", "1_0", "٣", "x", "1.0",
