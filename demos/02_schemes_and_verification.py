@@ -54,6 +54,6 @@ print("\nwreath on 21 points: skew =", is_skew_symmetric(w),
 
 # a perturbed matrix fails the counting axiom
 rel = np.array(c13.rel)
-rel[0, 1], rel[1, 0] = 2, 3
+rel[0, 1], rel[1, 0] = 1, 4
 bad = verify_axioms(AssociationScheme(rel))
 print("\nperturbed matrix verdict:", "pass" if bad.ok else "FAIL (as expected)")

@@ -5,14 +5,16 @@ ordinary strongly regular graphs, imprimitive (clique-blown-up) graphs and
 the 2-subset intersection family.  Each scanner is one call of _scan, which
 maps a per-unit function (a q, an srg parameter set, an (f, g) or a v) over
 the family's units, fanned out over SKEWFISS_THREADS processes, and sorts
-the records.  In the srg-like families the type-III z come from
-spectra.type3_window and pass spectra.type3_integrality, an integer stage:
-a z it rejects would fail the closed form's integrality gate, and only the
-survivors get a candidate and a closed form.  No closed-form entry is
-computed here.  All feasible and Krein-excluded records
-have passed the dual-derivation check: closed-form intersection matrices
-(the cyclotomic ones for conference graphs) equal to the eigenvalue-identity
-tensor, entry by entry, in exact arithmetic.  Each record then gets its
+the records.  In the srg-like families each decision reads the integer
+forms of the closed-form entries: types I and II (the ends of z's range)
+pass spectra.end_types and type-III z from spectra.type3_window pass
+spectra.type3_integrality, so a closed form is built only for a candidate
+that passes its integrality gate; classify_scheme solves the counted
+p^2_(1,2) for z, which names the type.  No closed-form entry is computed
+here.  All feasible and Krein-excluded records have passed the
+dual-derivation check: closed-form intersection matrices (the cyclotomic
+ones for conference graphs) equal to the eigenvalue-identity tensor,
+entry by entry, in exact arithmetic.  Each record then gets its
 exact Krein verdict from one helper, _krein_verdict."""
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .spectra import (
     SrgParams,
     character_table,
     conference_table,
-    corollary_filters,
+    end_types,
     intersection_matrices_closed_form,
     make_candidate,
     p_from_table,
@@ -53,6 +55,7 @@ from .spectra import (
     srg_derive,
     type3_integrality,
     type3_window,
+    _principal_forms,
     _side_values,
     _solve_type3_z,
     _srg_from_spectrum,
@@ -341,34 +344,35 @@ def fission_scan(p: SrgParams, witness=None, family: str = "srg",
                  params: dict | None = None) -> list[ScanRecord]:
     """All split candidates over one non-conference parameter set.
 
-    Types I and II pass the quick congruence filters before their closed
-    forms are checked.  Type III takes the z of spectra.type3_window (where
-    p^2_(1,2) is a nonnegative integer) and keeps those the integer stage
-    (spectra.type3_integrality) passes: a rational sqrt(yz) and every
-    closed-form entry a nonnegative integer.  Only the survivors get a
-    FissionCandidate and a ClosedForm, which pass the gate, the dual
-    derivation and the Krein check.  Candidates whose closed form passes the
-    integrality gate are emitted as feasible or krein_excluded; everything
-    else is dropped silently.  witness = (z, (l, i, j)) has the type-III
-    record at z report q^l_ij whether or not it passes the gate (see
-    _dual_derivation_record), so that z skips the integer stage.  family
-    and params label the records.
+    The integer forms of the closed-form entries (spectra._principal_forms)
+    are read once per splittable set.  Types I and II, the ends of z's
+    range, pass spectra.end_types when every entry there is a nonnegative
+    integer.  Type III takes the z of spectra.type3_window (where p^2_(1,2)
+    is a nonnegative integer) that the integer stage
+    (spectra.type3_integrality) passes: a rational sqrt(yz) and every entry
+    a nonnegative integer.  Only these candidates get a ClosedForm, which
+    passes the gate, the dual derivation and the Krein check and becomes a
+    feasible or krein_excluded record; the rest are dropped silently.
+    witness = (z, (l, i, j)) has the type-III record at z report q^l_ij
+    whether or not it passes the gate (see _dual_derivation_record), so that
+    z skips the integer stage.  family and params label the records.
     """
     if p.conference:
         raise ValueError("fission_scan needs non-conference parameters")
     records = []
-    if p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2:
+    if not p.splittable():
         return records
     witness_z, entry = witness or (None, None)
-    typed = [make_candidate(p, t) for t in (TYPE_I, TYPE_II) if corollary_filters(p, t)]
-    integral = type3_integrality(p)
-    type3 = (make_candidate(p, TYPE_III, z) for z in type3_window(p)
+    forms = _principal_forms(p)
+    typed = [make_candidate(p, t) for t in end_types(p, forms)]
+    integral = type3_integrality(p, forms)
+    type3 = (make_candidate(p, TYPE_III, z) for z in type3_window(p, forms)
              if z == witness_z or integral(z))
     for cand in chain(typed, type3):
         try:
             closed = intersection_matrices_closed_form(p, cand)
         except InfeasibleError:
-            continue  # irrational sqrt(yz)
+            continue  # irrational sqrt(yz) at the witness z
         rec = _dual_derivation_record(p, cand, closed, entry if cand.z == witness_z else None,
                                       family, params)
         if rec is not None:
@@ -533,29 +537,26 @@ def classify_scheme(s: AssociationScheme) -> Classification:
                         table=conference_table(n, ts.g)))
             continue
 
-        if mu == k:
-            continue  # complete multipartite side; the paired relabeling has mu = 0
-        if mu == 0:
-            family, params = "imprimitive", {"f": k + 1, "g": n // (k + 1)}
-            trials = [(TYPE_I, None)]
-        elif p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2:
+        if mu == k or (mu and not p.splittable()):
+            continue  # mu = k: complete multipartite side, paired with mu = 0 (imprimitive)
+        # p^2_(1,2) is strictly increasing in z, so it names the one z to compare;
+        # an imprimitive side (mu = 0) takes type I only
+        z = _solve_type3_z(p, perm)
+        if z is None or (mu == 0 and p.m1 * z != p.n * p.k2):
             continue
-        else:
-            family, params = "srg", {"k": k, "lam": lam, "mu": mu}
-            z = _solve_type3_z(p, perm)
-            trials = [(TYPE_I, None), (TYPE_II, None)] + ([(TYPE_III, z)] if z is not None else [])
-        for table_type, z in trials:
-            try:
-                cand = make_candidate(p, table_type, z)
-                cf = intersection_matrices_closed_form(p, cand)
-            except InfeasibleError:
-                continue  # irrational sqrt(yz)
-            if perm == cf.planes():
-                if z is not None and z.denominator == 1:
-                    z = int(z)
-                matches.append(Classification(
-                    family=family, n=n, params=params, table_type=table_type, z=z,
-                    relabeling=sigma, table=character_table(p, cand)))
+        table_type = TYPE_II if z == 0 else TYPE_I if p.m1 * z == p.n * p.k2 else TYPE_III
+        try:
+            cand = make_candidate(p, table_type, z if table_type == TYPE_III else None)
+            cf = intersection_matrices_closed_form(p, cand)
+        except InfeasibleError:
+            continue  # irrational sqrt(yz)
+        if perm == cf.planes():
+            family, params = (("imprimitive", {"f": k + 1, "g": n // (k + 1)}) if mu == 0
+                              else ("srg", {"k": k, "lam": lam, "mu": mu}))
+            matches.append(Classification(
+                family=family, n=n, params=params, table_type=table_type,
+                z=None if cand.z is None else int(z) if z.denominator == 1 else z,
+                relabeling=sigma, table=character_table(p, cand)))
 
     if not matches:
         raise ClassificationError(

@@ -14,7 +14,8 @@ parameters or from the eigenvalue identity
 and the two derivations must agree exactly on every candidate.  Each is
 written once: the closed form is _principal_parts in Gamma, Phi and Pi
 (_gamma_phi_pi), whose integer coefficients also give the type-III z
-window and the integer stage, and column orthogonality is the identity's
+window, the integer stage and the integer test of types I and II at the
+ends of z's range, and column orthogonality is the identity's
 p^j_(i,0) = [i = j].
 
 Surd tables run the identity on ComplexSurd entries, forming the weighted
@@ -85,6 +86,10 @@ class SrgParams:
     m1: int
     m2: int
     conference: bool
+
+    def splittable(self) -> bool:
+        """Multiplicities and valencies all even, as a 4-class split halves them."""
+        return not (self.m1 % 2 or self.m2 % 2 or self.k % 2 or self.k2 % 2)
 
     def eig_ints(self) -> tuple[int, int, int, int]:
         vals = tuple(x.as_integer() for x in (self.r, self.s, self.t, self.u))
@@ -317,7 +322,7 @@ def character_table(p: SrgParams, cand: FissionCandidate) -> CharacterTable:
     """
     if p.conference:
         raise InfeasibleError("conference parameters: use conference_table(q, g)")
-    if p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2:
+    if not p.splittable():
         raise InfeasibleError(
             f"{p.quad()}: multiplicities and valencies must all be even to split")
     r, s, t, u = (Fraction(x) for x in p.eig_ints())
@@ -723,12 +728,12 @@ def _integer_parts(p: SrgParams, z: int, syz: int) -> tuple:
 
 def _principal_forms(p: SrgParams) -> list:
     """Each principal entry of B1 and B2, in _principal_parts order, as integers
-    (A, B, C, M) with entry = (A + B*z + C*isqrt(x)) / M at integer z.
+    (A, B, C, M) with entry = (A + B*z + C*isqrt(x)) / M.
 
     Here x = k*N*z*k2*m1 with N = n*k2 - m1*z, so sqrt(yz) = isqrt(x)/(k2*m1)
     when x is a square.  Gamma, Phi and Pi are affine in z and sqrt(yz), so
-    the closed form's own formula at three points fixes every entry.  The
-    forms are not reduced.
+    the closed form's own formula at three points fixes every entry, and
+    the forms hold at rational z too.  They are not reduced.
     """
     k2, d = p.k2, p.k2 * p.m1
     flat = lambda z, syz: [pair for part in _integer_parts(p, z, syz) for row in part
@@ -737,22 +742,35 @@ def _principal_forms(p: SrgParams) -> list:
             for (a0, den), (ak, _), (a1, _) in zip(flat(0, 0), flat(k2, 0), flat(0, 1))]
 
 
-def _p2_12_form(p: SrgParams) -> tuple[int, int, int]:
-    """(A, B, M) with p^2_(1,2) = (A + B*z)/M, B > 0: B1's entry (2, 2), the one
-    principal entry linear in z alone, read off at z = 0 and z = k2."""
-    (a0, den), (ak, _) = (_integer_parts(p, z, 0)[0][1][1] for z in (0, p.k2))
-    return a0 * p.k2, ak - a0, den * p.k2
+# B1's entry (2, 2), p^2_(1,2) = (A + B*z)/M: the one principal entry linear in
+# z alone (C = 0), and strictly increasing (B > 0: Gamma gains m1(r-s) per unit z)
+_P2_12 = 5
 
 
-def type3_window(p: SrgParams):
+def end_types(p: SrgParams, forms=None) -> list[str]:
+    """Types I and II, in that order, whose closed form passes the integrality gate.
+
+    Type I is z = n*k2/m1 and type II is z = 0, where sqrt(yz) = 0: at
+    z = zn/zd each principal entry (forms: _principal_forms(p)) is
+    (A*zd + B*zn) / (M*zd), tested for sign and divisibility in integers;
+    every other entry of the tensor is 0, 1 or a valency.
+    """
+    forms = forms or _principal_forms(p)
+    return [table_type for table_type, zn, zd in ((TYPE_I, p.n * p.k2, p.m1), (TYPE_II, 0, 1))
+            if all(a * zd + b * zn >= 0 and (a * zd + b * zn) % (m * zd) == 0
+                   for a, b, _, m in forms)]
+
+
+def type3_window(p: SrgParams, forms=None):
     """Integer z in (0, n*k2/m1) worth a check, in increasing order.
 
     The closed-form entry p^2_(1,2) = (A + B*z)/M must be a nonnegative
     integer, which pins z to one residue class mod M/gcd(B, M), stepped from
     the first z where the entry is nonnegative.  The window is not narrowed
     further here: fission_scan runs type3_integrality on each z it yields.
+    forms are _principal_forms(p).
     """
-    a, b, m = _p2_12_form(p)
+    a, b, _, m = (forms or _principal_forms(p))[_P2_12]
     g = gcd(b, m)
     if a % g:
         return
@@ -765,18 +783,19 @@ def type3_window(p: SrgParams):
 
 
 def _solve_type3_z(p: SrgParams, planes) -> Fraction | None:
-    """The z in (0, n*k2/m1) whose p^2_(1,2) is planes[1][2][2], or None."""
-    a, b, m = _p2_12_form(p)
+    """The z in [0, n*k2/m1] whose p^2_(1,2) is planes[1][2][2], or None;
+    0 is type II, n*k2/m1 type I and every z between them type III."""
+    a, b, _, m = _principal_forms(p)[_P2_12]
     z = Fraction(m * planes[1][2][2] - a, b)
-    return z if 0 < z < Fraction(p.n * p.k2, p.m1) else None
+    return z if 0 <= z <= Fraction(p.n * p.k2, p.m1) else None
 
 
-def type3_integrality(p: SrgParams) -> Callable[[int], bool]:
+def type3_integrality(p: SrgParams, forms=None) -> Callable[[int], bool]:
     """The integer stage: a test of integer z, 0 < z < n*k2/m1, that is true
     exactly when the type-III closed form at z passes the integrality gate.
 
     sqrt(yz) is rational only when x = k*N*z*k2*m1 is a square.  The forms
-    (A, B, C, M) of _principal_forms are built at the first such z, and each
+    (A, B, C, M) are reduced and deduplicated at the first such z, and each
     distinct entry (A + B*z + C*isqrt(x)) / M is then tested for sign and
     divisibility, in the order of _principal_parts.  Every other entry of
     the tensor is 0, 1 or a valency.  No Fraction is built per z.
@@ -792,7 +811,7 @@ def type3_integrality(p: SrgParams) -> Callable[[int], bool]:
             return False
         if not entries:
             entries.extend(dict.fromkeys(tuple(x // gcd(*f) for x in f)
-                                         for f in _principal_forms(p)))
+                                         for f in (forms or _principal_forms(p))))
         for a, b, c, m in entries:
             num = a + b * z + c * root
             if num < 0 or num % m:
@@ -800,42 +819,3 @@ def type3_integrality(p: SrgParams) -> Callable[[int], bool]:
         return True
 
     return integral
-
-
-# -- quick arithmetic filters --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class FilterResult:
-    passed: bool
-    reasons: tuple
-
-    def __bool__(self) -> bool:
-        return self.passed
-
-
-def corollary_filters(p: SrgParams, table_type: str) -> FilterResult:
-    """Cheap necessary conditions for types I and II.
-
-    Each condition is the integrality of one specific closed-form entry, so
-    the filter can never reject a candidate whose full matrices are integral.
-    """
-    if table_type not in (TYPE_I, TYPE_II):
-        raise ValueError(f"corollary filters apply to types I and II, not {table_type!r}")
-    reasons = []
-    try:
-        r, s, t, u = p.eig_ints()
-    except InfeasibleError:
-        return FilterResult(False, ("eigenvalues r, s are not integers",))
-    if table_type == TYPE_II:
-        r, s, t, u = s, r, u, t
-    k, k2, lam, mu = p.k, p.k2, p.lam, p.mu
-    if (lam + s) % 4:
-        reasons.append(f"lam + s = {lam + s} is not 0 mod 4")
-    if (k * (k - lam - 1 + u)) % (4 * k2):
-        reasons.append(f"k(k - lam - 1 + u) = {k * (k - lam - 1 + u)} "
-                       f"is not 0 mod 4*k2 = {4 * k2}")
-    if (k2 * (k - mu - r)) % (4 * k):
-        reasons.append(f"k2(k - mu - r) = {k2 * (k - mu - r)} "
-                       f"is not 0 mod 4*k = {4 * k}")
-    return FilterResult(not reasons, tuple(reasons))

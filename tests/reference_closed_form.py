@@ -2,18 +2,21 @@
 
 A frozen copy of the formulas the package used before types I and II were
 built as type III at the ends of z's range: the type-I/II intersection
-matrices, written out with an r <-> s swap for type II, and the two
-character-table branches.  The tests compare them with
-``intersection_matrices_closed_form`` and ``character_table`` on every
-splittable parameter set of the three srg-like families.
+matrices, written out with an r <-> s swap for type II, the two
+character-table branches, and the congruence filters that screened types
+I and II before their integer forms were read at the ends of z's range.
+The tests compare them with ``intersection_matrices_closed_form``,
+``character_table`` and ``spectra.end_types`` on every splittable parameter
+set of the three srg-like families.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from skewfiss.exactnum import ComplexSurd, surd_sqrt
-from skewfiss.spectra import PAIRED, TYPE_I, TYPE_II, SrgParams
+from skewfiss.spectra import PAIRED, TYPE_I, TYPE_II, InfeasibleError, SrgParams
 
 
 def _complete_matrix(principal, rel: int, valency: int) -> tuple:
@@ -79,3 +82,39 @@ def table_entries(p: SrgParams, table_type: str) -> tuple:
         (one, cj(sigma), cj(omega), omega, sigma),
         (one, cj(rho), cj(tau), tau, rho),
     )
+
+
+@dataclass(frozen=True)
+class FilterResult:
+    passed: bool
+    reasons: tuple
+
+    def __bool__(self) -> bool:
+        return self.passed
+
+
+def corollary_filters(p: SrgParams, table_type: str) -> FilterResult:
+    """Cheap necessary conditions for types I and II.
+
+    Each condition is the integrality of one specific closed-form entry, so
+    the filter can never reject a candidate whose full matrices are integral.
+    """
+    if table_type not in (TYPE_I, TYPE_II):
+        raise ValueError(f"corollary filters apply to types I and II, not {table_type!r}")
+    reasons = []
+    try:
+        r, s, t, u = p.eig_ints()
+    except InfeasibleError:
+        return FilterResult(False, ("eigenvalues r, s are not integers",))
+    if table_type == TYPE_II:
+        r, s, t, u = s, r, u, t
+    k, k2, lam, mu = p.k, p.k2, p.lam, p.mu
+    if (lam + s) % 4:
+        reasons.append(f"lam + s = {lam + s} is not 0 mod 4")
+    if (k * (k - lam - 1 + u)) % (4 * k2):
+        reasons.append(f"k(k - lam - 1 + u) = {k * (k - lam - 1 + u)} "
+                       f"is not 0 mod 4*k2 = {4 * k2}")
+    if (k2 * (k - mu - r)) % (4 * k):
+        reasons.append(f"k2(k - mu - r) = {k2 * (k - mu - r)} "
+                       f"is not 0 mod 4*k = {4 * k}")
+    return FilterResult(not reasons, tuple(reasons))

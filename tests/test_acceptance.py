@@ -14,11 +14,12 @@ import time
 from fractions import Fraction
 
 import mpmath as mp
+from reference_closed_form import corollary_filters
 
 import skewfiss as sf
 from skewfiss.exactnum import SurdSum, surd_sqrt
 from skewfiss.feasibility import FEASIBLE, INTEGRALITY_EXCLUDED, KREIN_EXCLUDED, _permuted_tensor
-from skewfiss.spectra import TYPE_I, TYPE_II, TYPE_III
+from skewfiss.spectra import TYPE_I, TYPE_II, TYPE_III, end_types
 
 # Table of feasible pseudocyclic parameters up to 325 points: (n, g) pairs,
 # one per two-squares representation, with the doubled entries at
@@ -261,16 +262,20 @@ def test_criterion_7c_filter_soundness():
         if p.conference:
             continue
         checked += 1
+        ends = end_types(p)
         for typ in (TYPE_I, TYPE_II):
             cf = sf.intersection_matrices_closed_form(p, sf.make_candidate(p, typ))
             try:
                 cf.tensor()
+                passes = True
             except sf.InfeasibleError:
-                continue  # not fully integral: the filter may reject it
-            assert sf.corollary_filters(p, typ).passed, \
-                f"filter rejected a fully integral candidate: {p.quad()} {typ}"
-    print(f"PASS  7c. congruence filters sound on {checked} randomized "
-          f"parameter sets")
+                passes = False
+            assert (typ in ends) == passes, \
+                f"ends test and closed-form gate disagree: {p.quad()} {typ}"
+            assert not passes or corollary_filters(p, typ).passed, \
+                f"corollary rejected a fully integral candidate: {p.quad()} {typ}"
+    print(f"PASS  7c. ends test equals the closed-form gate, and the congruence "
+          f"corollary is sound, on {checked} randomized parameter sets")
 
 
 def test_criterion_7d_surd_round_trips():

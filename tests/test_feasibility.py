@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import pytest
 
 import skewfiss as sf
@@ -224,6 +226,69 @@ def test_classify_small_prime_powers():
         got = sf.classify_scheme(sf.cyclotomic_scheme(q, 4))
         assert got.family == "conference" and got.n == q
         assert [got.params["g"]] == [t.g for t in sf.two_squares(q)]
+
+
+def _three_trial_matches(tensor, n):
+    """The srg matches of classify's earlier search: types I and II, and type
+    III at the z where p^2_(1,2), affine in z, meets the counted value (read
+    off the type-I and type-II closed forms)."""
+    found = []
+    for sigma in feasibility._relabelings([0, 4, 3, 2, 1]):
+        perm = feasibility._permuted_tensor(tensor, sigma)
+        k, k2 = 2 * tensor.valencies[sigma[1]], 2 * tensor.valencies[sigma[2]]
+        lam = sum(perm[i][j][1] for i in (1, 4) for j in (1, 4))
+        mu = sum(perm[i][j][2] for i in (1, 4) for j in (1, 4))
+        try:
+            p = sf.srg_derive(n, k, lam, mu)
+        except ValueError:
+            continue
+        if mu in (0, k) or not p.splittable():
+            continue
+        ends = {t: sf.intersection_matrices_closed_form(p, sf.make_candidate(p, t)).planes()
+                for t in (TYPE_I, TYPE_II)}
+        e1, e0 = ends[TYPE_I][1][2][2], ends[TYPE_II][1][2][2]
+        z = Fraction(p.n * p.k2, p.m1) * (perm[1][2][2] - e0) / (e1 - e0)
+        trials = [(t, None, ends[t]) for t in (TYPE_I, TYPE_II)]
+        if 0 < z < Fraction(p.n * p.k2, p.m1):
+            try:
+                trials.append((TYPE_III, z, sf.intersection_matrices_closed_form(
+                    p, sf.make_candidate(p, TYPE_III, z)).planes()))
+            except sf.InfeasibleError:
+                pass
+        found += [(p.quad(), t, z) for t, z, planes in trials if planes == perm]
+    return found
+
+
+def test_classify_solves_z_on_every_record_tensor(monkeypatch):
+    """classify_scheme on the closed-form tensor of each scan_srg(1300) record
+    builds one closed form per relabeling, from the solved z, and finds the
+    matches of the earlier three-trial search, the record itself among them.
+    The complement's relabeling matches too, so every such tensor is
+    reported as ambiguous."""
+    monkeypatch.setenv("SKEWFISS_THREADS", "1")
+    records = sf.scan_srg(1300)
+    tensors = []
+    for rec in records:
+        p = sf.srg_derive(rec.n, rec.params["k"], rec.params["lam"], rec.params["mu"])
+        cand = sf.make_candidate(p, rec.table_type, rec.z)
+        tensors.append((rec, p, sf.intersection_matrices_closed_form(p, cand).tensor()))
+    built, matched = [], []
+    real_closed, real_table = feasibility.intersection_matrices_closed_form, feasibility.character_table
+    monkeypatch.setattr(feasibility, "intersection_matrices_closed_form",
+                        lambda p, cand: built.append(cand) or real_closed(p, cand))
+    monkeypatch.setattr(feasibility, "character_table", lambda p, cand: matched.append(
+        (p.quad(), cand.table_type, cand.z)) or real_table(p, cand))
+    monkeypatch.setattr(feasibility, "is_skew_symmetric", lambda s: True)
+    for rec, p, tensor in tensors:
+        report = SimpleNamespace(ok=True, tensor=tensor, transpose_map=[0, 4, 3, 2, 1])
+        monkeypatch.setattr(feasibility, "verify_axioms", lambda s, report=report: report)
+        built.clear()
+        matched.clear()
+        with pytest.raises(sf.ClassificationError, match="ambiguous"):
+            sf.classify_scheme(SimpleNamespace(n=p.n, d=4))
+        assert len(built) <= 8
+        assert (p.quad(), rec.table_type, rec.z) in matched
+        assert matched == _three_trial_matches(tensor, p.n), p.quad()
 
 
 def test_classify_errors(j52):

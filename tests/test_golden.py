@@ -167,7 +167,8 @@ def test_scheme_command_digest(capsys, scheme_files, command, scheme, digest):
 DEMOS = Path(__file__).resolve().parents[1] / "demos"
 DEMO_GOLDEN = [
     ("01_exact_surd_arithmetic.py", "776e2074f593bd3d6269b33144707b158324b61fcaec34b3cb04e618c6d277c5"),
-    ("02_schemes_and_verification.py", "f5eee9f646cb1da77067808818675710ce5220ae1dcf841fe1cd657005d5b398"),
+    # 02's perturbed c13 (rel[0, 1], rel[1, 0] = 1, 4) fails the counting axiom
+    ("02_schemes_and_verification.py", "8ec42f1e1436e82d96d7b845a0d57a23bd016aa6171e7a3d27a6286742d8479a"),
     ("03_character_tables_and_krein.py", "cff7264bb9255cf134ced77a0304e440b337075a410c102124101a8ab15eac08"),
     # 04 prints the Johnson c <= 0 rows of v = 7, 11 and 15
     ("04_feasibility_tables.py", "36184468dd21d9e55e38709cfdafa6f5a750813e9e61760d662fea0b600c4e41"),

@@ -12,6 +12,7 @@ from skewfiss.spectra import (
     TYPE_I,
     TYPE_II,
     TYPE_III,
+    end_types,
     p_values_from_table,
 )
 
@@ -332,52 +333,67 @@ def test_q_from_table_johnson_witness():
     assert q311.sign() == -1
 
 
+def _gate_passes(p, table_type) -> bool:
+    try:
+        sf.intersection_matrices_closed_form(p, sf.make_candidate(p, table_type)).tensor()
+    except sf.InfeasibleError:
+        return False
+    return True
+
+
 def test_corollary_filters():
-    assert sf.corollary_filters(sf.srg_derive(729, 182, 55, 42), TYPE_I).passed
+    """The test-side corollary keeps its verdicts, and the ends test agrees
+    with the closed-form gate on the same sets."""
+    p729 = sf.srg_derive(729, 182, 55, 42)
+    assert ref.corollary_filters(p729, TYPE_I).passed
+    assert end_types(p729) == [TYPE_I] and _gate_passes(p729, TYPE_I)
     conf = sf.srg_derive(13, 6, 2, 3)
-    res = sf.corollary_filters(conf, TYPE_I)
+    res = ref.corollary_filters(conf, TYPE_I)
     assert not res.passed and "not integers" in res.reasons[0]
     # 2-subset parameters at v = 3 mod 4: lam + s = v - 4 = 3 mod 4
     for v in (7, 11, 15):
         p = sf.srg_derive(*sf.johnson2_params(v))
-        res = sf.corollary_filters(p, TYPE_I)
+        res = ref.corollary_filters(p, TYPE_I)
         assert not res.passed
         assert any("lam + s" in r for r in res.reasons)
+        assert TYPE_I not in end_types(p) and not _gate_passes(p, TYPE_I)
     with pytest.raises(ValueError):
-        sf.corollary_filters(sf.srg_derive(729, 182, 55, 42), TYPE_III)
+        ref.corollary_filters(p729, TYPE_III)
 
 
 def test_corollary_never_rejects_fully_integral():
-    rng = random.Random(11)
-    checked = 0
-    while checked < 400:
-        r = rng.randint(1, 12)
-        m = rng.randint(1, 12)
-        mu = rng.randint(1, 40)
-        k = mu + r * m
-        lam = mu + r - m
-        if lam < 0 or mu >= k:
-            continue
-        num = k * (k - lam - 1)
-        if num % mu:
-            continue
-        n = 1 + k + num // mu
-        if 2 * k > n - 1:
-            continue
-        try:
-            p = sf.srg_derive(n, k, lam, mu)
-        except ValueError:
-            continue
-        if p.conference:
-            continue
-        checked += 1
+    """On every splittable set up to n = 5000 the ends test passes exactly
+    the types I and II whose closed form passes the gate, and the test-side
+    corollary never rejects one of them."""
+    sets = [p for p in sf.srg_candidates(5000) if p.splittable()]
+    corollary = {TYPE_I: 0, TYPE_II: 0}
+    gated = {TYPE_I: 0, TYPE_II: 0}
+    for p in sets:
+        ends = end_types(p)
         for typ in (TYPE_I, TYPE_II):
-            cf = sf.intersection_matrices_closed_form(p, sf.make_candidate(p, typ))
-            try:
-                cf.tensor()
-            except sf.InfeasibleError:
-                continue  # not fully integral: the filter may reject it
-            assert sf.corollary_filters(p, typ).passed
+            passes, corollary_passes = _gate_passes(p, typ), ref.corollary_filters(p, typ).passed
+            assert (typ in ends) == passes, (p.quad(), typ)
+            assert corollary_passes or not passes, (p.quad(), typ)
+            corollary[typ] += corollary_passes
+            gated[typ] += passes
+    assert len(sets) == 3421
+    assert corollary == {TYPE_I: 44, TYPE_II: 81} and gated == {TYPE_I: 27, TYPE_II: 29}
+
+
+def test_end_types_fractional_type_i_end_exact():
+    """srg(925, 374, 123, 170) has its type-I end at z = 10175/17.  There 28 of
+    the 32 principal entries are nonnegative integers and four are 1250/17 or
+    1300/17, so type I must be rejected on the exact fraction."""
+    p = sf.srg_derive(925, 374, 123, 170)
+    assert Fraction(p.n * p.k2, p.m1) == Fraction(10175, 17)
+    assert end_types(p) == []
+    closed = sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_I))
+    with pytest.raises(sf.InfeasibleError) as exc:
+        closed.tensor()
+    assert exc.value.where == (2, 2, 1) and exc.value.value == Fraction(1250, 17)
+    principal = [x for b in (closed.b1, closed.b2) for row in b[1:] for x in row[1:]]
+    bad = [x for x in principal if x.denominator != 1 or x < 0]
+    assert sorted(bad) == [Fraction(1250, 17)] * 2 + [Fraction(1300, 17)] * 2
 
 
 def test_conference_numeric_diagnostic():

@@ -6,6 +6,7 @@ succeed at z: a z the stage rejects is one the closed form's integrality
 gate would reject, and nothing the gate passes is lost.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 import skewfiss as sf
 import skewfiss.feasibility as feasibility
-from skewfiss.spectra import TYPE_III, _solve_type3_z, type3_integrality, type3_window
+import skewfiss.spectra as spectra
+from skewfiss.spectra import TYPE_I, TYPE_II, TYPE_III, _solve_type3_z, type3_integrality, type3_window
 
 
 def gate_passes(p, z) -> bool:
@@ -62,14 +64,18 @@ def test_stage_and_window_match_gate_on_every_z_up_to_300():
 
 
 def test_solve_type3_z_inverts_every_record_up_to_1300(monkeypatch):
-    """classify's inverse of p^2_(1,2) gives back each type-III record's z."""
+    """classify's inverse of p^2_(1,2) gives back each record's z: its own
+    for type III, n*k2/m1 for type I and 0 for type II."""
     monkeypatch.setenv("SKEWFISS_THREADS", "1")
-    records = [rec for rec in sf.scan_srg(1300) if rec.table_type == TYPE_III]
-    assert len(records) == 25
+    records = sf.scan_srg(1300)
+    assert len(records) == 37
+    assert sum(rec.table_type == TYPE_III for rec in records) == 25
     for rec in records:
         p = sf.srg_derive(rec.n, rec.params["k"], rec.params["lam"], rec.params["mu"])
-        closed = sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_III, rec.z))
-        assert _solve_type3_z(p, closed.planes()) == rec.z
+        cand = sf.make_candidate(p, rec.table_type, rec.z)
+        closed = sf.intersection_matrices_closed_form(p, cand)
+        expected = {TYPE_I: Fraction(p.n * p.k2, p.m1), TYPE_II: 0}.get(rec.table_type, rec.z)
+        assert _solve_type3_z(p, closed.planes()) == expected, (p.quad(), rec.table_type)
 
 
 @st.composite
@@ -105,12 +111,33 @@ def test_stage_accepts_known_records(quad, z):
 
 
 def test_scan_builds_candidates_only_for_survivors(monkeypatch):
-    """scan srg --max-n 1300: 36 typed candidates pass the corollary filters
-    and 25 type-III z pass the stage, out of 3360 in the windows."""
+    """scan srg --max-n 1300: every candidate built becomes a record, 12 of
+    types I and II that pass the ends test and 25 type-III z that pass the
+    stage, out of 3360 in the windows."""
     monkeypatch.setenv("SKEWFISS_THREADS", "1")
     built = []
     real = feasibility.make_candidate
     monkeypatch.setattr(feasibility, "make_candidate",
                         lambda p, t, z=None: built.append(t) or real(p, t, z))
     assert len(sf.scan_srg(1300)) == 37
-    assert len(built) == 61 and built.count(TYPE_III) == 25
+    assert len(built) == 37 and built.count(TYPE_III) == 25
+
+
+def test_scan_reads_the_forms_once_per_splittable_set(monkeypatch):
+    """scan srg --max-n 1300 evaluates _principal_parts three times for the
+    integer forms of each of its 736 splittable sets, and once more for each
+    of the 37 closed forms it builds."""
+    monkeypatch.setenv("SKEWFISS_THREADS", "1")
+    calls = {"forms": 0, "parts": 0}
+
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(spectra, "_integer_parts", counted("forms", spectra._integer_parts))
+    monkeypatch.setattr(spectra, "_principal_parts", counted("parts", spectra._principal_parts))
+    assert len(sf.scan_srg(1300)) == 37
+    assert sum(p.splittable() for p in sf.srg_candidates(1300)) == 736
+    assert calls == {"forms": 3 * 736, "parts": 3 * 736 + 37}
