@@ -20,13 +20,15 @@ from skewfiss import (
     p_from_table,
     q_from_table,
     srg_derive,
+    type3_auxiliary,
 )
 
 # srg(57,14,1,4) with the type III split at z = 27
 p = srg_derive(57, 14, 1, 4)
 print(p)
 cand = make_candidate(p, TYPE_III, 27)
-print("auxiliaries: y =", cand.y, " b =", cand.b, " c =", cand.c)
+y, b, c = type3_auxiliary(p, 27)
+print("auxiliaries: y =", y, " b =", b, " c =", c)
 
 table = character_table(p, cand)
 print("\ncharacter table:")

@@ -288,8 +288,8 @@ def two_squares(m: int) -> list[TwoSquares]:
 
 def cyc4_closed_form(q: int, g: int, h: int) -> ClosedForm:
     """Intersection matrices of the 4-class skew cyclotomic scheme on GF(q),
-    from the two-squares data (g, h), with the five distinct entries A..E in
-    aux; entries must come out nonnegative integers or the data is rejected."""
+    from the two-squares data (g, h), in five distinct entries A..E; they must
+    come out nonnegative integers or the data is rejected."""
     if q % 8 != 5:
         raise ValueError(f"q = {q} is not 5 mod 8")
     if g % 4 != 1 or q != g * g + 4 * h * h:
@@ -303,12 +303,10 @@ def cyc4_closed_form(q: int, g: int, h: int) -> ClosedForm:
         "D": q + 1 + 2 * g - 8 * h,
         "E": q - 3 - 2 * g,
     }
-    vals = {}
     for name, v in raw.items():
         if v % 16 or v < 0:
             raise ValueError(f"16*{name} = {v} is not a nonnegative multiple of 16")
-        vals[name] = v // 16
-    A, B, C, D, E = (vals[x] for x in "ABCDE")
+    A, B, C, D, E = (v // 16 for v in raw.values())
     b1 = ((0, 1, 0, 0, 0),
           (0, A, B, D, C),
           (0, E, E, B, D),
@@ -319,7 +317,7 @@ def cyc4_closed_form(q: int, g: int, h: int) -> ClosedForm:
           (0, D, A, C, B),
           (f, E, A, A, E),
           (0, B, E, D, E))
-    return ClosedForm(b1=b1, b2=b2, valencies=(1, f, f, f, f), aux=vals)
+    return ClosedForm(b1=b1, b2=b2, valencies=(1, f, f, f, f))
 
 
 # -- wreath products -------------------------------------------------------------

@@ -102,11 +102,6 @@ class SurdSum:
     def is_rational(self) -> bool:
         return self._num.keys() <= {1}
 
-    def rational_value(self) -> Fraction:
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        return Fraction(self._num.get(1, 0), self._den)
-
     def as_integer(self) -> int | None:
         """The integer value of this sum, or None if it is not a rational integer."""
         if self.is_rational() and self._den == 1:
@@ -394,9 +389,6 @@ class ComplexSurd:
 
     def is_real(self) -> bool:
         return min(self._num, default=1) > 0
-
-    def real_part(self) -> SurdSum:
-        return self.re
 
     def __add__(self, other) -> "ComplexSurd":
         other = _coerce_complex(other)

@@ -10,8 +10,8 @@ forms of the closed-form entries: types I and II (the ends of z's range)
 pass spectra.end_types and type-III z from spectra.type3_window pass
 spectra.type3_integrality, so a closed form is built only for a candidate
 that passes its integrality gate; classify_scheme solves the counted
-p^2_(1,2) for z, which names the type.  No closed-form entry is computed
-here.  All feasible and Krein-excluded records have passed the
+p^2_(1,2) for z, which names the type, and names an srg scheme by the side
+that srg_candidates lists first.  No closed-form entry is computed here.  All feasible and Krein-excluded records have passed the
 dual-derivation check: closed-form intersection matrices (the cyclotomic
 ones for conference graphs) equal to the eigenvalue-identity tensor,
 entry by entry, in exact arithmetic.  Each record then gets its
@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import chain
 from math import gcd, isqrt
 from multiprocessing import Pool
@@ -328,7 +329,7 @@ def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, closed: Closed
         family=family, n=p.n,
         params=_srg_params(p) if params is None else dict(params),
         table_type=cand.table_type,
-        z=None if cand.z is None else int(cand.z),
+        z=int(cand.z) if cand.table_type == TYPE_III else None,
         realizable=realizable)
     _krein_verdict(rec, table, witness)
     rec.notes += note
@@ -442,7 +443,7 @@ def _johnson_records(v: int) -> list[ScanRecord]:
     records = fission_scan(p, witness=(v * (v - 3) ** 2 // 4, (3, 1, 1)), family="johnson",
                            params={"v": v, **_srg_params(p)})
     z = v * (v - 3) ** 2 // 2
-    c = _side_values(p, z)[2]  # (v-1)(4-v)/2, the c that type3_auxiliary would see
+    c = _side_values(p, z)[2]  # (v-1)(4-v)/2: this z is past type I's end
     records.append(ScanRecord(
         family="johnson", n=n, params=params, table_type=TYPE_III, z=z,
         status=INTEGRALITY_EXCLUDED, notes=f"auxiliary c = (v-1)(4-v)/2 = {c} <= 0"))
@@ -462,7 +463,7 @@ class Classification:
     n: int
     params: dict
     table_type: str | None = None
-    z: int | None = None
+    z: Fraction | None = None
     relabeling: tuple | None = None
     table: CharacterTable | None = None
 
@@ -498,9 +499,10 @@ def classify_scheme(s: AssociationScheme) -> Classification:
     """Match a verified 4-class skew-symmetric scheme against the taxonomy.
 
     Search runs over the 8 transpose-respecting relabelings; the counted
-    tensor must reproduce one closed form exactly.  No match means either
-    an implementation bug or an object outside the known classification,
-    and raises rather than guessing.
+    tensor must reproduce one closed form exactly.  An srg scheme matches
+    on its complement's side too, and is named by the side srg_candidates
+    lists first.  No match means either an implementation bug or an object
+    outside the known classification, and raises rather than guessing.
     """
     report = verify_axioms(s)
     if not report.ok:
@@ -539,14 +541,12 @@ def classify_scheme(s: AssociationScheme) -> Classification:
 
         if mu == k or (mu and not p.splittable()):
             continue  # mu = k: complete multipartite side, paired with mu = 0 (imprimitive)
-        # p^2_(1,2) is strictly increasing in z, so it names the one z to compare;
-        # an imprimitive side (mu = 0) takes type I only
-        z = _solve_type3_z(p, perm)
-        if z is None or (mu == 0 and p.m1 * z != p.n * p.k2):
+        # p^2_(1,2) is strictly increasing in z, so it names the one candidate to
+        # compare; an imprimitive side (mu = 0) takes type I only
+        cand = _solve_type3_z(p, perm)
+        if cand is None or (mu == 0 and cand.table_type != TYPE_I):
             continue
-        table_type = TYPE_II if z == 0 else TYPE_I if p.m1 * z == p.n * p.k2 else TYPE_III
         try:
-            cand = make_candidate(p, table_type, z if table_type == TYPE_III else None)
             cf = intersection_matrices_closed_form(p, cand)
         except InfeasibleError:
             continue  # irrational sqrt(yz)
@@ -554,14 +554,19 @@ def classify_scheme(s: AssociationScheme) -> Classification:
             family, params = (("imprimitive", {"f": k + 1, "g": n // (k + 1)}) if mu == 0
                               else ("srg", {"k": k, "lam": lam, "mu": mu}))
             matches.append(Classification(
-                family=family, n=n, params=params, table_type=table_type,
-                z=None if cand.z is None else int(z) if z.denominator == 1 else z,
+                family=family, n=n, params=params, table_type=cand.table_type,
+                z=cand.z if cand.table_type == TYPE_III else None,
                 relabeling=sigma, table=character_table(p, cand)))
 
     if not matches:
         raise ClassificationError(
             f"scheme on {n} points matches no known closed form; this indicates "
             "either a bug or a genuinely new object")
+    # an srg scheme also matches as the split of its complement: keep the side
+    # that srg_candidates lists first, the smaller (k, lam)
+    side = lambda m: (m.params["k"], m.params["lam"])
+    first_side = min((side(m) for m in matches if m.family == "srg"), default=None)
+    matches = [m for m in matches if m.family != "srg" or side(m) == first_side]
     first = matches[0]
     for other in matches[1:]:
         same_family = other.family == first.family

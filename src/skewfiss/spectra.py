@@ -3,10 +3,10 @@
 A 2-class symmetric scheme (a strongly regular graph) may split into a
 4-class scheme whose nontrivial relations pair up with their transposes.
 The 5x5 character table of such a split comes in three types (I, II and
-III); types I and II are type III at the two ends of its free parameter's
-range, so one table builder and one closed form serve all three.  The
-intersection matrices follow either from that closed form in the graph
-parameters or from the eigenvalue identity
+III); types I and II are type III at the two ends of z's range, so a
+candidate is its type and z, and one table builder and one closed form
+serve all three.  The intersection matrices follow either from that
+closed form in the graph parameters or from the eigenvalue identity
 
     p^l_ij = (1/(n k_l)) sum_h m_h P[h][i] P[h][j] conj(P[h][l])
     q^l_ij = (m_i m_j / n) sum_h P[i][h] P[j][h] conj(P[l][h]) / k_h^2
@@ -153,67 +153,45 @@ def _srg_from_spectrum(n: int, k: int, lam: int, mu: int, r, s, m1: int,
 
 @dataclass(frozen=True)
 class FissionCandidate:
-    """One putative 4-class split: a table type, plus the free z for type III."""
+    """One putative 4-class split: its table type and the z that fixes its table.
+
+    Type II is z = 0, type I is z = n*k2/m1 and type III any z between them.
+    """
 
     table_type: str
-    z: Fraction | None = None
-    y: Fraction | None = None
-    b: Fraction | None = None
-    c: Fraction | None = None
+    z: Fraction
 
     def __str__(self) -> str:
-        return self.table_type if self.z is None else f"{self.table_type} z={self.z}"
-
-
-def type3_auxiliary(p: SrgParams, z) -> tuple[Fraction, Fraction, Fraction]:
-    """Solve the type-III side conditions for (y, b, c) given free z.
-
-    Requires 0 < z < n*k2/m1 so that all of y, b, c stay positive; the
-    square-root balance m1*sqrt(y*z) = m2*sqrt(b*c) then holds identically.
-    With y, z, b, c > 0 it is checked squared, m1^2*y*z = m2^2*b*c, so no
-    radicand is ever factored here.
-    """
-    z = Fraction(z)
-    if not 0 < z < Fraction(p.n * p.k2, p.m1):
-        raise InfeasibleError(
-            f"z = {z} outside (0, n*k2/m1 = {Fraction(p.n * p.k2, p.m1)})")
-    y, b, c = _side_values(p, z)
-    if not (y > 0 and b > 0 and c > 0 and p.m1 ** 2 * y * z == p.m2 ** 2 * b * c):
-        raise ConsistencyError(
-            f"type-III side conditions fail at z = {z}: (y, b, c) = {(y, b, c)}")
-    return y, b, c
-
-
-def _side_values(p: SrgParams, z: Fraction) -> tuple[Fraction, Fraction, Fraction]:
-    """(y, b, c) as the type-III side conditions give them for z."""
-    return (Fraction(p.k, p.k2 * p.m1) * (p.n * p.k2 - p.m1 * z),
-            Fraction(p.m1 * p.k, p.k2 * p.m2) * z, Fraction(p.n * p.k2 - p.m1 * z, p.m2))
-
-
-def _table_parameters(p: SrgParams, cand: FissionCandidate) -> tuple:
-    """(z, y, b, c) of a candidate: its own values for type III; type I is
-    type III at z = n*k2/m1 (y = c = 0) and type II at z = 0 (b = 0)."""
-    if cand.table_type == TYPE_III:
-        if cand.z is None:
-            raise InfeasibleError("type III candidate without z")
-        return cand.z, cand.y, cand.b, cand.c
-    if cand.table_type not in (TYPE_I, TYPE_II):
-        raise ValueError(f"unknown table type {cand.table_type!r}")
-    z = Fraction(p.n * p.k2, p.m1) if cand.table_type == TYPE_I else Fraction(0)
-    return (z, *_side_values(p, z))
+        return f"{self.table_type} z={self.z}" if self.table_type == TYPE_III else self.table_type
 
 
 def make_candidate(p: SrgParams, table_type: str, z=None) -> FissionCandidate:
-    if table_type in (TYPE_I, TYPE_II):
-        if z is not None:
-            raise ValueError(f"type {table_type} takes no free parameter")
-        return FissionCandidate(table_type)
+    """The candidate of a table type: types I and II take no z, type III its z
+    strictly inside (0, n*k2/m1), where all of y, b and c are positive."""
+    end = Fraction(p.n * p.k2, p.m1)
     if table_type == TYPE_III:
         if z is None:
             raise ValueError("type III requires the free parameter z")
-        y, b, c = type3_auxiliary(p, z)
-        return FissionCandidate(TYPE_III, z=Fraction(z), y=y, b=b, c=c)
-    raise ValueError(f"unknown table type {table_type!r}")
+        if not 0 < z < end:
+            raise InfeasibleError(f"z = {z} outside (0, n*k2/m1 = {end})")
+        return FissionCandidate(TYPE_III, Fraction(z))
+    if table_type not in (TYPE_I, TYPE_II):
+        raise ValueError(f"unknown table type {table_type!r}")
+    if z is not None:
+        raise ValueError(f"type {table_type} takes no free parameter")
+    return FissionCandidate(table_type, end if table_type == TYPE_I else Fraction(0))
+
+
+def type3_auxiliary(p: SrgParams, z) -> tuple[Fraction, Fraction, Fraction]:
+    """(y, b, c) of a type-III z, which make_candidate checks is in range."""
+    return _side_values(p, make_candidate(p, TYPE_III, z).z)
+
+
+def _side_values(p: SrgParams, z: Fraction) -> tuple[Fraction, Fraction, Fraction]:
+    """(y, b, c) as the side conditions give them for z; they satisfy the
+    balance m1^2*y*z = m2^2*b*c identically."""
+    return (Fraction(p.k, p.k2 * p.m1) * (p.n * p.k2 - p.m1 * z),
+            Fraction(p.m1 * p.k, p.k2 * p.m2) * z, Fraction(p.n * p.k2 - p.m1 * z, p.m2))
 
 
 # -- character tables ---------------------------------------------------------
@@ -316,9 +294,9 @@ def character_table(p: SrgParams, cand: FissionCandidate) -> CharacterTable:
     """The 5x5 table for a non-conference candidate, with exact surd entries.
 
     rho, tau, sigma and omega have imaginary parts sqrt(y)/2, sqrt(z)/2,
-    sqrt(b)/2 and -sqrt(c)/2; types I and II are type III at z = n*k2/m1
-    and z = 0, except that type II takes the other root, +sqrt(c)/2, for
-    omega (at type I's end c = 0).
+    sqrt(b)/2 and -sqrt(c)/2, with (y, b, c) from the side conditions at z,
+    except that type II (z = 0) takes the other root, +sqrt(c)/2, for omega
+    (at type I's end c = 0).
     """
     if p.conference:
         raise InfeasibleError("conference parameters: use conference_table(q, g)")
@@ -327,12 +305,13 @@ def character_table(p: SrgParams, cand: FissionCandidate) -> CharacterTable:
             f"{p.quad()}: multiplicities and valencies must all be even to split")
     r, s, t, u = (Fraction(x) for x in p.eig_ints())
     n, k, k2, m1, m2 = p.n, p.k, p.k2, p.m1, p.m2
-    z, y, b, c = _table_parameters(p, cand)
+    z = cand.z
+    y, b, c = _side_values(p, z)
     omega_im = surd_sqrt(c) / 2
     rho = ComplexSurd(Fraction(r, 2), surd_sqrt(y) / 2)
     tau = ComplexSurd(Fraction(t, 2), surd_sqrt(z) / 2)
     sigma = ComplexSurd(Fraction(s, 2), surd_sqrt(b) / 2)
-    omega = ComplexSurd(Fraction(u, 2), omega_im if cand.table_type == TYPE_II else -omega_im)
+    omega = ComplexSurd(Fraction(u, 2), omega_im if z == 0 else -omega_im)
     one = ComplexSurd(1)
     row0 = (one, ComplexSurd(Fraction(k, 2)), ComplexSurd(Fraction(k2, 2)),
             ComplexSurd(Fraction(k2, 2)), ComplexSurd(Fraction(k, 2)))
@@ -520,7 +499,7 @@ def _identity_sums(E: list[list], weights) -> list:
                 if not acc.is_real():
                     raise ConsistencyError(
                         f"tensor entry ({i},{j},{l}) has nonzero imaginary part: {acc}")
-                S[i][j][l] = S[j][i][l] = acc.real_part()
+                S[i][j][l] = S[j][i][l] = acc.re
     return S
 
 
@@ -623,14 +602,11 @@ class ClosedForm:
     b_i[j][k] = p^k_ij.  B3 and B4 are B2 and B1 mirrored through PAIRED
     (p^k_ij = p^{k'}_{j'i'}), so ``planes()`` is the one completion of the
     5x5x5 tensor and ``tensor()`` passes it through the integrality gate.
-    aux holds the family's auxiliary values (Gamma, Phi, Pi for the srg
-    types; A..E for the cyclotomic form).
     """
 
     b1: tuple
     b2: tuple
     valencies: tuple
-    aux: dict
 
     def planes(self) -> tuple:
         """Planes p[i][j][k] = p^k_ij: identity, B1, B2, then B2 and B1 mirrored."""
@@ -654,16 +630,16 @@ def _complete_matrix(principal, rel: int, valency: int) -> tuple:
 def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> ClosedForm:
     """Exact B1, B2 for one candidate type, completed from their principal parts.
 
-    One formula in Gamma, Phi and Pi (_gamma_phi_pi) serves all three types:
-    types I and II are type III at z = n*k2/m1 and z = 0, where
+    One formula in Gamma, Phi and Pi (_gamma_phi_pi) at the candidate's z
+    serves all three types: at the ends of z's range, types I and II,
     sqrt(yz) = Phi = 0.  sqrt(yz) must be rational or the candidate is
     structurally infeasible.
     """
     if p.conference:
         raise InfeasibleError("conference parameters have no rational closed form; "
                               "use the cyclotomic closed form instead")
-    z, y, _, _ = _table_parameters(p, cand)
-    yz = y * z
+    z = cand.z
+    yz = _side_values(p, z)[0] * z
     root_num, root_den = isqrt(yz.numerator), isqrt(yz.denominator)
     if root_num ** 2 != yz.numerator or root_den ** 2 != yz.denominator:
         raise InfeasibleError(f"sqrt(y*z) = sqrt({yz}) is irrational: no rational "
@@ -672,10 +648,9 @@ def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> C
     gamma, phi, pi = _gamma_phi_pi(p, z, syz)
     b1, b2 = (tuple(tuple(Fraction(num, den) for num, den in row) for row in part)
               for part in _principal_parts(p, gamma, phi, pi))
-    aux = {"gamma": gamma, "phi": phi, "pi": pi, "sqrt_yz": syz, "sqrt_bc": syz * p.m1 / p.m2}
     valencies = (1, p.k // 2, p.k2 // 2, p.k2 // 2, p.k // 2)
     return ClosedForm(b1=_complete_matrix(b1, 1, valencies[1]),
-                      b2=_complete_matrix(b2, 2, valencies[2]), valencies=valencies, aux=aux)
+                      b2=_complete_matrix(b2, 2, valencies[2]), valencies=valencies)
 
 
 def _gamma_phi_pi(p: SrgParams, z, syz) -> tuple:
@@ -750,13 +725,15 @@ _P2_12 = 5
 def end_types(p: SrgParams, forms=None) -> list[str]:
     """Types I and II, in that order, whose closed form passes the integrality gate.
 
-    Type I is z = n*k2/m1 and type II is z = 0, where sqrt(yz) = 0: at
-    z = zn/zd each principal entry (forms: _principal_forms(p)) is
-    (A*zd + B*zn) / (M*zd), tested for sign and divisibility in integers;
-    every other entry of the tensor is 0, 1 or a valency.
+    Type I is z = n*k2/m1 and type II is z = 0 (make_candidate), where
+    sqrt(yz) = 0: at z = zn/zd each principal entry (forms:
+    _principal_forms(p)) is (A*zd + B*zn) / (M*zd), tested for sign and
+    divisibility in integers; every other entry of the tensor is 0, 1 or a
+    valency.
     """
     forms = forms or _principal_forms(p)
-    return [table_type for table_type, zn, zd in ((TYPE_I, p.n * p.k2, p.m1), (TYPE_II, 0, 1))
+    return [table_type for table_type in (TYPE_I, TYPE_II)
+            for zn, zd in [make_candidate(p, table_type).z.as_integer_ratio()]
             if all(a * zd + b * zn >= 0 and (a * zd + b * zn) % (m * zd) == 0
                    for a, b, _, m in forms)]
 
@@ -782,12 +759,15 @@ def type3_window(p: SrgParams, forms=None):
         z += step
 
 
-def _solve_type3_z(p: SrgParams, planes) -> Fraction | None:
-    """The z in [0, n*k2/m1] whose p^2_(1,2) is planes[1][2][2], or None;
-    0 is type II, n*k2/m1 type I and every z between them type III."""
+def _solve_type3_z(p: SrgParams, planes) -> FissionCandidate | None:
+    """The candidate whose p^2_(1,2) is planes[1][2][2], or None when that z is
+    outside [0, n*k2/m1]; 0 is type II, n*k2/m1 type I and every z between
+    them type III."""
     a, b, _, m = _principal_forms(p)[_P2_12]
-    z = Fraction(m * planes[1][2][2] - a, b)
-    return z if 0 <= z <= Fraction(p.n * p.k2, p.m1) else None
+    z, end = Fraction(m * planes[1][2][2] - a, b), Fraction(p.n * p.k2, p.m1)
+    if not 0 <= z <= end:
+        return None
+    return FissionCandidate(TYPE_II if z == 0 else TYPE_I if z == end else TYPE_III, z)
 
 
 def type3_integrality(p: SrgParams, forms=None) -> Callable[[int], bool]:

@@ -246,8 +246,7 @@ def test_scan_imprimitive_non_integral_closed_form_exits_2(capsys, monkeypatch, 
         cf = real(p, cand)
         b1 = [list(row) for row in cf.b1]
         b1[1][1] = Fraction(1, 2)
-        return ClosedForm(b1=tuple(map(tuple, b1)), b2=cf.b2, valencies=cf.valencies,
-                          aux=cf.aux)
+        return ClosedForm(b1=tuple(map(tuple, b1)), b2=cf.b2, valencies=cf.valencies)
 
     monkeypatch.setattr(feasibility, "intersection_matrices_closed_form", halved)
     for threads in ("1", "2"):  # in process, then raised inside a (stand-in) worker

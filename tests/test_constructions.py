@@ -157,16 +157,22 @@ def test_two_squares_unique_for_primes():
             assert len(sf.two_squares(q)) == 1
 
 
+def _entries_a_to_e(cf) -> tuple:
+    """A..E read off B1, whose row 1 is (0, A, B, D, C) and row 2 (0, E, E, B, D)."""
+    (_, a, b, d, c), e = cf.b1[1], cf.b1[2][1]
+    return a, b, c, d, e
+
+
 def test_cyc4_closed_form_values():
     cf = sf.cyc4_closed_form(13, -3, 1)
-    assert tuple(cf.aux[x] for x in "ABCDE") == (0, 1, 2, 0, 1)
+    assert _entries_a_to_e(cf) == (0, 1, 2, 0, 1)
     cf5 = sf.cyc4_closed_form(5, 1, 1)
-    assert tuple(cf5.aux[x] for x in "ABCDE") == (0, 1, 0, 0, 0)
+    assert _entries_a_to_e(cf5) == (0, 1, 0, 0, 0)
     # B1 of the 5-point case is a permutation matrix
     assert all(sum(row) == 1 for row in cf5.b1)
     assert all(sum(col) == 1 for col in zip(*cf5.b1))
     cf29 = sf.cyc4_closed_form(29, 5, 1)
-    assert tuple(cf29.aux[x] for x in "ABCDE") == (2, 3, 0, 2, 1)
+    assert _entries_a_to_e(cf29) == (2, 3, 0, 2, 1)
     for col in zip(*cf29.b1):
         assert sum(col) == 7
     with pytest.raises(ValueError):

@@ -248,7 +248,7 @@ def _three_trial_matches(tensor, n):
                 for t in (TYPE_I, TYPE_II)}
         e1, e0 = ends[TYPE_I][1][2][2], ends[TYPE_II][1][2][2]
         z = Fraction(p.n * p.k2, p.m1) * (perm[1][2][2] - e0) / (e1 - e0)
-        trials = [(t, None, ends[t]) for t in (TYPE_I, TYPE_II)]
+        trials = [(t, sf.make_candidate(p, t).z, ends[t]) for t in (TYPE_I, TYPE_II)]
         if 0 < z < Fraction(p.n * p.k2, p.m1):
             try:
                 trials.append((TYPE_III, z, sf.intersection_matrices_closed_form(
@@ -263,8 +263,10 @@ def test_classify_solves_z_on_every_record_tensor(monkeypatch):
     """classify_scheme on the closed-form tensor of each scan_srg(1300) record
     builds one closed form per relabeling, from the solved z, and finds the
     matches of the earlier three-trial search, the record itself among them.
-    The complement's relabeling matches too, so every such tensor is
-    reported as ambiguous."""
+    The complement's relabeling matches too, and classify keeps the side
+    that srg_candidates lists first: 29 records classify as themselves and
+    8 as their complement partner, the second-listed sides of the k = k2
+    pairs, which are records too."""
     monkeypatch.setenv("SKEWFISS_THREADS", "1")
     records = sf.scan_srg(1300)
     tensors = []
@@ -279,16 +281,24 @@ def test_classify_solves_z_on_every_record_tensor(monkeypatch):
     monkeypatch.setattr(feasibility, "character_table", lambda p, cand: matched.append(
         (p.quad(), cand.table_type, cand.z)) or real_table(p, cand))
     monkeypatch.setattr(feasibility, "is_skew_symmetric", lambda s: True)
+    key = lambda x: (x.n, x.params["k"], x.params["lam"], x.table_type, x.z)
+    keys = [key(rec) for rec in records]
+    partners = []
     for rec, p, tensor in tensors:
         report = SimpleNamespace(ok=True, tensor=tensor, transpose_map=[0, 4, 3, 2, 1])
         monkeypatch.setattr(feasibility, "verify_axioms", lambda s, report=report: report)
         built.clear()
         matched.clear()
-        with pytest.raises(sf.ClassificationError, match="ambiguous"):
-            sf.classify_scheme(SimpleNamespace(n=p.n, d=4))
+        got = sf.classify_scheme(SimpleNamespace(n=p.n, d=4))
         assert len(built) <= 8
-        assert (p.quad(), rec.table_type, rec.z) in matched
+        assert (p.quad(), rec.table_type, sf.make_candidate(p, rec.table_type, rec.z).z) in matched
         assert matched == _three_trial_matches(tensor, p.n), p.quad()
+        assert got.family == "srg" and key(got) in keys
+        if key(got) != key(rec):
+            assert (got.params["k"], got.params["lam"]) < (rec.params["k"], rec.params["lam"])
+            assert got.params["k"] == p.k == p.k2 and got.table_type == rec.table_type
+            partners.append(p.n)
+    assert len(records) == 37 and partners == [21, 301, 301, 301, 1197, 1197, 1221, 1221]
 
 
 def test_classify_errors(j52):

@@ -220,7 +220,7 @@ def test_complex_surd_matches_reference(xs, ys, ss, r):
     assert (a * b) * a == a * (b * a)
     assert hash((a + b) - b) == hash(a) and (a + b) - b == a
     if a.is_real():
-        assert a.real_part() == a.re and hash(a) == hash(a.re)
+        assert a == a.re and hash(a) == hash(a.re)
 
 
 def test_complex_surd_signed_radicands():

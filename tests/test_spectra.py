@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import signal
 from fractions import Fraction
@@ -12,8 +13,10 @@ from skewfiss.spectra import (
     TYPE_I,
     TYPE_II,
     TYPE_III,
+    _gamma_phi_pi,
     end_types,
     p_values_from_table,
+    type3_window,
 )
 
 
@@ -115,14 +118,45 @@ def test_character_table_type3_57():
 def test_character_table_errors():
     conf = sf.srg_derive(13, 6, 2, 3)
     with pytest.raises(sf.InfeasibleError):
-        sf.character_table(conf, sf.FissionCandidate(TYPE_I))
+        sf.character_table(conf, sf.make_candidate(conf, TYPE_I))
+    with pytest.raises(sf.InfeasibleError):
+        sf.intersection_matrices_closed_form(conf, sf.make_candidate(conf, TYPE_I))
     p = sf.srg_derive(57, 14, 1, 4)
-    with pytest.raises(sf.InfeasibleError):
-        sf.character_table(p, sf.FissionCandidate(TYPE_III))  # no z
-    with pytest.raises(sf.InfeasibleError):
-        sf.intersection_matrices_closed_form(p, sf.FissionCandidate(TYPE_III))
+    with pytest.raises(ValueError):
+        sf.make_candidate(p, TYPE_III)  # no z
     with pytest.raises(ValueError):
         sf.make_candidate(p, TYPE_I, z=5)
+    with pytest.raises(ValueError):
+        sf.make_candidate(p, "IV")
+    for z in (0, Fraction(p.n * p.k2, p.m1), -1, 100):  # the ends and beyond
+        with pytest.raises(sf.InfeasibleError):
+            sf.make_candidate(p, TYPE_III, z)
+
+
+def test_ends_of_z_range_are_types_1_and_2():
+    """make_candidate gives type II z = 0 and type I z = n*k2/m1, the ends of
+    the range whose inside is type III; a candidate is its type and z."""
+    for p in _splittable_params():
+        assert sf.make_candidate(p, TYPE_II).z == 0
+        assert sf.make_candidate(p, TYPE_I).z == Fraction(p.n * p.k2, p.m1)
+    p = sf.srg_derive(57, 14, 1, 4)
+    assert sf.make_candidate(p, TYPE_III, 27) == sf.FissionCandidate(TYPE_III, Fraction(27))
+    assert [f.name for f in dataclasses.fields(sf.FissionCandidate)] == ["table_type", "z"]
+
+
+def test_balance_identity_on_every_window_z():
+    """m1^2*y*z = m2^2*b*c, exactly, at every type3_window z of every
+    splittable set up to 1300 and of the 2-subset sets v = 3 mod 4 up to 200."""
+    srg = [p for p in sf.srg_candidates(1300) if p.splittable()]
+    johnson = [sf.srg_derive(*sf.johnson2_params(v)) for v in range(7, 201, 4)]
+    tried = 0
+    for p in srg + johnson:
+        for z in type3_window(p):
+            y, b, c = sf.type3_auxiliary(p, z)
+            assert y > 0 and b > 0 and c > 0, (p.quad(), z)
+            assert p.m1 ** 2 * y * z == p.m2 ** 2 * b * c, (p.quad(), z)
+            tried += 1
+    assert tried == 3360 + 1225  # the srg sets' window z, then the 2-subset sets'
 
 
 def _splittable_params():
@@ -176,9 +210,9 @@ def test_conference_entry_conjugation():
 def test_closed_form_type3_57():
     p = sf.srg_derive(57, 14, 1, 4)
     cf = sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_III, 27))
-    assert cf.aux["pi"] == -798
-    assert cf.aux["phi"] == 4788
-    assert cf.aux["gamma"] == -4788
+    y, _, _ = sf.type3_auxiliary(p, 27)
+    assert y * 27 == 18 ** 2
+    assert _gamma_phi_pi(p, 27, 18) == (-4788, 4788, -798)  # Gamma, Phi, Pi
     assert cf.b1[1][1:] == (0, 2, 0, 1)
     assert cf.b1[0] == (0, 1, 0, 0, 0) and [row[0] for row in cf.b1] == [0, 0, 0, 0, 7]
     cf.tensor()  # every entry is a nonnegative integer
@@ -218,10 +252,11 @@ def test_type3_large_prime_z_returns_promptly():
         cand = sf.make_candidate(p, TYPE_III, z)
         with pytest.raises(sf.InfeasibleError):
             sf.intersection_matrices_closed_form(p, cand)  # y*z is not a square
+        y, b, c = sf.type3_auxiliary(p, z)
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
-    assert p.m1 ** 2 * cand.y * z == p.m2 ** 2 * cand.b * cand.c
+    assert p.m1 ** 2 * y * z == p.m2 ** 2 * b * c
 
 
 def test_type3_large_prime_z_table_returns_promptly():
@@ -489,6 +524,6 @@ def test_closed_form_tensor_rejects_a_fraction_entry():
     b1 = [list(row) for row in cf.b1]
     b1[1][1] = Fraction(1, 2)
     with pytest.raises(sf.InfeasibleError) as info:
-        sf.ClosedForm(b1=b1, b2=cf.b2, valencies=cf.valencies, aux=cf.aux).tensor()
+        sf.ClosedForm(b1=b1, b2=cf.b2, valencies=cf.valencies).tensor()
     assert info.value.where == (1, 1, 1)
     assert info.value.value == Fraction(1, 2)

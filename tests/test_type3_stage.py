@@ -64,8 +64,8 @@ def test_stage_and_window_match_gate_on_every_z_up_to_300():
 
 
 def test_solve_type3_z_inverts_every_record_up_to_1300(monkeypatch):
-    """classify's inverse of p^2_(1,2) gives back each record's z: its own
-    for type III, n*k2/m1 for type I and 0 for type II."""
+    """classify's inverse of p^2_(1,2) gives back each record's candidate:
+    its own z for type III, n*k2/m1 for type I and 0 for type II."""
     monkeypatch.setenv("SKEWFISS_THREADS", "1")
     records = sf.scan_srg(1300)
     assert len(records) == 37
@@ -75,7 +75,8 @@ def test_solve_type3_z_inverts_every_record_up_to_1300(monkeypatch):
         cand = sf.make_candidate(p, rec.table_type, rec.z)
         closed = sf.intersection_matrices_closed_form(p, cand)
         expected = {TYPE_I: Fraction(p.n * p.k2, p.m1), TYPE_II: 0}.get(rec.table_type, rec.z)
-        assert _solve_type3_z(p, closed.planes()) == expected, (p.quad(), rec.table_type)
+        assert cand.z == expected
+        assert _solve_type3_z(p, closed.planes()) == cand, (p.quad(), rec.table_type)
 
 
 @st.composite
