@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import fsum, gcd, isqrt, lcm, sqrt
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 Rational = Fraction
 RationalLike = Union[int, Fraction]
@@ -83,12 +83,6 @@ class SurdSum:
         else:
             c = _as_fraction(value)
             self._num, self._den = ({1: c.numerator} if c else {}), c.denominator
-
-    @classmethod
-    def _make(cls, terms: Mapping[int, Fraction]) -> "SurdSum":
-        den = lcm(*(c.denominator for c in terms.values()))
-        return _reduced({n: c.numerator * (den // c.denominator)
-                         for n, c in terms.items() if c}, den)
 
     @property
     def terms(self) -> dict[int, Fraction]:

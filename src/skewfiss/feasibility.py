@@ -4,14 +4,16 @@ Four families cover all symmetrizations: pseudocyclic/conference graphs,
 ordinary strongly regular graphs, imprimitive (clique-blown-up) graphs and
 the 2-subset intersection family.  Each scanner is one call of _scan, which
 maps a per-unit function (a q, an srg parameter set, an (f, g) or a v) over
-the family's units, fanned out over SKEWFISS_THREADS processes, and sorts
-the records.  In the srg-like families each decision reads the integer
-forms of the closed-form entries: types I and II (the ends of z's range)
-pass spectra.end_types and type-III z from spectra.type3_window pass
-spectra.type3_integrality, so a closed form is built only for a candidate
-that passes its integrality gate; classify_scheme solves the counted
-p^2_(1,2) for z, which names the type, and names an srg scheme by the side
-that srg_candidates lists first.  No closed-form entry is computed here.  All feasible and Krein-excluded records have passed the
+the family's units, fanned out over SKEWFISS_THREADS processes; the
+records come out in the order of the units.  In the srg-like families each
+decision reads the integer forms of the closed-form entries cached on
+SrgParams: types I and II (the ends of z's range) pass spectra.end_types
+and type-III z from spectra.type3_window pass
+spectra.closed_form_integral, so a closed form is built only for a
+candidate that passes its integrality gate; classify_scheme solves the
+counted p^2_(1,2) for z, which names the type, and names an srg scheme by
+the side that srg_candidates lists first.  No closed-form entry is computed
+here.  All feasible and Krein-excluded records have passed the
 dual-derivation check: closed-form intersection matrices (the cyclotomic
 ones for conference graphs) equal to the eigenvalue-identity tensor,
 entry by entry, in exact arithmetic.  Each record then gets its
@@ -37,7 +39,6 @@ from .scheme_core import (AssociationScheme, IntersectionTensor, _orbit_partitio
                           is_skew_symmetric, verify_axioms)
 from .spectra import (
     TYPE_I,
-    TYPE_II,
     TYPE_III,
     CharacterTable,
     ClosedForm,
@@ -46,6 +47,7 @@ from .spectra import (
     InfeasibleError,
     SrgParams,
     character_table,
+    closed_form_integral,
     conference_table,
     end_types,
     intersection_matrices_closed_form,
@@ -54,9 +56,7 @@ from .spectra import (
     p_values_from_table,
     q_from_table,
     srg_derive,
-    type3_integrality,
     type3_window,
-    _principal_forms,
     _side_values,
     _solve_type3_z,
     _srg_from_spectrum,
@@ -65,8 +65,6 @@ from .spectra import (
 FEASIBLE = "feasible"
 KREIN_EXCLUDED = "krein_excluded"
 INTEGRALITY_EXCLUDED = "integrality_excluded"
-
-_TYPE_ORDER = {TYPE_I: 0, TYPE_II: 1, TYPE_III: 2, None: -1}
 
 
 @dataclass
@@ -84,17 +82,6 @@ class ScanRecord:
     krein_index: tuple | None = None
     krein_value: SurdSum | None = None
     table: CharacterTable | None = None
-
-    def sort_key(self):
-        p = self.params
-        if self.family == "conference":
-            return (self.n, -p["g"])
-        if self.family == "imprimitive":
-            return (self.n, p["f"])
-        if self.family == "johnson":
-            return (p["v"], _TYPE_ORDER.get(self.table_type, -1), self.z or -1)
-        return (self.n, p.get("k", 0), p.get("lam", 0),
-                _TYPE_ORDER.get(self.table_type, -1), self.z or -1)
 
     def to_dict(self) -> dict:
         out = {
@@ -120,12 +107,13 @@ class ScanRecord:
 
 
 def _scan(units, work) -> list[ScanRecord]:
-    """Every record of work(unit) over the units, sorted by ScanRecord.sort_key.
+    """Every record of work(unit), in the order of the units and then of work's
+    records: each scanner lists its units in the order its output takes.
 
     SKEWFISS_THREADS (default 1) must be a positive integer and is capped at
     the CPUs this process may use; above 1 the units fan out over one process
     pool, so work is a module-level function.  Pool.map keeps the units'
-    order, so the sorted records are the same at every thread count.
+    order, so the records are the same at every thread count.
     """
     raw = os.environ.get("SKEWFISS_THREADS", "1")
     try:
@@ -140,9 +128,7 @@ def _scan(units, work) -> list[ScanRecord]:
             batches = pool.map(work, units, chunksize=8)
     else:
         batches = map(work, units)
-    records = list(chain.from_iterable(batches))
-    records.sort(key=ScanRecord.sort_key)
-    return records
+    return list(chain.from_iterable(batches))
 
 
 # -- conference / pseudocyclic scan -------------------------------------------
@@ -345,13 +331,13 @@ def fission_scan(p: SrgParams, witness=None, family: str = "srg",
                  params: dict | None = None) -> list[ScanRecord]:
     """All split candidates over one non-conference parameter set.
 
-    The integer forms of the closed-form entries (spectra._principal_forms)
-    are read once per splittable set.  Types I and II, the ends of z's
-    range, pass spectra.end_types when every entry there is a nonnegative
-    integer.  Type III takes the z of spectra.type3_window (where p^2_(1,2)
-    is a nonnegative integer) that the integer stage
-    (spectra.type3_integrality) passes: a rational sqrt(yz) and every entry
-    a nonnegative integer.  Only these candidates get a ClosedForm, which
+    The integer forms of the closed-form entries (SrgParams.forms) are read
+    once per splittable set.  Types I and II, the ends of z's range, pass
+    spectra.end_types when every entry there is a nonnegative integer.
+    Type III takes the z of spectra.type3_window (where p^2_(1,2) is a
+    nonnegative integer) that the integer stage
+    (spectra.closed_form_integral) passes: a rational sqrt(yz) and every
+    entry a nonnegative integer.  Only these candidates get a ClosedForm, which
     passes the gate, the dual derivation and the Krein check and becomes a
     feasible or krein_excluded record; the rest are dropped silently.
     witness = (z, (l, i, j)) has the type-III record at z report q^l_ij
@@ -364,11 +350,9 @@ def fission_scan(p: SrgParams, witness=None, family: str = "srg",
     if not p.splittable():
         return records
     witness_z, entry = witness or (None, None)
-    forms = _principal_forms(p)
-    typed = [make_candidate(p, t) for t in end_types(p, forms)]
-    integral = type3_integrality(p, forms)
-    type3 = (make_candidate(p, TYPE_III, z) for z in type3_window(p, forms)
-             if z == witness_z or integral(z))
+    typed = [make_candidate(p, t) for t in end_types(p)]
+    type3 = (make_candidate(p, TYPE_III, z) for z in type3_window(p)
+             if z == witness_z or closed_form_integral(p, z))
     for cand in chain(typed, type3):
         try:
             closed = intersection_matrices_closed_form(p, cand)
@@ -390,14 +374,14 @@ def scan_srg(n_max: int) -> list[ScanRecord]:
 
 
 def imprimitive_scan(n_max: int) -> list[ScanRecord]:
-    """All (f, g) with f, g = 3 mod 4 and f*g <= n_max.
+    """All (f, g) with f, g = 3 mod 4 and f*g <= n_max, by (f*g, f).
 
     The clique side has parameters (fg, f-1, f-2, 0) and the split is the
     type-I table; the record is marked realizable when both f and g are
     prime powers (wreath product of the two quadratic-residue tournaments).
     """
-    return _scan([(f, g) for f in range(3, n_max // 3 + 1, 4)
-                  for g in range(3, n_max // f + 1, 4)], _imprimitive_records)
+    units = [(f, g) for f in range(3, n_max // 3 + 1, 4) for g in range(3, n_max // f + 1, 4)]
+    return _scan(sorted(units, key=lambda fg: (fg[0] * fg[1], fg[0])), _imprimitive_records)
 
 
 def _imprimitive_records(fg: tuple[int, int]) -> list[ScanRecord]:

@@ -13,10 +13,12 @@ closed form in the graph parameters or from the eigenvalue identity
 
 and the two derivations must agree exactly on every candidate.  Each is
 written once: the closed form is _principal_parts in Gamma, Phi and Pi
-(_gamma_phi_pi), whose integer coefficients also give the type-III z
-window, the integer stage and the integer test of types I and II at the
-ends of z's range, and column orthogonality is the identity's
-p^j_(i,0) = [i = j].
+(_gamma_phi_pi), read once per parameter set as integer forms
+(SrgParams.forms), which also give the type-III z window, and evaluated
+at any z by one function, _entries_at, for both the closed form's
+matrices and the integer stage closed_form_integral (also the test of
+types I and II at the ends of z's range); column orthogonality is the
+identity's p^j_(i,0) = [i = j].
 
 Surd tables run the identity on ComplexSurd entries, forming the weighted
 product of entries i and j once per summation index and only for i <= j.
@@ -32,10 +34,9 @@ once, when read.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm, prod
 
@@ -86,6 +87,12 @@ class SrgParams:
     m1: int
     m2: int
     conference: bool
+
+    @cached_property
+    def forms(self) -> list:
+        """The integer forms of the closed-form entries (_principal_forms),
+        computed once per parameter set; every srg decision reads them."""
+        return _principal_forms(self)
 
     def splittable(self) -> bool:
         """Multiplicities and valencies all even, as a 4-class split halves them."""
@@ -630,24 +637,20 @@ def _complete_matrix(principal, rel: int, valency: int) -> tuple:
 def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> ClosedForm:
     """Exact B1, B2 for one candidate type, completed from their principal parts.
 
-    One formula in Gamma, Phi and Pi (_gamma_phi_pi) at the candidate's z
-    serves all three types: at the ends of z's range, types I and II,
-    sqrt(yz) = Phi = 0.  sqrt(yz) must be rational or the candidate is
-    structurally infeasible.
+    One formula serves all three types: the principal entries are the
+    integer pairs of _entries_at at the candidate's z (at the ends of z's
+    range, types I and II, sqrt(yz) = 0).  sqrt(yz) must be rational or the
+    candidate is structurally infeasible.
     """
     if p.conference:
         raise InfeasibleError("conference parameters have no rational closed form; "
                               "use the cyclotomic closed form instead")
-    z = cand.z
-    yz = _side_values(p, z)[0] * z
-    root_num, root_den = isqrt(yz.numerator), isqrt(yz.denominator)
-    if root_num ** 2 != yz.numerator or root_den ** 2 != yz.denominator:
-        raise InfeasibleError(f"sqrt(y*z) = sqrt({yz}) is irrational: no rational "
+    entries = _entries_at(p, cand.z)
+    if entries is None:
+        raise InfeasibleError(f"sqrt(y*z) is irrational at z = {cand.z}: no rational "
                               "intersection numbers exist for this z")
-    syz = Fraction(root_num, root_den)
-    gamma, phi, pi = _gamma_phi_pi(p, z, syz)
-    b1, b2 = (tuple(tuple(Fraction(num, den) for num, den in row) for row in part)
-              for part in _principal_parts(p, gamma, phi, pi))
+    rows = [tuple(Fraction(*pair) for pair in entries[i:i + 4]) for i in range(0, 32, 4)]
+    b1, b2 = tuple(rows[:4]), tuple(rows[4:])
     valencies = (1, p.k // 2, p.k2 // 2, p.k2 // 2, p.k // 2)
     return ClosedForm(b1=_complete_matrix(b1, 1, valencies[1]),
                       b2=_complete_matrix(b2, 2, valencies[2]), valencies=valencies)
@@ -667,8 +670,8 @@ def _principal_parts(p: SrgParams, gamma, phi, pi) -> tuple:
     """Principal 4x4 parts of B1 and B2 as (numerator, denominator) pairs.
 
     Every numerator is a constant plus an integer combination of gamma, phi
-    and pi, over 4nk or 4nk2; the closed form passes their values at its z,
-    _principal_forms their values at three points to read off coefficients.
+    and pi, over 4nk or 4nk2; _principal_forms passes their values at three
+    points to read off coefficients.
     """
     n, k, k2, lam, mu = p.n, p.k, p.k2, p.lam, p.mu
     nk, nk2 = n * k, n * k2
@@ -695,26 +698,51 @@ def _principal_parts(p: SrgParams, gamma, phi, pi) -> tuple:
     return b1, (b1[1], *b2, b1[2][::-1])
 
 
-def _integer_parts(p: SrgParams, z: int, syz: int) -> tuple:
-    """_principal_parts in ints at (z, sqrt(yz)) = (0, 0), (k2, 0) or (0, 1)."""
-    gamma, phi, pi = _gamma_phi_pi(p, z, syz)
-    return _principal_parts(p, gamma, phi, int(pi))
-
-
 def _principal_forms(p: SrgParams) -> list:
     """Each principal entry of B1 and B2, in _principal_parts order, as integers
     (A, B, C, M) with entry = (A + B*z + C*isqrt(x)) / M.
 
     Here x = k*N*z*k2*m1 with N = n*k2 - m1*z, so sqrt(yz) = isqrt(x)/(k2*m1)
     when x is a square.  Gamma, Phi and Pi are affine in z and sqrt(yz), so
-    the closed form's own formula at three points fixes every entry, and
-    the forms hold at rational z too.  They are not reduced.
+    the closed form's own formula at (z, sqrt(yz)) = (0, 0), (k2, 0) and
+    (0, 1), where all three are integers, fixes every entry, and the forms
+    hold at rational z too (_entries_at).  They are not reduced.
     """
     k2, d = p.k2, p.k2 * p.m1
-    flat = lambda z, syz: [pair for part in _integer_parts(p, z, syz) for row in part
-                           for pair in row]
+
+    def flat(z: int, syz: int) -> list:
+        gamma, phi, pi = _gamma_phi_pi(p, z, syz)
+        return [pair for part in _principal_parts(p, gamma, phi, int(pi)) for row in part
+                for pair in row]
+
     return [(a0 * k2 * d, (ak - a0) * d, (a1 - a0) * k2, den * k2 * d)
             for (a0, den), (ak, _), (a1, _) in zip(flat(0, 0), flat(k2, 0), flat(0, 1))]
+
+
+def _entries_at(p: SrgParams, z) -> list | None:
+    """Each principal entry at z = zn/zd, 0 <= z <= n*k2/m1, as an integer pair
+    (A*zd + B*zn + C*sqrt(X), M*zd) from its form (A, B, C, M); None when
+    X = k*k2*m1*(n*k2*zd - m1*zn)*zn, which is x*zd^2, is not a square, as
+    then sqrt(yz) is irrational."""
+    zn, zd = z.as_integer_ratio()
+    x = p.k * p.k2 * p.m1 * (p.n * p.k2 * zd - p.m1 * zn) * zn
+    root = isqrt(x)
+    if root * root != x:
+        return None
+    return [(a * zd + b * zn + c * root, m * zd) for a, b, c, m in p.forms]
+
+
+def closed_form_integral(p: SrgParams, z) -> bool:
+    """The integer stage: true exactly when the closed form at z,
+    0 <= z <= n*k2/m1, passes the integrality gate.
+
+    sqrt(yz) must be rational and each principal entry of _entries_at a
+    nonnegative integer, tested for sign and divisibility in integers;
+    every other entry of the tensor is 0, 1 or a valency.  No Fraction is
+    built.
+    """
+    entries = _entries_at(p, z)
+    return entries is not None and all(num >= 0 and num % den == 0 for num, den in entries)
 
 
 # B1's entry (2, 2), p^2_(1,2) = (A + B*z)/M: the one principal entry linear in
@@ -722,32 +750,23 @@ def _principal_forms(p: SrgParams) -> list:
 _P2_12 = 5
 
 
-def end_types(p: SrgParams, forms=None) -> list[str]:
-    """Types I and II, in that order, whose closed form passes the integrality gate.
-
-    Type I is z = n*k2/m1 and type II is z = 0 (make_candidate), where
-    sqrt(yz) = 0: at z = zn/zd each principal entry (forms:
-    _principal_forms(p)) is (A*zd + B*zn) / (M*zd), tested for sign and
-    divisibility in integers; every other entry of the tensor is 0, 1 or a
-    valency.
-    """
-    forms = forms or _principal_forms(p)
+def end_types(p: SrgParams) -> list[str]:
+    """Types I and II, in that order, whose closed form passes the integrality
+    gate: closed_form_integral at their z, n*k2/m1 and 0 (make_candidate),
+    where sqrt(yz) = 0."""
     return [table_type for table_type in (TYPE_I, TYPE_II)
-            for zn, zd in [make_candidate(p, table_type).z.as_integer_ratio()]
-            if all(a * zd + b * zn >= 0 and (a * zd + b * zn) % (m * zd) == 0
-                   for a, b, _, m in forms)]
+            if closed_form_integral(p, make_candidate(p, table_type).z)]
 
 
-def type3_window(p: SrgParams, forms=None):
+def type3_window(p: SrgParams):
     """Integer z in (0, n*k2/m1) worth a check, in increasing order.
 
     The closed-form entry p^2_(1,2) = (A + B*z)/M must be a nonnegative
     integer, which pins z to one residue class mod M/gcd(B, M), stepped from
     the first z where the entry is nonnegative.  The window is not narrowed
-    further here: fission_scan runs type3_integrality on each z it yields.
-    forms are _principal_forms(p).
+    further here: fission_scan runs closed_form_integral on each z it yields.
     """
-    a, b, _, m = (forms or _principal_forms(p))[_P2_12]
+    a, b, _, m = p.forms[_P2_12]
     g = gcd(b, m)
     if a % g:
         return
@@ -763,39 +782,8 @@ def _solve_type3_z(p: SrgParams, planes) -> FissionCandidate | None:
     """The candidate whose p^2_(1,2) is planes[1][2][2], or None when that z is
     outside [0, n*k2/m1]; 0 is type II, n*k2/m1 type I and every z between
     them type III."""
-    a, b, _, m = _principal_forms(p)[_P2_12]
+    a, b, _, m = p.forms[_P2_12]
     z, end = Fraction(m * planes[1][2][2] - a, b), Fraction(p.n * p.k2, p.m1)
     if not 0 <= z <= end:
         return None
     return FissionCandidate(TYPE_II if z == 0 else TYPE_I if z == end else TYPE_III, z)
-
-
-def type3_integrality(p: SrgParams, forms=None) -> Callable[[int], bool]:
-    """The integer stage: a test of integer z, 0 < z < n*k2/m1, that is true
-    exactly when the type-III closed form at z passes the integrality gate.
-
-    sqrt(yz) is rational only when x = k*N*z*k2*m1 is a square.  The forms
-    (A, B, C, M) are reduced and deduplicated at the first such z, and each
-    distinct entry (A + B*z + C*isqrt(x)) / M is then tested for sign and
-    divisibility, in the order of _principal_parts.  Every other entry of
-    the tensor is 0, 1 or a valency.  No Fraction is built per z.
-    """
-    n, k, k2, m1 = p.n, p.k, p.k2, p.m1
-    d = k2 * m1
-    entries = []
-
-    def integral(z: int) -> bool:
-        x = k * (n * k2 - m1 * z) * z * d
-        root = isqrt(x)
-        if root * root != x:
-            return False
-        if not entries:
-            entries.extend(dict.fromkeys(tuple(x // gcd(*f) for x in f)
-                                         for f in (forms or _principal_forms(p))))
-        for a, b, c, m in entries:
-            num = a + b * z + c * root
-            if num < 0 or num % m:
-                return False
-        return True
-
-    return integral

@@ -330,6 +330,34 @@ def test_scan_threads_match(monkeypatch, family):
     assert runs[0] == runs[1] and runs[0]
 
 
+_TYPE_ORDER = {None: -1, TYPE_I: 0, TYPE_II: 1, TYPE_III: 2}
+
+
+def _record_key(rec):
+    """The key the scan driver once sorted every scanner's records by."""
+    p = rec.params
+    if rec.family == "conference":
+        return (rec.n, -p["g"])
+    if rec.family == "imprimitive":
+        return (rec.n, p["f"])
+    if rec.family == "johnson":
+        return (p["v"], _TYPE_ORDER[rec.table_type], rec.z or -1)
+    return (rec.n, p["k"], p["lam"], _TYPE_ORDER[rec.table_type], rec.z or -1)
+
+
+@pytest.mark.parametrize("scanner,bound", [
+    (sf.conference_scan, 325), (sf.conference_scan, 2000), (sf.scan_srg, 1300),
+    (sf.scan_srg, 5000), (sf.imprimitive_scan, 100), (sf.imprimitive_scan, 600),
+    (sf.johnson_scan, 200), (sf.johnson_scan, 400)])
+def test_scan_lists_records_in_key_order(monkeypatch, scanner, bound):
+    """Records come out in the order of the units, and that is their order
+    by the old sort key: n, then g descending, f, or (k, lam) with types
+    I, II, III and increasing z; for the 2-subset family v, type and z."""
+    monkeypatch.setenv("SKEWFISS_THREADS", "1")
+    keys = [_record_key(rec) for rec in scanner(bound)]
+    assert keys == sorted(keys) and keys
+
+
 def test_record_json_dict():
     rec = sf.fission_scan(sf.srg_derive(105, 26, 13, 4))[0]
     d = rec.to_dict()

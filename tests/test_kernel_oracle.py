@@ -168,7 +168,6 @@ def test_surdsum_matches_reference(xs, ys, r):
     assert (a < b) == (a_ref < b_ref) and (a <= b) == (a_ref <= b_ref)
     assert (a == b) == (a_ref == b_ref)
     assert SurdSum.from_triples(a.to_triples()) == a
-    assert SurdSum._make(a.terms) == a
 
 
 # -- ComplexSurd against the reference class ---------------------------------------

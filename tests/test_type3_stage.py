@@ -1,31 +1,37 @@
-"""The integer type-III stage against the Fraction path it screens for.
+"""The integer type-III stage against the frozen Fraction path it screens for.
 
-``type3_integrality(p)(z)`` must be true exactly when ``make_candidate``,
-``intersection_matrices_closed_form`` and ``ClosedForm.tensor()`` all
-succeed at z: a z the stage rejects is one the closed form's integrality
+``closed_form_integral(p, z)`` must be true exactly when ``make_candidate``
+accepts z and the reference closed form at z (``reference_closed_form``:
+Gamma, Phi and Pi in Fractions) has a rational sqrt(yz) and only
+nonnegative integer entries: a z the stage rejects is one the integrality
 gate would reject, and nothing the gate passes is lost.
+``intersection_matrices_closed_form`` must equal that reference wherever
+the reference is rational.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+import reference_closed_form as ref
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import skewfiss as sf
 import skewfiss.feasibility as feasibility
 import skewfiss.spectra as spectra
-from skewfiss.spectra import TYPE_I, TYPE_II, TYPE_III, _solve_type3_z, type3_integrality, type3_window
+from skewfiss.spectra import (TYPE_I, TYPE_II, TYPE_III, _solve_type3_z, closed_form_integral,
+                              type3_window)
 
 
 def gate_passes(p, z) -> bool:
-    """make_candidate -> closed form -> tensor(), the path the stage screens for."""
+    """make_candidate's range, then the reference closed form's integrality."""
     try:
-        sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_III, z)).tensor()
+        sf.make_candidate(p, TYPE_III, z)
     except sf.InfeasibleError:
         return False
-    return True
+    matrices = ref.closed_form_at(p, z)
+    return matrices is not None and ref.is_integral(matrices)
 
 
 @lru_cache(maxsize=None)
@@ -39,11 +45,11 @@ def splittable(n_max: int) -> list:
 def test_stage_matches_gate_on_every_z_up_to_1300():
     tried = passed = 0
     for p in splittable(1300):
-        integral = type3_integrality(p)
         for z in type3_window(p):
-            assert integral(z) == gate_passes(p, z), (p.quad(), z)
+            integral = closed_form_integral(p, z)
+            assert integral == gate_passes(p, z), (p.quad(), z)
             tried += 1
-            passed += integral(z)
+            passed += integral
     assert (tried, passed) == (3360, 25)
 
 
@@ -54,9 +60,9 @@ def test_stage_and_window_match_gate_on_every_z_up_to_300():
             if not (p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2)]
     tried = passed = 0
     for p in sets:
-        window, integral = set(type3_window(p)), type3_integrality(p)
+        window = set(type3_window(p))
         for z in range(1, -(-p.n * p.k2 // p.m1)):
-            screened = z in window and integral(z)
+            screened = z in window and closed_form_integral(p, z)
             assert screened == gate_passes(p, z), (p.quad(), z)
             tried += 1
             passed += screened
@@ -65,7 +71,8 @@ def test_stage_and_window_match_gate_on_every_z_up_to_300():
 
 def test_solve_type3_z_inverts_every_record_up_to_1300(monkeypatch):
     """classify's inverse of p^2_(1,2) gives back each record's candidate:
-    its own z for type III, n*k2/m1 for type I and 0 for type II."""
+    its own z for type III, n*k2/m1 for type I and 0 for type II.  Each
+    record's closed form is the reference's at its z."""
     monkeypatch.setenv("SKEWFISS_THREADS", "1")
     records = sf.scan_srg(1300)
     assert len(records) == 37
@@ -76,6 +83,7 @@ def test_solve_type3_z_inverts_every_record_up_to_1300(monkeypatch):
         closed = sf.intersection_matrices_closed_form(p, cand)
         expected = {TYPE_I: Fraction(p.n * p.k2, p.m1), TYPE_II: 0}.get(rec.table_type, rec.z)
         assert cand.z == expected
+        assert closed.planes()[1:3] == ref.closed_form_at(p, cand.z), (p.quad(), cand)
         assert _solve_type3_z(p, closed.planes()) == cand, (p.quad(), rec.table_type)
 
 
@@ -87,28 +95,30 @@ def window_z(draw):
     p = sets[draw(st.integers(0, len(sets) - 1))]
     zs = list(type3_window(p))
     if draw(st.booleans()):
-        rational = []
-        for z in zs:
-            try:
-                sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_III, z))
-                rational.append(z)
-            except sf.InfeasibleError:
-                pass
-        zs = rational or zs
+        zs = [z for z in zs if ref.closed_form_at(p, z) is not None] or zs
     return p, draw(st.sampled_from(zs))
 
 
 @given(window_z())
 @settings(max_examples=300, deadline=None)
 def test_stage_matches_gate_up_to_5000(pz):
+    """The stage against the reference gate, and the closed form against the
+    reference closed form where sqrt(yz) is rational."""
     p, z = pz
-    assert type3_integrality(p)(z) == gate_passes(p, z)
+    assert closed_form_integral(p, z) == gate_passes(p, z)
+    expected = ref.closed_form_at(p, z)
+    cand = sf.make_candidate(p, TYPE_III, z)
+    if expected is None:
+        with pytest.raises(sf.InfeasibleError):
+            sf.intersection_matrices_closed_form(p, cand)
+    else:
+        assert sf.intersection_matrices_closed_form(p, cand).planes()[1:3] == expected
 
 
 @pytest.mark.parametrize("quad,z", [((57, 14, 1, 4), 27), ((105, 26, 13, 4), 540),
                                     ((441, 110, 19, 30), 252), ((21, 10, 5, 4), 28)])
 def test_stage_accepts_known_records(quad, z):
-    assert type3_integrality(sf.srg_derive(*quad))(z)
+    assert closed_form_integral(sf.srg_derive(*quad), z)
 
 
 def test_scan_builds_candidates_only_for_survivors(monkeypatch):
@@ -125,9 +135,9 @@ def test_scan_builds_candidates_only_for_survivors(monkeypatch):
 
 
 def test_scan_reads_the_forms_once_per_splittable_set(monkeypatch):
-    """scan srg --max-n 1300 evaluates _principal_parts three times for the
-    integer forms of each of its 736 splittable sets, and once more for each
-    of the 37 closed forms it builds."""
+    """scan srg --max-n 1300 computes the integer forms once for each of its
+    736 splittable sets, from three evaluations of _principal_parts; the 37
+    closed forms it builds read those forms and evaluate nothing more."""
     monkeypatch.setenv("SKEWFISS_THREADS", "1")
     calls = {"forms": 0, "parts": 0}
 
@@ -137,8 +147,8 @@ def test_scan_reads_the_forms_once_per_splittable_set(monkeypatch):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(spectra, "_integer_parts", counted("forms", spectra._integer_parts))
+    monkeypatch.setattr(spectra, "_principal_forms", counted("forms", spectra._principal_forms))
     monkeypatch.setattr(spectra, "_principal_parts", counted("parts", spectra._principal_parts))
     assert len(sf.scan_srg(1300)) == 37
+    assert calls == {"forms": 736, "parts": 3 * 736}
     assert sum(p.splittable() for p in sf.srg_candidates(1300)) == 736
-    assert calls == {"forms": 3 * 736, "parts": 3 * 736 + 37}
