@@ -20,16 +20,19 @@ matrices and the integer stage closed_form_integral (also the test of
 types I and II at the ends of z's range); column orthogonality is the
 identity's p^j_(i,0) = [i = j].
 
-Surd tables run the identity on ComplexSurd entries, forming the weighted
-product of entries i and j once per summation index and only for i <= j.
-Pseudocyclic (conference) tables have nested radicals sqrt(c + e*sqrt(q)),
-but every product in the identity closes in the module
-Q(sqrt(q)) + Q(sqrt(q))*i*u+ + Q(sqrt(q))*i*u-, u+- the two radicals.
-There each entry is six integers over one denominator, multiplication is
-a fixed 6x6x6 integer tensor per (q, g, h), and each identity is two
-integer contractions, in int64 where an explicit bound on every partial
-sum stays below 2^63 and on Python ints otherwise.  Values are reduced
-once, when read.
+Both kinds of table run the identity as the same two integer
+contractions.  Every product in it stays inside one row of the table (one
+column for the Krein identity), and each row lies in a small module: for
+surd tables the biquadratic algebra spanned by the closure of the row's
+radicands under products (1, i*sqrt(x1), i*sqrt(x2), sqrt(x1*x2)), whose
+integer structure tensor comes from multiplying those radicals as
+ComplexSurds; for pseudocyclic (conference) tables, whose entries carry
+nested radicals sqrt(c + e*sqrt(q)), the module
+Q(sqrt(q)) + Q(sqrt(q))*i*u+ + Q(sqrt(q))*i*u-, u+- the two radicals, with
+a fixed 6x6x6 structure tensor per (q, g, h).  Each entry is integer
+coordinates over one denominator, the contractions run in int64 where an
+explicit bound on every partial sum stays below 2^63 and on Python ints
+otherwise, and each value is reduced once, when read.
 """
 
 from __future__ import annotations
@@ -371,7 +374,7 @@ def conference_table(q: int, g: int) -> CharacterTable:
                           n=q, kind="conference", q=q, g=g, h=h)
 
 
-# -- exact integer kernel for conference (nested-radical) tables --------------
+# -- exact integer kernel for the eigenvalue identity --------------------------
 
 _INT64_LIMIT = 1 << 63
 
@@ -422,8 +425,11 @@ def _structure_tensor(q: int, g: int, h: int) -> tuple[np.ndarray, int]:
     return M, s
 
 
-def _conference_vectors(t: CharacterTable) -> tuple[np.ndarray, int]:
-    """(E, D): entry (h, i) as the six integers E[h, i] over one denominator D."""
+def _conference_module(t: CharacterTable) -> tuple:
+    """(E, M, den, keys) of a conference table: entry (h, i) as the six
+    integers E[h, i] over one denominator D, den = 64 D^3 (M counts eighths)
+    and keys (1, s), the radicands of the two real coordinates."""
+    M, s = _structure_tensor(t.q, t.g, t.h)
     r = square_split(t.q)[0]
     D = lcm(*(x.denominator for row in t.entries for e in row for x in (e.a, e.b)))
     c8, up, um = Fraction(t.q, 8), Fraction(t.g, 8), Fraction(-t.g, 8)
@@ -436,40 +442,76 @@ def _conference_vectors(t: CharacterTable) -> tuple[np.ndarray, int]:
                 if e.c != c8 or (e.e != up and e.e != um):
                     raise ValueError(f"entry radical ({e.c}, {e.e}) outside the (q,g) algebra")
                 rows[h][i][2 if e.e == up else 4] = e.im_sign * D
-    return _int_array(rows), D
+    return _int_array(rows), M, 64 * D ** 3, (1, s)
 
 
-def _conference_sums(t: CharacterTable, weights, columns=False, limit=_INT64_LIMIT):
-    """(S, den, s) with sum_h w_h E[h][i] E[h][j] conj(E[h][l]) = (x0 + x1 sqrt(s))/den
-    for [x0, x1] = S[i][j][l]: two contractions, W[h, i, j] = w_h E[h, i] E[h, j]
-    and S[i, j, l] = sum_h W[h, i, j] conj(E[h, l]), with no reduction on the
-    way.  The weights are scaled to integers, and each factor E[h, j] or
-    conj(E[h, l]) enters as its multiplication matrix.  columns=True reads
-    the table transposed, E[h, i] = P[i][h].  ConsistencyError names the
-    first (i, j, l) that is not real."""
-    M, s = _structure_tensor(t.q, t.g, t.h)
-    E, D = _conference_vectors(t)
-    if columns:
-        E = E.transpose(1, 0, 2)
+def _surd_module(lines) -> tuple:
+    """(E, M, den, keys) of ComplexSurd entries lines[h][i].
+
+    Each line lies in the algebra spanned by its radicands closed under
+    products (at most 1, i sqrt(x1), i sqrt(x2), sqrt(x1 x2)).  The basis
+    is the union of those closures, real radicands (keys) first; M[a, b, :]
+    is the ComplexSurd product of radicals a and b from one closure, and
+    pairs from different lines never meet, so they stay 0.  E[h, i] are the
+    numerators of entry (h, i) over D, the lcm of the denominators; den = D^3.
+    """
+    unit = lambda key: _reduced({key: 1}, 1, ComplexSurd)
+    products, basis = {}, []
+    for line in lines:
+        closure = list(dict.fromkeys([1, *(key for e in line for key in e._num)]))
+        for x, a in enumerate(closure):  # closure grows while this runs
+            for b in closure[:x + 1]:
+                if (a, b) not in products:
+                    products[a, b] = products[b, a] = (unit(a) * unit(b))._num.popitem()
+                if products[a, b][0] not in closure:
+                    closure.append(products[a, b][0])
+        basis += [key for key in closure if key not in basis]
+    basis.sort(key=lambda key: key < 0)
+    slot = {key: x for x, key in enumerate(basis)}
+    M = [[[0] * len(basis) for _ in basis] for _ in basis]
+    for (a, b), (c, g) in products.items():
+        M[slot[a]][slot[b]][slot[c]] = g
+    D = lcm(*(e._den for line in lines for e in line))
+    E = [[[e._num.get(key, 0) * (D // e._den) for key in basis] for e in line] for line in lines]
+    return _int_array(E), _int_array(M), D ** 3, [key for key in basis if key > 0]
+
+
+def _identity_sums(t: CharacterTable, weights, columns=False, limit=_INT64_LIMIT):
+    """(S, den, keys) with sum_h w_h E[h][i] E[h][j] conj(E[h][l]) equal to
+    sum_a S[i][j][l][a] sqrt(keys[a]) / den, for either kind of table.
+
+    E[h, i] = P[h][i], or P[i][h] with columns=True, as integer coordinates
+    in the table's module (_conference_module, _surd_module), real ones
+    first.  Two contractions, W[h, i, j] = w_h E[h, i] E[h, j] and
+    S[i, j, l] = sum_h W[h, i, j] conj(E[h, l]), with no reduction on the
+    way; the weights are scaled to integers, and each factor E[h, j] or
+    conj(E[h, l]) enters as its multiplication matrix.  ConsistencyError
+    names the first (i, j, l) that is not real."""
+    if t.kind == "conference":
+        E, M, den, keys = _conference_module(t)
+        if columns:
+            E = E.transpose(1, 0, 2)
+    else:
+        E, M, den, keys = _surd_module(tuple(zip(*t.entries)) if columns else t.entries)
     scale = lcm(*(Fraction(w).denominator for w in weights))
     X = _exact_einsum("h,hia->hia", _int_array([int(w * scale) for w in weights]), E,
                       limit=limit)
-    conj = E * np.array([1, 1, -1, -1, -1, -1])
+    conj = E * np.array([1] * len(keys) + [-1] * (E.shape[-1] - len(keys)))
     L = _exact_einsum("xhjb,abc->xhjac", np.stack((E, conj)), M, limit=limit)
-    den = 64 * D ** 3 * scale
     W = _exact_einsum("hia,hjac->hijc", X, L[0], limit=limit)
     S = _exact_einsum("hija,hlac->ijlc", W, L[1], limit=limit)
-    bad = np.argwhere(S[..., 2:].any(axis=-1))
+    den *= scale
+    bad = np.argwhere(S[..., len(keys):].any(axis=-1))
     if len(bad):
         i, j, l = bad[0].tolist()
         raise ConsistencyError(f"tensor entry ({i},{j},{l}) has nonzero imaginary part: "
                                f"coordinates {S[i, j, l].tolist()} over {den}")
-    return S[..., :2].tolist(), den, s
+    return S[..., :len(keys)].tolist(), den, keys
 
 
-def _surd(x: list, s: int, scale) -> SurdSum:
-    """(x[0] + x[1] sqrt(s)) / scale for a positive int or Fraction scale."""
-    return _reduced({k: c * scale.denominator for k, c in ((1, x[0]), (s, x[1])) if c},
+def _surd(x: list, keys, scale) -> SurdSum:
+    """sum_a x[a] sqrt(keys[a]) / scale for a positive int or Fraction scale."""
+    return _reduced({k: c * scale.denominator for k, c in zip(keys, x) if c},
                     scale.numerator)
 
 
@@ -486,41 +528,12 @@ def check_orthogonality(t: CharacterTable) -> None:
                     f"orthogonality fails at columns ({i},{j}): p^{j}_({i},0) = {value}")
 
 
-def _identity_sums(E: list[list], weights) -> list:
-    """S[i][j][l] = sum_h weights[h] E[h][i] E[h][j] conj(E[h][l]), each real.
-
-    The weighted product of E[h][i] and E[h][j] is formed once per h and
-    i <= j, and (j, i) mirrors (i, j): the products commute, so the sum is
-    symmetric in (i, j) whatever the table.
-    """
-    d1 = len(E)
-    conj = [[x.conjugate() for x in row] for row in E]
-    S = [[[None] * d1 for _ in range(d1)] for _ in range(d1)]
-    for i in range(d1):
-        for j in range(i, d1):
-            w = [E[h][i] * E[h][j] * weights[h] for h in range(d1)]
-            for l in range(d1):
-                acc = w[0] * conj[0][l]
-                for h in range(1, d1):
-                    acc = acc + w[h] * conj[h][l]
-                if not acc.is_real():
-                    raise ConsistencyError(
-                        f"tensor entry ({i},{j},{l}) has nonzero imaginary part: {acc}")
-                S[i][j][l] = S[j][i][l] = acc.re
-    return S
-
-
 def p_values_from_table(t: CharacterTable) -> tuple:
     """Eigenvalue-identity values p^l_ij as exact SurdSums, no integrality gate."""
-    if t.kind == "conference":
-        S, den, s = _conference_sums(t, t.multiplicities)
-        scales = [den * t.n * k for k in t.valencies]
-        value = lambda x, l: _surd(x, s, scales[l])
-    else:
-        S = _identity_sums([list(row) for row in t.entries], t.multiplicities)
-        value = lambda x, l: x / (t.n * t.valencies[l])
-    return tuple(tuple(tuple(value(x, l) for l, x in enumerate(row)) for row in plane)
-                 for plane in S)
+    S, den, keys = _identity_sums(t, t.multiplicities)
+    scales = [den * t.n * k for k in t.valencies]
+    return tuple(tuple(tuple(_surd(x, keys, scales[l]) for l, x in enumerate(row))
+                       for row in plane) for plane in S)
 
 
 def p_from_table(t: CharacterTable) -> IntersectionTensor:
@@ -583,17 +596,16 @@ class KreinTensor:
 
 def q_from_table(t: CharacterTable) -> KreinTensor:
     """Krein numbers from the eigenvalue identity; negativity is a result."""
-    weights = [Fraction(1) / (k * k) for k in t.valencies]
+    S, den, keys = _identity_sums(t, [Fraction(1) / (k * k) for k in t.valencies],
+                                  columns=True)
     m = t.multiplicities
     if t.kind == "conference":
         # m_i m_j / n goes into the read-out denominator of each sum
-        S, den, s = _conference_sums(t, weights, columns=True)
         scale = [[den * t.n / (mi * mj) for mj in m] for mi in m]
-        value = lambda x, c: _surd(x, s, c)
+        value = lambda x, c: _surd(x, keys, c)
     else:
-        S = _identity_sums([list(col) for col in zip(*t.entries)], weights)
         scale = [[mi * mj / t.n for mj in m] for mi in m]
-        value = lambda x, c: x * c
+        value = lambda x, c: _surd(x, keys, den) * c
     return KreinTensor(q=tuple(tuple(tuple(value(x, scale[i][j]) for x in row)
                                      for j, row in enumerate(plane))
                                for i, plane in enumerate(S)))
@@ -723,9 +735,13 @@ def _entries_at(p: SrgParams, z) -> list | None:
     """Each principal entry at z = zn/zd, 0 <= z <= n*k2/m1, as an integer pair
     (A*zd + B*zn + C*sqrt(X), M*zd) from its form (A, B, C, M); None when
     X = k*k2*m1*(n*k2*zd - m1*zn)*zn, which is x*zd^2, is not a square, as
-    then sqrt(yz) is irrational."""
+    then sqrt(yz) is irrational.  X < 0 exactly when z is outside that
+    range, and that is InfeasibleError."""
     zn, zd = z.as_integer_ratio()
     x = p.k * p.k2 * p.m1 * (p.n * p.k2 * zd - p.m1 * zn) * zn
+    if x < 0:
+        raise InfeasibleError(f"z = {z} outside [0, n*k2/m1 = {Fraction(p.n * p.k2, p.m1)}]",
+                              value=z)
     root = isqrt(x)
     if root * root != x:
         return None
@@ -733,15 +749,18 @@ def _entries_at(p: SrgParams, z) -> list | None:
 
 
 def closed_form_integral(p: SrgParams, z) -> bool:
-    """The integer stage: true exactly when the closed form at z,
-    0 <= z <= n*k2/m1, passes the integrality gate.
+    """The integer stage: true exactly when z is in [0, n*k2/m1] and the
+    closed form at z passes the integrality gate.
 
     sqrt(yz) must be rational and each principal entry of _entries_at a
     nonnegative integer, tested for sign and divisibility in integers;
     every other entry of the tensor is 0, 1 or a valency.  No Fraction is
     built.
     """
-    entries = _entries_at(p, z)
+    try:
+        entries = _entries_at(p, z)
+    except InfeasibleError:
+        return False
     return entries is not None and all(num >= 0 and num % den == 0 for num, den in entries)
 
 

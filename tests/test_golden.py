@@ -42,6 +42,13 @@ GOLDEN = [
      "401e89af86addd8011a615f40830991106739f1234b37d792fc1b2a64dc29ac2"),
     (("imprimitive", "--max-n", "600", "--format", "json"),
      "86cc703f5fc4f9d926062ab02692dc8c88e23cf71a9a8be4d8ad5df66ef17e2b"),
+    # pinned before the surd tables moved onto the integer contraction: 99
+    # Johnson Krein witnesses (49 of them non-integral notes) and 330
+    # imprimitive type-I tables
+    (("johnson", "--max-v", "400", "--format", "json"),
+     "ec6f79bd3b4b531f5533f4c9a04b5f8b27acf358ba563240d065b09a392551d9"),
+    (("imprimitive", "--max-n", "1000", "--format", "json"),
+     "23f819b06f832df3d8af02ca4463d28c987b2acb83d0eeca16d72a4ca6a71af8"),
     (("conference", "--max-n", "125", "--format", "tsv"),
      "57a35bd8a0b5a6c5b4e4502d6df08a5d7aae6f66e5074a95fe35e0a2b4f3f73c"),
     (("conference", "--max-n", "125", "--format", "json"),

@@ -7,6 +7,7 @@ canonical ``to_triples`` form.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from skewfiss.spectra import (
     TYPE_I,
     TYPE_II,
     TYPE_III,
-    _conference_sums,
     _exact_einsum,
+    _identity_sums,
+    closed_form_integral,
+    end_types,
     p_values_from_table,
     type3_window,
 )
@@ -31,6 +34,22 @@ SPLITTABLE = [p for p in sf.srg_candidates(300)
               if not (p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2)]
 TYPE3 = [(p, z) for p in SPLITTABLE for z in type3_window(p)]
 CONFERENCE = [(q, ts.g) for q in range(5, 5001, 8) for ts in sf.two_squares(q)]
+IMPRIMITIVE = [(f, g) for f in range(3, 1000 // 3 + 1, 4) for g in range(3, 1000 // f + 1, 4)]
+# v = 3 mod 4 from 7 on: the Johnson witness z = v(v-3)^2/4 is a type-III table
+# for each, non-integral when v = 3 mod 8
+JOHNSON = list(range(7, 401, 4))
+
+
+@lru_cache(maxsize=None)
+def gated_candidates(n_max: int) -> list:
+    """(quad, type, z) of every end type and window z up to n_max whose
+    closed form passes the integer stage: the tables a scan derives twice."""
+    out = []
+    for p in sf.srg_candidates(n_max):
+        if not p.conference and p.splittable():
+            out += [(p.quad(), t, None) for t in end_types(p)]
+            out += [(p.quad(), TYPE_III, z) for z in type3_window(p) if closed_form_integral(p, z)]
+    return out
 
 
 def _triples(tensor):
@@ -70,6 +89,35 @@ def test_type3_rational_z_matches_reference(p, frac):
     assert_kernel_matches_reference(sf.character_table(p, sf.make_candidate(p, TYPE_III, z)))
 
 
+@given(st.data())
+@settings(max_examples=12, deadline=None)
+def test_gated_candidates_up_to_5000_match_reference(data):
+    cands = gated_candidates(5000)
+    quad, table_type, z = cands[data.draw(st.integers(0, len(cands) - 1))]
+    p = sf.srg_derive(*quad)
+    assert_kernel_matches_reference(sf.character_table(p, sf.make_candidate(p, table_type, z)))
+
+
+@given(st.sampled_from(IMPRIMITIVE))
+@example((3, 3))
+@example((3, 331))
+@settings(max_examples=6, deadline=None)
+def test_imprimitive_tables_match_reference(fg):
+    f, g = fg
+    p = sf.srg_derive(f * g, f - 1, f - 2, 0)
+    assert_kernel_matches_reference(sf.character_table(p, sf.make_candidate(p, TYPE_I)))
+
+
+@given(st.sampled_from(JOHNSON))
+@example(11)  # v = 3 mod 8: p^2_(2,2) = (v-4)(v-7)/8 is a half-integer
+@example(15)
+@settings(max_examples=6, deadline=None)
+def test_johnson_witness_tables_match_reference(v):
+    p = sf.srg_derive(*sf.johnson2_params(v))
+    table = sf.character_table(p, sf.make_candidate(p, TYPE_III, v * (v - 3) ** 2 // 4))
+    assert_kernel_matches_reference(table)
+
+
 # composite q with several g: 325 = 5^2 * 13, 1885 = 5 * 13 * 29, 3965 = 5 * 13 * 61
 @given(st.sampled_from(CONFERENCE))
 @example((325, -15))
@@ -82,14 +130,26 @@ def test_conference_matches_reference(qg):
     assert_kernel_matches_reference(sf.conference_table(*qg))
 
 
-@pytest.mark.parametrize("qg", [(13, -3), (325, 17), (1885, -27), (4981, 9)])
-def test_conference_object_path_matches_int64(qg):
+def assert_object_path_matches_int64(t):
     """limit=0 forces every contraction onto Python ints."""
-    t = sf.conference_table(*qg)
     for weights, columns in ((t.multiplicities, False),
                              ([Fraction(1) / (k * k) for k in t.valencies], True)):
-        assert (_conference_sums(t, weights, columns, limit=0)
-                == _conference_sums(t, weights, columns))
+        assert (_identity_sums(t, weights, columns, limit=0)
+                == _identity_sums(t, weights, columns))
+
+
+@pytest.mark.parametrize("qg", [(13, -3), (325, 17), (1885, -27), (4981, 9)])
+def test_conference_object_path_matches_int64(qg):
+    assert_object_path_matches_int64(sf.conference_table(*qg))
+
+
+@pytest.mark.parametrize("quad,table_type,z", [
+    ((57, 14, 1, 4), TYPE_III, 27), ((105, 26, 13, 4), TYPE_III, 540),
+    ((21, 10, 5, 4), TYPE_II, None), ((729, 182, 55, 42), TYPE_I, None),
+    ((57, 14, 1, 4), TYPE_III, Fraction(7, 3))])
+def test_surd_object_path_matches_int64(quad, table_type, z):
+    p = sf.srg_derive(*quad)
+    assert_object_path_matches_int64(sf.character_table(p, sf.make_candidate(p, table_type, z)))
 
 
 def test_exact_einsum_bound_picks_dtype():
@@ -117,15 +177,20 @@ def test_exact_rejections_still_raise():
     rt = ref.reference_table(sf.character_table(p, sf.make_candidate(p, TYPE_II)))
     assert info.value.value.to_triples() == ref.p_values_from_table(rt)[i][j][l].to_triples()
     # one entry conjugated: no longer a character table, the sums leave the reals
-    t = sf.conference_table(13, -3)
-    rows = [list(row) for row in t.entries]
-    rows[1][1] = rows[1][1].conjugate()
-    bad = sf.CharacterTable(entries=tuple(map(tuple, rows)), multiplicities=t.multiplicities,
-                            valencies=t.valencies, n=t.n, kind=t.kind, q=t.q, g=t.g, h=t.h)
-    for check in (sf.check_orthogonality, p_values_from_table, sf.q_from_table,
-                  ref.p_values_from_table, ref.q_values_from_table):
-        with pytest.raises(sf.ConsistencyError):
-            check(bad)
+    p = sf.srg_derive(57, 14, 1, 4)
+    for t in (sf.conference_table(13, -3),
+              sf.character_table(p, sf.make_candidate(p, TYPE_III, 27))):
+        rows = [list(row) for row in t.entries]
+        rows[1][1] = rows[1][1].conjugate()
+        bad = sf.CharacterTable(entries=tuple(map(tuple, rows)),
+                                multiplicities=t.multiplicities, valencies=t.valencies,
+                                n=t.n, kind=t.kind, q=t.q, g=t.g, h=t.h)
+        for check, table in ((sf.check_orthogonality, bad), (p_values_from_table, bad),
+                             (sf.q_from_table, bad),
+                             (ref.p_values_from_table, ref.reference_table(bad)),
+                             (ref.q_values_from_table, ref.reference_table(bad))):
+            with pytest.raises(sf.ConsistencyError):
+                check(table)
 
 
 # -- SurdSum against the reference class -----------------------------------------

@@ -121,6 +121,17 @@ def test_stage_accepts_known_records(quad, z):
     assert closed_form_integral(sf.srg_derive(*quad), z)
 
 
+@pytest.mark.parametrize("z", [10**6, -3, Fraction(63) + Fraction(1, 10**9)])
+def test_stage_rejects_z_out_of_range(z):
+    """Outside [0, n*k2/m1] (here [0, 63]) the stage is false and the
+    evaluator names the range; neither is the isqrt of a negative number."""
+    p = sf.srg_derive(57, 14, 1, 4)
+    assert Fraction(p.n * p.k2, p.m1) == 63
+    assert closed_form_integral(p, z) is False
+    with pytest.raises(sf.InfeasibleError, match=r"outside \[0, n\*k2/m1 = 63\]"):
+        spectra._entries_at(p, z)
+
+
 def test_scan_builds_candidates_only_for_survivors(monkeypatch):
     """scan srg --max-n 1300: every candidate built becomes a record, 12 of
     types I and II that pass the ends test and 25 type-III z that pass the
