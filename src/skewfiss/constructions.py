@@ -22,7 +22,7 @@ from math import isqrt
 
 import numpy as np
 
-from .scheme_core import AssociationScheme, SchemeError, verify_axioms
+from .scheme_core import AssociationScheme, SchemeError, check_size, verify_axioms
 from .spectra import ClosedForm
 
 MAX_FIELD = 10 ** 6
@@ -219,6 +219,7 @@ def cyclotomic_scheme(q: int, d: int) -> AssociationScheme:
     sit in positions (1,4) and (2,3); the output is fully re-verified by
     counting.
     """
+    check_size(q, d)
     field = _cyclotomic_field(q, d)
     cls = _class_lookup(field, d)
     if d == 4 and cyc_skew_predicate(field.p, field.b):
@@ -334,6 +335,7 @@ def wreath(inner: AssociationScheme, outer: AssociationScheme) -> AssociationSch
     """
     ni, no = inner.n, outer.n
     di, do = inner.d, outer.d
+    check_size(ni * no, di + do)
     inner_map = np.arange(di + 1, dtype=np.int16)
     outer_map = np.concatenate(([0], np.arange(di + 1, di + do + 1))).astype(np.int16)
 
@@ -376,6 +378,7 @@ def johnson2_scheme(v: int) -> AssociationScheme:
     """The 2-class scheme on 2-subsets of a v-set (relation by intersection size)."""
     if v < 4:
         raise ValueError(f"need v >= 4, got {v}")
+    check_size(v * (v - 1) // 2, 2)
     a, b = np.triu_indices(v, 1)  # the 2-subsets {a, b}, a < b, in lexicographic order
     shared = sum(x[:, None] == y[None, :] for x in (a, b) for y in (a, b))
     rel = (2 - shared).astype(np.int16)

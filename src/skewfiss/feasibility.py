@@ -13,11 +13,12 @@ spectra.closed_form_integral, so a closed form is built only for a
 candidate that passes its integrality gate; classify_scheme solves the
 counted p^2_(1,2) for z, which names the type, and names an srg scheme by
 the side that srg_candidates lists first.  No closed-form entry is computed
-here.  All feasible and Krein-excluded records have passed the
-dual-derivation check: closed-form intersection matrices (the cyclotomic
-ones for conference graphs) equal to the eigenvalue-identity tensor,
-entry by entry, in exact arithmetic.  Each record then gets its
-exact Krein verdict from one helper, _krein_verdict."""
+here.  One builder, _dual_derivation_record, makes every srg, imprimitive
+and 2-subset record, and a candidate the stage passes but the gate rejects
+raises ConsistencyError.  Every feasible and Krein-excluded record has
+passed the dual derivation: closed-form intersection matrices (cyclotomic
+for conference graphs) equal to the eigenvalue-identity tensor in exact
+arithmetic; _krein_verdict then gives its exact Krein verdict."""
 
 from __future__ import annotations
 
@@ -41,7 +42,6 @@ from .spectra import (
     TYPE_I,
     TYPE_III,
     CharacterTable,
-    ClosedForm,
     ConsistencyError,
     FissionCandidate,
     InfeasibleError,
@@ -283,22 +283,23 @@ def _divisors_between(f1: dict, f2: dict, lo: int, hi: int) -> list[int]:
     return [d for d in divisors if lo <= d <= hi]
 
 
-def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, closed: ClosedForm,
-                            witness=None, family: str = "srg", params: dict | None = None,
-                            realizable: str = "?") -> ScanRecord | None:
-    """Integrality gate, eq-(1) round trip, then exact Krein signs.
+def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, witness=None) -> ScanRecord:
+    """The srg record of cand: closed form, integrality gate, eq-(1) round
+    trip, then exact Krein signs.
 
-    A closed form that fails the gate gives None, unless a Krein witness is
-    named: that record is reported if the closed form's planes() equal the
-    identity's values, with a note naming its first non-integral entry.  A
-    gated closed form must equal the eigenvalue-identity tensor.  params
-    default to the srg parameters of p.
+    cand passed the integer stage, so a closed form that is irrational or
+    fails the gate raises ConsistencyError, unless a Krein witness is named:
+    that record is reported if the closed form's planes() equal the
+    identity's values, with a note naming its first non-integral entry.
     """
     try:
+        closed = intersection_matrices_closed_form(p, cand)
         expected, note = closed.tensor(), ""
     except InfeasibleError as exc:
-        if witness is None:
-            return None
+        if witness is None or exc.where is None:  # no entry: sqrt(yz) is irrational
+            raise ConsistencyError(
+                f"{p.quad()} type {cand}: the integer stage passed it but the "
+                f"closed form is not integral: {exc}") from exc
         (i, j, l), expected = exc.where, closed.planes()
         note = f"; intersection numbers also non-integral (p^{l}_({i},{j}) = {exc.value})"
     table = character_table(p, cand)
@@ -311,24 +312,16 @@ def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, closed: Closed
     if derived != expected:
         raise ConsistencyError(
             f"{p.quad()} type {cand}: eigenvalue identity differs from the closed form")
-    rec = ScanRecord(
-        family=family, n=p.n,
-        params=_srg_params(p) if params is None else dict(params),
-        table_type=cand.table_type,
-        z=int(cand.z) if cand.table_type == TYPE_III else None,
-        realizable=realizable)
+    rec = ScanRecord(family="srg", n=p.n, table_type=cand.table_type,
+                     params={"k": p.k, "lam": p.lam, "mu": p.mu, "r": p.r.as_integer(),
+                             "s": p.s.as_integer(), "m1": p.m1, "m2": p.m2},
+                     z=int(cand.z) if cand.table_type == TYPE_III else None)
     _krein_verdict(rec, table, witness)
     rec.notes += note
     return rec
 
 
-def _srg_params(p: SrgParams) -> dict:
-    return {"k": p.k, "lam": p.lam, "mu": p.mu, "r": p.r.as_integer(),
-            "s": p.s.as_integer(), "m1": p.m1, "m2": p.m2}
-
-
-def fission_scan(p: SrgParams, witness=None, family: str = "srg",
-                 params: dict | None = None) -> list[ScanRecord]:
+def fission_scan(p: SrgParams, witness=None) -> list[ScanRecord]:
     """All split candidates over one non-conference parameter set.
 
     The integer forms of the closed-form entries (SrgParams.forms) are read
@@ -337,32 +330,21 @@ def fission_scan(p: SrgParams, witness=None, family: str = "srg",
     Type III takes the z of spectra.type3_window (where p^2_(1,2) is a
     nonnegative integer) that the integer stage
     (spectra.closed_form_integral) passes: a rational sqrt(yz) and every
-    entry a nonnegative integer.  Only these candidates get a ClosedForm, which
-    passes the gate, the dual derivation and the Krein check and becomes a
-    feasible or krein_excluded record; the rest are dropped silently.
+    entry a nonnegative integer.  Only z the stage rejects are dropped: each
+    candidate becomes one record (_dual_derivation_record) or raises.
     witness = (z, (l, i, j)) has the type-III record at z report q^l_ij
-    whether or not it passes the gate (see _dual_derivation_record), so that
-    z skips the integer stage.  family and params label the records.
+    whether or not it passes the gate, so that z skips the integer stage.
     """
     if p.conference:
         raise ValueError("fission_scan needs non-conference parameters")
-    records = []
     if not p.splittable():
-        return records
+        return []
     witness_z, entry = witness or (None, None)
-    typed = [make_candidate(p, t) for t in end_types(p)]
-    type3 = (make_candidate(p, TYPE_III, z) for z in type3_window(p)
-             if z == witness_z or closed_form_integral(p, z))
-    for cand in chain(typed, type3):
-        try:
-            closed = intersection_matrices_closed_form(p, cand)
-        except InfeasibleError:
-            continue  # irrational sqrt(yz) at the witness z
-        rec = _dual_derivation_record(p, cand, closed, entry if cand.z == witness_z else None,
-                                      family, params)
-        if rec is not None:
-            records.append(rec)
-    return records
+    cands = [make_candidate(p, t) for t in end_types(p)]
+    cands += [make_candidate(p, TYPE_III, z) for z in type3_window(p)
+              if z == witness_z or closed_form_integral(p, z)]
+    return [_dual_derivation_record(p, cand, entry if cand.z == witness_z else None)
+            for cand in cands]
 
 
 def scan_srg(n_max: int) -> list[ScanRecord]:
@@ -387,13 +369,9 @@ def imprimitive_scan(n_max: int) -> list[ScanRecord]:
 def _imprimitive_records(fg: tuple[int, int]) -> list[ScanRecord]:
     f, g = fg
     p = srg_derive(f * g, f - 1, f - 2, 0)
-    cand = make_candidate(p, TYPE_I)
-    rec = _dual_derivation_record(
-        p, cand, intersection_matrices_closed_form(p, cand), family="imprimitive",
-        params={"f": f, "g": g},
-        realizable="+" if prime_power(f) is not None and prime_power(g) is not None else "?")
-    if rec is None:
-        raise ConsistencyError(f"imprimitive closed form not integral at {fg}")
+    rec = _dual_derivation_record(p, make_candidate(p, TYPE_I))
+    rec.family, rec.params = "imprimitive", {"f": f, "g": g}
+    rec.realizable = "+" if prime_power(f) is not None and prime_power(g) is not None else "?"
     return [rec]
 
 
@@ -424,8 +402,9 @@ def _johnson_records(v: int) -> list[ScanRecord]:
     # z = v(v-3)^2/4 is a type-III candidate for every such v.  For v = 3 mod 8
     # its entry p^2_(2,2) = (v-4)(v-7)/8 is a half-integer, so the gate would
     # drop it; its Krein number is still a standalone rejection certificate.
-    records = fission_scan(p, witness=(v * (v - 3) ** 2 // 4, (3, 1, 1)), family="johnson",
-                           params={"v": v, **_srg_params(p)})
+    records = fission_scan(p, witness=(v * (v - 3) ** 2 // 4, (3, 1, 1)))
+    for rec in records:
+        rec.family, rec.params = "johnson", {"v": v, **rec.params}
     z = v * (v - 3) ** 2 // 2
     c = _side_values(p, z)[2]  # (v-1)(4-v)/2: this z is past type I's end
     records.append(ScanRecord(
@@ -502,9 +481,7 @@ def classify_scheme(s: AssociationScheme) -> Classification:
     matches: list[Classification] = []
     for sigma in _relabelings(tmap):
         perm = _permuted_tensor(T, sigma)
-        k_half = T.valencies[sigma[1]]
-        k2_half = T.valencies[sigma[2]]
-        k, k2 = 2 * k_half, 2 * k2_half
+        k = 2 * T.valencies[sigma[1]]
         lam = sum(perm[i][j][1] for i in (1, 4) for j in (1, 4))
         mu = sum(perm[i][j][2] for i in (1, 4) for j in (1, 4))
         try:

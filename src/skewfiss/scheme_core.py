@@ -81,6 +81,15 @@ def _class_values(m: np.ndarray, rel: np.ndarray, cells: tuple) -> np.ndarray | 
     return values
 
 
+def check_size(n: int, d: int) -> None:
+    """Refuse n points or d classes outside 1..MAX_POINTS and 0..MAX_CLASSES;
+    builders call this before they allocate anything that grows with n."""
+    if n < 1 or n > MAX_POINTS:
+        raise SchemeError(f"point count {n} outside 1..{MAX_POINTS}")
+    if d < 0 or d > MAX_CLASSES:
+        raise SchemeError(f"class count {d} outside 0..{MAX_CLASSES}")
+
+
 class AssociationScheme:
     """Relation-index matrix with d nontrivial classes.
 
@@ -94,12 +103,9 @@ class AssociationScheme:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise SchemeError(f"relation matrix must be square, got shape {mat.shape}")
         n = mat.shape[0]
-        if n < 1 or n > MAX_POINTS:
-            raise SchemeError(f"point count {n} outside 1..{MAX_POINTS}")
         if d is None:
             d = int(mat.max(initial=0))
-        if d < 0 or d > MAX_CLASSES:
-            raise SchemeError(f"class count {d} outside 0..{MAX_CLASSES}")
+        check_size(n, d)
         if mat.min(initial=0) < 0 or int(mat.max(initial=0)) > d:
             raise SchemeError("relation index out of range 0..d")
         mat.setflags(write=False)

@@ -89,6 +89,22 @@ def test_construct_cyc_rejects_class_count_below_one(tmp_path, d):
     assert not out.exists()
 
 
+def test_construct_cyc_refuses_oversize_before_allocating(tmp_path, capsys, monkeypatch):
+    """q above MAX_POINTS is an error: line (exit 1) raised before GF(q) or
+    the q x q difference table is built, and no file is written."""
+    import skewfiss.constructions as constructions
+
+    def unreachable(*args):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(constructions, "field_build", unreachable)
+    monkeypatch.setattr(constructions, "_class_lookup", unreachable)
+    out = tmp_path / "c.ascm"
+    code, text, err = run(capsys, "construct", "cyc", "--q", "65537", "--d", "2", "-o", str(out))
+    assert (code, text, err) == (1, "", "error: point count 65537 outside 1..65535\n")
+    assert not out.exists()
+
+
 def test_construct_wreath(tmp_path, capsys):
     inner = str(tmp_path / "c3.ascm")
     outer = str(tmp_path / "c7.ascm")
@@ -252,9 +268,22 @@ def test_scan_imprimitive_non_integral_closed_form_exits_2(capsys, monkeypatch, 
     for threads in ("1", "2"):  # in process, then raised inside a (stand-in) worker
         monkeypatch.setenv("SKEWFISS_THREADS", threads)
         code, out, err = run(capsys, "scan", "imprimitive", "--max-n", "21")
-        assert code == 2 and "imprimitive closed form not integral at (3, 3)" in err
+        assert code == 2 and "(9, 2, 1, 0) type I: " in err
+        assert "p^1_(1,1) = 1/2 is not a nonnegative integer" in err
         assert out == ""
     assert pool_sizes == [2]
+
+
+def test_scan_srg_stage_gate_disagreement_exits_2(capsys, monkeypatch):
+    """A candidate the integer stage passes but the closed form's gate
+    rejects is a consistency failure, not a silently dropped z: with the
+    stage forced open, the first such z is (25, 8, 3, 2) type III z = 40,
+    whose sqrt(yz) is irrational."""
+    monkeypatch.setenv("SKEWFISS_THREADS", "1")
+    monkeypatch.setattr(feasibility, "closed_form_integral", lambda p, z: True)
+    code, out, err = run(capsys, "scan", "srg", "--max-n", "200")
+    assert code == 2 and out == ""
+    assert "(25, 8, 3, 2) type III z=40: " in err and "irrational" in err
 
 
 def test_scan_conference_checks_every_record(capsys, monkeypatch):

@@ -91,6 +91,35 @@ def test_cyclotomic_class_count_below_one(d, monkeypatch):
         sf.cyclotomic_number(13, d, 1, 1)
 
 
+def test_builders_refuse_oversize_before_allocating(monkeypatch):
+    """Every builder's first step that grows with n raises instead, so an
+    oversize request must be refused before it."""
+    import skewfiss.constructions as constructions
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(constructions, "field_build", unreachable)
+    monkeypatch.setattr(constructions, "_class_lookup", unreachable)
+    monkeypatch.setattr(np, "kron", unreachable)
+    monkeypatch.setattr(np, "triu_indices", unreachable)
+    with pytest.raises(sf.SchemeError, match=r"^point count 65537 outside 1\.\.65535$"):
+        sf.cyclotomic_scheme(65537, 2)
+    with pytest.raises(sf.SchemeError, match=r"^class count 256 outside 0\.\.255$"):
+        sf.cyclotomic_scheme(257, 256)
+    block = sf.AssociationScheme(1 - np.eye(257, dtype=np.int16))  # 257 * 257 = 66049 points
+    with pytest.raises(sf.SchemeError, match=r"^point count 66049 outside 1\.\.65535$"):
+        sf.wreath(block, block)
+    with pytest.raises(sf.SchemeError, match=r"^point count 65703 outside 1\.\.65535$"):
+        sf.johnson2_scheme(363)  # 363 * 362 / 2 points
+
+
+def test_cyclotomic_number_above_max_points():
+    """cyclotomic_number builds no q x q table, so q > 65535 still works:
+    (0, 0) of order 2 is (q - 5)/4 for q = 1 mod 4."""
+    assert sf.cyclotomic_number(65537, 2, 0, 0) == (65537 - 5) // 4
+
+
 def test_cyclotomic_number_examples():
     assert sf.cyclotomic_number(5, 2, 0, 0) == 0
     counts = [[sf.cyclotomic_number(13, 4, i, j) for j in range(4)] for i in range(4)]

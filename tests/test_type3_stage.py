@@ -163,3 +163,30 @@ def test_scan_reads_the_forms_once_per_splittable_set(monkeypatch):
     assert len(sf.scan_srg(1300)) == 37
     assert calls == {"forms": 736, "parts": 3 * 736}
     assert sum(p.splittable() for p in sf.srg_candidates(1300)) == 736
+
+
+def test_johnson_witness_has_rational_sqrt_yz():
+    """At the Johnson witness z = v(v-3)^2/4 the radicand of _entries_at is
+    the square of k2*m1*v(v-3)/2 for every v = 3 mod 4, so the witness's
+    closed form is always rational and fission_scan needs no skip for it."""
+    for v in range(7, 3000, 4):
+        p = sf.srg_derive(*sf.johnson2_params(v))
+        z = v * (v - 3) ** 2 // 4
+        radicand = p.k * p.k2 * p.m1 * (p.n * p.k2 - p.m1 * z) * z
+        assert radicand == (p.k2 * p.m1 * v * (v - 3) // 2) ** 2, v
+        assert spectra._entries_at(p, z) is not None, v
+
+
+def test_imprimitive_sides_pass_type_i_only():
+    """The paper's imprimitive classification as the integer stage sees it:
+    on srg(fg, f-1, f-2, 0) with f, g odd, type I passes the ends test exactly
+    when f = g = 3 mod 4, type II never does, and no window z passes the
+    stage; so an imprimitive scan unit is one type-I candidate."""
+    sets = 0
+    for f in range(3, 5000 // 3 + 1, 2):
+        for g in range(3, 5000 // f + 1, 2):
+            p = sf.srg_derive(f * g, f - 1, f - 2, 0)
+            assert spectra.end_types(p) == ([TYPE_I] if f % 4 == g % 4 == 3 else []), (f, g)
+            assert not any(closed_form_integral(p, z) for z in type3_window(p)), (f, g)
+            sets += 1
+    assert sets == 7572
