@@ -6,7 +6,7 @@ checked over all ordered point pairs, never a sample, and the intersection
 tensor is the by-product of that count.
 
 The count multiplies float32 indicator matrices A_i; that is exact because
-every partial sum is an integer of at most n <= MAX_POINTS < 2**24.  Three
+every partial sum is an integer of at most n <= MAX_POINTS < 2**24.  Four
 kinds of product are not formed, and none is sampled:
 
 - the trivial planes.  Once axiom (i) holds, A_0 = I, so A_0 A_j = A_j and
@@ -22,6 +22,15 @@ kinds of product are not formed, and none is sampled:
   k_i (an O(n^2) count).  When every other product of row i was found
   constant on every R_k, so is A_i A_j* for the last one, j*, with
   p^k_ij* = k_i - sum_{j != j*} p^k_ij.  Otherwise it is counted.
+- rows 1..n-1 of a shift-invariant scheme.  When rel[x+1][y+1] = rel[x][y]
+  (indices mod n) on all n^2 cells, an O(n^2) test, the shift P is an
+  automorphism of every A_i, so P A_i A_j P^T = A_i A_j: entry (x, y) of the
+  product equals entry (0, y - x), just as rel[x][y] = rel[0][y - x].  Row 0
+  then meets every nonempty class and holds every value the product takes
+  on it, so one 1 x n row is the whole count, and its minimum and maximum
+  on each class are those of the full product.  A cyclotomic scheme on Z_q,
+  q prime, is such a scheme (a Cayley scheme on Z_q); one labelled by
+  base-p digits, a wreath or a Johnson scheme is counted on all n rows.
 
 For d = 4 skew this forms 6 of the 25 products: 3, 2, 1 and 0 in rows 1..4.
 """
@@ -200,7 +209,8 @@ class AxiomReport:
 
 
 def verify_axioms(s: AssociationScheme) -> AxiomReport:
-    """Check all four scheme axioms by counting; O(n^3) via matrix products.
+    """Check all four scheme axioms by counting; O(n^3) via matrix products,
+    O(n^2) when x -> x+1 (mod n) is an automorphism.
 
     All axioms are evaluated independently so a perturbed scheme reports
     every violation, not just the first.  On a full pass the report carries
@@ -233,18 +243,21 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
         rep.failures.append("some relation's transpose is not a relation")
     rep.transpose_map = tmap
 
-    class_cells = _class_cells(rel, d)
+    # x -> x+1 (mod n) an automorphism: every product is constant along its
+    # wrapped diagonals, so row 0 holds all of its values on every class
+    rows = 1 if np.array_equal(np.roll(rel, (1, 1), axis=(0, 1)), rel) else n
+    class_cells = _class_cells(rel[:rows], d)
     # with A_0 = I no product has A_0 as a factor
     ind = [None if i == 0 and rep.diagonal_ok else (rel == i).astype(np.float32)
            for i in range(d + 1)]
-    counts = np.empty((n, n), dtype=np.float32)
+    counts = np.empty((rows, n), dtype=np.float32)
     p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     counted = set()  # pairs counted or derived, and constant on every class
 
     def count(i: int, j: int) -> bool:
         """Form A_i A_j and read off p^k_ij; False if it varies on a class."""
-        np.matmul(ind[i], ind[j], out=counts)
-        values = _class_values(counts, rel, class_cells)
+        np.matmul(ind[i][:rows], ind[j], out=counts)
+        values = _class_values(counts, rel[:rows], class_cells)
         if values is not None:
             for k in range(d + 1):
                 if sizes[k]:
@@ -252,7 +265,7 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
             counted.add((i, j))
             return True
         for k in range(d + 1):
-            cells = counts[rel == k]
+            cells = counts[rel[:rows] == k]
             if cells.size == 0:
                 continue
             lo, hi = cells.min(), cells.max()

@@ -4,8 +4,8 @@
 products with a mask gather per class, a per-class transpose map and a
 token-by-token parser.  Every property here compares whole results with it:
 the full ``AxiomReport`` (flags, failures in order, transpose map, tensor)
-on perturbed schemes, and the exception class, line, column and message on
-malformed scheme files.
+on perturbed and on shift-invariant schemes, and the exception class, line,
+column and message on malformed scheme files.
 """
 
 from functools import lru_cache
@@ -127,6 +127,111 @@ def test_verify_peak_allocation_n1013():
     working_set = d * n * n * 4 + n * n * 4
     slack = n * n + 16 * scheme_core._CHECK_CELLS
     assert peak <= working_set + slack, (peak, working_set, slack)
+
+
+# -- shift-invariant schemes: the count reads row 0 ------------------------------------
+
+
+def circulant(c) -> np.ndarray:
+    """rel[x][y] = c[(y - x) mod n]: x -> x+1 (mod n) is an automorphism."""
+    n = len(c)
+    return np.asarray(c)[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+
+
+# label maps of the 4-class cyclotomic schemes that give schemes again: the
+# symmetric 2-class fusion (R_i with R_i^T), the 1-class fusion and a
+# relabelling
+CYC4_FUSIONS = [(0, 1, 2, 2, 1), (0, 1, 1, 1, 1), (0, 3, 1, 4, 2)]
+
+
+@st.composite
+def shift_invariant_schemes(draw):
+    """Circulant index matrices: an arbitrary class vector, or row 0 of cyc13
+    or cyc29 with at most two entries redrawn, its labels then merged or
+    permuted.  Most are not schemes: classes go empty, the diagonal leaves 0,
+    transposes stop being classes or path counts vary."""
+    name = draw(st.sampled_from([None, "cyc13", "cyc29"]))
+    if name is None:
+        c = draw(st.lists(st.integers(0, 6), min_size=1, max_size=40))
+        if draw(st.booleans()):  # symmetric, 0 on the diagonal only
+            c = [0] + [1 + c[min(t, len(c) - t)] % 6 for t in range(1, len(c))]
+    else:
+        c = corpus(name).rel[0].tolist()
+        for _ in range(draw(st.integers(0, 2))):
+            c[draw(st.integers(0, len(c) - 1))] = draw(st.integers(0, 4))
+        labels = draw(st.one_of(
+            st.sampled_from(CYC4_FUSIONS),
+            st.permutations(range(1, 5)).map(lambda t: [0, *t]),
+            st.lists(st.integers(0, 4), min_size=5, max_size=5),
+        ))
+        c = [labels[v] for v in c]
+    rel = circulant(c)
+    return AssociationScheme(rel, d=int(rel.max()) + draw(st.integers(0, 1)))
+
+
+@given(shift_invariant_schemes())
+@settings(max_examples=200, deadline=None)
+def test_shift_invariant_reports_match_reference(s):
+    """The row-0 count gives the whole report of the all-pairs reference:
+    flags, failures in order, transpose map and tensor."""
+    assert np.array_equal(np.roll(s.rel, (1, 1), axis=(0, 1)), s.rel)
+    assert_reports_equal(s)
+
+
+def _swap_points(s: AssociationScheme, x: int, y: int) -> AssociationScheme:
+    order = np.arange(s.n)
+    order[[x, y]] = order[[y, x]]
+    return AssociationScheme(s.rel[np.ix_(order, order)], d=s.d)
+
+
+PATH_CORPUS = {
+    "cyc13": (lambda: corpus("cyc13"), 1),
+    "cyc29": (lambda: corpus("cyc29"), 1),
+    "cyc1013": (lambda: sf.cyclotomic_scheme(1013, 4), 1),
+    "cyc125": (lambda: sf.cyclotomic_scheme(125, 4), 125),
+    "wreath_3_7": (lambda: corpus("wreath_3_7"), 21),
+    "j52": (lambda: corpus("j52"), 10),
+    "cyc13_swap_1_2": (lambda: _swap_points(corpus("cyc13"), 1, 2), 13),
+}
+
+
+@pytest.mark.parametrize("name", PATH_CORPUS)
+def test_count_rows_follow_shift_invariance(name, monkeypatch):
+    """Every product of a scheme fixed by x -> x+1 (mod n) is formed on row 0
+    alone; the other schemes here form all n rows.  Swapping two points of
+    cyc13 leaves a scheme that is not shift-invariant: it takes the n-row
+    path and still forms six products."""
+    build, rows = PATH_CORPUS[name]
+    s = build()
+    left_rows = []
+    real = np.matmul
+
+    def recording(a, *args, **kwargs):
+        left_rows.append(a.shape[0])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scheme_core.np, "matmul", recording)
+    assert sf.verify_axioms(s).ok
+    assert set(left_rows) == {rows}
+    if name == "cyc13_swap_1_2":
+        assert len(left_rows) == 6
+
+
+def test_verify_peak_allocation_shift_invariant_n1013():
+    """On the row-0 path no n x n product buffer is allocated: the working set
+    is the d float32 indicators, plus one boolean mask alive while the last is
+    built, plus the row-block temporaries."""
+    s = sf.cyclotomic_scheme(1013, 4)
+    n, d = s.n, s.d
+    tracemalloc.start()
+    try:
+        rep = sf.verify_axioms(s)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.ok
+    bound = d * n * n * 4 + n * n + 16 * scheme_core._CHECK_CELLS
+    assert peak <= bound, (peak, bound)
 
 
 # -- block systems --------------------------------------------------------------------
