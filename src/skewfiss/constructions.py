@@ -22,7 +22,7 @@ from math import isqrt
 
 import numpy as np
 
-from .scheme_core import AssociationScheme, SchemeError, check_size, verify_axioms
+from .scheme_core import AssociationScheme, SchemeError, check_size, row_blocks, verify_axioms
 from .spectra import ClosedForm
 
 MAX_FIELD = 10 ** 6
@@ -228,7 +228,9 @@ def cyclotomic_scheme(q: int, d: int) -> AssociationScheme:
         perm = np.array([0, 1, 2, 4, 3], dtype=np.int16)
         cls = perm[cls]
     elems = np.arange(q, dtype=np.int32)
-    rel = cls[_axpy(elems[:, None], elems[None, :], -1, field.p, field.b)]
+    rel = np.empty((q, q), dtype=np.int16)
+    for b in row_blocks(q, q):  # rel[x][y] = cls[y - x]
+        rel[b] = cls[_axpy(elems[b, None], elems[None, :], -1, field.p, field.b)]
     scheme = AssociationScheme(rel, d=d)
     report = verify_axioms(scheme)
     if not report.ok:

@@ -5,9 +5,28 @@ A scheme on n points is stored as an n x n matrix of relation indices in
 checked over all ordered point pairs, never a sample, and the intersection
 tensor is the by-product of that count.
 
-The count multiplies float32 indicator matrices A_i; that is exact because
-every partial sum is an integer of at most n <= MAX_POINTS < 2**24.  Four
-kinds of product are not formed, and none is sampled:
+The count reads one row per orbit of a group of automorphisms where it can.
+A permutation g with rel[g(x)][g(y)] = rel[x][y] on all n^2 cells, an
+O(n^2) test, is an automorphism of every A_i, so g A_i A_j g^T = A_i A_j:
+row g(x) of each product is row x permuted, as row g(x) of rel is.  The
+candidates are the digit increments, which add 1 mod a to the base-a digit
+of place value P, for every P * a | n.  x -> x+1 (mod n) is (1, n); a
+cyclotomic scheme on GF(p^b), labelled by base-p digits, is fixed by each
+(p^t, p), and a wreath of Cayley schemes, labelled in mixed radix, by the
+increments of its factors.  One row per orbit of the group the accepted
+increments generate then meets every nonempty class and holds every value
+each product takes on it, so a class's least and greatest count over
+those rows are those of the full product.  Row x of every A_i A_j is one
+bincount per i over the rows z of T_i = {z : rel[x][z] = i}, O(n^2) per
+row with no indicator matrix, and the class sizes and the transpose map
+are read off the same rows.
+
+A scheme that no increment fixes, or that has more than n / 16 orbits (a
+Johnson scheme, a relabelled file), is counted on all n rows.  That count
+multiplies float32 indicator matrices A_i, exact because every partial sum
+is an integer of at most n <= MAX_POINTS < 2**24, and its working set is
+the d indicators and one n x n product.  Three kinds of product are not
+formed, and none is sampled:
 
 - the trivial planes.  Once axiom (i) holds, A_0 = I, so A_0 A_j = A_j and
   A_i A_0 = A_i, and p^k_0j = p^k_j0 = delta_jk with no count needed.
@@ -22,17 +41,11 @@ kinds of product are not formed, and none is sampled:
   k_i (an O(n^2) count).  When every other product of row i was found
   constant on every R_k, so is A_i A_j* for the last one, j*, with
   p^k_ij* = k_i - sum_{j != j*} p^k_ij.  Otherwise it is counted.
-- rows 1..n-1 of a shift-invariant scheme.  When rel[x+1][y+1] = rel[x][y]
-  (indices mod n) on all n^2 cells, an O(n^2) test, the shift P is an
-  automorphism of every A_i, so P A_i A_j P^T = A_i A_j: entry (x, y) of the
-  product equals entry (0, y - x), just as rel[x][y] = rel[0][y - x].  Row 0
-  then meets every nonempty class and holds every value the product takes
-  on it, so one 1 x n row is the whole count, and its minimum and maximum
-  on each class are those of the full product.  A cyclotomic scheme on Z_q,
-  q prime, is such a scheme (a Cayley scheme on Z_q); one labelled by
-  base-p digits, a wreath or a Johnson scheme is counted on all n rows.
 
 For d = 4 skew this forms 6 of the 25 products: 3, 2, 1 and 0 in rows 1..4.
+
+Every other pass over rel, and over a scheme file or a construction, runs in
+row blocks of _CHECK_CELLS cells.
 """
 
 from __future__ import annotations
@@ -64,9 +77,67 @@ class FusionError(SchemeError):
     pass
 
 
-# Cells per block of a class-constancy check: its temporaries stay a few MB
-# whatever n is.
+# Cells per block of a pass over rel, a scheme file or a construction: its
+# temporaries stay a few MB whatever n is.
 _CHECK_CELLS = 1 << 18
+
+# The count reads one row per orbit when there are at most n / 16 orbits.  At
+# d = 4 a row's n^2 bincount cells cost about what n / 50 rows of the six
+# float32 products do (n = 1013 and 4093), but need no n x n indicator.
+_ORBIT_SHARE = 16
+
+
+def row_blocks(rows: int, cells_per_row: int):
+    """Slices covering range(rows), each of at most _CHECK_CELLS cells (at
+    least one row)."""
+    step = max(1, _CHECK_CELLS // cells_per_row)
+    return [slice(r, min(r + step, rows)) for r in range(0, rows, step)]
+
+
+def _digit_increments(n: int):
+    """The permutations x -> x with its base-a digit of place value P raised
+    by 1 mod a, for every a >= 2 and P with P * a | n, ordered by (P, a)."""
+    divisors = [t for t in range(1, n + 1) if n % t == 0]
+    x = np.arange(n)
+    for P in divisors:
+        for a in divisors:
+            if a > 1 and n // P % a == 0:
+                yield x + np.where(x // P % a == a - 1, (1 - a) * P, P)
+
+
+def _fixes(rel: np.ndarray, sigma: np.ndarray) -> bool:
+    """Whether rel[sigma[x]][sigma[y]] = rel[x][y] on all n^2 cells; row 0,
+    tested first, turns most candidates away."""
+    if not np.array_equal(rel[sigma[0], sigma], rel[0]):
+        return False
+    return all(np.array_equal(rel[np.ix_(sigma[b], sigma)], rel[b])
+               for b in row_blocks(len(rel), len(rel)))
+
+
+def _join_orbits(label: np.ndarray, gens: list) -> np.ndarray:
+    """The smallest point of each point's orbit under the group gens generate.
+
+    label[x] must be a point of x's orbit no larger than x.  Each pass takes
+    the minimum of label over every cycle of every generator, in
+    log2(n) doublings, until a pass changes nothing: label is then constant
+    on every orbit, and equal to its smallest point.
+    """
+    while True:
+        before = label
+        for g in gens:
+            for _ in range(len(label).bit_length()):
+                label = np.minimum(label, label[g])
+                g = g[g]
+        if np.array_equal(label, before):
+            return label
+
+
+def _codes(high: np.ndarray, base: int, low) -> np.ndarray:
+    """high * base + low, flat, in one intp array built in place."""
+    codes = high.astype(np.intp)
+    codes *= base
+    codes += low
+    return codes.ravel()
 
 
 def _class_cells(rel: np.ndarray, d: int) -> tuple:
@@ -83,9 +154,8 @@ def _class_values(m: np.ndarray, rel: np.ndarray, cells: tuple) -> np.ndarray | 
     one block of rows at a time.
     """
     values = m[cells]
-    rows = max(1, _CHECK_CELLS // rel.shape[1])
-    for r in range(0, rel.shape[0], rows):
-        if not np.array_equal(m[r:r + rows], values.take(rel[r:r + rows])):
+    for b in row_blocks(*rel.shape):
+        if not np.array_equal(m[b], values.take(rel[b])):
             return None
     return values
 
@@ -131,8 +201,7 @@ class AssociationScheme:
         return f"AssociationScheme(n={self.n}, d={self.d})"
 
     def relation_sizes(self) -> list[int]:
-        counts = np.bincount(self.rel.ravel(), minlength=self.d + 1)
-        return [int(c) for c in counts]
+        return [int(c) for c in self._pairs.sum(axis=1)]
 
     def transpose_map(self) -> list[int] | None:
         """i -> i' with R_i^T = R_{i'}, or None if transposes are not classes.
@@ -144,15 +213,50 @@ class AssociationScheme:
 
     @cached_property
     def _transpose(self) -> tuple[int, ...] | None:
-        if not all(self.relation_sizes()):
-            return None
-        values = _class_values(self.rel.T, self.rel, _class_cells(self.rel, self.d))
-        if values is None:
-            return None
-        out = tuple(values.tolist())
-        if sorted(out) != list(range(self.d + 1)):
-            return None
-        return out
+        support = self._pairs > 0
+        if not (support.sum(axis=1) == 1).all():
+            return None  # a class is empty, or its transpose meets two classes
+        out = tuple(support.argmax(axis=1).tolist())
+        return out if sorted(out) == list(range(self.d + 1)) else None
+
+    @cached_property
+    def _orbit_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Points whose rows hold every value of rel and of every A_i A_j,
+        each with the size of its orbit (module docstring).
+
+        One point per orbit of the group the accepted digit increments
+        generate, tried until it is transitive, when there are at most
+        n / _ORBIT_SHARE orbits; otherwise every point, each of weight 1.
+        """
+        n = self.n
+        gens, label = [], np.arange(n)
+        for sigma in _digit_increments(n):
+            if not label.any():
+                break
+            if _fixes(self.rel, sigma):
+                gens.append(sigma)
+                label = _join_orbits(label, gens)
+        reps = np.flatnonzero(label == np.arange(n))
+        if len(reps) > max(1, n // _ORBIT_SHARE):
+            return np.arange(n), np.ones(n, dtype=np.int64)
+        return reps, np.bincount(label)[reps]
+
+    @cached_property
+    def _pairs(self) -> np.ndarray:
+        """Entry (i, j): the number of cells with rel[x][y] = i and rel[y][x] = j.
+
+        Read off the rows of ``_orbit_rows``, each counted once per point of
+        its orbit: row g(x) and column g(x) are row x and column x permuted.
+        """
+        rows, sizes = self._orbit_rows
+        m = self.d + 1
+        pairs = np.zeros(m * m, dtype=np.int64)
+        for size in set(sizes.tolist()):
+            these = rows[sizes == size]
+            for b in row_blocks(len(these), self.n):
+                codes = _codes(self.rel[these[b]], m, self.rel[:, these[b]].T)
+                pairs += size * np.bincount(codes, minlength=m * m)
+        return pairs.reshape(m, m)
 
     def save(self, path: str) -> None:
         save_scheme(self, path)
@@ -208,9 +312,26 @@ class AxiomReport:
         return "\n".join(lines)
 
 
+def _read_pair(p: list, failures: list, i: int, j: int, lo, hi, sizes: list) -> bool:
+    """Store p^k_ij for every nonempty class R_k on which the count of
+    (R_i, R_j) paths is constant (lo[k] == hi[k]) and report the others;
+    False if any varies."""
+    constant = True
+    for k, size in enumerate(sizes):
+        if not size:
+            continue
+        if lo[k] != hi[k]:
+            constant = False
+            failures.append(f"count of (R_{i}, R_{j}) paths over R_{k} pairs varies: "
+                            f"{int(lo[k])} .. {int(hi[k])}")
+        else:
+            p[i][j][k] = int(lo[k])
+    return constant
+
+
 def verify_axioms(s: AssociationScheme) -> AxiomReport:
-    """Check all four scheme axioms by counting; O(n^3) via matrix products,
-    O(n^2) when x -> x+1 (mod n) is an automorphism.
+    """Check all four scheme axioms by counting: O(n^2) per orbit row when
+    digit increments fix the scheme, else O(n^3) via matrix products.
 
     All axioms are evaluated independently so a perturbed scheme reports
     every violation, not just the first.  On a full pass the report carries
@@ -225,13 +346,17 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
         rep.diagonal_ok = False
         x = int(np.nonzero(diag)[0][0])
         rep.failures.append(f"diagonal entry rel[{x}][{x}] = {int(diag[x])} != 0")
-    off_diag_zero = (rel == 0) & ~np.eye(n, dtype=bool)
-    if off_diag_zero.any():
-        rep.diagonal_ok = False
-        x, y = (int(v[0]) for v in np.nonzero(off_diag_zero))
-        rep.failures.append(f"off-diagonal entry rel[{x}][{y}] = 0")
+    for b in row_blocks(n, n):
+        off_diag_zero = rel[b] == 0
+        on_diag = np.arange(b.start, b.stop)
+        off_diag_zero[on_diag - b.start, on_diag] = False
+        if off_diag_zero.any():
+            rep.diagonal_ok = False
+            x, y = (int(v[0]) for v in np.nonzero(off_diag_zero))
+            rep.failures.append(f"off-diagonal entry rel[{b.start + x}][{y}] = 0")
+            break
 
-    sizes = np.bincount(rel.ravel(), minlength=d + 1)
+    sizes = s.relation_sizes()
     for i in range(d + 1):
         if sizes[i] == 0:
             rep.partition_ok = False
@@ -243,48 +368,97 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
         rep.failures.append("some relation's transpose is not a relation")
     rep.transpose_map = tmap
 
-    # x -> x+1 (mod n) an automorphism: every product is constant along its
-    # wrapped diagonals, so row 0 holds all of its values on every class
-    rows = 1 if np.array_equal(np.roll(rel, (1, 1), axis=(0, 1)), rel) else n
-    class_cells = _class_cells(rel[:rows], d)
+    rows, _ = s._orbit_rows
+    if len(rows) < n:
+        p, regular = _count_orbit_rows(rel, rows, sizes, rep.failures)
+    else:
+        p, regular = _count_products(rel, sizes, tmap, rep.diagonal_ok, rep.failures)
+    rep.regular_ok = regular
+
+    if rep.ok:
+        valencies = tuple(int(p[i][tmap[i]][0]) for i in range(d + 1))
+        frozen = tuple(tuple(tuple(row) for row in plane) for plane in p)
+        rep.tensor = IntersectionTensor(p=frozen, valencies=valencies)
+    return rep
+
+
+def _count_row(rel: np.ndarray, x: int, m: int) -> np.ndarray:
+    """Row x of every A_i A_j, as counts[i, j, y]; no product is formed.
+
+    Entry (x, y) of A_i A_j counts z in T_i = {z : rel[x][z] = i} with
+    rel[z][y] = j, so one bincount of rel[z][y] * n + y over the rows z of
+    T_i, in row blocks, gives row x of A_i A_j for every j: O(|T_i| n).
+    """
+    n = len(rel)
+    counts = np.zeros((m, m * n), dtype=np.int64)
+    cols = np.arange(n)
+    for i in range(m):
+        cls = np.flatnonzero(rel[x] == i)
+        for b in row_blocks(len(cls), n):
+            counts[i] += np.bincount(_codes(rel[cls[b]], n, cols), minlength=m * n)
+    return counts.reshape(m, m, n)
+
+
+def _count_orbit_rows(rel: np.ndarray, rows: np.ndarray, sizes: list, failures: list):
+    """p^k_ij from row x of every A_i A_j at each orbit representative x.
+
+    Each row of a product is a permuted copy of its representative's, and so
+    is the same row of rel, so a class's least and greatest count over the
+    representatives' cells are those over all of its cells.
+    """
+    m = len(sizes)
+    lo = np.full((m, m, m), np.iinfo(np.int64).max)
+    hi = np.full((m, m, m), -1, dtype=np.int64)
+    for x in rows:
+        counts = _count_row(rel, x, m)
+        for k in range(m):
+            on_k = rel[x] == k
+            if on_k.any():
+                lo[:, :, k] = np.minimum(lo[:, :, k], counts[:, :, on_k].min(axis=2))
+                hi[:, :, k] = np.maximum(hi[:, :, k], counts[:, :, on_k].max(axis=2))
+    p = [[[0] * m for _ in range(m)] for _ in range(m)]
+    regular = True
+    for i in range(m):
+        for j in range(m):
+            regular &= _read_pair(p, failures, i, j, lo[i, j], hi[i, j], sizes)
+    return p, regular
+
+
+def _count_products(rel: np.ndarray, sizes: list, tmap: list | None, diagonal_ok: bool,
+                    failures: list):
+    """p^k_ij from the n x n products A_i A_j, formed on float32 indicators,
+    skipping the products the module docstring names."""
+    n, d = len(rel), len(sizes) - 1
+    class_cells = _class_cells(rel, d)
     # with A_0 = I no product has A_0 as a factor
-    ind = [None if i == 0 and rep.diagonal_ok else (rel == i).astype(np.float32)
+    ind = [None if i == 0 and diagonal_ok else (rel == i).astype(np.float32)
            for i in range(d + 1)]
-    counts = np.empty((rows, n), dtype=np.float32)
+    counts = np.empty((n, n), dtype=np.float32)
     p = [[[0] * (d + 1) for _ in range(d + 1)] for _ in range(d + 1)]
     counted = set()  # pairs counted or derived, and constant on every class
 
     def count(i: int, j: int) -> bool:
         """Form A_i A_j and read off p^k_ij; False if it varies on a class."""
-        np.matmul(ind[i][:rows], ind[j], out=counts)
-        values = _class_values(counts, rel[:rows], class_cells)
+        np.matmul(ind[i], ind[j], out=counts)
+        values = _class_values(counts, rel, class_cells)
         if values is not None:
-            for k in range(d + 1):
-                if sizes[k]:
-                    p[i][j][k] = int(values[k])
+            _read_pair(p, failures, i, j, values, values, sizes)
             counted.add((i, j))
             return True
+        lo, hi = [0] * (d + 1), [0] * (d + 1)
         for k in range(d + 1):
-            cells = counts[rel[:rows] == k]
-            if cells.size == 0:
-                continue
-            lo, hi = cells.min(), cells.max()
-            if lo != hi:
-                rep.failures.append(
-                    f"count of (R_{i}, R_{j}) paths over R_{k} pairs varies: "
-                    f"{int(lo)} .. {int(hi)}"
-                )
-            else:
-                p[i][j][k] = int(lo)
-        return False
+            if sizes[k]:
+                cells = counts[rel == k]
+                lo[k], hi[k] = cells.min(), cells.max()
+        return _read_pair(p, failures, i, j, lo, hi, sizes)
 
     regular = True
     for i in range(d + 1):
         unknown = []
         for j in range(d + 1):
-            if rep.diagonal_ok and 0 in (i, j):
+            if diagonal_ok and 0 in (i, j):
                 p[i][j][i + j] = 1  # A_0 = I: p^k_0j = delta_jk, p^k_i0 = delta_ik
-            elif rep.transpose_ok and (tmap[j], tmap[i]) in counted:
+            elif tmap is not None and (tmap[j], tmap[i]) in counted:
                 a, b = tmap[j], tmap[i]  # (A_a A_b)^T = A_i A_j
                 for k in range(d + 1):
                     p[i][j][tmap[k]] = p[a][b][k]
@@ -306,13 +480,7 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
             if sizes[k]:
                 p[i][last][k] = k_i - sum(p[i][j][k] for j in range(d + 1) if j != last)
         counted.add((i, last))
-    rep.regular_ok = regular
-
-    if rep.ok:
-        valencies = tuple(int(p[i][tmap[i]][0]) for i in range(d + 1))
-        frozen = tuple(tuple(tuple(row) for row in plane) for plane in p)
-        rep.tensor = IntersectionTensor(p=frozen, valencies=valencies)
-    return rep
+    return p, regular
 
 
 def intersection_tensor(s: AssociationScheme) -> IntersectionTensor:
@@ -415,10 +583,11 @@ def imprimitive_blocks(t: IntersectionTensor) -> list[list[int]]:
 # UTF-8 text.  Line 1: "n d".  Lines 2..n+1: n space-separated relation
 # indices in 0..d.  Relation 0 must be the diagonal.
 #
-# save_scheme writes one canonical layout from one byte buffer: each index
-# in decimal, followed by " ", the last one of a row by "\n".  load_scheme
-# reads that layout as one byte array; any other file is parsed token by
-# token, which names the line and column of the first offence.
+# save_scheme writes one canonical layout, a block of rows at a time: each
+# index in decimal, followed by " ", the last one of a row by "\n".
+# load_scheme reads the whole file, checks every row's length and reads that
+# layout a block of rows at a time into rel; any other file is parsed token
+# by token, which names the line and column of the first offence.
 
 _CANONICAL_HEADER = re.compile(rb"([1-9][0-9]{0,4}) (0|[1-9][0-9]{0,2})\n")
 
@@ -432,12 +601,13 @@ def save_scheme(s: AssociationScheme, path: str) -> None:
     for v, name in enumerate(names):
         table[:, v, :len(name)] = np.frombuffer(name.encode(), dtype=np.uint8)
         table[:, v, len(name)] = (ord(" "), ord("\n"))
-    cells = table[0].take(s.rel, axis=0)
-    cells[:, -1] = table[1].take(s.rel[:, -1], axis=0)
-    cells = cells.ravel()
     with open(path, "wb") as fh:
         fh.write(f"{s.n} {s.d}\n".encode())
-        fh.write(np.compress(cells != 0, cells))
+        for b in row_blocks(s.n, s.n * (width + 1)):
+            cells = table[0].take(s.rel[b], axis=0)
+            cells[:, -1] = table[1].take(s.rel[b, -1], axis=0)
+            cells = cells.ravel()
+            fh.write(np.compress(cells != 0, cells))
 
 
 def load_scheme(path: str) -> AssociationScheme:
@@ -454,7 +624,8 @@ def _read_canonical(data: bytes) -> AssociationScheme | None:
     Bytes after the n-th row are not read.  Every token must be at most
     len(str(d)) decimal digits (a leading zero reads as int() reads it), in
     0..d, with 0 exactly on the diagonal; anything else is left to the
-    token walk, which names the first offence.
+    token walk, which names the first offence.  The rows are read in blocks
+    of about _CHECK_CELLS bytes, after every row's length has been checked.
     """
     head = _CANONICAL_HEADER.match(data)
     if head is None:
@@ -462,20 +633,42 @@ def _read_canonical(data: bytes) -> AssociationScheme | None:
     n, d, width = int(head[1]), int(head[2]), len(head[2])
     if n > MAX_POINTS or d > MAX_CLASSES:
         return None
-    # body[0] is the header's "\n": every token starts after a separator
-    start = head.end() - 1
-    body = np.frombuffer(data, dtype=np.uint8, offset=start,
-                         count=min(len(data) - start, 1 + n * n * (width + 1)))
-    ends = np.flatnonzero(body == ord("\n"))
-    if len(ends) <= n:
-        return None
-    body = body[:ends[n] + 1]
+    # ends[r]: the "\n" before row r.  n tokens of 1..width digits and n - 1
+    # single spaces take 2n - 1 to n(width + 1) - 1 bytes, so n rows of
+    # nothing are turned away before anything of n^2 bytes is allocated
+    ends = [head.end() - 1]
+    for _ in range(n):
+        end = data.find(b"\n", ends[-1] + 1)
+        if not 2 * n - 1 <= end - ends[-1] - 1 <= n * (width + 1) - 1:
+            return None
+        ends.append(end)
+    rel = np.empty((n, n), dtype=np.int16)
+    for b in row_blocks(n, n * (width + 1)):
+        body = np.frombuffer(data, dtype=np.uint8, offset=ends[b.start],
+                             count=ends[b.stop] + 1 - ends[b.start])
+        block = _canonical_rows(body, b.stop - b.start, n, width)
+        if block is None or block.max() > d:
+            return None
+        diagonal = np.arange(b.stop - b.start) * (n + 1) + b.start
+        zeros = np.flatnonzero(block == 0)
+        if len(zeros) != len(diagonal) or (zeros != diagonal).any():
+            return None
+        rel[b] = block.reshape(-1, n)
+    return AssociationScheme(rel, d=d)
+
+
+def _canonical_rows(body: np.ndarray, rows: int, n: int, width: int) -> np.ndarray | None:
+    """The n * rows tokens of body, or None if it departs from the layout.
+
+    body is the bytes of the rows with the "\n" before them: every token
+    starts after a separator.
+    """
     digits = body - ord("0")
     is_digit = digits < 10
     is_sep = ~is_digit
-    if np.count_nonzero(is_sep) != n * n + 1:
-        return None  # before want: n rows of nothing must not cost n^2 bytes
-    want = np.full(n * n + 1, ord(" "), dtype=np.uint8)
+    if np.count_nonzero(is_sep) != rows * n + 1:
+        return None
+    want = np.full(rows * n + 1, ord(" "), dtype=np.uint8)
     want[::n] = ord("\n")
     if not np.array_equal(np.compress(is_sep, body), want) or (is_sep[1:] & is_sep[:-1]).any():
         return None
@@ -487,13 +680,7 @@ def _read_canonical(data: bytes) -> AssociationScheme | None:
         value[t:] += (digits[:-t] * run[t:]).astype(np.int16) * 10 ** t
     if (run[width:] & is_digit[:-width]).any():
         return None  # a token longer than str(d)
-    rel = np.compress(is_sep[1:], value[:-1])
-    if rel.max() > d:
-        return None
-    zeros = np.flatnonzero(rel == 0)
-    if len(zeros) != n or (zeros != np.arange(0, n * n, n + 1)).any():
-        return None
-    return AssociationScheme(rel.reshape(n, n), d=d)
+    return np.compress(is_sep[1:], value[:-1])
 
 
 def _read_tokens(text: str) -> AssociationScheme:

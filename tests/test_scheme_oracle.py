@@ -4,8 +4,9 @@
 products with a mask gather per class, a per-class transpose map and a
 token-by-token parser.  Every property here compares whole results with it:
 the full ``AxiomReport`` (flags, failures in order, transpose map, tensor)
-on perturbed and on shift-invariant schemes, and the exception class, line,
-column and message on malformed scheme files.
+on perturbed schemes and on Cayley schemes and relabelled copies of them,
+and the exception class, line, column and message on malformed scheme
+files.
 """
 
 from functools import lru_cache
@@ -28,6 +29,8 @@ def corpus(name: str) -> AssociationScheme:
         return sf.cyclotomic_scheme(13, 4)
     if name == "cyc29":
         return sf.cyclotomic_scheme(29, 4)
+    if name == "cyc125":
+        return sf.cyclotomic_scheme(125, 4)
     if name == "cyc13_d12":
         return sf.cyclotomic_scheme(13, 12)
     if name == "thin_z5":
@@ -93,9 +96,12 @@ def test_last_product_needs_constant_row_sums():
     assert any(f.startswith("count of (R_1, R_2) paths") for f in rep.failures)
 
 
-def test_skew_d4_forms_six_products(cyc13, monkeypatch):
+def test_skew_d4_forms_six_products(monkeypatch):
     """Trivial planes, mirrored pairs and the last product of each row are
-    derived, not multiplied: rows 1..4 form 3, 2, 1 and 0 products."""
+    derived, not multiplied: rows 1..4 form 3, 2, 1 and 0 products.  cyc13
+    with two points swapped is fixed by no digit increment, so it takes the
+    n-row path that forms products."""
+    s = _swap_points(corpus("cyc13"), 1, 2)
     calls = []
     real = np.matmul
 
@@ -104,7 +110,7 @@ def test_skew_d4_forms_six_products(cyc13, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(scheme_core.np, "matmul", counting)
-    assert sf.verify_axioms(cyc13).ok
+    assert sf.verify_axioms(s).ok
     assert len(calls) == 6
 
 
@@ -129,33 +135,56 @@ def test_verify_peak_allocation_n1013():
     assert peak <= working_set + slack, (peak, working_set, slack)
 
 
-# -- shift-invariant schemes: the count reads row 0 ------------------------------------
+# -- Cayley schemes: the count reads one row per orbit ----------------------------------
 
 
-def circulant(c) -> np.ndarray:
-    """rel[x][y] = c[(y - x) mod n]: x -> x+1 (mod n) is an automorphism."""
-    n = len(c)
-    return np.asarray(c)[(np.arange(n)[None, :] - np.arange(n)[:, None]) % n]
+def cayley(c, radices) -> np.ndarray:
+    """rel[x][y] = c[y - x] on Z_a1 x ... x Z_at, a point labelled by its
+    digits in mixed radix, least significant first: the increment of digit s
+    (place value a_1 ... a_(s-1), radix a_s) fixes it for every s."""
+    n = int(np.prod(radices))
+    x, y = np.arange(n)[:, None], np.arange(n)[None, :]
+    diff, place = 0, 1
+    for a in radices:
+        diff = diff + (y // place % a - x // place % a) % a * place
+        place *= a
+    return np.asarray(c)[diff]
+
+
+def _relabel_top_digit(rel: np.ndarray, radices, perm) -> np.ndarray:
+    """rel with the top digit of every point permuted: the lower digits'
+    increments still fix it, and its orbits are the top digit's values."""
+    n, low = len(rel), int(np.prod(radices[:-1]))
+    order = np.asarray(perm)[np.arange(n) // low] * low + np.arange(n) % low
+    return rel[np.ix_(order, order)]
 
 
 # label maps of the 4-class cyclotomic schemes that give schemes again: the
 # symmetric 2-class fusion (R_i with R_i^T), the 1-class fusion and a
 # relabelling
 CYC4_FUSIONS = [(0, 1, 2, 2, 1), (0, 1, 1, 1, 1), (0, 3, 1, 4, 2)]
+CAYLEY_CORPUS = {"cyc13": [13], "cyc29": [29], "cyc125": [5, 5, 5], "wreath_3_7": [3, 7]}
 
 
 @st.composite
-def shift_invariant_schemes(draw):
-    """Circulant index matrices: an arbitrary class vector, or row 0 of cyc13
-    or cyc29 with at most two entries redrawn, its labels then merged or
-    permuted.  Most are not schemes: classes go empty, the diagonal leaves 0,
-    transposes stop being classes or path counts vary."""
-    name = draw(st.sampled_from([None, "cyc13", "cyc29"]))
+def cayley_schemes(draw):
+    """Cayley index matrices on mixed-radix groups, some with points
+    relabelled.  The class vector is arbitrary, or row 0 of a corpus scheme
+    with at most two entries redrawn and its labels then merged or permuted.
+    The relabelling permutes the top digit (fewer orbits, several rows) or
+    swaps two points (usually no increment is left).  Most are not schemes:
+    classes go empty, the diagonal leaves 0, transposes stop being classes
+    or path counts vary."""
+    name = draw(st.sampled_from([None, *CAYLEY_CORPUS]))
     if name is None:
-        c = draw(st.lists(st.integers(0, 6), min_size=1, max_size=40))
-        if draw(st.booleans()):  # symmetric, 0 on the diagonal only
-            c = [0] + [1 + c[min(t, len(c) - t)] % 6 for t in range(1, len(c))]
+        radices = draw(st.lists(st.integers(2, 7), min_size=1, max_size=3))
+        n = int(np.prod(radices))
+        c = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        if draw(st.booleans()):  # symmetric, 0 at the identity only
+            neg = cayley(np.arange(n), radices)[:, 0]  # -t, digit by digit
+            c = [0] + [1 + c[min(t, neg[t])] % 6 for t in range(1, n)]
     else:
+        radices = CAYLEY_CORPUS[name]
         c = corpus(name).rel[0].tolist()
         for _ in range(draw(st.integers(0, 2))):
             c[draw(st.integers(0, len(c) - 1))] = draw(st.integers(0, 4))
@@ -165,16 +194,22 @@ def shift_invariant_schemes(draw):
             st.lists(st.integers(0, 4), min_size=5, max_size=5),
         ))
         c = [labels[v] for v in c]
-    rel = circulant(c)
+    rel = cayley(c, radices)
+    relabel = draw(st.sampled_from(["none", "top_digit", "swap"]))
+    if relabel == "top_digit" and len(radices) > 1:
+        rel = _relabel_top_digit(rel, radices, draw(st.permutations(range(radices[-1]))))
+    elif relabel == "swap":
+        x, y = draw(st.integers(0, len(rel) - 1)), draw(st.integers(0, len(rel) - 1))
+        rel = _swap_points(AssociationScheme(rel), x, y).rel
     return AssociationScheme(rel, d=int(rel.max()) + draw(st.integers(0, 1)))
 
 
-@given(shift_invariant_schemes())
-@settings(max_examples=200, deadline=None)
+@given(cayley_schemes())
+@settings(max_examples=300, deadline=None)
 def test_shift_invariant_reports_match_reference(s):
-    """The row-0 count gives the whole report of the all-pairs reference:
-    flags, failures in order, transpose map and tensor."""
-    assert np.array_equal(np.roll(s.rel, (1, 1), axis=(0, 1)), s.rel)
+    """One row per orbit, or all n rows when no increment is left, gives the
+    whole report of the all-pairs reference: flags, failures in order,
+    transpose map and tensor."""
     assert_reports_equal(s)
 
 
@@ -184,12 +219,21 @@ def _swap_points(s: AssociationScheme, x: int, y: int) -> AssociationScheme:
     return AssociationScheme(s.rel[np.ix_(order, order)], d=s.d)
 
 
+def _cyc125_top_digit_permuted() -> AssociationScheme:
+    s = sf.cyclotomic_scheme(125, 4)
+    return AssociationScheme(_relabel_top_digit(s.rel, [5, 5, 5], [1, 0, 2, 3, 4]), d=s.d)
+
+
+# scheme, rows counted (one per orbit; n on the path that forms products)
 PATH_CORPUS = {
     "cyc13": (lambda: corpus("cyc13"), 1),
     "cyc29": (lambda: corpus("cyc29"), 1),
     "cyc1013": (lambda: sf.cyclotomic_scheme(1013, 4), 1),
-    "cyc125": (lambda: sf.cyclotomic_scheme(125, 4), 125),
-    "wreath_3_7": (lambda: corpus("wreath_3_7"), 21),
+    "cyc125": (lambda: sf.cyclotomic_scheme(125, 4), 1),
+    "cyc3125": (lambda: sf.cyclotomic_scheme(3125, 4), 1),
+    "wreath_3_7": (lambda: corpus("wreath_3_7"), 1),
+    "cyc125_top_digit_permuted": (_cyc125_top_digit_permuted, 5),
+    "wreath_3_j52": (lambda: sf.wreath(sf.cyclotomic_scheme(3, 2), corpus("j52")), 30),
     "j52": (lambda: corpus("j52"), 10),
     "cyc13_swap_1_2": (lambda: _swap_points(corpus("cyc13"), 1, 2), 13),
 }
@@ -197,24 +241,32 @@ PATH_CORPUS = {
 
 @pytest.mark.parametrize("name", PATH_CORPUS)
 def test_count_rows_follow_shift_invariance(name, monkeypatch):
-    """Every product of a scheme fixed by x -> x+1 (mod n) is formed on row 0
-    alone; the other schemes here form all n rows.  Swapping two points of
-    cyc13 leaves a scheme that is not shift-invariant: it takes the n-row
-    path and still forms six products."""
+    """A scheme fixed by a group of digit increments with few orbits is
+    counted on one row per orbit, by bincount, and forms no product: the
+    cyclotomic schemes on Z_q and on GF(5^3) and GF(5^5), the wreath and
+    cyc125 with its top digit permuted (five orbits).  j52 and cyc13 with
+    two points swapped are fixed by no increment, and c3 wr j52 has ten
+    orbits on its 30 points, above n / 16: they form products on all n rows."""
     build, rows = PATH_CORPUS[name]
     s = build()
-    left_rows = []
-    real = np.matmul
+    counted, product_rows = [], []
+    real_row, real_matmul = scheme_core._count_row, np.matmul
 
-    def recording(a, *args, **kwargs):
-        left_rows.append(a.shape[0])
-        return real(a, *args, **kwargs)
+    def count_row(rel, x, m):
+        counted.append(x)
+        return real_row(rel, x, m)
 
-    monkeypatch.setattr(scheme_core.np, "matmul", recording)
+    def matmul(a, *args, **kwargs):
+        product_rows.append(a.shape[0])
+        return real_matmul(a, *args, **kwargs)
+
+    monkeypatch.setattr(scheme_core, "_count_row", count_row)
+    monkeypatch.setattr(scheme_core.np, "matmul", matmul)
     assert sf.verify_axioms(s).ok
-    assert set(left_rows) == {rows}
-    if name == "cyc13_swap_1_2":
-        assert len(left_rows) == 6
+    if rows < s.n:
+        assert len(counted) == rows and product_rows == []
+    else:
+        assert counted == [] and set(product_rows) == {s.n}
 
 
 def test_verify_peak_allocation_shift_invariant_n1013():
@@ -231,6 +283,57 @@ def test_verify_peak_allocation_shift_invariant_n1013():
         tracemalloc.stop()
     assert rep.ok
     bound = d * n * n * 4 + n * n + 16 * scheme_core._CHECK_CELLS
+    assert peak <= bound, (peak, bound)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_peak_allocation_n_rows_n1013():
+    """cyc1013 with two points swapped is fixed by no digit increment: the
+    n-row count holds d float32 indicators and one product, with the slack
+    of test_verify_peak_allocation_n1013, which cyc1013 passes on the orbit
+    path."""
+    s = _swap_points(sf.cyclotomic_scheme(1013, 4), 1, 2)
+    n, d = s.n, s.d
+    rep, peak = _traced_peak(lambda: sf.verify_axioms(s))
+    assert rep.ok and len(s._orbit_rows[0]) == n
+    bound = d * n * n * 4 + n * n * 4 + n * n + 16 * scheme_core._CHECK_CELLS
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("step", ["build", "verify", "save", "load"])
+def test_pipeline_peak_allocation_n1013(tmp_path, step):
+    """Each step keeps alive at most the file's bytes (2 n^2 at d = 4), rel
+    (2 n^2) and row-block temporaries: the cyclotomic build, verify_axioms
+    on the orbit path with nothing cached, save_scheme and load_scheme."""
+    n = 1013
+    bound = 4 * n * n + 16 * scheme_core._CHECK_CELLS
+    path = str(tmp_path / "c1013.ascm")
+    if step == "build":
+        s, peak = _traced_peak(lambda: sf.cyclotomic_scheme(n, 4))
+        assert s.n == n
+    else:
+        s = sf.cyclotomic_scheme(n, 4)
+    if step == "verify":
+        fresh = AssociationScheme(s.rel, d=s.d)
+        rep, peak = _traced_peak(lambda: sf.verify_axioms(fresh))
+        assert rep.ok and len(fresh._orbit_rows[0]) == 1
+    if step == "save":
+        _, peak = _traced_peak(lambda: save_scheme(s, path))
+        with open(path, "rb") as fh:
+            assert fh.read() == scheme_bytes(s)
+    if step == "load":
+        save_scheme(s, path)
+        again, peak = _traced_peak(lambda: load_scheme(path))
+        assert again == s
+        with open(path, "rb") as fh:  # every row block read as bytes
+            assert scheme_core._read_canonical(fh.read()) == s
     assert peak <= bound, (peak, bound)
 
 
