@@ -5,28 +5,27 @@ A scheme on n points is stored as an n x n matrix of relation indices in
 checked over all ordered point pairs, never a sample, and the intersection
 tensor is the by-product of that count.
 
-The count reads one row per orbit of a group of automorphisms where it can.
-A permutation g with rel[g(x)][g(y)] = rel[x][y] on all n^2 cells, an
-O(n^2) test, is an automorphism of every A_i, so g A_i A_j g^T = A_i A_j:
-row g(x) of each product is row x permuted, as row g(x) of rel is.  The
-candidates are the digit increments, which add 1 mod a to the base-a digit
-of place value P, for every P * a | n.  x -> x+1 (mod n) is (1, n); a
-cyclotomic scheme on GF(p^b), labelled by base-p digits, is fixed by each
-(p^t, p), and a wreath of Cayley schemes, labelled in mixed radix, by the
-increments of its factors.  One row per orbit of the group the accepted
-increments generate then meets every nonempty class and holds every value
-each product takes on it, so a class's least and greatest count over
-those rows are those of the full product.  Row x of every A_i A_j is one
-bincount per i over the rows z of T_i = {z : rel[x][z] = i}, O(n^2) per
-row with no indicator matrix, and the class sizes and the transpose map
-are read off the same rows.
+The count reads one row where a group of automorphisms allows it.  A
+permutation g with rel[g(x)][g(y)] = rel[x][y] on all n^2 cells, an O(n^2)
+test, is an automorphism of every A_i, so g A_i A_j g^T = A_i A_j: row g(x)
+of each product is row x permuted, as row g(x) of rel is.  The candidates
+are the digit increments, which add 1 mod a to the base-a digit of place
+value P, for every P * a | n.  x -> x+1 (mod n) is (1, n); a cyclotomic
+scheme on GF(p^b), labelled by base-p digits, is fixed by each (p^t, p),
+and a wreath of Cayley schemes, labelled in mixed radix, by the increments
+of its factors.  When the accepted increments generate a transitive group
+(a Cayley scheme, Bannai-Ito 1984), row 0 meets every nonempty class and
+holds every value each product takes on it, so a class's least and
+greatest count on row 0 are those of the full product.  Row 0 of every
+A_i A_j is one bincount per i over the rows z of T_i = {z : rel[0][z] = i},
+O(n^2) with no indicator matrix, and the class sizes and the transpose map
+are n times those read off row 0 and column 0.
 
-A scheme that no increment fixes, or that has more than n / 16 orbits (a
-Johnson scheme, a relabelled file), is counted on all n rows.  That count
-multiplies float32 indicator matrices A_i, exact because every partial sum
-is an integer of at most n <= MAX_POINTS < 2**24, and its working set is
-the d indicators and one n x n product.  Three kinds of product are not
-formed, and none is sampled:
+Any other scheme (a Johnson scheme, a relabelled file) is counted on all n
+rows.  That count multiplies float32 indicator matrices A_i, exact because
+every partial sum is an integer of at most n <= MAX_POINTS < 2**24, and
+its working set is the d indicators and one n x n product.  Three kinds of
+product are not formed, and none is sampled:
 
 - the trivial planes.  Once axiom (i) holds, A_0 = I, so A_0 A_j = A_j and
   A_i A_0 = A_i, and p^k_0j = p^k_j0 = delta_jk with no count needed.
@@ -80,11 +79,6 @@ class FusionError(SchemeError):
 # Cells per block of a pass over rel, a scheme file or a construction: its
 # temporaries stay a few MB whatever n is.
 _CHECK_CELLS = 1 << 18
-
-# The count reads one row per orbit when there are at most n / 16 orbits.  At
-# d = 4 a row's n^2 bincount cells cost about what n / 50 rows of the six
-# float32 products do (n = 1013 and 4093), but need no n x n indicator.
-_ORBIT_SHARE = 16
 
 
 def row_blocks(rows: int, cells_per_row: int):
@@ -220,43 +214,32 @@ class AssociationScheme:
         return out if sorted(out) == list(range(self.d + 1)) else None
 
     @cached_property
-    def _orbit_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Points whose rows hold every value of rel and of every A_i A_j,
-        each with the size of its orbit (module docstring).
-
-        One point per orbit of the group the accepted digit increments
-        generate, tried until it is transitive, when there are at most
-        n / _ORBIT_SHARE orbits; otherwise every point, each of weight 1.
-        """
-        n = self.n
-        gens, label = [], np.arange(n)
-        for sigma in _digit_increments(n):
+    def _transitive(self) -> bool:
+        """Whether the digit increments that fix rel generate a group
+        transitive on the points (module docstring); they are tried in turn
+        until they do."""
+        gens, label = [], np.arange(self.n)
+        for sigma in _digit_increments(self.n):
             if not label.any():
                 break
             if _fixes(self.rel, sigma):
                 gens.append(sigma)
                 label = _join_orbits(label, gens)
-        reps = np.flatnonzero(label == np.arange(n))
-        if len(reps) > max(1, n // _ORBIT_SHARE):
-            return np.arange(n), np.ones(n, dtype=np.int64)
-        return reps, np.bincount(label)[reps]
+        return not label.any()
 
     @cached_property
     def _pairs(self) -> np.ndarray:
         """Entry (i, j): the number of cells with rel[x][y] = i and rel[y][x] = j.
 
-        Read off the rows of ``_orbit_rows``, each counted once per point of
-        its orbit: row g(x) and column g(x) are row x and column x permuted.
+        On a transitive scheme, n times the count on row 0 and column 0: row
+        g(0) and column g(0) are row 0 and column 0 permuted.
         """
-        rows, sizes = self._orbit_rows
-        m = self.d + 1
+        n, m = self.n, self.d + 1
+        rows = 1 if self._transitive else n
         pairs = np.zeros(m * m, dtype=np.int64)
-        for size in set(sizes.tolist()):
-            these = rows[sizes == size]
-            for b in row_blocks(len(these), self.n):
-                codes = _codes(self.rel[these[b]], m, self.rel[:, these[b]].T)
-                pairs += size * np.bincount(codes, minlength=m * m)
-        return pairs.reshape(m, m)
+        for b in row_blocks(rows, n):
+            pairs += np.bincount(_codes(self.rel[b], m, self.rel[:, b].T), minlength=m * m)
+        return pairs.reshape(m, m) * (n // rows)
 
     def save(self, path: str) -> None:
         save_scheme(self, path)
@@ -330,8 +313,8 @@ def _read_pair(p: list, failures: list, i: int, j: int, lo, hi, sizes: list) -> 
 
 
 def verify_axioms(s: AssociationScheme) -> AxiomReport:
-    """Check all four scheme axioms by counting: O(n^2) per orbit row when
-    digit increments fix the scheme, else O(n^3) via matrix products.
+    """Check all four scheme axioms by counting: O(n^2) on row 0 when digit
+    increments fix the scheme transitively, else O(n^3) via matrix products.
 
     All axioms are evaluated independently so a perturbed scheme reports
     every violation, not just the first.  On a full pass the report carries
@@ -368,9 +351,8 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
         rep.failures.append("some relation's transpose is not a relation")
     rep.transpose_map = tmap
 
-    rows, _ = s._orbit_rows
-    if len(rows) < n:
-        p, regular = _count_orbit_rows(rel, rows, sizes, rep.failures)
+    if s._transitive:
+        p, regular = _count_row(rel, sizes, rep.failures)
     else:
         p, regular = _count_products(rel, sizes, tmap, rep.diagonal_ok, rep.failures)
     rep.regular_ok = regular
@@ -382,45 +364,36 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
     return rep
 
 
-def _count_row(rel: np.ndarray, x: int, m: int) -> np.ndarray:
-    """Row x of every A_i A_j, as counts[i, j, y]; no product is formed.
+def _count_row(rel: np.ndarray, sizes: list, failures: list):
+    """p^k_ij from row 0 of every A_i A_j, on a scheme fixed by a transitive
+    group (module docstring); no product is formed.
 
-    Entry (x, y) of A_i A_j counts z in T_i = {z : rel[x][z] = i} with
+    Entry (0, y) of A_i A_j counts z in T_i = {z : rel[0][z] = i} with
     rel[z][y] = j, so one bincount of rel[z][y] * n + y over the rows z of
-    T_i, in row blocks, gives row x of A_i A_j for every j: O(|T_i| n).
+    T_i, in row blocks, gives row 0 of A_i A_j for every j: O(|T_i| n), with
+    one (d + 1) x n count alive at a time.
     """
-    n = len(rel)
-    counts = np.zeros((m, m * n), dtype=np.int64)
+    n, m = len(rel), len(sizes)
+    order = np.argsort(rel[0], kind="stable")  # row 0's cells, class by class
+    nonempty = np.flatnonzero(sizes)
+    starts = np.searchsorted(rel[0][order], nonempty)
     cols = np.arange(n)
-    for i in range(m):
-        cls = np.flatnonzero(rel[x] == i)
-        for b in row_blocks(len(cls), n):
-            counts[i] += np.bincount(_codes(rel[cls[b]], n, cols), minlength=m * n)
-    return counts.reshape(m, m, n)
-
-
-def _count_orbit_rows(rel: np.ndarray, rows: np.ndarray, sizes: list, failures: list):
-    """p^k_ij from row x of every A_i A_j at each orbit representative x.
-
-    Each row of a product is a permuted copy of its representative's, and so
-    is the same row of rel, so a class's least and greatest count over the
-    representatives' cells are those over all of its cells.
-    """
-    m = len(sizes)
-    lo = np.full((m, m, m), np.iinfo(np.int64).max)
-    hi = np.full((m, m, m), -1, dtype=np.int64)
-    for x in rows:
-        counts = _count_row(rel, x, m)
-        for k in range(m):
-            on_k = rel[x] == k
-            if on_k.any():
-                lo[:, :, k] = np.minimum(lo[:, :, k], counts[:, :, on_k].min(axis=2))
-                hi[:, :, k] = np.maximum(hi[:, :, k], counts[:, :, on_k].max(axis=2))
     p = [[[0] * m for _ in range(m)] for _ in range(m)]
     regular = True
     for i in range(m):
+        counts = np.zeros(m * n, dtype=np.int64)
+        cls = np.flatnonzero(rel[0] == i)
+        for b in row_blocks(len(cls), n):
+            counts += np.bincount(_codes(rel[cls[b]], n, cols), minlength=m * n)
+        by_class = counts.reshape(m, n)[:, order]
+        lo, hi = np.zeros((m, m), dtype=np.int64), np.zeros((m, m), dtype=np.int64)
+        lo[:, nonempty] = np.minimum.reduceat(by_class, starts, axis=1)
+        hi[:, nonempty] = np.maximum.reduceat(by_class, starts, axis=1)
+        if (lo == hi).all():  # every A_i A_j constant on every class
+            p[i] = lo.tolist()
+            continue
         for j in range(m):
-            regular &= _read_pair(p, failures, i, j, lo[i, j], hi[i, j], sizes)
+            regular &= _read_pair(p, failures, i, j, lo[j], hi[j], sizes)
     return p, regular
 
 

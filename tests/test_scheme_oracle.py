@@ -65,6 +65,7 @@ def assert_reports_equal(s: AssociationScheme) -> sf.AxiomReport:
     assert (fast.diagonal_ok, fast.partition_ok, fast.transpose_ok, fast.regular_ok) == \
         (slow.diagonal_ok, slow.partition_ok, slow.transpose_ok, slow.regular_ok)
     assert fast.transpose_map == slow.transpose_map == s.transpose_map() == ref.transpose_map(s)
+    assert s.relation_sizes() == np.bincount(s.rel.ravel(), minlength=s.d + 1).tolist()
     assert fast.tensor == slow.tensor
     assert fast == slow
     return fast
@@ -135,7 +136,7 @@ def test_verify_peak_allocation_n1013():
     assert peak <= working_set + slack, (peak, working_set, slack)
 
 
-# -- Cayley schemes: the count reads one row per orbit ----------------------------------
+# -- Cayley schemes: the count reads row 0 -------------------------------------------
 
 
 def cayley(c, radices) -> np.ndarray:
@@ -168,16 +169,18 @@ CAYLEY_CORPUS = {"cyc13": [13], "cyc29": [29], "cyc125": [5, 5, 5], "wreath_3_7"
 
 @st.composite
 def cayley_schemes(draw):
-    """Cayley index matrices on mixed-radix groups, some with points
-    relabelled.  The class vector is arbitrary, or row 0 of a corpus scheme
-    with at most two entries redrawn and its labels then merged or permuted.
-    The relabelling permutes the top digit (fewer orbits, several rows) or
-    swaps two points (usually no increment is left).  Most are not schemes:
-    classes go empty, the diagonal leaves 0, transposes stop being classes
-    or path counts vary."""
-    name = draw(st.sampled_from([None, *CAYLEY_CORPUS]))
+    """Cayley index matrices on Z_n for every n up to 40 and on mixed-radix
+    groups, some with points relabelled.  The class vector is arbitrary, or
+    row 0 of a corpus scheme with at most two entries redrawn and its labels
+    then merged or permuted.  The relabelling permutes the top digit (the
+    lower digits' increments are left, but are not transitive) or swaps two
+    points (usually no increment is left).  Most are not schemes: classes
+    go empty, the diagonal leaves 0, transposes stop being classes or path
+    counts vary."""
+    name = draw(st.one_of(st.none(), st.sampled_from(list(CAYLEY_CORPUS))))
     if name is None:
-        radices = draw(st.lists(st.integers(2, 7), min_size=1, max_size=3))
+        radices = draw(st.one_of(st.integers(1, 40).map(lambda a: [a]),
+                                 st.lists(st.integers(2, 7), min_size=2, max_size=3)))
         n = int(np.prod(radices))
         c = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
         if draw(st.booleans()):  # symmetric, 0 at the identity only
@@ -205,10 +208,10 @@ def cayley_schemes(draw):
 
 
 @given(cayley_schemes())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 def test_shift_invariant_reports_match_reference(s):
-    """One row per orbit, or all n rows when no increment is left, gives the
-    whole report of the all-pairs reference: flags, failures in order,
+    """Row 0 when the increments left are transitive, else all n rows, gives
+    the whole report of the all-pairs reference: flags, failures in order,
     transpose map and tensor."""
     assert_reports_equal(s)
 
@@ -224,7 +227,7 @@ def _cyc125_top_digit_permuted() -> AssociationScheme:
     return AssociationScheme(_relabel_top_digit(s.rel, [5, 5, 5], [1, 0, 2, 3, 4]), d=s.d)
 
 
-# scheme, rows counted (one per orbit; n on the path that forms products)
+# scheme, rows counted (row 0 alone, or all n on the path that forms products)
 PATH_CORPUS = {
     "cyc13": (lambda: corpus("cyc13"), 1),
     "cyc29": (lambda: corpus("cyc29"), 1),
@@ -232,7 +235,7 @@ PATH_CORPUS = {
     "cyc125": (lambda: sf.cyclotomic_scheme(125, 4), 1),
     "cyc3125": (lambda: sf.cyclotomic_scheme(3125, 4), 1),
     "wreath_3_7": (lambda: corpus("wreath_3_7"), 1),
-    "cyc125_top_digit_permuted": (_cyc125_top_digit_permuted, 5),
+    "cyc125_top_digit_permuted": (_cyc125_top_digit_permuted, 125),
     "wreath_3_j52": (lambda: sf.wreath(sf.cyclotomic_scheme(3, 2), corpus("j52")), 30),
     "j52": (lambda: corpus("j52"), 10),
     "cyc13_swap_1_2": (lambda: _swap_points(corpus("cyc13"), 1, 2), 13),
@@ -241,20 +244,20 @@ PATH_CORPUS = {
 
 @pytest.mark.parametrize("name", PATH_CORPUS)
 def test_count_rows_follow_shift_invariance(name, monkeypatch):
-    """A scheme fixed by a group of digit increments with few orbits is
-    counted on one row per orbit, by bincount, and forms no product: the
-    cyclotomic schemes on Z_q and on GF(5^3) and GF(5^5), the wreath and
-    cyc125 with its top digit permuted (five orbits).  j52 and cyc13 with
-    two points swapped are fixed by no increment, and c3 wr j52 has ten
-    orbits on its 30 points, above n / 16: they form products on all n rows."""
+    """A scheme fixed by a transitive group of digit increments is counted
+    on row 0, by bincount, and forms no product: the cyclotomic schemes on
+    Z_q and on GF(5^3) and GF(5^5), and the wreath.  j52 and cyc13 with two
+    points swapped are fixed by no increment, cyc125 with its top digit
+    permuted only by increments with five orbits, and c3 wr j52 by ones
+    with ten orbits: they form products on all n rows."""
     build, rows = PATH_CORPUS[name]
     s = build()
     counted, product_rows = [], []
     real_row, real_matmul = scheme_core._count_row, np.matmul
 
-    def count_row(rel, x, m):
-        counted.append(x)
-        return real_row(rel, x, m)
+    def count_row(*args):
+        counted.append(0)
+        return real_row(*args)
 
     def matmul(a, *args, **kwargs):
         product_rows.append(a.shape[0])
@@ -263,10 +266,10 @@ def test_count_rows_follow_shift_invariance(name, monkeypatch):
     monkeypatch.setattr(scheme_core, "_count_row", count_row)
     monkeypatch.setattr(scheme_core.np, "matmul", matmul)
     assert sf.verify_axioms(s).ok
-    if rows < s.n:
-        assert len(counted) == rows and product_rows == []
+    if rows == 1:
+        assert counted == [0] and product_rows == []
     else:
-        assert counted == [] and set(product_rows) == {s.n}
+        assert rows == s.n and counted == [] and set(product_rows) == {s.n}
 
 
 def test_verify_peak_allocation_shift_invariant_n1013():
@@ -297,12 +300,12 @@ def _traced_peak(fn):
 def test_verify_peak_allocation_n_rows_n1013():
     """cyc1013 with two points swapped is fixed by no digit increment: the
     n-row count holds d float32 indicators and one product, with the slack
-    of test_verify_peak_allocation_n1013, which cyc1013 passes on the orbit
+    of test_verify_peak_allocation_n1013, which cyc1013 passes on the row-0
     path."""
     s = _swap_points(sf.cyclotomic_scheme(1013, 4), 1, 2)
     n, d = s.n, s.d
     rep, peak = _traced_peak(lambda: sf.verify_axioms(s))
-    assert rep.ok and len(s._orbit_rows[0]) == n
+    assert rep.ok and not s._transitive
     bound = d * n * n * 4 + n * n * 4 + n * n + 16 * scheme_core._CHECK_CELLS
     assert peak <= bound, (peak, bound)
 
@@ -311,7 +314,7 @@ def test_verify_peak_allocation_n_rows_n1013():
 def test_pipeline_peak_allocation_n1013(tmp_path, step):
     """Each step keeps alive at most the file's bytes (2 n^2 at d = 4), rel
     (2 n^2) and row-block temporaries: the cyclotomic build, verify_axioms
-    on the orbit path with nothing cached, save_scheme and load_scheme."""
+    on the row-0 path with nothing cached, save_scheme and load_scheme."""
     n = 1013
     bound = 4 * n * n + 16 * scheme_core._CHECK_CELLS
     path = str(tmp_path / "c1013.ascm")
@@ -323,7 +326,7 @@ def test_pipeline_peak_allocation_n1013(tmp_path, step):
     if step == "verify":
         fresh = AssociationScheme(s.rel, d=s.d)
         rep, peak = _traced_peak(lambda: sf.verify_axioms(fresh))
-        assert rep.ok and len(fresh._orbit_rows[0]) == 1
+        assert rep.ok and fresh._transitive
     if step == "save":
         _, peak = _traced_peak(lambda: save_scheme(s, path))
         with open(path, "rb") as fh:
@@ -334,6 +337,21 @@ def test_pipeline_peak_allocation_n1013(tmp_path, step):
         assert again == s
         with open(path, "rb") as fh:  # every row block read as bytes
             assert scheme_core._read_canonical(fh.read()) == s
+    assert peak <= bound, (peak, bound)
+
+
+@pytest.mark.parametrize("q, d", [(128, 127), (1013, 44)])
+def test_verify_peak_allocation_many_classes(q, d):
+    """Cyclotomic schemes with many classes, on the row-0 path: besides the
+    tensor, held twice (nested lists while counted, tuples in the report, 8
+    bytes an entry and a header per row), the count keeps one (d + 1) x n
+    plane of counts alive at a time, not all d + 1 of them."""
+    s = sf.cyclotomic_scheme(q, d)
+    fresh = AssociationScheme(s.rel, d=s.d)
+    n, m = s.n, s.d + 1
+    rep, peak = _traced_peak(lambda: sf.verify_axioms(fresh))
+    assert rep.ok and fresh._transitive
+    bound = 16 * m * m * (m + 8) + 16 * 8 * m * n + 4 * scheme_core._CHECK_CELLS
     assert peak <= bound, (peak, bound)
 
 
