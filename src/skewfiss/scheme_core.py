@@ -359,8 +359,9 @@ def verify_axioms(s: AssociationScheme) -> AxiomReport:
 
     if rep.ok:
         valencies = tuple(int(p[i][tmap[i]][0]) for i in range(d + 1))
-        frozen = tuple(tuple(tuple(row) for row in plane) for plane in p)
-        rep.tensor = IntersectionTensor(p=frozen, valencies=valencies)
+        for i, plane in enumerate(p):  # frozen plane by plane: one copy alive
+            p[i] = tuple(map(tuple, plane))
+        rep.tensor = IntersectionTensor(p=tuple(p), valencies=valencies)
     return rep
 
 
@@ -559,10 +560,11 @@ def imprimitive_blocks(t: IntersectionTensor) -> list[list[int]]:
 # save_scheme writes one canonical layout, a block of rows at a time: each
 # index in decimal, followed by " ", the last one of a row by "\n".
 # load_scheme reads the whole file, checks every row's length and reads that
-# layout a block of rows at a time into rel; any other file is parsed token
-# by token, which names the line and column of the first offence.
+# layout, or the same with "\r\n" line ends, a block of rows at a time into
+# rel; any other file is parsed token by token, which names the line and
+# column of the first offence.
 
-_CANONICAL_HEADER = re.compile(rb"([1-9][0-9]{0,4}) (0|[1-9][0-9]{0,2})\n")
+_CANONICAL_HEADER = re.compile(rb"([1-9][0-9]{0,4}) (0|[1-9][0-9]{0,2})(\r?\n)")
 
 
 def save_scheme(s: AssociationScheme, path: str) -> None:
@@ -594,7 +596,8 @@ def load_scheme(path: str) -> AssociationScheme:
 def _read_canonical(data: bytes) -> AssociationScheme | None:
     """The scheme in a file of save_scheme's layout, else None.
 
-    Bytes after the n-th row are not read.  Every token must be at most
+    Every line may end in "\r\n" instead, if the header's does.  Bytes
+    after the n-th row are not read.  Every token must be at most
     len(str(d)) decimal digits (a leading zero reads as int() reads it), in
     0..d, with 0 exactly on the diagonal; anything else is left to the
     token walk, which names the first offence.  The rows are read in blocks
@@ -604,6 +607,7 @@ def _read_canonical(data: bytes) -> AssociationScheme | None:
     if head is None:
         return None
     n, d, width = int(head[1]), int(head[2]), len(head[2])
+    cr = len(head[3]) - 1  # 1 when lines end in "\r\n"
     if n > MAX_POINTS or d > MAX_CLASSES:
         return None
     # ends[r]: the "\n" before row r.  n tokens of 1..width digits and n - 1
@@ -612,13 +616,17 @@ def _read_canonical(data: bytes) -> AssociationScheme | None:
     ends = [head.end() - 1]
     for _ in range(n):
         end = data.find(b"\n", ends[-1] + 1)
-        if not 2 * n - 1 <= end - ends[-1] - 1 <= n * (width + 1) - 1:
+        if not 2 * n - 1 <= end - ends[-1] - 1 - cr <= n * (width + 1) - 1:
+            return None
+        if cr and data[end - 1] != ord("\r"):
             return None
         ends.append(end)
     rel = np.empty((n, n), dtype=np.int16)
     for b in row_blocks(n, n * (width + 1)):
         body = np.frombuffer(data, dtype=np.uint8, offset=ends[b.start],
                              count=ends[b.stop] + 1 - ends[b.start])
+        if cr:  # the "\r" before each row's "\n"
+            body = np.delete(body, np.array(ends[b.start + 1:b.stop + 1]) - 1 - ends[b.start])
         block = _canonical_rows(body, b.stop - b.start, n, width)
         if block is None or block.max() > d:
             return None

@@ -29,10 +29,12 @@ integer structure tensor comes from multiplying those radicals as
 ComplexSurds; for pseudocyclic (conference) tables, whose entries carry
 nested radicals sqrt(c + e*sqrt(q)), the module
 Q(sqrt(q)) + Q(sqrt(q))*i*u+ + Q(sqrt(q))*i*u-, u+- the two radicals, with
-a fixed 6x6x6 structure tensor per (q, g, h).  Each entry is integer
-coordinates over one denominator, the contractions run in int64 where an
-explicit bound on every partial sum stays below 2^63 and on Python ints
-otherwise, and each value is reduced once, when read.
+a fixed 6x6x6 structure tensor per (q, g, h), built once per table for
+both identities.  Each entry is integer coordinates over one denominator,
+the contractions run in int64 where an explicit bound on every partial sum
+stays below 2^63 and on Python ints otherwise, and the p tensor is gated in
+those integers: a SurdSum is built only for a Krein value or for the first
+p value that fails.
 """
 
 from __future__ import annotations
@@ -380,25 +382,42 @@ _INT64_LIMIT = 1 << 63
 
 
 def _int_array(values) -> np.ndarray:
-    """Nested lists of ints as int64 when every |entry| < 2^63, else as Python ints."""
-    a = np.array(values, dtype=object)
-    return a.astype(np.int64) if -_INT64_LIMIT < a.min() and a.max() < _INT64_LIMIT else a
+    """Nested lists of ints as int64 when every entry fits, else as Python ints."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
-def _exact_einsum(spec: str, *operands, limit: int = _INT64_LIMIT) -> np.ndarray:
+def _max_abs(a: np.ndarray) -> int:
+    """max(1, max |entry|) of an integer array."""
+    return max(1, -int(a.min()), int(a.max()))
+
+
+def _exact_einsum(spec: str, *operands, limit: int = _INT64_LIMIT, maxima=None) -> np.ndarray:
     """np.einsum on integer arrays, in int64 only where that is exact.
 
     (number of summed terms) * prod(max(1, max |operand|)) bounds every
     partial product and partial sum, in any evaluation order; at or above
     ``limit`` (2^63) the contraction runs on Python ints (dtype object).
+    maxima: each operand's max |entry|, or None to scan it.  Two operands
+    that sum exactly their shared indices, each once, and keep the rest in
+    order are contracted by np.tensordot.
     """
     inputs, output = spec.split("->")
-    size = {c: n for sub, op in zip(inputs.split(","), operands) for c, n in zip(sub, op.shape)}
-    bound = prod(size[c] for c in size.keys() - set(output))
-    for op in operands:
-        bound *= max(1, -int(op.min()), int(op.max()))
-    dtype = np.int64 if bound < limit else object
-    return np.einsum(spec, *(op.astype(dtype, copy=False) for op in operands))
+    subs = inputs.split(",")
+    size = {c: n for sub, op in zip(subs, operands) for c, n in zip(sub, op.shape)}
+    summed = size.keys() - set(output)
+    bound = prod(size[c] for c in summed)
+    for op, m in zip(operands, maxima or (None,) * len(operands)):
+        bound *= _max_abs(op) if m is None else max(1, m)
+    ops = [op.astype(np.int64 if bound < limit else object, copy=False) for op in operands]
+    if (len(subs) == 2 and set(subs[0]) & set(subs[1]) == summed
+            and all(len(set(s)) == len(s) for s in subs)
+            and "".join(c for c in "".join(subs) if c not in summed) == output):
+        axes = [[sub.index(c) for c in sorted(summed)] for sub in subs]
+        return np.tensordot(*ops, axes=axes)
+    return np.einsum(spec, *ops)
 
 
 @lru_cache(maxsize=256)
@@ -428,21 +447,26 @@ def _structure_tensor(q: int, g: int, h: int) -> tuple[np.ndarray, int]:
 def _conference_module(t: CharacterTable) -> tuple:
     """(E, M, den, keys) of a conference table: entry (h, i) as the six
     integers E[h, i] over one denominator D, den = 64 D^3 (M counts eighths)
-    and keys (1, s), the radicands of the two real coordinates."""
+    and keys (1, s), the radicands of the two real coordinates.  E is read
+    from the fields' integer numerators and denominators."""
     M, s = _structure_tensor(t.q, t.g, t.h)
     r = square_split(t.q)[0]
-    D = lcm(*(x.denominator for row in t.entries for e in row for x in (e.a, e.b)))
-    c8, up, um = Fraction(t.q, 8), Fraction(t.g, 8), Fraction(-t.g, 8)
-    rows = [[[e.a.numerator * (D // e.a.denominator),
-              e.b.numerator * r * (D // e.b.denominator), 0, 0, 0, 0] for e in row]
-            for row in t.entries]
-    for h, row in enumerate(t.entries):
-        for i, e in enumerate(row):
-            if e.c or e.e:
-                if e.c != c8 or (e.e != up and e.e != um):
-                    raise ValueError(f"entry radical ({e.c}, {e.e}) outside the (q,g) algebra")
-                rows[h][i][2 if e.e == up else 4] = e.im_sign * D
-    return _int_array(rows), M, 64 * D ** 3, (1, s)
+    cells = [e for row in t.entries for e in row]
+    D = lcm(*(x.denominator for e in cells for x in (e.a, e.b)))
+    # (c, e) of i*u+ and i*u-: (q/8, g/8) and (q/8, -g/8), as integer ratios
+    slots = {(*Fraction(t.q, 8).as_integer_ratio(), *Fraction(sg * t.g, 8).as_integer_ratio()):
+             x for sg, x in ((1, 2), (-1, 4))}
+    rows = []
+    for e in cells:
+        row = [e.a.numerator * (D // e.a.denominator),
+               e.b.numerator * r * (D // e.b.denominator), 0, 0, 0, 0]
+        radical = (e.c.numerator, e.c.denominator, e.e.numerator, e.e.denominator)
+        if radical != (0, 1, 0, 1):
+            if radical not in slots:
+                raise ValueError(f"entry radical ({e.c}, {e.e}) outside the (q,g) algebra")
+            row[slots[radical]] = e.im_sign * D
+        rows.append(row)
+    return _int_array(rows).reshape(len(t.entries), -1, 6), M, 64 * D ** 3, (1, s)
 
 
 def _surd_module(lines) -> tuple:
@@ -476,43 +500,64 @@ def _surd_module(lines) -> tuple:
     return _int_array(E), _int_array(M), D ** 3, [key for key in basis if key > 0]
 
 
-def _identity_sums(t: CharacterTable, weights, columns=False, limit=_INT64_LIMIT):
-    """(S, den, keys) with sum_h w_h E[h][i] E[h][j] conj(E[h][l]) equal to
-    sum_a S[i][j][l][a] sqrt(keys[a]) / den, for either kind of table.
-
-    E[h, i] = P[h][i], or P[i][h] with columns=True, as integer coordinates
-    in the table's module (_conference_module, _surd_module), real ones
-    first.  Two contractions, W[h, i, j] = w_h E[h, i] E[h, j] and
-    S[i, j, l] = sum_h W[h, i, j] conj(E[h, l]), with no reduction on the
-    way; the weights are scaled to integers, and each factor E[h, j] or
-    conj(E[h, l]) enters as its multiplication matrix.  ConsistencyError
-    names the first (i, j, l) that is not real."""
+def _module(t: CharacterTable, columns=False, limit=_INT64_LIMIT) -> tuple:
+    """(E, L, den, keys, maxima) of the rows (columns=True: the columns):
+    E[h, i] entry (h, i) in _conference_module's or _surd_module's
+    coordinates, L[0, h, j] and L[1, h, j] the multiplication matrices of
+    E[h, j] and of its conjugate, maxima the max |entry| of E, L[0], L[1]."""
     if t.kind == "conference":
         E, M, den, keys = _conference_module(t)
-        if columns:
-            E = E.transpose(1, 0, 2)
     else:
         E, M, den, keys = _surd_module(tuple(zip(*t.entries)) if columns else t.entries)
-    scale = lcm(*(Fraction(w).denominator for w in weights))
-    X = _exact_einsum("h,hia->hia", _int_array([int(w * scale) for w in weights]), E,
-                      limit=limit)
     conj = E * np.array([1] * len(keys) + [-1] * (E.shape[-1] - len(keys)))
     L = _exact_einsum("xhjb,abc->xhjac", np.stack((E, conj)), M, limit=limit)
-    W = _exact_einsum("hia,hjac->hijc", X, L[0], limit=limit)
-    S = _exact_einsum("hija,hlac->ijlc", W, L[1], limit=limit)
+    return E, L, den, keys, (_max_abs(E), _max_abs(L[0]), _max_abs(L[1]))
+
+
+# (the last conference table, its rows' _module), swapped as one tuple: p and
+# q of one table build the module once, and no table keeps it alive after that
+_last_module = [(None, None)]
+
+
+def _identity_sums(t: CharacterTable, weights, columns=False, limit=_INT64_LIMIT):
+    """(S, den, keys) with sum_h w_h E[h][i] E[h][j] conj(E[h][l]) equal to
+    sum_a S[i, j, l, a] sqrt(keys[a]) / den, for either kind of table; S is
+    an int64 array, or Python ints where int64 would not be exact.
+
+    E[h, i] = P[h][i], or P[i][h] with columns=True (a conference table's
+    rows' module transposed).  Two contractions, W[h, i, j] = w_h E[h, i]
+    E[h, j] and S[i, j, l] = sum_h W[h, i, j] conj(E[h, l]), weights scaled
+    to integers.  ConsistencyError names the first (i, j, l) not real."""
+    if t.kind != "conference":
+        E, L, den, keys, maxima = _module(t, columns, limit)
+    else:  # only the default limit reads or sets the slot
+        default, (last, module) = limit == _INT64_LIMIT, _last_module[0]
+        if not default or last is not t:
+            module = _module(t, limit=limit)
+        if default:
+            _last_module[0] = t, module
+        E, L, den, keys, maxima = module
+        if columns:
+            E, L = E.transpose(1, 0, 2), L.transpose(0, 2, 1, 3, 4)
+    scale = lcm(*(w.denominator for w in weights))
+    w = [x.numerator * (scale // x.denominator) for x in weights]
+    X = _exact_einsum("h,hia->hia", _int_array(w), E, limit=limit,
+                      maxima=(max(map(abs, w)), maxima[0]))
+    W = _exact_einsum("hia,hjac->hijc", X, L[0], limit=limit, maxima=(None, maxima[1]))
+    S = _exact_einsum("hija,hlac->ijlc", W, L[1], limit=limit, maxima=(None, maxima[2]))
     den *= scale
     bad = np.argwhere(S[..., len(keys):].any(axis=-1))
     if len(bad):
         i, j, l = bad[0].tolist()
         raise ConsistencyError(f"tensor entry ({i},{j},{l}) has nonzero imaginary part: "
                                f"coordinates {S[i, j, l].tolist()} over {den}")
-    return S[..., :len(keys)].tolist(), den, keys
+    return S[..., :len(keys)], den, keys
 
 
-def _surd(x: list, keys, scale) -> SurdSum:
-    """sum_a x[a] sqrt(keys[a]) / scale for a positive int or Fraction scale."""
-    return _reduced({k: c * scale.denominator for k, c in zip(keys, x) if c},
-                    scale.numerator)
+def _surd(x: list, keys, num: int, den: int = 1) -> SurdSum:
+    """sum_a x[a] sqrt(keys[a]) * den / num for positive ints num and den,
+    which need not be coprime."""
+    return _reduced({k: c * den for k, c in zip(keys, x) if c}, num)
 
 
 def check_orthogonality(t: CharacterTable) -> None:
@@ -531,22 +576,34 @@ def check_orthogonality(t: CharacterTable) -> None:
 def p_values_from_table(t: CharacterTable) -> tuple:
     """Eigenvalue-identity values p^l_ij as exact SurdSums, no integrality gate."""
     S, den, keys = _identity_sums(t, t.multiplicities)
-    scales = [den * t.n * k for k in t.valencies]
-    return tuple(tuple(tuple(_surd(x, keys, scales[l]) for l, x in enumerate(row))
-                       for row in plane) for plane in S)
+    scales = [(den * t.n * k.numerator, k.denominator) for k in t.valencies]
+    return tuple(tuple(tuple(_surd(x, keys, *scales[l]) for l, x in enumerate(row))
+                       for row in plane) for plane in S.tolist())
 
 
 def p_from_table(t: CharacterTable) -> IntersectionTensor:
     """Intersection tensor from the eigenvalue identity; exact.
 
-    Raises InfeasibleError naming the first (i, j, l) whose entry is not a
-    nonnegative integer: such a table belongs to no scheme.
-    """
-    return _integral_tensor(p_values_from_table(t), t.valencies)
+    p^l_ij is a nonnegative integer exactly when its sqrt coordinates are 0
+    and its rational one a nonnegative multiple of den*n*k_l, tested on the
+    whole tensor at once.  InfeasibleError names the first (i, j, l) that
+    fails, its value a SurdSum: such a table belongs to no scheme."""
+    S, den, keys = _identity_sums(t, t.multiplicities)
+    scales = [(den * t.n * k.numerator, k.denominator) for k in t.valencies]
+    num = _exact_einsum("ijl,l->ijl", S[..., 0], _int_array([d for _, d in scales]))
+    div = _int_array([n for n, _ in scales])
+    bad = np.argwhere((num < 0) | (num % div != 0) | (S[..., 1:] != 0).any(axis=-1))
+    if len(bad):
+        i, j, l = bad[0].tolist()
+        x = _surd(S[i, j, l].tolist(), keys, *scales[l])
+        raise InfeasibleError(f"p^{l}_({i},{j}) = {x} is not a nonnegative integer",
+                              where=(i, j, l), value=x)
+    return IntersectionTensor(p=tuple(tuple(map(tuple, plane)) for plane in (num // div).tolist()),
+                              valencies=tuple(int(v) for v in t.valencies))
 
 
 def _integral_tensor(values, valencies) -> IntersectionTensor:
-    """The integrality gate every tensor path passes through.
+    """The integrality gate of ClosedForm.tensor().
 
     values[i][j][l] = p^l_ij may be int, Fraction or SurdSum; rationals are
     tested directly.  Raises InfeasibleError at the first (i, j, l), in
@@ -601,14 +658,15 @@ def q_from_table(t: CharacterTable) -> KreinTensor:
     m = t.multiplicities
     if t.kind == "conference":
         # m_i m_j / n goes into the read-out denominator of each sum
-        scale = [[den * t.n / (mi * mj) for mj in m] for mi in m]
-        value = lambda x, c: _surd(x, keys, c)
+        scale = [[(den * t.n * mi.denominator * mj.denominator, mi.numerator * mj.numerator)
+                  for mj in m] for mi in m]
+        value = lambda x, c: _surd(x, keys, *c)
     else:
         scale = [[mi * mj / t.n for mj in m] for mi in m]
         value = lambda x, c: _surd(x, keys, den) * c
     return KreinTensor(q=tuple(tuple(tuple(value(x, scale[i][j]) for x in row)
                                      for j, row in enumerate(plane))
-                               for i, plane in enumerate(S)))
+                               for i, plane in enumerate(S.tolist())))
 
 
 # -- closed-form intersection matrices ---------------------------------------
@@ -668,11 +726,12 @@ def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> C
                       b2=_complete_matrix(b2, 2, valencies[2]), valencies=valencies)
 
 
-def _gamma_phi_pi(p: SrgParams, z, syz) -> tuple:
+def _gamma_phi_pi(p: SrgParams, z, syz, eig=None) -> tuple:
     """Gamma = m1(r-s)z + s*n*k2, Phi = m1(r-s)sqrt(yz), Pi = k(r(n*k2 - m1*z) + s*m1*z)/k2,
     which are m1*r*z + m2*s*c, m1*r*sqrt(yz) - m2*s*sqrt(bc) and m1*r*y + m2*s*b
-    with (y, b, c) from the side conditions; Pi is a Fraction."""
-    r, s, _, _ = p.eig_ints()
+    with (y, b, c) from the side conditions; Pi is a Fraction.  eig is
+    p.eig_ints() where the caller has it already."""
+    r, s, _, _ = eig or p.eig_ints()
     g1 = p.m1 * (r - s)
     return (g1 * z + s * p.n * p.k2, g1 * syz,
             Fraction(p.k * (r * (p.n * p.k2 - p.m1 * z) + s * p.m1 * z), p.k2))
@@ -720,10 +779,10 @@ def _principal_forms(p: SrgParams) -> list:
     (0, 1), where all three are integers, fixes every entry, and the forms
     hold at rational z too (_entries_at).  They are not reduced.
     """
-    k2, d = p.k2, p.k2 * p.m1
+    k2, d, eig = p.k2, p.k2 * p.m1, p.eig_ints()
 
     def flat(z: int, syz: int) -> list:
-        gamma, phi, pi = _gamma_phi_pi(p, z, syz)
+        gamma, phi, pi = _gamma_phi_pi(p, z, syz, eig)
         return [pair for part in _principal_parts(p, gamma, phi, int(pi)) for row in part
                 for pair in row]
 

@@ -6,6 +6,7 @@ property here compares the package with it value by value, through the
 canonical ``to_triples`` form.
 """
 
+import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 
@@ -16,13 +17,17 @@ from hypothesis import strategies as st
 
 import reference_kernel as ref
 import skewfiss as sf
+from skewfiss import spectra
 from skewfiss.exactnum import ComplexSurd, SurdSum, surd_sqrt
 from skewfiss.spectra import (
+    _INT64_LIMIT,
     TYPE_I,
     TYPE_II,
     TYPE_III,
     _exact_einsum,
     _identity_sums,
+    _int_array,
+    _integral_tensor,
     closed_form_integral,
     end_types,
     p_values_from_table,
@@ -131,11 +136,14 @@ def test_conference_matches_reference(qg):
 
 
 def assert_object_path_matches_int64(t):
-    """limit=0 forces every contraction onto Python ints."""
+    """limit=0 forces every contraction onto Python ints, also after a call
+    at the default limit has cached a conference table's int64 module."""
     for weights, columns in ((t.multiplicities, False),
                              ([Fraction(1) / (k * k) for k in t.valencies], True)):
-        assert (_identity_sums(t, weights, columns, limit=0)
-                == _identity_sums(t, weights, columns))
+        S, den, keys = _identity_sums(t, weights, columns)
+        S_obj, den_obj, keys_obj = _identity_sums(t, weights, columns, limit=0)
+        assert S.dtype == np.int64 and S_obj.dtype == object
+        assert (S_obj.tolist(), den_obj, keys_obj) == (S.tolist(), den, keys)
 
 
 @pytest.mark.parametrize("qg", [(13, -3), (325, 17), (1885, -27), (4981, 9)])
@@ -169,6 +177,31 @@ def test_exact_einsum_bound_picks_dtype():
     assert small.dtype == np.int64
 
 
+def test_int_array_falls_back_to_python_ints():
+    assert _int_array([[2**63 - 1, -2**63]]).dtype == np.int64
+    for values in ([[1, 2**63]], [[-2**63 - 1, 0]]):
+        a = _int_array(values)
+        assert a.dtype == object and a.tolist() == values
+        assert all(type(x) is int for x in a.ravel())
+
+
+@pytest.mark.parametrize("spec,shapes", [
+    ("hija,hlac->ijlc", [(3, 2, 2, 4), (3, 2, 4, 5)]),  # tensordot
+    ("xhjb,abc->xhjac", [(2, 3, 2, 4), (4, 4, 3)]),  # tensordot
+    ("ij,jk->ik", [(2, 3), (3, 4)]),  # tensordot
+    ("hia,hjac->hijc", [(3, 2, 4), (3, 2, 4, 5)]),  # h kept: einsum
+    ("ij,jk->ki", [(2, 3), (3, 4)]),  # output reordered: einsum
+    ("ij,k->i", [(2, 3), (4,)]),  # j and k summed in one operand each: einsum
+    ("ii,ij->j", [(3, 3), (3, 2)]),  # a repeated index: einsum
+])
+def test_exact_einsum_matches_einsum(spec, shapes):
+    rng = np.random.default_rng(0)
+    ops = [rng.integers(-9, 10, size=shape) for shape in shapes]
+    expected = np.einsum(spec, *ops).tolist()
+    assert _exact_einsum(spec, *ops).tolist() == expected
+    assert _exact_einsum(spec, *ops, limit=0).tolist() == expected
+
+
 def test_exact_rejections_still_raise():
     p = sf.srg_derive(21, 10, 5, 4)  # 2-subsets of 7 points
     with pytest.raises(sf.InfeasibleError) as info:
@@ -191,6 +224,98 @@ def test_exact_rejections_still_raise():
                              (ref.q_values_from_table, ref.reference_table(bad))):
             with pytest.raises(sf.ConsistencyError):
                 check(table)
+
+
+# -- the integer p gate against the SurdSum read-out ------------------------------
+
+
+def _conference_both_h(qg):
+    t = sf.conference_table(*qg)
+    return [t, dataclasses.replace(t, h=-t.h)]
+
+
+def _srg_table(quad, table_type, z=None):
+    p = sf.srg_derive(*quad)
+    return sf.character_table(p, sf.make_candidate(p, table_type, z))
+
+
+def _rational_z_table(p, frac):
+    end = Fraction(p.n * p.k2, p.m1)
+    return sf.character_table(p, sf.make_candidate(p, TYPE_III, frac * end))
+
+
+# the kernel oracle's tables: end types, window z, rational z, imprimitive and
+# Johnson witnesses (non-integral for v = 3 mod 8), and conference tables at
+# both signs of h
+oracle_tables = st.one_of(
+    st.builds(lambda p, tt: sf.character_table(p, sf.make_candidate(p, tt)),
+              st.sampled_from(SPLITTABLE), st.sampled_from([TYPE_I, TYPE_II])),
+    st.builds(lambda pz: sf.character_table(pz[0], sf.make_candidate(pz[0], TYPE_III, pz[1])),
+              st.sampled_from(TYPE3)),
+    st.builds(_rational_z_table, st.sampled_from(SPLITTABLE[:40]),
+              st.fractions(min_value=0, max_value=1, max_denominator=24).filter(lambda f: 0 < f < 1)),
+    st.builds(lambda fg: _srg_table((fg[0] * fg[1], fg[0] - 1, fg[0] - 2, 0), TYPE_I),
+              st.sampled_from(IMPRIMITIVE)),
+    st.builds(lambda v: _srg_table(sf.johnson2_params(v), TYPE_III, v * (v - 3) ** 2 // 4),
+              st.sampled_from(JOHNSON)),
+    st.builds(lambda qg, sign: _conference_both_h(qg)[sign], st.sampled_from(CONFERENCE),
+              st.sampled_from([0, 1])),
+)
+
+
+def _gate_outcome(gate, t):
+    try:
+        return ("tensor", gate(t))
+    except sf.InfeasibleError as exc:
+        return ("infeasible", exc.where, type(exc.value), exc.value, str(exc))
+
+
+@given(oracle_tables)
+@example(_srg_table((21, 10, 5, 4), TYPE_II))
+@example(_srg_table(sf.johnson2_params(11), TYPE_III, 11 * 8 ** 2 // 4))
+@example(_conference_both_h((325, -15))[1])
+@settings(max_examples=40, deadline=None)
+def test_integer_p_gate_matches_surd_read_out(t):
+    """The same tensor, or the same InfeasibleError: where, value and message."""
+    read_out = lambda table: _integral_tensor(p_values_from_table(table), table.valencies)
+    assert _gate_outcome(sf.p_from_table, t) == _gate_outcome(read_out, t)
+
+
+@pytest.mark.parametrize("limit", [_INT64_LIMIT, 0])
+def test_p_from_table_returns_python_ints(monkeypatch, limit):
+    """Every entry and valency is an int, whichever dtype the sums ran in."""
+    dtypes = set()
+
+    def sums(*args, **kwargs):
+        out = _identity_sums(*args, **kwargs, limit=limit)
+        dtypes.add(out[0].dtype)
+        return out
+
+    monkeypatch.setattr(spectra, "_identity_sums", sums)
+    for t in [*_conference_both_h((325, 17)), sf.conference_table(4981, 9),
+              _srg_table((57, 14, 1, 4), TYPE_III, 27), _srg_table((729, 182, 55, 42), TYPE_I)]:
+        tensor = sf.p_from_table(t)
+        assert all(type(x) is int for plane in tensor.p for row in plane for x in row)
+        assert all(type(v) is int for v in tensor.valencies)
+    assert dtypes == {np.dtype(np.int64) if limit else np.dtype(object)}
+
+
+def test_conference_module_built_once_per_table(monkeypatch):
+    calls = []
+
+    def counted(t):
+        calls.append(t)
+        return conference_module(t)
+
+    conference_module = spectra._conference_module
+    monkeypatch.setattr(spectra, "_conference_module", counted)
+    t, other = sf.conference_table(325, 17), sf.conference_table(325, 17)
+    sf.p_from_table(t)
+    sf.q_from_table(t).negatives()
+    sf.p_from_table(t)
+    assert calls == [t]
+    assert sf.q_from_table(other).q == sf.q_from_table(t).q
+    assert calls == [t, other, t]  # another table, even an equal one, has its own module
 
 
 # -- SurdSum against the reference class -----------------------------------------

@@ -343,15 +343,16 @@ def test_pipeline_peak_allocation_n1013(tmp_path, step):
 @pytest.mark.parametrize("q, d", [(128, 127), (1013, 44)])
 def test_verify_peak_allocation_many_classes(q, d):
     """Cyclotomic schemes with many classes, on the row-0 path: besides the
-    tensor, held twice (nested lists while counted, tuples in the report, 8
-    bytes an entry and a header per row), the count keeps one (d + 1) x n
-    plane of counts alive at a time, not all d + 1 of them."""
+    tensor, held once (nested lists while counted, frozen into the report's
+    tuples plane by plane, 8 bytes an entry and a header per row), the count
+    keeps one (d + 1) x n plane of counts alive at a time, not all d + 1 of
+    them."""
     s = sf.cyclotomic_scheme(q, d)
     fresh = AssociationScheme(s.rel, d=s.d)
     n, m = s.n, s.d + 1
     rep, peak = _traced_peak(lambda: sf.verify_axioms(fresh))
     assert rep.ok and fresh._transitive
-    bound = 16 * m * m * (m + 8) + 16 * 8 * m * n + 4 * scheme_core._CHECK_CELLS
+    bound = 8 * m * m * (m + 8) + 16 * 8 * m * n + 4 * scheme_core._CHECK_CELLS
     assert peak <= bound, (peak, bound)
 
 
@@ -469,8 +470,9 @@ def parse_both(tmp_path, text: str | bytes):
 @given(st.one_of(ascm_texts(), st.text(alphabet="0123 \n-x+\r", max_size=40)))
 @settings(max_examples=300, deadline=None)
 def test_parser_matches_reference(tmp_path_factory, text):
-    fast, slow = parse_both(tmp_path_factory.getbasetemp(), text)
-    assert fast == slow
+    for variant in (text, text.replace("\n", "\r\n")):  # and its CRLF variant
+        fast, slow = parse_both(tmp_path_factory.getbasetemp(), variant)
+        assert fast == slow
 
 
 def _edit_row(data: bytes, row: int, edit) -> bytes:
@@ -521,6 +523,35 @@ def test_byte_cases_match_reference(tmp_path, name, case):
     assert fast == slow
     if case in ("canonical", "crlf", "extra_lines", "utf8_after_rows", "no_final_newline"):
         assert fast == ("ok", s)
+
+
+@pytest.mark.parametrize("case", BYTE_CASES)
+@pytest.mark.parametrize("name", ["cyc13", "cyc13_d12"])
+def test_crlf_byte_cases_match_reference(tmp_path, name, case):
+    """Each byte case with every LF then written CRLF: the byte path reads
+    the canonical layout with CRLF line ends, and leaves every other file
+    to the token walk, which reports as the reference does."""
+    s = corpus(name)
+    data = BYTE_CASES[case](scheme_bytes(s), s.d).replace(b"\n", b"\r\n")
+    fast, slow = parse_both(tmp_path, data)
+    assert fast == slow
+    if case in ("canonical", "extra_lines", "utf8_after_rows", "no_final_newline"):
+        assert fast == ("ok", s)
+    if case in ("canonical", "extra_lines", "utf8_after_rows"):
+        assert scheme_core._read_canonical(data) == s
+    if case in ("crlf", "tab", "form_feed", "doubled_space", "index_above_d"):
+        assert scheme_core._read_canonical(data) is None
+
+
+@pytest.mark.parametrize("row", range(1, 14))
+def test_crlf_file_with_one_lf_row_matches_reference(tmp_path, row):
+    """CRLF everywhere but at the end of one row: that row's last byte is a
+    digit, not CR, and no digit of a two-digit last token is dropped."""
+    s = corpus("cyc13_d12")
+    lines = scheme_bytes(s).split(b"\n")
+    data = b"\r\n".join(lines[:row + 1]) + b"\n" + b"\r\n".join(lines[row + 1:])
+    fast, slow = parse_both(tmp_path, data)
+    assert fast == slow == ("ok", s)
 
 
 def test_empty_rows_allocate_nothing_large():
