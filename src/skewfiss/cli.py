@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import constructions, feasibility, scheme_core
@@ -86,9 +87,40 @@ def _row(rec: ScanRecord) -> tuple:
             "" if rec.z is None else rec.z, rec.status, note)
 
 
+_QUOTE = json.encoder.encode_basestring_ascii
+
+
+def _json(x, indent: str = "\n") -> str:
+    """json.dumps(x, indent=2), byte for byte, without the pure-Python
+    encoder that CPython runs whenever indent is set.  Dicts, lists and
+    tuples are laid out here and scalars encoded as the stdlib encodes them;
+    anything else (nan, inf, keys that are not str, unsupported types) goes
+    to json.dumps, which also raises its TypeError."""
+    if isinstance(x, str):
+        return _QUOTE(x)
+    if x is None or x is True or x is False:
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    inner = indent + "  "
+    if isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in x]) + indent + "]"
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [(_QUOTE(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": " +
+                 _json(v, inner) for k, v in x.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    return json.dumps(x)
+
+
 def format_records(records: list[ScanRecord], family: str, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps([r.to_dict() for r in records], indent=2)
+        return _json([r.to_dict() for r in records])
     cols = _COLUMNS[family]
     rows = [_row(r) for r in records]
     if fmt == "tsv":

@@ -34,7 +34,12 @@ both identities.  Each entry is integer coordinates over one denominator,
 the contractions run in int64 where an explicit bound on every partial sum
 stays below 2^63 and on Python ints otherwise, and the p tensor is gated in
 those integers: a SurdSum is built only for a Krein value or for the first
-p value that fails.
+p value that fails.  A read-out (_read_out, for q and for
+p_values_from_table) builds one SurdSum per distinct (coordinates, scale)
+and puts one object in every cell of equal value, so a table's work after
+the contractions scales with its few distinct values (2 to 8 of the 125
+Krein cells of a conference table up to q = 325), and negatives() reads
+each one's sign once.
 """
 
 from __future__ import annotations
@@ -236,7 +241,10 @@ class ConferenceEntry:
         return SurdSum(self.c) + self.e * surd_sqrt(self.q)
 
     def conjugate(self) -> "ConferenceEntry":
-        return ConferenceEntry(self.a, self.b, self.c, self.e, self.q, -self.im_sign)
+        # the radicand is unchanged, so __post_init__ need not check it again
+        out = object.__new__(ConferenceEntry)
+        out.__dict__.update(self.__dict__, im_sign=-self.im_sign)
+        return out
 
     def is_real(self) -> bool:
         return self.imag_radicand().is_zero()
@@ -363,13 +371,14 @@ def conference_table(q: int, g: int) -> CharacterTable:
     tau = ConferenceEntry(-quarter, -quarter, Fraction(q, 8), Fraction(-g, 8), q)
     one = ConferenceEntry.from_rational(1, q)
     fq = ConferenceEntry.from_rational(f, q)
-    cj = lambda x: x.conjugate()
+    # each conjugate is built once, so _conference_module reads six distinct entries
+    rho_bar, tau_bar = rho.conjugate(), tau.conjugate()
     rows = (
         (one, fq, fq, fq, fq),
-        (one, rho, tau, cj(tau), cj(rho)),
-        (one, tau, cj(rho), rho, cj(tau)),
-        (one, cj(tau), rho, cj(rho), tau),
-        (one, cj(rho), cj(tau), tau, rho),
+        (one, rho, tau, tau_bar, rho_bar),
+        (one, tau, rho_bar, rho, tau_bar),
+        (one, tau_bar, rho, rho_bar, tau),
+        (one, rho_bar, tau_bar, tau, rho),
     )
     mults = tuple(Fraction(x) for x in (1, f, f, f, f))
     return CharacterTable(entries=rows, multiplicities=mults, valencies=mults,
@@ -394,6 +403,24 @@ def _max_abs(a: np.ndarray) -> int:
     return max(1, -int(a.min()), int(a.max()))
 
 
+@lru_cache(maxsize=None)
+def _plan(spec: str) -> tuple:
+    """(sizes, axes) of an einsum spec: sizes the (operand, axis) each summed
+    index takes its size from, axes the np.tensordot axes when two operands
+    sum exactly their shared indices, each once, and keep the rest in order,
+    else None."""
+    inputs, output = spec.split("->")
+    subs = inputs.split(",")
+    where = {c: (k, x) for k, sub in enumerate(subs) for x, c in enumerate(sub)}
+    summed = sorted(where.keys() - set(output))
+    axes = None
+    if (len(subs) == 2 and set(subs[0]) & set(subs[1]) == set(summed)
+            and all(len(set(s)) == len(s) for s in subs)
+            and "".join(c for c in "".join(subs) if c not in summed) == output):
+        axes = tuple(tuple(sub.index(c) for c in summed) for sub in subs)
+    return tuple(where[c] for c in summed), axes
+
+
 def _exact_einsum(spec: str, *operands, limit: int = _INT64_LIMIT, maxima=None) -> np.ndarray:
     """np.einsum on integer arrays, in int64 only where that is exact.
 
@@ -402,20 +429,14 @@ def _exact_einsum(spec: str, *operands, limit: int = _INT64_LIMIT, maxima=None) 
     ``limit`` (2^63) the contraction runs on Python ints (dtype object).
     maxima: each operand's max |entry|, or None to scan it.  Two operands
     that sum exactly their shared indices, each once, and keep the rest in
-    order are contracted by np.tensordot.
+    order are contracted by np.tensordot.  Each spec is parsed once (_plan).
     """
-    inputs, output = spec.split("->")
-    subs = inputs.split(",")
-    size = {c: n for sub, op in zip(subs, operands) for c, n in zip(sub, op.shape)}
-    summed = size.keys() - set(output)
-    bound = prod(size[c] for c in summed)
+    sizes, axes = _plan(spec)
+    bound = prod(operands[k].shape[x] for k, x in sizes)
     for op, m in zip(operands, maxima or (None,) * len(operands)):
         bound *= _max_abs(op) if m is None else max(1, m)
     ops = [op.astype(np.int64 if bound < limit else object, copy=False) for op in operands]
-    if (len(subs) == 2 and set(subs[0]) & set(subs[1]) == summed
-            and all(len(set(s)) == len(s) for s in subs)
-            and "".join(c for c in "".join(subs) if c not in summed) == output):
-        axes = [[sub.index(c) for c in sorted(summed)] for sub in subs]
+    if axes is not None:
         return np.tensordot(*ops, axes=axes)
     return np.einsum(spec, *ops)
 
@@ -448,16 +469,18 @@ def _conference_module(t: CharacterTable) -> tuple:
     """(E, M, den, keys) of a conference table: entry (h, i) as the six
     integers E[h, i] over one denominator D, den = 64 D^3 (M counts eighths)
     and keys (1, s), the radicands of the two real coordinates.  E is read
-    from the fields' integer numerators and denominators."""
+    from the fields' integer numerators and denominators, once per distinct
+    entry object."""
     M, s = _structure_tensor(t.q, t.g, t.h)
     r = square_split(t.q)[0]
     cells = [e for row in t.entries for e in row]
-    D = lcm(*(x.denominator for e in cells for x in (e.a, e.b)))
+    distinct = {id(e): e for e in cells}
+    D = lcm(*(x.denominator for e in distinct.values() for x in (e.a, e.b)))
     # (c, e) of i*u+ and i*u-: (q/8, g/8) and (q/8, -g/8), as integer ratios
     slots = {(*Fraction(t.q, 8).as_integer_ratio(), *Fraction(sg * t.g, 8).as_integer_ratio()):
              x for sg, x in ((1, 2), (-1, 4))}
-    rows = []
-    for e in cells:
+    coords = {}
+    for key, e in distinct.items():
         row = [e.a.numerator * (D // e.a.denominator),
                e.b.numerator * r * (D // e.b.denominator), 0, 0, 0, 0]
         radical = (e.c.numerator, e.c.denominator, e.e.numerator, e.e.denominator)
@@ -465,8 +488,9 @@ def _conference_module(t: CharacterTable) -> tuple:
             if radical not in slots:
                 raise ValueError(f"entry radical ({e.c}, {e.e}) outside the (q,g) algebra")
             row[slots[radical]] = e.im_sign * D
-        rows.append(row)
-    return _int_array(rows).reshape(len(t.entries), -1, 6), M, 64 * D ** 3, (1, s)
+        coords[key] = row
+    E = _int_array([coords[id(e)] for e in cells]).reshape(len(t.entries), -1, 6)
+    return E, M, 64 * D ** 3, (1, s)
 
 
 def _surd_module(lines) -> tuple:
@@ -546,9 +570,9 @@ def _identity_sums(t: CharacterTable, weights, columns=False, limit=_INT64_LIMIT
     W = _exact_einsum("hia,hjac->hijc", X, L[0], limit=limit, maxima=(None, maxima[1]))
     S = _exact_einsum("hija,hlac->ijlc", W, L[1], limit=limit, maxima=(None, maxima[2]))
     den *= scale
-    bad = np.argwhere(S[..., len(keys):].any(axis=-1))
-    if len(bad):
-        i, j, l = bad[0].tolist()
+    imaginary = S[..., len(keys):].any(axis=-1)
+    if imaginary.any():
+        i, j, l = np.argwhere(imaginary)[0].tolist()
         raise ConsistencyError(f"tensor entry ({i},{j},{l}) has nonzero imaginary part: "
                                f"coordinates {S[i, j, l].tolist()} over {den}")
     return S[..., :len(keys)], den, keys
@@ -558,6 +582,23 @@ def _surd(x: list, keys, num: int, den: int = 1) -> SurdSum:
     """sum_a x[a] sqrt(keys[a]) * den / num for positive ints num and den,
     which need not be coprime."""
     return _reduced({k: c * den for k, c in zip(keys, x) if c}, num)
+
+
+def _read_out(S, scales, value) -> tuple:
+    """Nested tuples t[i][j][l] = value(x, scale) of the coordinates x =
+    S[i, j, l] (the int64 or object sums of _identity_sums) and scales, one
+    per cell in (i, j, l) order.  value runs once per distinct (x, scale),
+    and cells of equal value hold one object, so each distinct value is
+    checked once (KreinTensor.negatives)."""
+    d = S.shape[0]
+    cells = list(zip(map(tuple, S.reshape(d ** 3, -1).tolist()), scales))
+    memo, values = {}, {}
+    for key in dict.fromkeys(cells):
+        v = value(*key)
+        memo[key] = values.setdefault(v, v)
+    flat = list(map(memo.__getitem__, cells))
+    return tuple(tuple(tuple(flat[r:r + d]) for r in range(p, p + d * d, d))
+                 for p in range(0, d ** 3, d * d))
 
 
 def check_orthogonality(t: CharacterTable) -> None:
@@ -577,8 +618,7 @@ def p_values_from_table(t: CharacterTable) -> tuple:
     """Eigenvalue-identity values p^l_ij as exact SurdSums, no integrality gate."""
     S, den, keys = _identity_sums(t, t.multiplicities)
     scales = [(den * t.n * k.numerator, k.denominator) for k in t.valencies]
-    return tuple(tuple(tuple(_surd(x, keys, *scales[l]) for l, x in enumerate(row))
-                       for row in plane) for plane in S.tolist())
+    return _read_out(S, scales * len(scales) ** 2, lambda x, c: _surd(x, keys, *c))
 
 
 def p_from_table(t: CharacterTable) -> IntersectionTensor:
@@ -639,34 +679,33 @@ class KreinTensor:
         return self.q[i][j][l]
 
     def negatives(self) -> list[tuple[tuple[int, int, int], SurdSum]]:
-        """All (l, i, j) with q^l_ij < 0, in lexicographic order of (l, i, j)."""
-        out = []
-        d1 = len(self.q)
-        for l in range(d1):
-            for i in range(d1):
-                for j in range(d1):
-                    v = self.q[i][j][l]
-                    if v.sign() < 0:
-                        out.append(((l, i, j), v))
-        return out
+        """All (l, i, j) with q^l_ij < 0, in lexicographic order of (l, i, j).
+        Each distinct object (q_from_table puts one in all cells of equal
+        value) has its sign read once."""
+        q = self.q
+        distinct = {id(v): v for plane in q for row in plane for v in row}
+        negative = {key for key, v in distinct.items() if v.sign() < 0}
+        if not negative:
+            return []
+        rng = range(len(q))
+        return [((l, i, j), q[i][j][l]) for l, i, j in product(rng, repeat=3)
+                if id(q[i][j][l]) in negative]
 
 
 def q_from_table(t: CharacterTable) -> KreinTensor:
     """Krein numbers from the eigenvalue identity; negativity is a result."""
-    S, den, keys = _identity_sums(t, [Fraction(1) / (k * k) for k in t.valencies],
-                                  columns=True)
+    S, den, keys = _identity_sums(t, [Fraction(k.denominator ** 2, k.numerator ** 2)
+                                      for k in t.valencies], columns=True)
     m = t.multiplicities
     if t.kind == "conference":
         # m_i m_j / n goes into the read-out denominator of each sum
-        scale = [[(den * t.n * mi.denominator * mj.denominator, mi.numerator * mj.numerator)
-                  for mj in m] for mi in m]
+        ratios = [x.as_integer_ratio() for x in m]
+        scale = [[(den * t.n * di * dj, ni * nj) for nj, dj in ratios] for ni, di in ratios]
         value = lambda x, c: _surd(x, keys, *c)
     else:
         scale = [[mi * mj / t.n for mj in m] for mi in m]
         value = lambda x, c: _surd(x, keys, den) * c
-    return KreinTensor(q=tuple(tuple(tuple(value(x, scale[i][j]) for x in row)
-                                     for j, row in enumerate(plane))
-                               for i, plane in enumerate(S.tolist())))
+    return KreinTensor(q=_read_out(S, [c for row in scale for c in row for _ in m], value))
 
 
 # -- closed-form intersection matrices ---------------------------------------

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import skewfiss.cli as cli
 import skewfiss.feasibility as feasibility
@@ -345,3 +347,35 @@ def test_threads_env_clamped_to_usable_cpus(capsys, monkeypatch, pool_sizes):
         code, one, _ = run(capsys, "scan", family, *bound, "--format", "json")
         assert code == 0 and pool_sizes == [3] and many == one != "[]", family
         pool_sizes.clear()
+
+
+# -- the indent-2 JSON layout against the stdlib encoder ---------------------------
+
+# text() draws non-ASCII and control characters; integers() alone stays small
+json_leaves = st.one_of(st.text(), st.integers(), st.integers(-2**200, 2**200),
+                        st.floats(allow_nan=True, allow_infinity=True), st.booleans(), st.none())
+json_keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(json_keys, inner, max_size=4)),
+    max_leaves=24)
+
+
+@given(json_values)
+@example([])
+@example({})
+@example(((), [{}], {"": []}))
+@example({"a\u00e9\x00\n\"": [float("nan"), float("inf"), -float("inf"), -0.0, 2**64]})
+@example({1: None, 2.5: True, None: False, True: "x", float("nan"): 0})
+@settings(max_examples=300, deadline=None)
+def test_json_layout_matches_stdlib(x):
+    assert cli._json(x) == json.dumps(x, indent=2)
+
+
+def test_json_rejects_what_the_stdlib_rejects():
+    for bad in (Fraction(1, 2), {(1, 2): 0}, [1, {2}]):
+        with pytest.raises(TypeError):
+            json.dumps(bad, indent=2)
+        with pytest.raises(TypeError):
+            cli._json(bad)

@@ -53,6 +53,12 @@ GOLDEN = [
      "57a35bd8a0b5a6c5b4e4502d6df08a5d7aae6f66e5074a95fe35e0a2b4f3f73c"),
     (("conference", "--max-n", "125", "--format", "json"),
      "9141d41366a847fdbcc3993838a7f089ef0e5e55e4983990f9089929b21e53c9"),
+    # 492 rows, 4.7 MB of JSON: pinned before format_records wrote the
+    # indent-2 layout itself
+    (("conference", "--max-n", "5000", "--format", "tsv"),
+     "6dcacd2e14dac77f4e552bbe05ec43d407c47127db1024ce4ad0f54d85f80d54"),
+    (("conference", "--max-n", "5000", "--format", "json"),
+     "a404efaa322d9ddc553e7871bb2c2512d2422fe18536731116e9a94f0e0114db"),
 ]
 
 

@@ -8,7 +8,7 @@ canonical ``to_triples`` form.
 
 import dataclasses
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from skewfiss.spectra import (
     _identity_sums,
     _int_array,
     _integral_tensor,
+    _surd,
     closed_form_integral,
     end_types,
     p_values_from_table,
@@ -168,6 +169,9 @@ def test_exact_einsum_bound_picks_dtype():
     assert at_limit.dtype == object and at_limit.tolist() == [2**63]
     negative = _exact_einsum("ij->i", np.array([[-2**62] * 3], dtype=object))
     assert negative.dtype == object and negative.tolist() == [-3 * 2**62]
+    # every summed index counts: 2 * 2 terms of 2^61 reach 2^63
+    two_summed = _exact_einsum("ijk->i", np.full((1, 2, 2), 2**61, dtype=object))
+    assert two_summed.dtype == object and two_summed.tolist() == [2**63]
     x = np.array([[2**40, -3], [5, 2**40]], dtype=object)
     product = _exact_einsum("ij,jk->ik", x, x)  # bound 2 * 2^80
     assert product.dtype == object
@@ -279,6 +283,47 @@ def test_integer_p_gate_matches_surd_read_out(t):
     """The same tensor, or the same InfeasibleError: where, value and message."""
     read_out = lambda table: _integral_tensor(p_values_from_table(table), table.valencies)
     assert _gate_outcome(sf.p_from_table, t) == _gate_outcome(read_out, t)
+
+
+def _per_cell_krein(t, limit):
+    """q^l_ij read out cell by cell: one _surd per cell, times m_i m_j / n."""
+    S, den, keys = _identity_sums(t, [Fraction(1) / (k * k) for k in t.valencies], True, limit)
+    m, n = t.multiplicities, t.n
+
+    def value(x, i, j):
+        if t.kind == "conference":
+            return _surd(x, keys, den * n * m[i].denominator * m[j].denominator,
+                         m[i].numerator * m[j].numerator)
+        return _surd(x, keys, den) * (m[i] * m[j] / n)
+
+    return [[[value(x, i, j) for x in row] for j, row in enumerate(plane)]
+            for i, plane in enumerate(S.tolist())]
+
+
+@pytest.mark.parametrize("limit", [_INT64_LIMIT, 0], ids=["int64", "object"])
+@given(t=oracle_tables)
+@example(t=_srg_table((105, 26, 13, 4), TYPE_III, 540))  # a negative Krein number
+@example(t=_srg_table(sf.johnson2_params(11), TYPE_III, 11 * 8 ** 2 // 4))
+@example(t=_conference_both_h((325, -15))[1])
+@settings(max_examples=30, deadline=None)
+def test_krein_read_out_shares_equal_values(limit, t):
+    """q_from_table equals the per-cell read-out, equal cells are one object,
+    and negatives() reads one sign per distinct value, in (l, i, j) order."""
+    signed = []
+    sign = SurdSum.sign
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectra, "_identity_sums", partial(_identity_sums, limit=limit))
+        krein = sf.q_from_table(t)
+        mp.setattr(SurdSum, "sign", lambda x: signed.append(x) or sign(x))
+        negatives = krein.negatives()
+    expected = _per_cell_krein(t, limit)
+    assert _triples(krein.q) == _triples(expected)
+    by_value = {}
+    assert all(by_value.setdefault(x, x) is x for plane in krein.q for row in plane for x in row)
+    assert sorted(map(id, signed)) == sorted(map(id, by_value.values()))
+    rng = range(len(expected))
+    assert negatives == [((l, i, j), expected[i][j][l]) for l in rng for i in rng for j in rng
+                         if expected[i][j][l].sign() < 0]
 
 
 @pytest.mark.parametrize("limit", [_INT64_LIMIT, 0])

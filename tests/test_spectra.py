@@ -207,6 +207,22 @@ def test_conference_entry_conjugation():
     assert rho.imag_radicand().sign() > 0
 
 
+@pytest.mark.parametrize("qg", [(13, -3), (325, 17), (325, -15), (1885, -43)])
+def test_conjugates_equal_constructed_entries(qg):
+    """conjugate() skips the radicand check but builds the same entry."""
+    for e in {e for row in sf.conference_table(*qg).entries for e in row}:
+        sign = e.im_sign
+        built = sf.ConferenceEntry(e.a, e.b, e.c, e.e, e.q, -sign)
+        conj = e.conjugate()
+        assert type(conj) is sf.ConferenceEntry and conj is not e and e.im_sign == sign
+        assert conj == built and hash(conj) == hash(built) and str(conj) == str(built)
+        assert conj.conjugate() == e
+    with pytest.raises(ValueError, match="negative radical argument"):
+        sf.ConferenceEntry(Fraction(0), Fraction(0), Fraction(-1), Fraction(0), 13)
+    with pytest.raises(ValueError, match="negative radical argument"):
+        sf.ConferenceEntry(Fraction(0), Fraction(0), Fraction(1), Fraction(-1), 13, -1)
+
+
 def test_closed_form_type3_57():
     p = sf.srg_derive(57, 14, 1, 4)
     cf = sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_III, 27))
