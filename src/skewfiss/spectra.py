@@ -21,25 +21,23 @@ types I and II at the ends of z's range); column orthogonality is the
 identity's p^j_(i,0) = [i = j].
 
 Both kinds of table run the identity as the same two integer
-contractions.  Every product in it stays inside one row of the table (one
-column for the Krein identity), and each row lies in a small module: for
-surd tables the biquadratic algebra spanned by the closure of the row's
-radicands under products (1, i*sqrt(x1), i*sqrt(x2), sqrt(x1*x2)), whose
-integer structure tensor comes from multiplying those radicals as
-ComplexSurds; for pseudocyclic (conference) tables, whose entries carry
-nested radicals sqrt(c + e*sqrt(q)), the module
-Q(sqrt(q)) + Q(sqrt(q))*i*u+ + Q(sqrt(q))*i*u-, u+- the two radicals, with
-a fixed 6x6x6 structure tensor per (q, g, h), built once per table for
-both identities.  Each entry is integer coordinates over one denominator,
-the contractions run in int64 where an explicit bound on every partial sum
-stays below 2^63 and on Python ints otherwise, and the p tensor is gated in
-those integers: a SurdSum is built only for a Krein value or for the first
-p value that fails.  A read-out (_read_out, for q and for
-p_values_from_table) builds one SurdSum per distinct (coordinates, scale)
-and puts one object in every cell of equal value, so a table's work after
-the contractions scales with its few distinct values (2 to 8 of the 125
-Krein cells of a conference table up to q = 325), and negatives() reads
-each one's sign once.
+contractions in one module per table, read by rows for p and transposed,
+by columns, for q.  A surd table's module is the algebra spanned by all its
+radicands closed under products (1, i*sqrt(x1), i*sqrt(x2), sqrt(x1*x2)
+on every scan table), its integer structure tensor the products of those
+radicals as ComplexSurds; a pseudocyclic (conference) table's entries
+carry nested radicals sqrt(c + e*sqrt(q)), and its module Q(sqrt(q)) +
+Q(sqrt(q))*i*u+ + Q(sqrt(q))*i*u-, u+- the two radicals, has a 6x6x6
+structure tensor per (q, g, h).  Each entry is integer coordinates over
+one denominator, the contractions run in int64 where an explicit bound on
+every partial sum stays below 2^63 and on Python ints otherwise, and
+_gate tests the p tensor in those integers, as it does the closed form's:
+a SurdSum is built only for a Krein value or for the first p value that
+fails.  A read-out (_read_out, for q and for p_values_from_table) builds
+one SurdSum per distinct (coordinates, scale) and puts one object in every
+cell of equal value, so a table's work after the contractions scales with
+its few distinct values (2 to 8 of the 125 Krein cells of a conference
+table up to q = 325), and negatives() reads each one's sign once.
 """
 
 from __future__ import annotations
@@ -230,9 +228,9 @@ class ConferenceEntry:
     im_sign: int = 1
 
     def __post_init__(self):
-        rad = self.imag_radicand()
-        if rad.sign() < 0:
-            raise ValueError(f"negative radical argument {rad}")
+        # a rational entry (c = e = 0) has radicand 0, so only the others are checked
+        if (self.c or self.e) and self.imag_radicand().sign() < 0:
+            raise ValueError(f"negative radical argument {self.imag_radicand()}")
 
     def real_surd(self) -> SurdSum:
         return SurdSum(self.a) + self.b * surd_sqrt(self.q)
@@ -441,7 +439,6 @@ def _exact_einsum(spec: str, *operands, limit: int = _INT64_LIMIT, maxima=None) 
     return np.einsum(spec, *ops)
 
 
-@lru_cache(maxsize=256)
 def _structure_tensor(q: int, g: int, h: int) -> tuple[np.ndarray, int]:
     """(M, s) with x*y = sum_ab x_a y_b M[a, b, :] / 8 in the conference module.
 
@@ -460,9 +457,7 @@ def _structure_tensor(q: int, g: int, h: int) -> tuple[np.ndarray, int]:
     for (x, y), (z, *k) in rules.items():
         for i, j, l in product((0, 1), repeat=3):  # sqrt(s)^(i + j + l)
             M[2 * x + i][2 * y + j][2 * z + (i + j + l) % 2] += k[l] * s ** ((i + j + l) // 2)
-    M = _int_array(M)
-    M.setflags(write=False)
-    return M, s
+    return _int_array(M), s
 
 
 def _conference_module(t: CharacterTable) -> tuple:
@@ -493,52 +488,48 @@ def _conference_module(t: CharacterTable) -> tuple:
     return E, M, 64 * D ** 3, (1, s)
 
 
-def _surd_module(lines) -> tuple:
-    """(E, M, den, keys) of ComplexSurd entries lines[h][i].
+def _surd_module(entries) -> tuple:
+    """(E, M, den, keys) of a table of ComplexSurd entries[h][i].
 
-    Each line lies in the algebra spanned by its radicands closed under
-    products (at most 1, i sqrt(x1), i sqrt(x2), sqrt(x1 x2)).  The basis
-    is the union of those closures, real radicands (keys) first; M[a, b, :]
-    is the ComplexSurd product of radicals a and b from one closure, and
-    pairs from different lines never meet, so they stay 0.  E[h, i] are the
-    numerators of entry (h, i) over D, the lcm of the denominators; den = D^3.
+    The table lies in the algebra spanned by all its radicands closed under
+    products (2 or 4 radicals on every scan table, at most 8), so one
+    module serves its rows and its columns.  The basis is that closure,
+    real radicands (keys) first, 1 the first of them; M[a, b, :] is the
+    ComplexSurd product of radicals a and b.  E[h, i] are the numerators of
+    entry (h, i) over D, the lcm of the denominators; den = D^3.
     """
     unit = lambda key: _reduced({key: 1}, 1, ComplexSurd)
-    products, basis = {}, []
-    for line in lines:
-        closure = list(dict.fromkeys([1, *(key for e in line for key in e._num)]))
-        for x, a in enumerate(closure):  # closure grows while this runs
-            for b in closure[:x + 1]:
-                if (a, b) not in products:
-                    products[a, b] = products[b, a] = (unit(a) * unit(b))._num.popitem()
-                if products[a, b][0] not in closure:
-                    closure.append(products[a, b][0])
-        basis += [key for key in closure if key not in basis]
+    basis = list(dict.fromkeys([1, *(key for row in entries for e in row for key in e._num)]))
+    products = {}
+    for x, a in enumerate(basis):  # basis grows while this runs
+        for b in basis[:x + 1]:
+            products[a, b] = products[b, a] = (unit(a) * unit(b))._num.popitem()
+            if products[a, b][0] not in basis:
+                basis.append(products[a, b][0])
     basis.sort(key=lambda key: key < 0)
     slot = {key: x for x, key in enumerate(basis)}
     M = [[[0] * len(basis) for _ in basis] for _ in basis]
     for (a, b), (c, g) in products.items():
         M[slot[a]][slot[b]][slot[c]] = g
-    D = lcm(*(e._den for line in lines for e in line))
-    E = [[[e._num.get(key, 0) * (D // e._den) for key in basis] for e in line] for line in lines]
+    D = lcm(*(e._den for row in entries for e in row))
+    E = [[[e._num.get(key, 0) * (D // e._den) for key in basis] for e in row] for row in entries]
     return _int_array(E), _int_array(M), D ** 3, [key for key in basis if key > 0]
 
 
-def _module(t: CharacterTable, columns=False, limit=_INT64_LIMIT) -> tuple:
-    """(E, L, den, keys, maxima) of the rows (columns=True: the columns):
-    E[h, i] entry (h, i) in _conference_module's or _surd_module's
-    coordinates, L[0, h, j] and L[1, h, j] the multiplication matrices of
-    E[h, j] and of its conjugate, maxima the max |entry| of E, L[0], L[1]."""
-    if t.kind == "conference":
-        E, M, den, keys = _conference_module(t)
-    else:
-        E, M, den, keys = _surd_module(tuple(zip(*t.entries)) if columns else t.entries)
+def _module(t: CharacterTable, limit=_INT64_LIMIT) -> tuple:
+    """(E, L, den, keys, maxima) of a table of either kind: E[h, i] entry
+    (h, i) in _conference_module's or _surd_module's coordinates, L[0, h, j]
+    and L[1, h, j] the multiplication matrices of E[h, j] and of its
+    conjugate, maxima the max |entry| of E, L[0], L[1].  Transposing E and
+    L reads the columns in the same module."""
+    E, M, den, keys = (_conference_module(t) if t.kind == "conference"
+                       else _surd_module(t.entries))
     conj = E * np.array([1] * len(keys) + [-1] * (E.shape[-1] - len(keys)))
     L = _exact_einsum("xhjb,abc->xhjac", np.stack((E, conj)), M, limit=limit)
     return E, L, den, keys, (_max_abs(E), _max_abs(L[0]), _max_abs(L[1]))
 
 
-# (the last conference table, its rows' _module), swapped as one tuple: p and
+# (the last table, its _module at the default limit), swapped as one tuple: p and
 # q of one table build the module once, and no table keeps it alive after that
 _last_module = [(None, None)]
 
@@ -548,21 +539,18 @@ def _identity_sums(t: CharacterTable, weights, columns=False, limit=_INT64_LIMIT
     sum_a S[i, j, l, a] sqrt(keys[a]) / den, for either kind of table; S is
     an int64 array, or Python ints where int64 would not be exact.
 
-    E[h, i] = P[h][i], or P[i][h] with columns=True (a conference table's
-    rows' module transposed).  Two contractions, W[h, i, j] = w_h E[h, i]
-    E[h, j] and S[i, j, l] = sum_h W[h, i, j] conj(E[h, l]), weights scaled
-    to integers.  ConsistencyError names the first (i, j, l) not real."""
-    if t.kind != "conference":
-        E, L, den, keys, maxima = _module(t, columns, limit)
-    else:  # only the default limit reads or sets the slot
-        default, (last, module) = limit == _INT64_LIMIT, _last_module[0]
-        if not default or last is not t:
-            module = _module(t, limit=limit)
-        if default:
-            _last_module[0] = t, module
-        E, L, den, keys, maxima = module
-        if columns:
-            E, L = E.transpose(1, 0, 2), L.transpose(0, 2, 1, 3, 4)
+    E[h, i] = P[h][i], or P[i][h] with columns=True (the table's one module
+    transposed).  Two contractions, W[h, i, j] = w_h E[h, i] E[h, j] and
+    S[i, j, l] = sum_h W[h, i, j] conj(E[h, l]), weights scaled to
+    integers.  ConsistencyError names the first (i, j, l) not real."""
+    default, (last, module) = limit == _INT64_LIMIT, _last_module[0]
+    if not default or last is not t:
+        module = _module(t, limit)
+    if default:
+        _last_module[0] = t, module
+    E, L, den, keys, maxima = module
+    if columns:
+        E, L = E.transpose(1, 0, 2), L.transpose(0, 2, 1, 3, 4)
     scale = lcm(*(w.denominator for w in weights))
     w = [x.numerator * (scale // x.denominator) for x in weights]
     X = _exact_einsum("h,hia->hia", _int_array(w), E, limit=limit,
@@ -625,47 +613,30 @@ def p_from_table(t: CharacterTable) -> IntersectionTensor:
     """Intersection tensor from the eigenvalue identity; exact.
 
     p^l_ij is a nonnegative integer exactly when its sqrt coordinates are 0
-    and its rational one a nonnegative multiple of den*n*k_l, tested on the
-    whole tensor at once.  InfeasibleError names the first (i, j, l) that
-    fails, its value a SurdSum: such a table belongs to no scheme."""
+    and its rational one a nonnegative multiple of den*n*k_l, which _gate
+    tests in integers; only the first (i, j, l) that fails is read out, as a
+    SurdSum for InfeasibleError: such a table belongs to no scheme."""
     S, den, keys = _identity_sums(t, t.multiplicities)
     scales = [(den * t.n * k.numerator, k.denominator) for k in t.valencies]
     num = _exact_einsum("ijl,l->ijl", S[..., 0], _int_array([d for _, d in scales]))
-    div = _int_array([n for n, _ in scales])
-    bad = np.argwhere((num < 0) | (num % div != 0) | (S[..., 1:] != 0).any(axis=-1))
+    return _gate(num, _int_array([n for n, _ in scales]), (S[..., 1:] != 0).any(axis=-1),
+                 lambda i, j, l: _surd(S[i, j, l].tolist(), keys, *scales[l]), t.valencies)
+
+
+def _gate(num, div, irrational, value, valencies) -> IntersectionTensor:
+    """The integrality gate of p_from_table and ClosedForm.tensor(): each
+    p^l_ij = num[i, j, l] / div (div > 0, broadcast) must be a nonnegative
+    integer with irrational[i, j, l] false, tested at once on int64 or
+    Python-int arrays.  InfeasibleError names the first failing (i, j, l),
+    in lexicographic order, with value(i, j, l)."""
+    bad = np.argwhere((num < 0) | (num % div != 0) | irrational)
     if len(bad):
         i, j, l = bad[0].tolist()
-        x = _surd(S[i, j, l].tolist(), keys, *scales[l])
+        x = value(i, j, l)
         raise InfeasibleError(f"p^{l}_({i},{j}) = {x} is not a nonnegative integer",
                               where=(i, j, l), value=x)
     return IntersectionTensor(p=tuple(tuple(map(tuple, plane)) for plane in (num // div).tolist()),
-                              valencies=tuple(int(v) for v in t.valencies))
-
-
-def _integral_tensor(values, valencies) -> IntersectionTensor:
-    """The integrality gate of ClosedForm.tensor().
-
-    values[i][j][l] = p^l_ij may be int, Fraction or SurdSum; rationals are
-    tested directly.  Raises InfeasibleError at the first (i, j, l), in
-    lexicographic order, whose entry is not a nonnegative integer.
-    """
-    d1 = len(values)
-    p = [[[0] * d1 for _ in range(d1)] for _ in range(d1)]
-    for i in range(d1):
-        for j in range(d1):
-            for l in range(d1):
-                x = values[i][j][l]
-                if isinstance(x, SurdSum):
-                    iv = x.as_integer()
-                else:
-                    iv = int(x) if x.denominator == 1 else None
-                if iv is None or iv < 0:
-                    raise InfeasibleError(
-                        f"p^{l}_({i},{j}) = {x} is not a nonnegative integer",
-                        where=(i, j, l), value=x)
-                p[i][j][l] = iv
-    frozen = tuple(tuple(tuple(row) for row in plane) for plane in p)
-    return IntersectionTensor(p=frozen, valencies=tuple(int(v) for v in valencies))
+                              valencies=tuple(int(v) for v in valencies))
 
 
 @dataclass(frozen=True)
@@ -732,8 +703,12 @@ class ClosedForm:
         return (identity, self.b1, self.b2, mirrored(self.b2), mirrored(self.b1))
 
     def tensor(self) -> IntersectionTensor:
-        """The completed integer tensor; InfeasibleError names the first bad (i, j, l)."""
-        return _integral_tensor(self.planes(), self.valencies)
+        """The completed integer tensor through _gate, on each entry's integer
+        ratio; InfeasibleError names the first bad (i, j, l) and its entry."""
+        planes = self.planes()
+        ratios = _int_array([[[x.as_integer_ratio() for x in row] for row in p] for p in planes])
+        return _gate(ratios[..., 0], ratios[..., 1], False, lambda i, j, l: planes[i][j][l],
+                     self.valencies)
 
 
 def _complete_matrix(principal, rel: int, valency: int) -> tuple:

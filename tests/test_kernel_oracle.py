@@ -9,6 +9,8 @@ canonical ``to_triples`` form.
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import product
+from math import prod
 
 import numpy as np
 import pytest
@@ -27,7 +29,6 @@ from skewfiss.spectra import (
     _exact_einsum,
     _identity_sums,
     _int_array,
-    _integral_tensor,
     _surd,
     closed_form_integral,
     end_types,
@@ -281,8 +282,20 @@ def _gate_outcome(gate, t):
 @settings(max_examples=40, deadline=None)
 def test_integer_p_gate_matches_surd_read_out(t):
     """The same tensor, or the same InfeasibleError: where, value and message."""
-    read_out = lambda table: _integral_tensor(p_values_from_table(table), table.valencies)
-    assert _gate_outcome(sf.p_from_table, t) == _gate_outcome(read_out, t)
+    assert _gate_outcome(sf.p_from_table, t) == _gate_outcome(_surd_gate, t)
+
+
+def _surd_gate(t):
+    """The gate cell by cell on the SurdSum read-out, in (i, j, l) order."""
+    values = p_values_from_table(t)
+    for i, j, l in product(range(len(values)), repeat=3):
+        x = values[i][j][l]
+        if x.as_integer() is None or x.as_integer() < 0:
+            raise sf.InfeasibleError(f"p^{l}_({i},{j}) = {x} is not a nonnegative integer",
+                                     where=(i, j, l), value=x)
+    return sf.IntersectionTensor(
+        p=tuple(tuple(tuple(x.as_integer() for x in row) for row in plane) for plane in values),
+        valencies=tuple(int(v) for v in t.valencies))
 
 
 def _per_cell_krein(t, limit):
@@ -361,6 +374,48 @@ def test_conference_module_built_once_per_table(monkeypatch):
     assert calls == [t]
     assert sf.q_from_table(other).q == sf.q_from_table(t).q
     assert calls == [t, other, t]  # another table, even an equal one, has its own module
+
+
+def test_surd_module_built_once_per_table(monkeypatch):
+    """p and q of a surd table read one module, its columns transposed."""
+    calls = []
+
+    def counted(entries):
+        calls.append(entries)
+        return surd_module(entries)
+
+    surd_module = spectra._surd_module
+    monkeypatch.setattr(spectra, "_surd_module", counted)
+    tables = [_srg_table((57, 14, 1, 4), TYPE_III, 27), _srg_table((729, 182, 55, 42), TYPE_I)]
+    for t in tables:
+        sf.p_from_table(t)
+        sf.q_from_table(t).negatives()
+    assert calls == [t.entries for t in tables]
+
+
+@pytest.mark.parametrize("scan,arg,bits", [
+    (sf.scan_srg, 5000, 47), (sf.imprimitive_scan, 1000, 48),
+    (sf.johnson_scan, 400, 54), (sf.conference_scan, 5000, 53)])
+def test_scan_contractions_run_in_int64(monkeypatch, scan, arg, bits):
+    """Every contraction of the CI scans runs in int64, each bound (as
+    _exact_einsum computes it) below 2^bits."""
+    bounds, dtypes = [], set()
+
+    def recorded(spec, *ops, limit=_INT64_LIMIT, maxima=None):
+        sizes, _ = spectra._plan(spec)
+        bound = prod(ops[k].shape[x] for k, x in sizes)
+        for op, m in zip(ops, maxima or (None,) * len(ops)):
+            bound *= spectra._max_abs(op) if m is None else max(1, m)
+        bounds.append(bound)
+        out = _exact_einsum(spec, *ops, limit=limit, maxima=maxima)
+        dtypes.add(out.dtype)
+        return out
+
+    monkeypatch.setenv("SKEWFISS_THREADS", "1")  # the contractions run in this process
+    monkeypatch.setattr(spectra, "_exact_einsum", recorded)
+    scan(arg)
+    assert dtypes == {np.dtype(np.int64)}
+    assert 0 < max(bounds) < 2 ** bits
 
 
 # -- SurdSum against the reference class -----------------------------------------

@@ -540,3 +540,18 @@ def test_closed_form_tensor_rejects_a_fraction_entry():
         sf.ClosedForm(b1=b1, b2=cf.b2, valencies=cf.valencies).tensor()
     assert info.value.where == (1, 1, 1)
     assert info.value.value == Fraction(1, 2)
+
+
+def test_closed_form_tensor_gates_entries_beyond_int64():
+    """Entries past int64 take the Python-int path of the same gate."""
+    cf = sf.cyc4_closed_form(13, -3, 1)
+    b1 = [list(row) for row in cf.b1]
+    b1[1][1] = 2**70
+    tensor = sf.ClosedForm(b1=b1, b2=cf.b2, valencies=cf.valencies).tensor()
+    assert tensor.p[1][1][1] == 2**70 and type(tensor.p[1][1][1]) is int
+    b1[1][1] = 2**70 + Fraction(1, 2)
+    with pytest.raises(sf.InfeasibleError) as info:
+        sf.ClosedForm(b1=b1, b2=cf.b2, valencies=cf.valencies).tensor()
+    assert info.value.where == (1, 1, 1)
+    assert info.value.value == 2**70 + Fraction(1, 2)
+    assert str(info.value) == f"p^1_(1,1) = {2**71 + 1}/2 is not a nonnegative integer"
