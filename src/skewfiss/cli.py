@@ -221,11 +221,13 @@ def cmd_scan(args) -> int:
     if getattr(args, other) is not None:
         raise ValueError(f"--{other.replace('_', '-')} does not apply to scan {family}; "
                          f"its bound is --{bound.replace('_', '-')}")
+    limit = getattr(args, bound)
+    if limit is not None and limit < 0:
+        raise ValueError(f"--{bound.replace('_', '-')} must be nonnegative, got {limit}")
     if args.annotations is not None and family != "srg":
         raise ValueError(f"--annotations does not apply to scan {family}; "
                          "it annotates srg parameter sets")
     notes = {} if args.annotations is None else _load_annotations(args.annotations)
-    limit = getattr(args, bound)
     records = getattr(feasibility, scanner)(default if limit is None else limit)
     if notes:  # only srg records carry the (n, k, lam, mu) key
         _apply_annotations(records, notes)

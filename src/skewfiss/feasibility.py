@@ -6,11 +6,11 @@ the 2-subset intersection family.  Each scanner is one call of _scan, which
 maps a per-unit function (a q, an srg parameter set, an (f, g) or a v) over
 the family's units, fanned out over SKEWFISS_THREADS processes; the
 records come out in the order of the units.  In the srg-like families each
-decision reads the integer forms of the closed-form entries cached on
-SrgParams: types I and II (the ends of z's range) pass spectra.end_types
-and type-III z from spectra.type3_window pass
-spectra.closed_form_integral, so a closed form is built only for a
-candidate that passes its integrality gate; classify_scheme solves the
+decision reads the closed-form entries' integer forms (spectra.EntryForms):
+spectra.srg_stage passes the types I and II and the type-III z whose closed
+form passes its integrality gate, so only those get a closed form.  The
+srg scan's units are splittable integer sets, and a set gets an SrgParams
+only when its stage yields a candidate.  classify_scheme solves the
 counted p^2_(1,2) for z, which names the type, and names an srg scheme by
 the side that srg_candidates lists first.  No closed-form entry is computed
 here.  One builder, _dual_derivation_record, makes every srg, imprimitive
@@ -45,18 +45,17 @@ from .spectra import (
     ConsistencyError,
     FissionCandidate,
     InfeasibleError,
+    EntryForms,
     SrgParams,
     character_table,
-    closed_form_integral,
     conference_table,
-    end_types,
     intersection_matrices_closed_form,
     make_candidate,
     p_from_table,
     p_values_from_table,
     q_from_table,
     srg_derive,
-    type3_window,
+    srg_stage,
     _side_values,
     _solve_type3_z,
     _srg_from_spectrum,
@@ -211,6 +210,12 @@ def srg_candidates(n_max: int):
     so mu divides k(k - lam - 1) exactly when it divides r(r+1)(m-1)m: mu
     runs over those divisors only (m = 1 gives n = k + 1, never a set here).
     """
+    for ints in _srg_sets(n_max):
+        yield _srg_from_spectrum(*ints)
+
+
+def _srg_sets(n_max: int) -> list[tuple]:
+    """srg_candidates' sets as sorted integer tuples (n, k, lam, mu, r, s, m1, m2)."""
     if n_max > 5000:
         raise ValueError("scan capped at n_max = 5000")
     found = []
@@ -243,9 +248,7 @@ def srg_candidates(n_max: int):
                 if (s + 1) * (k + s + 2 * r * s) > (k + s) * (r + 1) ** 2:
                     continue
                 found.append((n, k, lam, mu, r, s, m1, m2))
-    found.sort()
-    for ints in found:
-        yield _srg_from_spectrum(*ints)
+    return sorted(found)
 
 
 def _consecutive_factors(limit: int) -> list:
@@ -324,13 +327,11 @@ def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, witness=None) 
 def fission_scan(p: SrgParams, witness=None) -> list[ScanRecord]:
     """All split candidates over one non-conference parameter set.
 
-    The integer forms of the closed-form entries (SrgParams.forms) are read
-    once per splittable set.  Types I and II, the ends of z's range, pass
-    spectra.end_types when every entry there is a nonnegative integer.
-    Type III takes the z of spectra.type3_window (where p^2_(1,2) is a
-    nonnegative integer) that the integer stage
-    (spectra.closed_form_integral) passes: a rational sqrt(yz) and every
-    entry a nonnegative integer.  Only z the stage rejects are dropped: each
+    The candidates are those of spectra.srg_stage on the set's entry forms
+    (SrgParams.forms): types I and II, the ends of z's range, and the z of
+    the type-III window (where p^2_(1,2) is a nonnegative integer), each
+    when sqrt(yz) is rational and every closed-form entry there a
+    nonnegative integer.  Only z the stage rejects are dropped: each
     candidate becomes one record (_dual_derivation_record) or raises.
     witness = (z, (l, i, j)) has the type-III record at z report q^l_ij
     whether or not it passes the gate, so that z skips the integer stage.
@@ -340,16 +341,30 @@ def fission_scan(p: SrgParams, witness=None) -> list[ScanRecord]:
     if not p.splittable():
         return []
     witness_z, entry = witness or (None, None)
-    cands = [make_candidate(p, t) for t in end_types(p)]
-    cands += [make_candidate(p, TYPE_III, z) for z in type3_window(p)
-              if z == witness_z or closed_form_integral(p, z)]
+    cands = [make_candidate(p, t, z) for t, z in srg_stage(p.forms, witness_z)]
     return [_dual_derivation_record(p, cand, entry if cand.z == witness_z else None)
             for cand in cands]
 
 
 def scan_srg(n_max: int) -> list[ScanRecord]:
-    """fission_scan over every arithmetically feasible parameter set <= n_max."""
-    return _scan(srg_candidates(n_max), fission_scan)
+    """fission_scan over every splittable parameter set <= n_max whose integer
+    stage yields a candidate."""
+    return _scan([ints for ints in _srg_sets(n_max) if _splittable(*ints)], _srg_records)
+
+
+def _splittable(n, k, lam, mu, r, s, m1, m2) -> bool:
+    """SrgParams.splittable in integers: k, k2 = n - k - 1, m1 and m2 all even."""
+    return not (k % 2 or (n - k - 1) % 2 or m1 % 2 or m2 % 2)
+
+
+def _srg_records(ints: tuple) -> list[ScanRecord]:
+    """The records of one splittable integer set: its SrgParams is built, for
+    fission_scan, only when the integer stage yields a candidate, and shares
+    the entry forms the stage has read."""
+    forms = EntryForms(*ints)
+    if next(srg_stage(forms), None) is None:
+        return []
+    return fission_scan(_srg_from_spectrum(*ints, forms=forms))
 
 
 # -- imprimitive scan ------------------------------------------------------------

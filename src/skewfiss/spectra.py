@@ -12,13 +12,15 @@ closed form in the graph parameters or from the eigenvalue identity
     q^l_ij = (m_i m_j / n) sum_h P[i][h] P[j][h] conj(P[l][h]) / k_h^2
 
 and the two derivations must agree exactly on every candidate.  Each is
-written once: the closed form is _principal_parts in Gamma, Phi and Pi
-(_gamma_phi_pi), read once per parameter set as integer forms
-(SrgParams.forms), which also give the type-III z window, and evaluated
-at any z by one function, _entries_at, for both the closed form's
-matrices and the integer stage closed_form_integral (also the test of
-types I and II at the ends of z's range); column orthogonality is the
-identity's p^j_(i,0) = [i = j].
+written once: the closed form is one table of per-entry coefficients in
+Gamma, Phi and Pi (_FORM_TABLE), from which EntryForms computes each
+entry's integer form for one integer parameter set (n, k, lam, mu, r, s,
+m1, m2) on first read; one function, _entries_at, evaluates those forms at
+any z for both the closed form's matrices and the integer stage
+(srg_stage: the ends test end_types, the type-III window type3_window and
+closed_form_integral at each z), which reads entries in order and stops at
+the first that fails; column orthogonality is the identity's
+p^j_(i,0) = [i = j].
 
 Both kinds of table run the identity as the same two integer
 contractions in one module per table, read by rows for p and transposed,
@@ -42,9 +44,9 @@ table up to q = 325), and negatives() reads each one's sign once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from math import gcd, isqrt, lcm, prod
 
@@ -95,12 +97,9 @@ class SrgParams:
     m1: int
     m2: int
     conference: bool
-
-    @cached_property
-    def forms(self) -> list:
-        """The integer forms of the closed-form entries (_principal_forms),
-        computed once per parameter set; every srg decision reads them."""
-        return _principal_forms(self)
+    # the closed form's entry forms, read by every srg decision; None when r
+    # and s are irrational
+    forms: EntryForms | None = field(default=None, compare=False, repr=False)
 
     def splittable(self) -> bool:
         """Multiplicities and valencies all even, as a 4-class split halves them."""
@@ -154,13 +153,16 @@ def srg_derive(n: int, k: int, lam: int, mu: int) -> SrgParams:
 
 
 def _srg_from_spectrum(n: int, k: int, lam: int, mu: int, r, s, m1: int,
-                       m2: int) -> SrgParams:
+                       m2: int, forms: EntryForms | None = None) -> SrgParams:
     """SrgParams with eigenvalues r > s (ints or SurdSums) and multiplicities
     m1, m2, taken as given: srg_derive computes and checks them first, and
-    srg_candidates has them from its own enumeration."""
+    srg_candidates has them from its own enumeration.  forms: the set's
+    EntryForms, where the scan's integer stage has them already."""
+    if forms is None and isinstance(r, int):
+        forms = EntryForms(n, k, lam, mu, r, s, m1, m2)
     r, s = SurdSum(r), SurdSum(s)
     return SrgParams(n=n, k=k, lam=lam, mu=mu, k2=n - k - 1, r=r, s=s, t=-1 - r, u=-1 - s,
-                     m1=m1, m2=m2, conference=m1 == m2)
+                     m1=m1, m2=m2, conference=m1 == m2, forms=forms)
 
 
 # -- fission candidates -------------------------------------------------------
@@ -722,116 +724,114 @@ def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> C
     """Exact B1, B2 for one candidate type, completed from their principal parts.
 
     One formula serves all three types: the principal entries are the
-    integer pairs of _entries_at at the candidate's z (at the ends of z's
-    range, types I and II, sqrt(yz) = 0).  sqrt(yz) must be rational or the
-    candidate is structurally infeasible.
+    integer pairs of _entries_at on p.forms at the candidate's z (at the
+    ends of z's range, types I and II, sqrt(yz) = 0).  sqrt(yz) must be
+    rational or the candidate is structurally infeasible.
     """
     if p.conference:
         raise InfeasibleError("conference parameters have no rational closed form; "
                               "use the cyclotomic closed form instead")
-    entries = _entries_at(p, cand.z)
+    entries = _entries_at(p.forms, cand.z)
     if entries is None:
         raise InfeasibleError(f"sqrt(y*z) is irrational at z = {cand.z}: no rational "
                               "intersection numbers exist for this z")
-    rows = [tuple(Fraction(*pair) for pair in entries[i:i + 4]) for i in range(0, 32, 4)]
+    entries = [Fraction(*pair) for pair in entries]
+    rows = [tuple(entries[i:i + 4]) for i in range(0, 32, 4)]
     b1, b2 = tuple(rows[:4]), tuple(rows[4:])
     valencies = (1, p.k // 2, p.k2 // 2, p.k2 // 2, p.k // 2)
     return ClosedForm(b1=_complete_matrix(b1, 1, valencies[1]),
                       b2=_complete_matrix(b2, 2, valencies[2]), valencies=valencies)
 
 
-def _gamma_phi_pi(p: SrgParams, z, syz, eig=None) -> tuple:
-    """Gamma = m1(r-s)z + s*n*k2, Phi = m1(r-s)sqrt(yz), Pi = k(r(n*k2 - m1*z) + s*m1*z)/k2,
-    which are m1*r*z + m2*s*c, m1*r*sqrt(yz) - m2*s*sqrt(bc) and m1*r*y + m2*s*b
-    with (y, b, c) from the side conditions; Pi is a Fraction.  eig is
-    p.eig_ints() where the caller has it already."""
-    r, s, _, _ = eig or p.eig_ints()
-    g1 = p.m1 * (r - s)
-    return (g1 * z + s * p.n * p.k2, g1 * syz,
-            Fraction(p.k * (r * (p.n * p.k2 - p.m1 * z) + s * p.m1 * z), p.k2))
+# The closed form's 32 principal entries, B1's 4x4 then B2's, row by row: entry
+# (c, g, f, p, d) is (K_c + g*Gamma + f*Phi + p*Pi) / (4*n*k, 4*n*k2)[d], where
+# K = (nk*lam, nk2*mu + nk, nk2*mu - nk, nk*w1, nk2*(w2 - 3), nk2*(w2 + 1)) with
+# w1 = n - 2k + lam, w2 = n - 2k + mu, and Gamma = m1(r-s)z + s*n*k2,
+# Phi = m1(r-s)sqrt(yz), Pi = k(r(n*k2 - m1*z) + s*m1*z)/k2, which are
+# m1*r*z + m2*s*c, m1*r*sqrt(yz) - m2*s*sqrt(bc) and m1*r*y + m2*s*b with (y, b, c)
+# from the side conditions.  B2's outer rows repeat B1's (p^k_21 = p^k_12 and
+# p^k_24 = p^k'_13).
+_FORM_TABLE = (
+    (0, 0, 0, 1, 0), (1, 0, 2, 1, 1), (1, 0, -2, 1, 1), (0, 0, 0, -3, 0),
+    (2, 0, 0, -1, 0), (3, 1, 0, 0, 1), (3, -1, 2, 0, 1), (1, 0, -2, 1, 0),
+    (2, 0, 0, -1, 0), (3, -1, -2, 0, 1), (3, 1, 0, 0, 1), (1, 0, 2, 1, 0),
+    (0, 0, 0, 1, 0), (2, 0, 0, -1, 1), (2, 0, 0, -1, 1), (0, 0, 0, 1, 0),
+    (2, 0, 0, -1, 0), (3, 1, 0, 0, 1), (3, -1, 2, 0, 1), (1, 0, -2, 1, 0),
+    (3, -1, -2, 0, 0), (4, -1, 0, 0, 1), (5, 3, 0, 0, 1), (3, -1, 2, 0, 0),
+    (3, 1, 0, 0, 0), (4, -1, 0, 0, 1), (4, -1, 0, 0, 1), (3, 1, 0, 0, 0),
+    (1, 0, 2, 1, 0), (3, 1, 0, 0, 1), (3, -1, -2, 0, 1), (2, 0, 0, -1, 0),
+)
 
 
-def _principal_parts(p: SrgParams, gamma, phi, pi) -> tuple:
-    """Principal 4x4 parts of B1 and B2 as (numerator, denominator) pairs.
-
-    Every numerator is a constant plus an integer combination of gamma, phi
-    and pi, over 4nk or 4nk2; _principal_forms passes their values at three
-    points to read off coefficients.
-    """
-    n, k, k2, lam, mu = p.n, p.k, p.k2, p.lam, p.mu
-    nk, nk2 = n * k, n * k2
-    dk, dk2 = 4 * nk, 4 * nk2
-    w1 = n - 2 * k + lam
-    w2 = n - 2 * k + mu
-    b1 = (
-        ((nk * lam + pi, dk), (nk2 * mu + nk + 2 * phi + pi, dk2),
-         (nk2 * mu + nk - 2 * phi + pi, dk2), (nk * lam - 3 * pi, dk)),
-        ((nk2 * mu - nk - pi, dk), (nk * w1 + gamma, dk2),
-         (nk * w1 - gamma + 2 * phi, dk2), (nk + nk2 * mu - 2 * phi + pi, dk)),
-        ((nk2 * mu - nk - pi, dk), (nk * w1 - gamma - 2 * phi, dk2),
-         (nk * w1 + gamma, dk2), (nk + nk2 * mu + pi + 2 * phi, dk)),
-        ((nk * lam + pi, dk), (nk2 * mu - nk - pi, dk2),
-         (nk2 * mu - nk - pi, dk2), (nk * lam + pi, dk)),
-    )
-    b2 = (
-        ((nk * w1 - gamma - 2 * phi, dk), (nk2 * w2 - gamma - 3 * nk2, dk2),
-         (nk2 * w2 + nk2 + 3 * gamma, dk2), (nk * w1 + 2 * phi - gamma, dk)),
-        ((nk * w1 + gamma, dk), (nk2 * w2 - gamma - 3 * nk2, dk2),
-         (nk2 * w2 - gamma - 3 * nk2, dk2), (nk * w1 + gamma, dk)),
-    )
-    # B2's outer rows repeat B1's: p^k_21 = p^k_12 and p^k_24 = p^k'_13
-    return b1, (b1[1], *b2, b1[2][::-1])
-
-
-def _principal_forms(p: SrgParams) -> list:
-    """Each principal entry of B1 and B2, in _principal_parts order, as integers
-    (A, B, C, M) with entry = (A + B*z + C*isqrt(x)) / M.
+class EntryForms:
+    """The principal entries of B1 and B2, in _FORM_TABLE order, of one integer
+    parameter set (n, k, lam, mu, r, s, m1, m2), each as integers (A, B, C, M)
+    with entry = (A + B*z + C*isqrt(x)) / M.
 
     Here x = k*N*z*k2*m1 with N = n*k2 - m1*z, so sqrt(yz) = isqrt(x)/(k2*m1)
-    when x is a square.  Gamma, Phi and Pi are affine in z and sqrt(yz), so
-    the closed form's own formula at (z, sqrt(yz)) = (0, 0), (k2, 0) and
-    (0, 1), where all three are integers, fixes every entry, and the forms
-    hold at rational z too (_entries_at).  They are not reduced.
+    when x is a square.  Gamma, Phi and Pi are affine in z and sqrt(yz), so a
+    form is its _FORM_TABLE row applied to their values and slopes, over
+    M = 4*n*k_d*k2^2*m1; it holds at rational z too and is not reduced.
+    forms[e] computes entry e on first read and keeps it, so the integer
+    stage reads only the entries it tests; iterating reads all 32.
     """
-    k2, d, eig = p.k2, p.k2 * p.m1, p.eig_ints()
 
-    def flat(z: int, syz: int) -> list:
-        gamma, phi, pi = _gamma_phi_pi(p, z, syz, eig)
-        return [pair for part in _principal_parts(p, gamma, phi, int(pi)) for row in part
-                for pair in row]
+    __slots__ = ("n", "k", "k2", "m1", "_consts", "_slopes", "_dens", "_forms")
 
-    return [(a0 * k2 * d, (ak - a0) * d, (a1 - a0) * k2, den * k2 * d)
-            for (a0, den), (ak, _), (a1, _) in zip(flat(0, 0), flat(k2, 0), flat(0, 1))]
+    def __init__(self, n: int, k: int, lam: int, mu: int, r: int, s: int, m1: int, m2: int):
+        k2 = n - k - 1
+        nk, nk2, g1, d = n * k, n * k2, m1 * (r - s), k2 * m1
+        self.n, self.k, self.k2, self.m1 = n, k, k2, m1
+        w1, w2 = n - 2 * k + lam, n - 2 * k + mu
+        self._consts = (nk * lam, nk2 * mu + nk, nk2 * mu - nk, nk * w1, nk2 * (w2 - 3),
+                        nk2 * (w2 + 1))
+        # over M = den*k2*d: Gamma and Pi at z = 0 and their scale k2*d, then the
+        # slopes, times k2*d, of Gamma and -Pi in z and of Phi in isqrt(x)
+        self._slopes = (s * nk2, k * r * n, k2 * d, g1 * k2 * d, g1 * k * d, g1 * k2)
+        self._dens = (4 * nk * k2 * d, 4 * nk2 * k2 * d)
+        self._forms = [None] * len(_FORM_TABLE)
+
+    def __getitem__(self, e: int) -> tuple:
+        form = self._forms[e]
+        if form is None:
+            form = self._forms[e] = self._form(e)
+        return form
+
+    def _form(self, e: int) -> tuple:
+        c, g, f, p, d = _FORM_TABLE[e]
+        gamma0, pi0, scale, gamma_z, pi_z, phi = self._slopes
+        return ((self._consts[c] + g * gamma0 + p * pi0) * scale, g * gamma_z - p * pi_z,
+                f * phi, self._dens[d])
 
 
-def _entries_at(p: SrgParams, z) -> list | None:
+def _entries_at(f: EntryForms, z):
     """Each principal entry at z = zn/zd, 0 <= z <= n*k2/m1, as an integer pair
-    (A*zd + B*zn + C*sqrt(X), M*zd) from its form (A, B, C, M); None when
-    X = k*k2*m1*(n*k2*zd - m1*zn)*zn, which is x*zd^2, is not a square, as
-    then sqrt(yz) is irrational.  X < 0 exactly when z is outside that
-    range, and that is InfeasibleError."""
+    (A*zd + B*zn + C*sqrt(X), M*zd) from its form (A, B, C, M), read lazily in
+    order; None when X = k*k2*m1*(n*k2*zd - m1*zn)*zn, which is x*zd^2, is not
+    a square, as then sqrt(yz) is irrational.  X < 0 exactly when z is
+    outside that range, and that is InfeasibleError."""
     zn, zd = z.as_integer_ratio()
-    x = p.k * p.k2 * p.m1 * (p.n * p.k2 * zd - p.m1 * zn) * zn
+    x = f.k * f.k2 * f.m1 * (f.n * f.k2 * zd - f.m1 * zn) * zn
     if x < 0:
-        raise InfeasibleError(f"z = {z} outside [0, n*k2/m1 = {Fraction(p.n * p.k2, p.m1)}]",
+        raise InfeasibleError(f"z = {z} outside [0, n*k2/m1 = {Fraction(f.n * f.k2, f.m1)}]",
                               value=z)
     root = isqrt(x)
     if root * root != x:
         return None
-    return [(a * zd + b * zn + c * root, m * zd) for a, b, c, m in p.forms]
+    return ((a * zd + b * zn + c * root, m * zd) for a, b, c, m in f)
 
 
-def closed_form_integral(p: SrgParams, z) -> bool:
-    """The integer stage: true exactly when z is in [0, n*k2/m1] and the
-    closed form at z passes the integrality gate.
+def closed_form_integral(f: EntryForms, z) -> bool:
+    """The integer stage at one z: true exactly when z is in [0, n*k2/m1] and
+    the closed form at z passes the integrality gate.
 
     sqrt(yz) must be rational and each principal entry of _entries_at a
-    nonnegative integer, tested for sign and divisibility in integers;
-    every other entry of the tensor is 0, 1 or a valency.  No Fraction is
-    built.
+    nonnegative integer, tested for sign and divisibility in integers, in
+    order up to the first that fails; every other entry of the tensor is 0,
+    1 or a valency.  No Fraction is built.
     """
     try:
-        entries = _entries_at(p, z)
+        entries = _entries_at(f, z)
     except InfeasibleError:
         return False
     return entries is not None and all(num >= 0 and num % den == 0 for num, den in entries)
@@ -842,32 +842,44 @@ def closed_form_integral(p: SrgParams, z) -> bool:
 _P2_12 = 5
 
 
-def end_types(p: SrgParams) -> list[str]:
+def end_types(f: EntryForms) -> list[str]:
     """Types I and II, in that order, whose closed form passes the integrality
-    gate: closed_form_integral at their z, n*k2/m1 and 0 (make_candidate),
-    where sqrt(yz) = 0."""
-    return [table_type for table_type in (TYPE_I, TYPE_II)
-            if closed_form_integral(p, make_candidate(p, table_type).z)]
+    gate: closed_form_integral at their z, n*k2/m1 and 0, where sqrt(yz) = 0."""
+    return [table_type for table_type, z in ((TYPE_I, Fraction(f.n * f.k2, f.m1)), (TYPE_II, 0))
+            if closed_form_integral(f, z)]
 
 
-def type3_window(p: SrgParams):
+def type3_window(f: EntryForms):
     """Integer z in (0, n*k2/m1) worth a check, in increasing order.
 
     The closed-form entry p^2_(1,2) = (A + B*z)/M must be a nonnegative
     integer, which pins z to one residue class mod M/gcd(B, M), stepped from
     the first z where the entry is nonnegative.  The window is not narrowed
-    further here: fission_scan runs closed_form_integral on each z it yields.
+    further here: srg_stage runs closed_form_integral on each z it yields.
     """
-    a, b, _, m = p.forms[_P2_12]
+    a, b, _, m = f[_P2_12]
     g = gcd(b, m)
     if a % g:
         return
     step = m // g
     z = max(1, -(a // b))  # the entry is nonnegative from z = ceil(-a/b) on
     z += (-a // g * pow(b // g, -1, step) - z) % step
-    while p.m1 * z < p.n * p.k2:
+    while f.m1 * z < f.n * f.k2:
         yield z
         z += step
+
+
+def srg_stage(f: EntryForms, keep=None):
+    """The integer stage of one parameter set: (table_type, z) of each candidate
+    whose closed form passes the integrality gate, types I and II (z None)
+    from end_types, then the type3_window z that closed_form_integral
+    passes, in increasing order.  keep is a window z passed untested (a
+    Krein witness).  A generator, so next() stops at the first candidate."""
+    for table_type in end_types(f):
+        yield table_type, None
+    for z in type3_window(f):
+        if z == keep or closed_form_integral(f, z):
+            yield TYPE_III, z
 
 
 def _solve_type3_z(p: SrgParams, planes) -> FissionCandidate | None:

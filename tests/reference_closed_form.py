@@ -14,16 +14,26 @@ entries were read off integer forms: sqrt(yz) tested as a rational,
 Gamma, Phi and Pi at z in Fractions, and the principal parts written out in
 them.  The integer stage and ``intersection_matrices_closed_form`` are
 checked against it.
+
+``_gamma_phi_pi``, ``_principal_parts`` and ``_principal_forms`` are a
+frozen copy of the integer forms as the package first read them: the
+closed form's own formula evaluated at three points where Gamma, Phi and
+Pi are integers.  ``entries_at``, ``closed_form_integral``, ``end_types``
+and ``type3_window`` are the integer stage of that time, reading those
+forms; the package's coefficient table (``spectra.EntryForms``) and its
+stage (``spectra.srg_stage``) are checked against them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import gcd, isqrt
 
 from skewfiss.exactnum import ComplexSurd, surd_sqrt
-from skewfiss.spectra import PAIRED, TYPE_I, TYPE_II, InfeasibleError, SrgParams
+from skewfiss.spectra import (PAIRED, TYPE_I, TYPE_II, TYPE_III, InfeasibleError, SrgParams,
+                              make_candidate, srg_derive)
 
 
 def _complete_matrix(principal, rel: int, valency: int) -> tuple:
@@ -127,8 +137,24 @@ def corollary_filters(p: SrgParams, table_type: str) -> FilterResult:
     return FilterResult(not reasons, tuple(reasons))
 
 
+def _gamma_phi_pi(p: SrgParams, z, syz, eig=None) -> tuple:
+    """Gamma = m1(r-s)z + s*n*k2, Phi = m1(r-s)sqrt(yz), Pi = k(r(n*k2 - m1*z) + s*m1*z)/k2,
+    which are m1*r*z + m2*s*c, m1*r*sqrt(yz) - m2*s*sqrt(bc) and m1*r*y + m2*s*b
+    with (y, b, c) from the side conditions; Pi is a Fraction.  eig is
+    p.eig_ints() where the caller has it already."""
+    r, s, _, _ = eig or p.eig_ints()
+    g1 = p.m1 * (r - s)
+    return (g1 * z + s * p.n * p.k2, g1 * syz,
+            Fraction(p.k * (r * (p.n * p.k2 - p.m1 * z) + s * p.m1 * z), p.k2))
+
+
 def _principal_parts(p: SrgParams, gamma, phi, pi) -> tuple:
-    """Principal 4x4 parts of B1 and B2 as (numerator, denominator) pairs."""
+    """Principal 4x4 parts of B1 and B2 as (numerator, denominator) pairs.
+
+    Every numerator is a constant plus an integer combination of gamma, phi
+    and pi, over 4nk or 4nk2; _principal_forms passes their values at three
+    points to read off coefficients.
+    """
     n, k, k2, lam, mu = p.n, p.k, p.k2, p.lam, p.mu
     nk, nk2 = n * k, n * k2
     dk, dk2 = 4 * nk, 4 * nk2
@@ -150,7 +176,39 @@ def _principal_parts(p: SrgParams, gamma, phi, pi) -> tuple:
         ((nk * w1 + gamma, dk), (nk2 * w2 - gamma - 3 * nk2, dk2),
          (nk2 * w2 - gamma - 3 * nk2, dk2), (nk * w1 + gamma, dk)),
     )
+    # B2's outer rows repeat B1's: p^k_21 = p^k_12 and p^k_24 = p^k'_13
     return b1, (b1[1], *b2, b1[2][::-1])
+
+
+def _principal_forms(p: SrgParams) -> list:
+    """Each principal entry of B1 and B2, in _principal_parts order, as integers
+    (A, B, C, M) with entry = (A + B*z + C*isqrt(x)) / M.
+
+    Here x = k*N*z*k2*m1 with N = n*k2 - m1*z, so sqrt(yz) = isqrt(x)/(k2*m1)
+    when x is a square.  Gamma, Phi and Pi are affine in z and sqrt(yz), so
+    the closed form's own formula at (z, sqrt(yz)) = (0, 0), (k2, 0) and
+    (0, 1), where all three are integers, fixes every entry, and the forms
+    hold at rational z too (_entries_at).  They are not reduced.
+    """
+    k2, d, eig = p.k2, p.k2 * p.m1, p.eig_ints()
+
+    def flat(z: int, syz: int) -> list:
+        gamma, phi, pi = _gamma_phi_pi(p, z, syz, eig)
+        return [pair for part in _principal_parts(p, gamma, phi, int(pi)) for row in part
+                for pair in row]
+
+    return [(a0 * k2 * d, (ak - a0) * d, (a1 - a0) * k2, den * k2 * d)
+            for (a0, den), (ak, _), (a1, _) in zip(flat(0, 0), flat(k2, 0), flat(0, 1))]
+
+
+@lru_cache(maxsize=None)
+def _forms_of(quad: tuple) -> list:
+    return _principal_forms(srg_derive(*quad))
+
+
+def principal_forms(p: SrgParams) -> list:
+    """_principal_forms(p), once per parameter set."""
+    return _forms_of(p.quad())
 
 
 def closed_form_at(p: SrgParams, z) -> tuple | None:
@@ -175,3 +233,76 @@ def closed_form_at(p: SrgParams, z) -> tuple | None:
 def is_integral(matrices) -> bool:
     """Every entry of the matrices is a nonnegative integer (the gate)."""
     return all(x >= 0 and x.denominator == 1 for b in matrices for row in b for x in row)
+
+
+def entries_at(p: SrgParams, z) -> list | None:
+    """Each principal entry at z = zn/zd, 0 <= z <= n*k2/m1, as an integer pair
+    (A*zd + B*zn + C*sqrt(X), M*zd) from its form (A, B, C, M); None when
+    X = k*k2*m1*(n*k2*zd - m1*zn)*zn, which is x*zd^2, is not a square, as
+    then sqrt(yz) is irrational.  X < 0 exactly when z is outside that
+    range, and that is InfeasibleError."""
+    zn, zd = z.as_integer_ratio()
+    x = p.k * p.k2 * p.m1 * (p.n * p.k2 * zd - p.m1 * zn) * zn
+    if x < 0:
+        raise InfeasibleError(f"z = {z} outside [0, n*k2/m1 = {Fraction(p.n * p.k2, p.m1)}]",
+                              value=z)
+    root = isqrt(x)
+    if root * root != x:
+        return None
+    return [(a * zd + b * zn + c * root, m * zd) for a, b, c, m in principal_forms(p)]
+
+
+def closed_form_integral(p: SrgParams, z) -> bool:
+    """The integer stage: true exactly when z is in [0, n*k2/m1] and the
+    closed form at z passes the integrality gate.
+
+    sqrt(yz) must be rational and each principal entry of entries_at a
+    nonnegative integer, tested for sign and divisibility in integers;
+    every other entry of the tensor is 0, 1 or a valency.  No Fraction is
+    built.
+    """
+    try:
+        entries = entries_at(p, z)
+    except InfeasibleError:
+        return False
+    return entries is not None and all(num >= 0 and num % den == 0 for num, den in entries)
+
+
+# B1's entry (2, 2), p^2_(1,2) = (A + B*z)/M: the one principal entry linear in
+# z alone (C = 0), and strictly increasing (B > 0: Gamma gains m1(r-s) per unit z)
+_P2_12 = 5
+
+
+def end_types(p: SrgParams) -> list[str]:
+    """Types I and II, in that order, whose closed form passes the integrality
+    gate: closed_form_integral at their z, n*k2/m1 and 0 (make_candidate),
+    where sqrt(yz) = 0."""
+    return [table_type for table_type in (TYPE_I, TYPE_II)
+            if closed_form_integral(p, make_candidate(p, table_type).z)]
+
+
+def type3_window(p: SrgParams):
+    """Integer z in (0, n*k2/m1) worth a check, in increasing order.
+
+    The closed-form entry p^2_(1,2) = (A + B*z)/M must be a nonnegative
+    integer, which pins z to one residue class mod M/gcd(B, M), stepped from
+    the first z where the entry is nonnegative.  The window is not narrowed
+    further here: fission_scan runs closed_form_integral on each z it yields.
+    """
+    a, b, _, m = principal_forms(p)[_P2_12]
+    g = gcd(b, m)
+    if a % g:
+        return
+    step = m // g
+    z = max(1, -(a // b))  # the entry is nonnegative from z = ceil(-a/b) on
+    z += (-a // g * pow(b // g, -1, step) - z) % step
+    while p.m1 * z < p.n * p.k2:
+        yield z
+        z += step
+
+
+def stage_candidates(p: SrgParams) -> list:
+    """(table_type, z) of every candidate the stage above passes: end_types
+    (z None), then the type3_window z that closed_form_integral passes."""
+    return ([(t, None) for t in end_types(p)]
+            + [(TYPE_III, z) for z in type3_window(p) if closed_form_integral(p, z)])

@@ -262,7 +262,7 @@ def test_criterion_7c_filter_soundness():
         if p.conference:
             continue
         checked += 1
-        ends = end_types(p)
+        ends = end_types(p.forms)
         for typ in (TYPE_I, TYPE_II):
             passes = is_integral(closed_form(p, typ))
             assert (typ in ends) == passes, \

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 import skewfiss.cli as cli
 import skewfiss.feasibility as feasibility
 import skewfiss.scheme_core as scheme_core
+import skewfiss.spectra as spectra
 from skewfiss.scheme_core import IntersectionTensor
-from skewfiss.spectra import ClosedForm, ConsistencyError
+from skewfiss.spectra import TYPE_III, ClosedForm, ConsistencyError
 
 
 def run(capsys, *argv):
@@ -170,6 +171,20 @@ def test_scan_rejects_a_bound_of_another_family(capsys, family, flag):
     assert err.startswith("error: ") and flag in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("family,flag,bound", [("srg", "--max-n", "-5"),
+                                               ("imprimitive", "--max-n", "-5"),
+                                               ("conference", "--max-n", "-5"),
+                                               ("johnson", "--max-v", "-1")])
+def test_scan_rejects_a_negative_bound(capsys, monkeypatch, family, flag, bound):
+    """A negative bound is an error line and exit 1, raised before the scan
+    (which would print an empty table) starts."""
+    scanner = cli._SCANS[family][2]
+    monkeypatch.setattr(feasibility, scanner, lambda limit: pytest.fail(f"{scanner} ran"))
+    code, out, err = run(capsys, "scan", family, flag, bound)
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} must be nonnegative, got {bound}\n"
+
+
 @pytest.mark.parametrize("family", ["conference", "imprimitive", "johnson"])
 def test_annotations_only_apply_to_srg(tmp_path, capsys, family):
     notes = tmp_path / "notes.json"
@@ -279,10 +294,16 @@ def test_scan_imprimitive_non_integral_closed_form_exits_2(capsys, monkeypatch, 
 def test_scan_srg_stage_gate_disagreement_exits_2(capsys, monkeypatch):
     """A candidate the integer stage passes but the closed form's gate
     rejects is a consistency failure, not a silently dropped z: with the
-    stage forced open, the first such z is (25, 8, 3, 2) type III z = 40,
-    whose sqrt(yz) is irrational."""
+    stage forced open (types I and II still tested, every window z passed),
+    the first such z is (25, 8, 3, 2) type III z = 40, whose sqrt(yz) is
+    irrational."""
     monkeypatch.setenv("SKEWFISS_THREADS", "1")
-    monkeypatch.setattr(feasibility, "closed_form_integral", lambda p, z: True)
+
+    def open_stage(forms, keep=None):
+        yield from ((t, None) for t in spectra.end_types(forms))
+        yield from ((TYPE_III, z) for z in spectra.type3_window(forms))
+
+    monkeypatch.setattr(feasibility, "srg_stage", open_stage)
     code, out, err = run(capsys, "scan", "srg", "--max-n", "200")
     assert code == 2 and out == ""
     assert "(25, 8, 3, 2) type III z=40: " in err and "irrational" in err

@@ -142,7 +142,7 @@ def test_fission_scan_rejects_conference():
 
 def test_z_candidate_window():
     p = sf.srg_derive(57, 14, 1, 4)
-    zs = list(type3_window(p))
+    zs = list(type3_window(p.forms))
     assert 27 in zs
     assert all(0 < z * p.m1 < p.n * p.k2 for z in zs)
     # the window is tiny compared to brute force over the full range

@@ -39,7 +39,7 @@ from skewfiss.spectra import (
 # small non-conference parameter sets whose multiplicities and valencies split
 SPLITTABLE = [p for p in sf.srg_candidates(300)
               if not (p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2)]
-TYPE3 = [(p, z) for p in SPLITTABLE for z in type3_window(p)]
+TYPE3 = [(p, z) for p in SPLITTABLE for z in type3_window(p.forms)]
 CONFERENCE = [(q, ts.g) for q in range(5, 5001, 8) for ts in sf.two_squares(q)]
 IMPRIMITIVE = [(f, g) for f in range(3, 1000 // 3 + 1, 4) for g in range(3, 1000 // f + 1, 4)]
 # v = 3 mod 4 from 7 on: the Johnson witness z = v(v-3)^2/4 is a type-III table
@@ -54,8 +54,9 @@ def gated_candidates(n_max: int) -> list:
     out = []
     for p in sf.srg_candidates(n_max):
         if not p.conference and p.splittable():
-            out += [(p.quad(), t, None) for t in end_types(p)]
-            out += [(p.quad(), TYPE_III, z) for z in type3_window(p) if closed_form_integral(p, z)]
+            out += [(p.quad(), t, None) for t in end_types(p.forms)]
+            out += [(p.quad(), TYPE_III, z) for z in type3_window(p.forms)
+                    if closed_form_integral(p.forms, z)]
     return out
 
 

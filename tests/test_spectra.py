@@ -13,7 +13,6 @@ from skewfiss.spectra import (
     TYPE_I,
     TYPE_II,
     TYPE_III,
-    _gamma_phi_pi,
     end_types,
     p_values_from_table,
     type3_window,
@@ -151,7 +150,7 @@ def test_balance_identity_on_every_window_z():
     johnson = [sf.srg_derive(*sf.johnson2_params(v)) for v in range(7, 201, 4)]
     tried = 0
     for p in srg + johnson:
-        for z in type3_window(p):
+        for z in type3_window(p.forms):
             y, b, c = sf.type3_auxiliary(p, z)
             assert y > 0 and b > 0 and c > 0, (p.quad(), z)
             assert p.m1 ** 2 * y * z == p.m2 ** 2 * b * c, (p.quad(), z)
@@ -182,6 +181,18 @@ def test_types_1_and_2_match_their_own_formulas():
             assert (cf.b1, cf.b2) == ref.closed_form(p, table_type), (p.quad(), table_type)
             assert sf.character_table(p, cand).entries == ref.table_entries(p, table_type), \
                 (p.quad(), table_type)
+
+
+def test_form_table_equals_three_point_forms():
+    """Every entry form read from the coefficient table equals the frozen
+    three-point forms (the closed form's own formula where Gamma, Phi and
+    Pi are integers), on the 1115 sets above and on all 3421 splittable
+    sets up to 5000."""
+    params = _splittable_params()
+    up_to_5000 = [p for p in sf.srg_candidates(5000) if p.splittable()]
+    assert (len(params), len(up_to_5000)) == (1115, 3421)
+    for p in params + up_to_5000:
+        assert list(p.forms) == ref._principal_forms(p), p.quad()
 
 
 def test_conference_table_values():
@@ -228,7 +239,7 @@ def test_closed_form_type3_57():
     cf = sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_III, 27))
     y, _, _ = sf.type3_auxiliary(p, 27)
     assert y * 27 == 18 ** 2
-    assert _gamma_phi_pi(p, 27, 18) == (-4788, 4788, -798)  # Gamma, Phi, Pi
+    assert ref._gamma_phi_pi(p, 27, 18) == (-4788, 4788, -798)  # Gamma, Phi, Pi
     assert cf.b1[1][1:] == (0, 2, 0, 1)
     assert cf.b1[0] == (0, 1, 0, 0, 0) and [row[0] for row in cf.b1] == [0, 0, 0, 0, 7]
     cf.tensor()  # every entry is a nonnegative integer
@@ -394,7 +405,7 @@ def test_corollary_filters():
     with the closed-form gate on the same sets."""
     p729 = sf.srg_derive(729, 182, 55, 42)
     assert ref.corollary_filters(p729, TYPE_I).passed
-    assert end_types(p729) == [TYPE_I] and _gate_passes(p729, TYPE_I)
+    assert end_types(p729.forms) == [TYPE_I] and _gate_passes(p729, TYPE_I)
     conf = sf.srg_derive(13, 6, 2, 3)
     res = ref.corollary_filters(conf, TYPE_I)
     assert not res.passed and "not integers" in res.reasons[0]
@@ -404,7 +415,7 @@ def test_corollary_filters():
         res = ref.corollary_filters(p, TYPE_I)
         assert not res.passed
         assert any("lam + s" in r for r in res.reasons)
-        assert TYPE_I not in end_types(p) and not _gate_passes(p, TYPE_I)
+        assert TYPE_I not in end_types(p.forms) and not _gate_passes(p, TYPE_I)
     with pytest.raises(ValueError):
         ref.corollary_filters(p729, TYPE_III)
 
@@ -417,7 +428,7 @@ def test_corollary_never_rejects_fully_integral():
     corollary = {TYPE_I: 0, TYPE_II: 0}
     gated = {TYPE_I: 0, TYPE_II: 0}
     for p in sets:
-        ends = end_types(p)
+        ends = end_types(p.forms)
         for typ in (TYPE_I, TYPE_II):
             passes, corollary_passes = _gate_passes(p, typ), ref.corollary_filters(p, typ).passed
             assert (typ in ends) == passes, (p.quad(), typ)
@@ -434,7 +445,7 @@ def test_end_types_fractional_type_i_end_exact():
     1300/17, so type I must be rejected on the exact fraction."""
     p = sf.srg_derive(925, 374, 123, 170)
     assert Fraction(p.n * p.k2, p.m1) == Fraction(10175, 17)
-    assert end_types(p) == []
+    assert end_types(p.forms) == []
     closed = sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_I))
     with pytest.raises(sf.InfeasibleError) as exc:
         closed.tensor()

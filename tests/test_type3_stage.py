@@ -1,14 +1,17 @@
 """The integer type-III stage against the frozen Fraction path it screens for.
 
-``closed_form_integral(p, z)`` must be true exactly when ``make_candidate``
+``closed_form_integral(p.forms, z)`` must be true exactly when ``make_candidate``
 accepts z and the reference closed form at z (``reference_closed_form``:
 Gamma, Phi and Pi in Fractions) has a rational sqrt(yz) and only
 nonnegative integer entries: a z the stage rejects is one the integrality
 gate would reject, and nothing the gate passes is lost.
 ``intersection_matrices_closed_form`` must equal that reference wherever
-the reference is rational.
+the reference is rational.  The scan's stage on integer tuples
+(``spectra.srg_stage``) must pass the candidates of the frozen stage that
+read the three-point forms (``reference_closed_form.stage_candidates``).
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,14 +42,14 @@ def splittable(n_max: int) -> list:
     """Parameter sets up to n_max that can split and have a nonempty z window."""
     return [p for p in sf.srg_candidates(n_max)
             if not (p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2)
-            and any(type3_window(p))]
+            and any(type3_window(p.forms))]
 
 
 def test_stage_matches_gate_on_every_z_up_to_1300():
     tried = passed = 0
     for p in splittable(1300):
-        for z in type3_window(p):
-            integral = closed_form_integral(p, z)
+        for z in type3_window(p.forms):
+            integral = closed_form_integral(p.forms, z)
             assert integral == gate_passes(p, z), (p.quad(), z)
             tried += 1
             passed += integral
@@ -60,9 +63,9 @@ def test_stage_and_window_match_gate_on_every_z_up_to_300():
             if not (p.m1 % 2 or p.m2 % 2 or p.k % 2 or p.k2 % 2)]
     tried = passed = 0
     for p in sets:
-        window = set(type3_window(p))
+        window = set(type3_window(p.forms))
         for z in range(1, -(-p.n * p.k2 // p.m1)):
-            screened = z in window and closed_form_integral(p, z)
+            screened = z in window and closed_form_integral(p.forms, z)
             assert screened == gate_passes(p, z), (p.quad(), z)
             tried += 1
             passed += screened
@@ -93,7 +96,7 @@ def window_z(draw):
     half the draws keep only the z whose sqrt(yz) is rational."""
     sets = splittable(5000)
     p = sets[draw(st.integers(0, len(sets) - 1))]
-    zs = list(type3_window(p))
+    zs = list(type3_window(p.forms))
     if draw(st.booleans()):
         zs = [z for z in zs if ref.closed_form_at(p, z) is not None] or zs
     return p, draw(st.sampled_from(zs))
@@ -105,7 +108,7 @@ def test_stage_matches_gate_up_to_5000(pz):
     """The stage against the reference gate, and the closed form against the
     reference closed form where sqrt(yz) is rational."""
     p, z = pz
-    assert closed_form_integral(p, z) == gate_passes(p, z)
+    assert closed_form_integral(p.forms, z) == gate_passes(p, z)
     expected = ref.closed_form_at(p, z)
     cand = sf.make_candidate(p, TYPE_III, z)
     if expected is None:
@@ -118,7 +121,7 @@ def test_stage_matches_gate_up_to_5000(pz):
 @pytest.mark.parametrize("quad,z", [((57, 14, 1, 4), 27), ((105, 26, 13, 4), 540),
                                     ((441, 110, 19, 30), 252), ((21, 10, 5, 4), 28)])
 def test_stage_accepts_known_records(quad, z):
-    assert closed_form_integral(sf.srg_derive(*quad), z)
+    assert closed_form_integral(sf.srg_derive(*quad).forms, z)
 
 
 @pytest.mark.parametrize("z", [10**6, -3, Fraction(63) + Fraction(1, 10**9)])
@@ -127,9 +130,9 @@ def test_stage_rejects_z_out_of_range(z):
     evaluator names the range; neither is the isqrt of a negative number."""
     p = sf.srg_derive(57, 14, 1, 4)
     assert Fraction(p.n * p.k2, p.m1) == 63
-    assert closed_form_integral(p, z) is False
+    assert closed_form_integral(p.forms, z) is False
     with pytest.raises(sf.InfeasibleError, match=r"outside \[0, n\*k2/m1 = 63\]"):
-        spectra._entries_at(p, z)
+        spectra._entries_at(p.forms, z)
 
 
 def test_scan_builds_candidates_only_for_survivors(monkeypatch):
@@ -145,24 +148,74 @@ def test_scan_builds_candidates_only_for_survivors(monkeypatch):
     assert len(built) == 37 and built.count(TYPE_III) == 25
 
 
-def test_scan_reads_the_forms_once_per_splittable_set(monkeypatch):
-    """scan srg --max-n 1300 computes the integer forms once for each of its
-    736 splittable sets, from three evaluations of _principal_parts; the 37
-    closed forms it builds read those forms and evaluate nothing more."""
+def test_scan_builds_full_forms_only_for_candidate_sets(monkeypatch):
+    """scan srg --max-n 1300 reads 3189 of the 736 * 32 entry forms of its
+    splittable sets, none twice for one set; an SrgParams is built only for
+    the 27 sets whose stage yields a candidate, on the forms the stage
+    read, and only those sets have all 32 forms computed (by the closed
+    forms of their records)."""
     monkeypatch.setenv("SKEWFISS_THREADS", "1")
-    calls = {"forms": 0, "parts": 0}
+    computed, sets, built = Counter(), {}, []
+    real_form, real_params = spectra.EntryForms._form, feasibility._srg_from_spectrum
 
-    def counted(name, real):
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
+    def form(self, e):
+        sets[id(self)] = self  # kept alive, so no two sets share an id
+        computed[id(self), e] += 1
+        return real_form(self, e)
 
-    monkeypatch.setattr(spectra, "_principal_forms", counted("forms", spectra._principal_forms))
-    monkeypatch.setattr(spectra, "_principal_parts", counted("parts", spectra._principal_parts))
+    monkeypatch.setattr(spectra.EntryForms, "_form", form)
+    monkeypatch.setattr(feasibility, "_srg_from_spectrum",
+                        lambda *ints, forms: built.append(forms) or real_params(*ints, forms=forms))
     assert len(sf.scan_srg(1300)) == 37
-    assert calls == {"forms": 736, "parts": 3 * 736}
-    assert sum(p.splittable() for p in sf.srg_candidates(1300)) == 736
+    assert len(sets) == 736 and sum(computed.values()) == 3189
+    assert set(computed.values()) == {1}
+    per_set = Counter(key for key, _ in computed)
+    assert len(built) == 27
+    assert sorted(map(id, built)) == sorted(key for key, count in per_set.items() if count == 32)
+
+
+@pytest.mark.parametrize("n_max,funnel", [
+    (1300, (2027, 736, 12, 3360, 260, 25, 27, 37)),
+    (5000, (9211, 3421, 56, 29642, 1019, 92, 102, 148)),
+])
+def test_scan_funnel(monkeypatch, n_max, funnel):
+    """The srg scan's funnel: parameter sets, splittable sets, types I and II
+    that pass the ends test, window z, window z with a square radicand
+    (rational sqrt(yz)), type-III z that pass the stage, sets with a
+    candidate, and records."""
+    monkeypatch.setenv("SKEWFISS_THREADS", "1")
+    sets = feasibility._srg_sets(n_max)
+    splittable_sets = [ints for ints in sets if feasibility._splittable(*ints)]
+    ends = window = square = passed = with_candidate = 0
+    for ints in splittable_sets:
+        forms = spectra.EntryForms(*ints)
+        types = spectra.end_types(forms)
+        zs = list(type3_window(forms))
+        rational = [z for z in zs if spectra._entries_at(forms, z) is not None]
+        survivors = [z for z in rational if closed_form_integral(forms, z)]
+        assert [t for t, _ in spectra.srg_stage(forms)] == types + [TYPE_III] * len(survivors)
+        ends += len(types)
+        window += len(zs)
+        square += len(rational)
+        passed += len(survivors)
+        with_candidate += bool(types or survivors)
+    records = len(sf.scan_srg(n_max))
+    assert (len(sets), len(splittable_sets), ends, window, square, passed, with_candidate,
+            records) == funnel
+    assert records == ends + passed
+
+
+def test_tuple_stage_matches_frozen_stage_up_to_5000():
+    """srg_stage on each splittable integer tuple up to 5000 passes exactly the
+    candidates of the frozen stage on the three-point forms."""
+    sets = [ints for ints in feasibility._srg_sets(5000) if feasibility._splittable(*ints)]
+    assert len(sets) == 3421
+    found = 0
+    for ints in sets:
+        stage = list(spectra.srg_stage(spectra.EntryForms(*ints)))
+        assert stage == ref.stage_candidates(sf.srg_derive(*ints[:4])), ints[:4]
+        found += len(stage)
+    assert found == 148
 
 
 def test_johnson_witness_has_rational_sqrt_yz():
@@ -174,7 +227,7 @@ def test_johnson_witness_has_rational_sqrt_yz():
         z = v * (v - 3) ** 2 // 4
         radicand = p.k * p.k2 * p.m1 * (p.n * p.k2 - p.m1 * z) * z
         assert radicand == (p.k2 * p.m1 * v * (v - 3) // 2) ** 2, v
-        assert spectra._entries_at(p, z) is not None, v
+        assert spectra._entries_at(p.forms, z) is not None, v
 
 
 def test_imprimitive_sides_pass_type_i_only():
@@ -186,7 +239,7 @@ def test_imprimitive_sides_pass_type_i_only():
     for f in range(3, 5000 // 3 + 1, 2):
         for g in range(3, 5000 // f + 1, 2):
             p = sf.srg_derive(f * g, f - 1, f - 2, 0)
-            assert spectra.end_types(p) == ([TYPE_I] if f % 4 == g % 4 == 3 else []), (f, g)
-            assert not any(closed_form_integral(p, z) for z in type3_window(p)), (f, g)
+            assert spectra.end_types(p.forms) == ([TYPE_I] if f % 4 == g % 4 == 3 else []), (f, g)
+            assert not any(closed_form_integral(p.forms, z) for z in type3_window(p.forms)), (f, g)
             sets += 1
     assert sets == 7572
