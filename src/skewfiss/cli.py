@@ -108,7 +108,9 @@ def _json(x, indent: str = "\n") -> str:
     if isinstance(x, (list, tuple)):
         if not x:
             return "[]"
-        return "[" + inner + ("," + inner).join([_json(v, inner) for v in x]) + indent + "]"
+        # int items (not bools) are written in place: an int list is one join
+        return "[" + inner + ("," + inner).join([int.__repr__(v) if type(v) is int else
+                                                 _json(v, inner) for v in x]) + indent + "]"
     if isinstance(x, dict):
         if not x:
             return "{}"
@@ -257,18 +259,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 1
+    commands = {"verify": cmd_verify, "construct": cmd_construct, "classify": cmd_classify,
+                "scan": cmd_scan, "krein": cmd_krein}
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "construct":
-            return cmd_construct(args)
-        if args.command == "classify":
-            return cmd_classify(args)
-        if args.command == "scan":
-            return cmd_scan(args)
-        if args.command == "krein":
-            return cmd_krein(args)
-        return 1
+        return commands[args.command](args)
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2

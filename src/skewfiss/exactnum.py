@@ -172,6 +172,9 @@ class SurdSum:
         return other + (-self)
 
     def __mul__(self, other) -> "SurdSum":
+        if isinstance(other, (int, Fraction)):  # a rational factor scales the numerators
+            num = {n: c * other.numerator for n, c in self._num.items()} if other else {}
+            return _reduced(num, self._den * other.denominator)
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
@@ -227,7 +230,7 @@ class SurdSum:
 
     def to_triples(self) -> list[tuple[int, int, int]]:
         """Serialize as (radicand, numerator, denominator) triples."""
-        return [(n, c.numerator, c.denominator) for n, c in sorted(self.terms.items())]
+        return _triples(self._num.items(), self._den)
 
     @classmethod
     def from_triples(cls, triples: Iterable[tuple[int, int, int]]) -> "SurdSum":
@@ -257,6 +260,11 @@ class SurdSum:
 
     def __repr__(self) -> str:
         return f"SurdSum({self})"
+
+
+def _triples(terms, den: int) -> list[tuple[int, int, int]]:
+    """(n, c/den in lowest terms) of each term c*sqrt(n)/den, by increasing n."""
+    return [(n, c // g, den // g) for n, c in sorted(terms) for g in (gcd(c, den),)]
 
 
 def _reduced(num: dict[int, int], den: int, cls=SurdSum):

@@ -214,8 +214,10 @@ def srg_candidates(n_max: int):
         yield _srg_from_spectrum(*ints)
 
 
-def _srg_sets(n_max: int) -> list[tuple]:
-    """srg_candidates' sets as sorted integer tuples (n, k, lam, mu, r, s, m1, m2)."""
+def _srg_sets(n_max: int, splittable: bool = False) -> list[tuple]:
+    """srg_candidates' sets as sorted integer tuples (n, k, lam, mu, r, s, m1, m2), or
+    only those that can split (_splittable): k = mu + r*m is even exactly when
+    mu has the parity of r*m, so only divisors mu of that parity are drawn."""
     if n_max > 5000:
         raise ValueError("scan capped at n_max = 5000")
     found = []
@@ -228,12 +230,12 @@ def _srg_sets(n_max: int) -> list[tuple]:
             if 1 + rm + x + 2 * isqrt(rm * x) > n_max:
                 break
             # lam = mu + r - m >= 0, k <= kmax, and mu <= x is 2k <= n - 1
-            for mu in _divisors_between(factors[r], factors[m - 1],
-                                        max(1, m - r), min(kmax - rm, x)):
+            for mu in _divisors_between(factors[r], factors[m - 1], max(1, m - r),
+                                        min(kmax - rm, x), rm % 2 if splittable else None):
                 k = mu + rm
                 lam = mu + r - m
                 n = 1 + k + k * x // mu
-                if n > n_max:
+                if n > n_max or splittable and n % 2 == 0:
                     continue
                 s = -m
                 numer = (n - 1) * m - k
@@ -241,7 +243,7 @@ def _srg_sets(n_max: int) -> list[tuple]:
                     continue
                 m1 = numer // (r + m)
                 m2 = n - 1 - m1
-                if m1 <= 0 or m2 <= 0 or m1 == m2:
+                if m1 <= 0 or m2 <= 0 or m1 == m2 or splittable and m1 % 2:
                     continue
                 if (r + 1) * (k + r + 2 * r * s) > (k + r) * (s + 1) ** 2:
                     continue
@@ -268,11 +270,17 @@ def _consecutive_factors(limit: int) -> list:
     return [{}] + [{**single[t], **single[t + 1]} for t in range(1, limit + 1)]
 
 
-def _divisors_between(f1: dict, f2: dict, lo: int, hi: int) -> list[int]:
-    """Divisors d of the product of two factorisations with lo <= d <= hi."""
+def _divisors_between(f1: dict, f2: dict, lo: int, hi: int, parity=None) -> list[int]:
+    """Divisors d of the product of two factorisations with lo <= d <= hi, only odd
+    ones for parity 1, only even ones (2 * divisors of the product / 2) for parity 0."""
     merged = dict(f1)
     for q, e in f2.items():
         merged[q] = merged.get(q, 0) + e
+    if parity == 1:
+        merged.pop(2, None)
+    elif parity == 0:
+        merged[2] -= 1
+        return [2 * d for d in _divisors_between(merged, {}, -(-lo // 2), hi // 2)]
     divisors = [1]
     for q, e in merged.items():
         grown = []
@@ -349,7 +357,7 @@ def fission_scan(p: SrgParams, witness=None) -> list[ScanRecord]:
 def scan_srg(n_max: int) -> list[ScanRecord]:
     """fission_scan over every splittable parameter set <= n_max whose integer
     stage yields a candidate."""
-    return _scan([ints for ints in _srg_sets(n_max) if _splittable(*ints)], _srg_records)
+    return _scan(_srg_sets(n_max, splittable=True), _srg_records)
 
 
 def _splittable(n, k, lam, mu, r, s, m1, m2) -> bool:

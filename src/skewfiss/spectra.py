@@ -52,7 +52,7 @@ from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
-from .exactnum import ComplexSurd, SurdSum, _reduced, square_split, surd_sqrt
+from .exactnum import ComplexSurd, SurdSum, _reduced, _triples, square_split, surd_sqrt
 from .scheme_core import IntersectionTensor
 
 TYPE_I, TYPE_II, TYPE_III = "I", "II", "III"
@@ -284,8 +284,10 @@ class CharacterTable:
 
     def to_json_dict(self) -> dict:
         if self.kind == "surd":
-            cells = [[{"re": e.re.to_triples(), "im": e.im.to_triples()} for e in row]
-                     for row in self.entries]
+            # re.to_triples() and im.to_triples(), read off the signed radicands
+            cells = [[{"re": _triples([x for x in e._num.items() if x[0] > 0], e._den),
+                       "im": _triples([(-n, c) for n, c in e._num.items() if n < 0], e._den)}
+                      for e in row] for row in self.entries]
         else:
             cells = [[{"a": [e.a.numerator, e.a.denominator],
                        "b": [e.b.numerator, e.b.denominator],
@@ -448,18 +450,29 @@ def _structure_tensor(q: int, g: int, h: int) -> tuple[np.ndarray, int]:
     (a0, a1, b0, b1, c0, c1) meaning
     (a0 + a1 sqrt(s)) + (b0 + b1 sqrt(s)) i u+ + (c0 + c1 sqrt(s)) i u-.
     It is a ring: (i u+-)^2 = -(q +- g r sqrt(s))/8, (i u+)(i u-) = -(h r/4) sqrt(s).
+    M is values[_structure_index()], values[2f - 1 + e] being s^e times the
+    f-th of (8, -q, -g r, g r, -2 h r) and values[0] = 0.
     """
     r, s = square_split(q)
-    # (slot of x, slot of y): (slot of x*y, 8 * its factor k0 + k1 sqrt(s)),
-    # the slots being 1, i u+ and i u-
-    rules = {(0, 0): (0, 8, 0), (0, 1): (1, 8, 0), (1, 0): (1, 8, 0), (0, 2): (2, 8, 0),
-             (2, 0): (2, 8, 0), (1, 1): (0, -q, -g * r), (2, 2): (0, -q, g * r),
-             (1, 2): (0, 0, -2 * h * r), (2, 1): (0, 0, -2 * h * r)}
-    M = [[[0] * 6 for _ in range(6)] for _ in range(6)]
-    for (x, y), (z, *k) in rules.items():
-        for i, j, l in product((0, 1), repeat=3):  # sqrt(s)^(i + j + l)
-            M[2 * x + i][2 * y + j][2 * z + (i + j + l) % 2] += k[l] * s ** ((i + j + l) // 2)
-    return _int_array(M), s
+    values = [0, *(x * t for x in (8, -q, -g * r, g * r, -2 * h * r) for t in (1, s))]
+    return _int_array(values)[_structure_index()], s
+
+
+@lru_cache(maxsize=None)
+def _structure_index() -> np.ndarray:
+    """Read-only index of each entry of _structure_tensor's M into its values,
+    expanded once from the nine rules of the conference module."""
+    # rules[x][y]: the slot of x*y (slots 1, i u+, i u-), then the f of 8 k0 and of
+    # 8 k1 (0 for none), k0 + k1 sqrt(s) being the factor x*y carries there
+    rules = (((0, 1, 0), (1, 1, 0), (2, 1, 0)), ((1, 1, 0), (0, 2, 3), (0, 0, 5)),
+             ((2, 1, 0), (0, 0, 5), (0, 2, 4)))
+    index = np.zeros((6, 6, 6), dtype=np.intp)
+    for x, y, i, j, l in product(range(3), range(3), (0, 1), (0, 1), (0, 1)):
+        z, *k = rules[x][y]
+        if k[l]:  # 8 k_l sqrt(s)^(i + j + l)
+            index[2 * x + i, 2 * y + j, 2 * z + (i + j + l) % 2] = 2 * k[l] - 1 + (i + j + l) // 2
+    index.setflags(write=False)
+    return index
 
 
 def _conference_module(t: CharacterTable) -> tuple:
@@ -669,16 +682,18 @@ def q_from_table(t: CharacterTable) -> KreinTensor:
     """Krein numbers from the eigenvalue identity; negativity is a result."""
     S, den, keys = _identity_sums(t, [Fraction(k.denominator ** 2, k.numerator ** 2)
                                       for k in t.valencies], columns=True)
-    m = t.multiplicities
+    ratios = [x.as_integer_ratio() for x in t.multiplicities]
     if t.kind == "conference":
         # m_i m_j / n goes into the read-out denominator of each sum
-        ratios = [x.as_integer_ratio() for x in m]
         scale = [[(den * t.n * di * dj, ni * nj) for nj, dj in ratios] for ni, di in ratios]
         value = lambda x, c: _surd(x, keys, *c)
     else:
-        scale = [[mi * mj / t.n for mj in m] for mi in m]
-        value = lambda x, c: _surd(x, keys, den) * c
-    return KreinTensor(q=_read_out(S, [c for row in scale for c in row for _ in m], value))
+        index = {}  # cell (i, j) keys on the index of m_i m_j, an integer ratio in lowest terms
+        scale = [[index.setdefault((ni * nj // g, di * dj // g), len(index)) for nj, dj in ratios
+                  for g in (gcd(ni * nj, di * dj),)] for ni, di in ratios]
+        factors = [Fraction(a, b * t.n) for a, b in index]  # one per distinct product
+        value = lambda x, c: _surd(x, keys, den) * factors[c]
+    return KreinTensor(q=_read_out(S, [c for row in scale for c in row for _ in ratios], value))
 
 
 # -- closed-form intersection matrices ---------------------------------------
@@ -735,7 +750,7 @@ def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> C
     if entries is None:
         raise InfeasibleError(f"sqrt(y*z) is irrational at z = {cand.z}: no rational "
                               "intersection numbers exist for this z")
-    entries = [Fraction(*pair) for pair in entries]
+    entries = [a // b if a % b == 0 else Fraction(a, b) for a, b in entries]
     rows = [tuple(entries[i:i + 4]) for i in range(0, 32, 4)]
     b1, b2 = tuple(rows[:4]), tuple(rows[4:])
     valencies = (1, p.k // 2, p.k2 // 2, p.k2 // 2, p.k // 2)

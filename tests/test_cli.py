@@ -389,6 +389,11 @@ json_values = st.recursive(
 @example(((), [{}], {"": []}))
 @example({"a\u00e9\x00\n\"": [float("nan"), float("inf"), -float("inf"), -0.0, 2**64]})
 @example({1: None, 2.5: True, None: False, True: "x", float("nan"): 0})
+# int items, not bools, are written in place
+@example([True, 1])
+@example([0, -2 ** 70])
+@example(((3, 2 ** 64, -1), [[1, 2], (3, -4), [], [[5], (6, 7)]], [1, False, None, 1.5]))
+@example({"re": [(2, -1, 3)], "im": []})
 @settings(max_examples=300, deadline=None)
 def test_json_layout_matches_stdlib(x):
     assert cli._json(x) == json.dumps(x, indent=2)

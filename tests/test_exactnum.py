@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from skewfiss.exactnum import (
@@ -15,6 +15,7 @@ from skewfiss.exactnum import (
     surd_sign,
     surd_sqrt,
 )
+from skewfiss.spectra import CharacterTable
 
 
 def test_square_split():
@@ -187,3 +188,65 @@ def test_sign_against_high_precision(a):
 def test_sub_and_eq_consistent(a, b):
     assert (a - b).is_zero() == (a == b)
     assert (a - b).sign() == -((b - a).sign())
+
+
+def _fraction_triples(x: SurdSum) -> list:
+    """to_triples as the Fraction path wrote it: one Fraction per term."""
+    return [(n, c.numerator, c.denominator) for n, c in sorted(x.terms.items())]
+
+
+signed_radicands = st.sampled_from([-15, -6, -3, -2, -1, 1, 2, 3, 6, 15])
+
+
+@st.composite
+def complex_surds(draw, max_terms=4):
+    z = ComplexSurd(0)
+    for _ in range(draw(st.integers(min_value=0, max_value=max_terms))):
+        n = draw(signed_radicands)
+        term = draw(rationals) * surd_sqrt(abs(n))
+        z = z + (ComplexSurd(0, term) if n < 0 else ComplexSurd(term))
+    return z
+
+
+@given(surds(max_terms=4))
+@example(SurdSum(0))
+@example(SurdSum(-7))
+@example(SurdSum(Fraction(-7, 6)))
+@example(SurdSum(2) - 3 * surd_sqrt(5))
+@example(Fraction(-5, 6) + Fraction(3, 4) * surd_sqrt(2) - Fraction(1, 8) * surd_sqrt(3))
+@settings(max_examples=200, deadline=None)
+def test_to_triples_matches_the_fraction_path(x):
+    """to_triples reads the stored numerators, one gcd per term, and writes
+    what one Fraction per term wrote: zero, negative numerators, denominator
+    1 and rational-only values included."""
+    assert x.to_triples() == _fraction_triples(x)
+    assert all(type(v) is int for t in x.to_triples() for v in t)
+
+
+@given(complex_surds())
+@example(ComplexSurd(0))
+@example(ComplexSurd(Fraction(-3, 2)))
+@example(ComplexSurd(0, Fraction(5, 4)))
+@example(ComplexSurd(SurdSum(Fraction(1, 6)) - surd_sqrt(2), Fraction(-2, 9) * surd_sqrt(3)))
+@settings(max_examples=200, deadline=None)
+def test_surd_table_cells_match_the_re_im_triples(z):
+    """A surd table's JSON cell is {"re": re.to_triples(), "im": im.to_triples()}
+    in the Fraction path, read off the signed radicands."""
+    table = CharacterTable(entries=((z,),), multiplicities=(Fraction(1),),
+                           valencies=(Fraction(1),), n=1, kind="surd")
+    (cell,), = table.to_json_dict()["entries"]
+    assert cell == {"re": _fraction_triples(z.re), "im": _fraction_triples(z.im)}
+
+
+@given(surds(max_terms=4), st.one_of(st.integers(-30, 30), rationals))
+@example(SurdSum(0), 0)
+@example(surd_sqrt(2) - 1, 0)
+@example(surd_sqrt(2) - 1, Fraction(-6, 4))
+@settings(max_examples=200, deadline=None)
+def test_rational_factor_matches_the_product_loop(x, c):
+    """x * c for an int or Fraction c scales the numerators: the same normal
+    form as the radical-product loop on SurdSum(c), from either side."""
+    expected = x * SurdSum(c)
+    for got in (x * c, c * x):
+        assert type(got) is SurdSum
+        assert (got._num, got._den) == (expected._num, expected._den)

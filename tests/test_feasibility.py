@@ -108,6 +108,27 @@ def test_srg_candidates_match_triple_loop(n_max):
     assert [p.quad() for p in sf.srg_candidates(n_max)] == _srg_quads_by_triple_loop(n_max)
 
 
+@pytest.mark.parametrize("n_max", [-5, 0, 1, 2, 300, 1300, 5000])
+def test_splittable_sets_are_the_filtered_sets(n_max):
+    """The enumeration's splittable mode (mu drawn with the parity of r*m, n odd
+    and m1 even tested in the loop) lists exactly the splittable sets."""
+    everything = feasibility._srg_sets(n_max)
+    assert feasibility._srg_sets(n_max, splittable=True) == [
+        ints for ints in everything if feasibility._splittable(*ints)]
+
+
+@pytest.mark.parametrize("parity", [None, 0, 1])
+def test_divisors_between_keeps_the_parity(parity):
+    """Every divisor of r(r+1)(m-1)m in [lo, hi] of the asked parity, once."""
+    factors = feasibility._consecutive_factors(40)
+    for r, m, lo, hi in [(1, 2, 1, 10), (3, 5, 2, 500), (8, 9, 1, 10 ** 6), (12, 13, 7, 200),
+                         (39, 40, 3, 5000), (6, 2, 5, 5)]:
+        product = r * (r + 1) * (m - 1) * m
+        got = feasibility._divisors_between(factors[r], factors[m - 1], lo, hi, parity)
+        assert sorted(got) == [d for d in range(lo, hi + 1) if product % d == 0
+                               and (parity is None or d % 2 == parity)], (r, m, parity)
+
+
 @pytest.mark.parametrize("n_max", [-5, 0, 1, 2, 5, 9, 10, 50, 300, 1300, 3000, 5000])
 def test_srg_candidates_equal_srg_derive(n_max):
     """srg_candidates builds SrgParams from its own integers; srg_derive agrees."""

@@ -340,6 +340,76 @@ def test_krein_read_out_shares_equal_values(limit, t):
                          if expected[i][j][l].sign() < 0]
 
 
+def _distinct_krein_keys(t) -> int:
+    """Distinct (coordinates, m_i m_j) over the 125 cells of a surd table's q."""
+    S, _, _ = _identity_sums(t, [Fraction(1) / (k * k) for k in t.valencies], True)
+    m = t.multiplicities
+    return len({(tuple(S[i, j, l].tolist()), m[i] * m[j])
+                for i, j, l in product(range(len(m)), repeat=3)})
+
+
+def test_srg_scan_krein_read_out_and_multiplications(monkeypatch):
+    """On every table of scan srg --max-n 1300, q_from_table equals the
+    per-cell read-out, equal cells are one object, and SurdSum.__mul__ runs
+    once per distinct (coordinates, m_i m_j): 934 calls over the scan, the
+    surd_mul count of the bench's traced srg_scan pass."""
+    monkeypatch.setenv("SKEWFISS_THREADS", "1")
+    mul, calls = SurdSum.__mul__, []
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(SurdSum, "__mul__", counted)
+        mp.setattr(SurdSum, "__rmul__", counted)
+        records = sf.scan_srg(1300)
+        scan_calls = len(calls)
+        per_table = []
+        for rec in records:
+            del calls[:]
+            krein = sf.q_from_table(rec.table)
+            per_table.append(len(calls))
+            assert len(calls) == _distinct_krein_keys(rec.table), rec.n
+            by_value = {}
+            assert all(by_value.setdefault(x, x) is x
+                       for plane in krein.q for row in plane for x in row)
+    assert len(records) == 37
+    assert scan_calls == sum(per_table) == 934
+    for rec in records:
+        assert _triples(sf.q_from_table(rec.table).q) == _triples(
+            _per_cell_krein(rec.table, _INT64_LIMIT))
+
+
+def _structure_tensor_by_rules(q, g, h):
+    """_structure_tensor as the nine rules expanded in a Python loop on every call."""
+    r, s = sf.exactnum.square_split(q)
+    rules = {(0, 0): (0, 8, 0), (0, 1): (1, 8, 0), (1, 0): (1, 8, 0), (0, 2): (2, 8, 0),
+             (2, 0): (2, 8, 0), (1, 1): (0, -q, -g * r), (2, 2): (0, -q, g * r),
+             (1, 2): (0, 0, -2 * h * r), (2, 1): (0, 0, -2 * h * r)}
+    M = [[[0] * 6 for _ in range(6)] for _ in range(6)]
+    for (x, y), (z, *k) in rules.items():
+        for i, j, l in product((0, 1), repeat=3):  # sqrt(s)^(i + j + l)
+            M[2 * x + i][2 * y + j][2 * z + (i + j + l) % 2] += k[l] * s ** ((i + j + l) // 2)
+    return _int_array(M), s
+
+
+def test_structure_tensor_matches_the_rules():
+    """The indexed structure tensor equals the loop over the nine rules, value
+    and dtype, for every (q, g, +-h) of scan conference --max-n 5000 and for
+    a q whose tensor needs Python ints."""
+    qgh = [(rec.n, rec.params["g"], rec.params["h"]) for rec in sf.conference_scan(5000)]
+    assert len(qgh) == 492
+    big = 5 * 3 ** 38  # q*s = 25 * 3^38 is above 2^63
+    for q, g, h in qgh + [(big, 1, 1)]:
+        for hh in (h, -h):
+            M, s = spectra._structure_tensor(q, g, hh)
+            expected, s_expected = _structure_tensor_by_rules(q, g, hh)
+            assert s == s_expected and M.dtype == expected.dtype, (q, g, hh)
+            assert np.array_equal(M, expected), (q, g, hh)
+    assert spectra._structure_tensor(big, 1, 1)[0].dtype == object
+
+
 @pytest.mark.parametrize("limit", [_INT64_LIMIT, 0])
 def test_p_from_table_returns_python_ints(monkeypatch, limit):
     """Every entry and valency is an int, whichever dtype the sums ran in."""
