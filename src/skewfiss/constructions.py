@@ -22,25 +22,14 @@ from math import isqrt
 
 import numpy as np
 
-from .scheme_core import AssociationScheme, SchemeError, check_size, row_blocks, verify_axioms
+from .scheme_core import AssociationScheme, SchemeError, check_size, require_scheme, row_blocks
 from .spectra import ClosedForm
 
 MAX_FIELD = 10 ** 6
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -232,9 +221,7 @@ def cyclotomic_scheme(q: int, d: int) -> AssociationScheme:
     for b in row_blocks(q, q):  # rel[x][y] = cls[y - x]
         rel[b] = cls[_axpy(elems[b, None], elems[None, :], -1, field.p, field.b)]
     scheme = AssociationScheme(rel, d=d)
-    report = verify_axioms(scheme)
-    if not report.ok:
-        raise SchemeError("cyclotomic construction failed verification:\n" + report.summary())
+    require_scheme(scheme, SchemeError, "cyclotomic construction failed verification")
     return scheme
 
 
@@ -353,9 +340,7 @@ def wreath(inner: AssociationScheme, outer: AssociationScheme) -> AssociationSch
         sl = slice(u * ni, (u + 1) * ni)
         big[sl, sl] = inner_block
     scheme = AssociationScheme(big, d=di + do)
-    report = verify_axioms(scheme)
-    if not report.ok:
-        raise SchemeError("wreath construction failed verification:\n" + report.summary())
+    require_scheme(scheme, SchemeError, "wreath construction failed verification")
     return scheme
 
 
@@ -385,7 +370,5 @@ def johnson2_scheme(v: int) -> AssociationScheme:
     shared = sum(x[:, None] == y[None, :] for x in (a, b) for y in (a, b))
     rel = (2 - shared).astype(np.int16)
     scheme = AssociationScheme(rel, d=2)
-    report = verify_axioms(scheme)
-    if not report.ok:
-        raise SchemeError("2-subset construction failed verification:\n" + report.summary())
+    require_scheme(scheme, SchemeError, "2-subset construction failed verification")
     return scheme

@@ -14,7 +14,7 @@ i*sqrt(n), so both classes add and multiply through the same two loops
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from math import fsum, gcd, isqrt, lcm, sqrt
 from typing import Iterable, Union
 
@@ -63,6 +63,7 @@ def _as_fraction(x: RationalLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(x).__name__}")
 
 
+@total_ordering
 class SurdSum:
     """Finite sum of c_i * sqrt(n_i) with rational c_i and squarefree n_i >= 1.
 
@@ -198,18 +199,6 @@ class SurdSum:
         if other is NotImplemented:
             return NotImplemented
         return (self - other).sign() < 0
-
-    def __le__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return (self - other).sign() <= 0
-
-    def __gt__(self, other) -> bool:
-        return not self <= other
-
-    def __ge__(self, other) -> bool:
-        return not self < other
 
     def __hash__(self) -> int:
         # a rational value hashes like the int or Fraction it equals

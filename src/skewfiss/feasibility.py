@@ -37,7 +37,7 @@ from .constructions import (
 )
 from .exactnum import SurdSum
 from .scheme_core import (AssociationScheme, IntersectionTensor, _orbit_partition,
-                          is_skew_symmetric, verify_axioms)
+                          is_skew_symmetric, require_scheme)
 from .spectra import (
     TYPE_I,
     TYPE_III,
@@ -110,7 +110,8 @@ def _scan(units, work) -> list[ScanRecord]:
     records: each scanner lists its units in the order its output takes.
 
     SKEWFISS_THREADS (default 1) must be a positive integer and is capped at
-    the CPUs this process may use; above 1 the units fan out over one process
+    the CPUs this process may use (os.cpu_count() where os has no affinity
+    mask, as on macOS and Windows); above 1 the units fan out over one process
     pool, so work is a module-level function.  Pool.map keeps the units'
     order, so the records are the same at every thread count.
     """
@@ -121,7 +122,8 @@ def _scan(units, work) -> list[ScanRecord]:
         threads = 0
     if threads <= 0:
         raise ValueError(f"SKEWFISS_THREADS = {raw!r} is not a positive integer")
-    threads = min(threads, len(os.sched_getaffinity(0)))
+    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(threads, usable or 1)
     if threads > 1:
         with Pool(processes=threads) as pool:
             batches = pool.map(work, units, chunksize=8)
@@ -216,7 +218,8 @@ def srg_candidates(n_max: int):
 
 def _srg_sets(n_max: int, splittable: bool = False) -> list[tuple]:
     """srg_candidates' sets as sorted integer tuples (n, k, lam, mu, r, s, m1, m2), or
-    only those that can split (_splittable): k = mu + r*m is even exactly when
+    only those that can split (k, n - k - 1, m1 and m2 all even, as
+    SrgParams.splittable asks): k = mu + r*m is even exactly when
     mu has the parity of r*m, so only divisors mu of that parity are drawn."""
     if n_max > 5000:
         raise ValueError("scan capped at n_max = 5000")
@@ -360,11 +363,6 @@ def scan_srg(n_max: int) -> list[ScanRecord]:
     return _scan(_srg_sets(n_max, splittable=True), _srg_records)
 
 
-def _splittable(n, k, lam, mu, r, s, m1, m2) -> bool:
-    """SrgParams.splittable in integers: k, k2 = n - k - 1, m1 and m2 all even."""
-    return not (k % 2 or (n - k - 1) % 2 or m1 % 2 or m2 % 2)
-
-
 def _srg_records(ints: tuple) -> list[ScanRecord]:
     """The records of one splittable integer set: its SrgParams is built, for
     fission_scan, only when the integer stage yields a candidate, and shares
@@ -490,9 +488,7 @@ def classify_scheme(s: AssociationScheme) -> Classification:
     lists first.  No match means either an implementation bug or an object
     outside the known classification, and raises rather than guessing.
     """
-    report = verify_axioms(s)
-    if not report.ok:
-        raise ClassificationError("not an association scheme:\n" + report.summary())
+    report = require_scheme(s, ClassificationError, "not an association scheme")
     if s.d != 4:
         raise ClassificationError(f"classification needs 4 classes, scheme has {s.d}")
     if not is_skew_symmetric(s):

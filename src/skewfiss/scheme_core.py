@@ -457,11 +457,17 @@ def _count_products(rel: np.ndarray, sizes: list, tmap: list | None, diagonal_ok
     return p, regular
 
 
-def intersection_tensor(s: AssociationScheme) -> IntersectionTensor:
+def require_scheme(s: AssociationScheme, error: type, what: str) -> AxiomReport:
+    """verify_axioms(s), or error("<what>:\n" + the report's summary) if any
+    axiom fails."""
     rep = verify_axioms(s)
     if not rep.ok:
-        raise SchemeError("not an association scheme:\n" + rep.summary())
-    return rep.tensor
+        raise error(what + ":\n" + rep.summary())
+    return rep
+
+
+def intersection_tensor(s: AssociationScheme) -> IntersectionTensor:
+    return require_scheme(s, SchemeError, "not an association scheme").tensor
 
 
 def is_skew_symmetric(s: AssociationScheme) -> bool:
@@ -526,9 +532,7 @@ def fuse(s: AssociationScheme, blocks: list[list[int]]) -> AssociationScheme:
     owner = check_partition(s, blocks)
     lut = np.array(owner, dtype=np.int16)
     fused = AssociationScheme(lut[s.rel], d=len(blocks) - 1)
-    rep = verify_axioms(fused)
-    if not rep.ok:
-        raise FusionError("admissible partition does not yield a scheme:\n" + rep.summary())
+    require_scheme(fused, FusionError, "admissible partition does not yield a scheme")
     return fused
 
 

@@ -423,12 +423,12 @@ def _plan(spec: str) -> tuple:
     return tuple(where[c] for c in summed), axes
 
 
-def _exact_einsum(spec: str, *operands, limit: int = _INT64_LIMIT, maxima=None) -> np.ndarray:
+def _exact_einsum(spec: str, *operands, maxima=None) -> np.ndarray:
     """np.einsum on integer arrays, in int64 only where that is exact.
 
     (number of summed terms) * prod(max(1, max |operand|)) bounds every
     partial product and partial sum, in any evaluation order; at or above
-    ``limit`` (2^63) the contraction runs on Python ints (dtype object).
+    _INT64_LIMIT (2^63) the contraction runs on Python ints (dtype object).
     maxima: each operand's max |entry|, or None to scan it.  Two operands
     that sum exactly their shared indices, each once, and keep the rest in
     order are contracted by np.tensordot.  Each spec is parsed once (_plan).
@@ -437,7 +437,8 @@ def _exact_einsum(spec: str, *operands, limit: int = _INT64_LIMIT, maxima=None) 
     bound = prod(operands[k].shape[x] for k, x in sizes)
     for op, m in zip(operands, maxima or (None,) * len(operands)):
         bound *= _max_abs(op) if m is None else max(1, m)
-    ops = [op.astype(np.int64 if bound < limit else object, copy=False) for op in operands]
+    dtype = np.int64 if bound < _INT64_LIMIT else object
+    ops = [op.astype(dtype, copy=False) for op in operands]
     if axes is not None:
         return np.tensordot(*ops, axes=axes)
     return np.einsum(spec, *ops)
@@ -531,7 +532,7 @@ def _surd_module(entries) -> tuple:
     return _int_array(E), _int_array(M), D ** 3, [key for key in basis if key > 0]
 
 
-def _module(t: CharacterTable, limit=_INT64_LIMIT) -> tuple:
+def _module(t: CharacterTable) -> tuple:
     """(E, L, den, keys, maxima) of a table of either kind: E[h, i] entry
     (h, i) in _conference_module's or _surd_module's coordinates, L[0, h, j]
     and L[1, h, j] the multiplication matrices of E[h, j] and of its
@@ -540,16 +541,16 @@ def _module(t: CharacterTable, limit=_INT64_LIMIT) -> tuple:
     E, M, den, keys = (_conference_module(t) if t.kind == "conference"
                        else _surd_module(t.entries))
     conj = E * np.array([1] * len(keys) + [-1] * (E.shape[-1] - len(keys)))
-    L = _exact_einsum("xhjb,abc->xhjac", np.stack((E, conj)), M, limit=limit)
+    L = _exact_einsum("xhjb,abc->xhjac", np.stack((E, conj)), M)
     return E, L, den, keys, (_max_abs(E), _max_abs(L[0]), _max_abs(L[1]))
 
 
-# (the last table, its _module at the default limit), swapped as one tuple: p and
-# q of one table build the module once, and no table keeps it alive after that
+# (the last table, its _module), swapped as one tuple: p and q of one table
+# build the module once, and no table keeps it alive after that
 _last_module = [(None, None)]
 
 
-def _identity_sums(t: CharacterTable, weights, columns=False, limit=_INT64_LIMIT):
+def _identity_sums(t: CharacterTable, weights, columns=False):
     """(S, den, keys) with sum_h w_h E[h][i] E[h][j] conj(E[h][l]) equal to
     sum_a S[i, j, l, a] sqrt(keys[a]) / den, for either kind of table; S is
     an int64 array, or Python ints where int64 would not be exact.
@@ -558,20 +559,18 @@ def _identity_sums(t: CharacterTable, weights, columns=False, limit=_INT64_LIMIT
     transposed).  Two contractions, W[h, i, j] = w_h E[h, i] E[h, j] and
     S[i, j, l] = sum_h W[h, i, j] conj(E[h, l]), weights scaled to
     integers.  ConsistencyError names the first (i, j, l) not real."""
-    default, (last, module) = limit == _INT64_LIMIT, _last_module[0]
-    if not default or last is not t:
-        module = _module(t, limit)
-    if default:
+    last, module = _last_module[0]
+    if last is not t:
+        module = _module(t)
         _last_module[0] = t, module
     E, L, den, keys, maxima = module
     if columns:
         E, L = E.transpose(1, 0, 2), L.transpose(0, 2, 1, 3, 4)
     scale = lcm(*(w.denominator for w in weights))
     w = [x.numerator * (scale // x.denominator) for x in weights]
-    X = _exact_einsum("h,hia->hia", _int_array(w), E, limit=limit,
-                      maxima=(max(map(abs, w)), maxima[0]))
-    W = _exact_einsum("hia,hjac->hijc", X, L[0], limit=limit, maxima=(None, maxima[1]))
-    S = _exact_einsum("hija,hlac->ijlc", W, L[1], limit=limit, maxima=(None, maxima[2]))
+    X = _exact_einsum("h,hia->hia", _int_array(w), E, maxima=(max(map(abs, w)), maxima[0]))
+    W = _exact_einsum("hia,hjac->hijc", X, L[0], maxima=(None, maxima[1]))
+    S = _exact_einsum("hija,hlac->ijlc", W, L[1], maxima=(None, maxima[2]))
     den *= scale
     imaginary = S[..., len(keys):].any(axis=-1)
     if imaginary.any():

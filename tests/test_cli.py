@@ -370,6 +370,25 @@ def test_threads_env_clamped_to_usable_cpus(capsys, monkeypatch, pool_sizes):
         pool_sizes.clear()
 
 
+def test_scans_without_an_affinity_mask(capsys, monkeypatch, pool_sizes):
+    """Where os has no sched_getaffinity (macOS, Windows), every scan prints the
+    same bytes, and the thread count is capped at os.cpu_count() (1 when that
+    is unknown)."""
+    monkeypatch.setenv("SKEWFISS_THREADS", "1")
+    expected = {family: run(capsys, "scan", family, *bound, "--format", "json")
+                for family, bound in SMALL_SCANS.items()}
+    monkeypatch.delattr(os, "sched_getaffinity")
+    for family, bound in SMALL_SCANS.items():
+        monkeypatch.setenv("SKEWFISS_THREADS", "1")
+        assert run(capsys, "scan", family, *bound, "--format", "json") == expected[family]
+        monkeypatch.setenv("SKEWFISS_THREADS", "100000")
+        for cpus, pools in ((3, [3]), (None, [])):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            code, out, err = run(capsys, "scan", family, *bound, "--format", "json")
+            assert (code, out, err) == expected[family] and pool_sizes == pools, family
+            pool_sizes.clear()
+
+
 # -- the indent-2 JSON layout against the stdlib encoder ---------------------------
 
 # text() draws non-ASCII and control characters; integers() alone stays small

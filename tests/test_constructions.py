@@ -48,6 +48,17 @@ def test_prime_helpers():
     assert prime_power(12) is None
 
 
+def test_is_prime_matches_a_sieve():
+    sieve = [False, False] + [True] * (20000 - 2)
+    for d in range(2, isqrt(20000 - 1) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    assert [n for n in range(-3, 20000) if is_prime(n)] == [
+        n for n, prime in enumerate(sieve) if prime]
+    assert is_prime(999983)
+    assert not is_prime(999985) and not is_prime(1018081)  # 1018081 = 1009^2
+
+
 def test_cyc_skew_predicate():
     assert sf.cyc_skew_predicate(13, 1)
     assert not sf.cyc_skew_predicate(5, 2)  # 25 = 1 mod 8

@@ -190,6 +190,28 @@ def test_sub_and_eq_consistent(a, b):
     assert (a - b).sign() == -((b - a).sign())
 
 
+@given(surds(), surds(), st.one_of(st.integers(min_value=-20, max_value=20), rationals))
+@example(surd_sqrt(2), surd_sqrt(2), 0)
+@example(SurdSum(3), surd_sqrt(8), Fraction(3))
+@example(surd_sqrt(5) - 1, SurdSum(0), Fraction(-7, 2))
+@settings(max_examples=200, deadline=None)
+def test_order_follows_the_sign_of_the_difference(a, b, c):
+    """<, <=, > and >= both ways round, rationals on either side (Fraction op
+    SurdSum included), agree with the exact sign of the difference; a str or
+    a float is not comparable."""
+    for x, y in ((a, b), (a, c), (b, c)):
+        sign = (x - y).sign()
+        assert (x < y, x <= y, x > y, x >= y) == (sign < 0, sign <= 0, sign > 0, sign >= 0)
+        assert (y < x, y <= x, y > x, y >= x) == (sign > 0, sign >= 0, sign < 0, sign <= 0)
+    for other in ("1", 1.5):
+        for compare in (lambda x, y: x < y, lambda x, y: x <= y,
+                        lambda x, y: x > y, lambda x, y: x >= y):
+            with pytest.raises(TypeError):
+                compare(a, other)
+            with pytest.raises(TypeError):
+                compare(other, a)
+
+
 def _fraction_triples(x: SurdSum) -> list:
     """to_triples as the Fraction path wrote it: one Fraction per term."""
     return [(n, c.numerator, c.denominator) for n, c in sorted(x.terms.items())]

@@ -108,13 +108,18 @@ def test_srg_candidates_match_triple_loop(n_max):
     assert [p.quad() for p in sf.srg_candidates(n_max)] == _srg_quads_by_triple_loop(n_max)
 
 
+def _splittable(n, k, lam, mu, r, s, m1, m2) -> bool:
+    """SrgParams.splittable in integers: k, k2 = n - k - 1, m1 and m2 all even."""
+    return not (k % 2 or (n - k - 1) % 2 or m1 % 2 or m2 % 2)
+
+
 @pytest.mark.parametrize("n_max", [-5, 0, 1, 2, 300, 1300, 5000])
 def test_splittable_sets_are_the_filtered_sets(n_max):
     """The enumeration's splittable mode (mu drawn with the parity of r*m, n odd
     and m1 even tested in the loop) lists exactly the splittable sets."""
     everything = feasibility._srg_sets(n_max)
     assert feasibility._srg_sets(n_max, splittable=True) == [
-        ints for ints in everything if feasibility._splittable(*ints)]
+        ints for ints in everything if _splittable(*ints)]
 
 
 @pytest.mark.parametrize("parity", [None, 0, 1])
@@ -307,7 +312,8 @@ def test_classify_solves_z_on_every_record_tensor(monkeypatch):
     partners = []
     for rec, p, tensor in tensors:
         report = SimpleNamespace(ok=True, tensor=tensor, transpose_map=[0, 4, 3, 2, 1])
-        monkeypatch.setattr(feasibility, "verify_axioms", lambda s, report=report: report)
+        monkeypatch.setattr(feasibility, "require_scheme",
+                            lambda s, error, what, report=report: report)
         built.clear()
         matched.clear()
         got = sf.classify_scheme(SimpleNamespace(n=p.n, d=4))

@@ -8,7 +8,7 @@ canonical ``to_triples`` form.
 
 import dataclasses
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from math import prod
 
@@ -138,13 +138,22 @@ def test_conference_matches_reference(qg):
     assert_kernel_matches_reference(sf.conference_table(*qg))
 
 
+def _limit(mp, limit):
+    """Run every contraction against limit, from a fresh module: at limit 0,
+    all of them on Python ints."""
+    mp.setattr(spectra, "_INT64_LIMIT", limit)
+    mp.setattr(spectra, "_last_module", [(None, None)])
+
+
 def assert_object_path_matches_int64(t):
-    """limit=0 forces every contraction onto Python ints, also after a call
-    at the default limit has cached a conference table's int64 module."""
+    """limit 0 forces every contraction onto Python ints, also after a call
+    at the default limit has cached a table's int64 module."""
     for weights, columns in ((t.multiplicities, False),
                              ([Fraction(1) / (k * k) for k in t.valencies], True)):
         S, den, keys = _identity_sums(t, weights, columns)
-        S_obj, den_obj, keys_obj = _identity_sums(t, weights, columns, limit=0)
+        with pytest.MonkeyPatch.context() as mp:
+            _limit(mp, 0)
+            S_obj, den_obj, keys_obj = _identity_sums(t, weights, columns)
         assert S.dtype == np.int64 and S_obj.dtype == object
         assert (S_obj.tolist(), den_obj, keys_obj) == (S.tolist(), den, keys)
 
@@ -200,12 +209,13 @@ def test_int_array_falls_back_to_python_ints():
     ("ij,k->i", [(2, 3), (4,)]),  # j and k summed in one operand each: einsum
     ("ii,ij->j", [(3, 3), (3, 2)]),  # a repeated index: einsum
 ])
-def test_exact_einsum_matches_einsum(spec, shapes):
+def test_exact_einsum_matches_einsum(monkeypatch, spec, shapes):
     rng = np.random.default_rng(0)
     ops = [rng.integers(-9, 10, size=shape) for shape in shapes]
     expected = np.einsum(spec, *ops).tolist()
     assert _exact_einsum(spec, *ops).tolist() == expected
-    assert _exact_einsum(spec, *ops, limit=0).tolist() == expected
+    monkeypatch.setattr(spectra, "_INT64_LIMIT", 0)
+    assert _exact_einsum(spec, *ops).tolist() == expected
 
 
 def test_exact_rejections_still_raise():
@@ -299,9 +309,9 @@ def _surd_gate(t):
         valencies=tuple(int(v) for v in t.valencies))
 
 
-def _per_cell_krein(t, limit):
+def _per_cell_krein(t):
     """q^l_ij read out cell by cell: one _surd per cell, times m_i m_j / n."""
-    S, den, keys = _identity_sums(t, [Fraction(1) / (k * k) for k in t.valencies], True, limit)
+    S, den, keys = _identity_sums(t, [Fraction(1) / (k * k) for k in t.valencies], True)
     m, n = t.multiplicities, t.n
 
     def value(x, i, j):
@@ -326,11 +336,11 @@ def test_krein_read_out_shares_equal_values(limit, t):
     signed = []
     sign = SurdSum.sign
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectra, "_identity_sums", partial(_identity_sums, limit=limit))
+        _limit(mp, limit)
         krein = sf.q_from_table(t)
+        expected = _per_cell_krein(t)
         mp.setattr(SurdSum, "sign", lambda x: signed.append(x) or sign(x))
         negatives = krein.negatives()
-    expected = _per_cell_krein(t, limit)
     assert _triples(krein.q) == _triples(expected)
     by_value = {}
     assert all(by_value.setdefault(x, x) is x for plane in krein.q for row in plane for x in row)
@@ -378,7 +388,7 @@ def test_srg_scan_krein_read_out_and_multiplications(monkeypatch):
     assert scan_calls == sum(per_table) == 934
     for rec in records:
         assert _triples(sf.q_from_table(rec.table).q) == _triples(
-            _per_cell_krein(rec.table, _INT64_LIMIT))
+            _per_cell_krein(rec.table))
 
 
 def _structure_tensor_by_rules(q, g, h):
@@ -416,10 +426,11 @@ def test_p_from_table_returns_python_ints(monkeypatch, limit):
     dtypes = set()
 
     def sums(*args, **kwargs):
-        out = _identity_sums(*args, **kwargs, limit=limit)
+        out = _identity_sums(*args, **kwargs)
         dtypes.add(out[0].dtype)
         return out
 
+    _limit(monkeypatch, limit)
     monkeypatch.setattr(spectra, "_identity_sums", sums)
     for t in [*_conference_both_h((325, 17)), sf.conference_table(4981, 9),
               _srg_table((57, 14, 1, 4), TYPE_III, 27), _srg_table((729, 182, 55, 42), TYPE_I)]:
@@ -472,13 +483,13 @@ def test_scan_contractions_run_in_int64(monkeypatch, scan, arg, bits):
     _exact_einsum computes it) below 2^bits."""
     bounds, dtypes = [], set()
 
-    def recorded(spec, *ops, limit=_INT64_LIMIT, maxima=None):
+    def recorded(spec, *ops, maxima=None):
         sizes, _ = spectra._plan(spec)
         bound = prod(ops[k].shape[x] for k, x in sizes)
         for op, m in zip(ops, maxima or (None,) * len(ops)):
             bound *= spectra._max_abs(op) if m is None else max(1, m)
         bounds.append(bound)
-        out = _exact_einsum(spec, *ops, limit=limit, maxima=maxima)
+        out = _exact_einsum(spec, *ops, maxima=maxima)
         dtypes.add(out.dtype)
         return out
 

@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 import skewfiss as sf
+import skewfiss.constructions as constructions
+import skewfiss.feasibility as feasibility
+import skewfiss.scheme_core as scheme_core
 from skewfiss.scheme_core import (
     AssociationScheme,
+    AxiomReport,
     FusionError,
     SchemeError,
     SchemeParseError,
@@ -65,6 +69,45 @@ def test_intersection_tensor_requires_valid_scheme():
     rel = [[0, 1, 1], [1, 0, 1], [2, 1, 0]]
     with pytest.raises(SchemeError):
         sf.intersection_tensor(AssociationScheme(rel))
+
+
+def test_every_refusal_keeps_its_type_and_message(monkeypatch, cyc13):
+    """With verification forced to fail, each builder, fuse, intersection_tensor
+    and classify_scheme verifies once and raises its own exception type with
+    "<what>:" and the report's summary."""
+    c3 = sf.cyclotomic_scheme(3, 2)
+    reports = []
+
+    def failing(s):
+        reports.append(AxiomReport(n=s.n, d=s.d, regular_ok=False, failures=["forced"]))
+        return reports[-1]
+
+    for module in (scheme_core, constructions, feasibility):
+        monkeypatch.setattr(module, "verify_axioms", failing, raising=False)
+    refusals = [
+        (lambda: sf.cyclotomic_scheme(13, 4), SchemeError,
+         "cyclotomic construction failed verification", 13, 4),
+        (lambda: sf.wreath(c3, c3), SchemeError, "wreath construction failed verification", 9, 4),
+        (lambda: sf.johnson2_scheme(5), SchemeError,
+         "2-subset construction failed verification", 10, 2),
+        (lambda: sf.fuse(cyc13, [[0], [1, 2, 3, 4]]), FusionError,
+         "admissible partition does not yield a scheme", 13, 1),
+        (lambda: sf.intersection_tensor(cyc13), SchemeError, "not an association scheme", 13, 4),
+        (lambda: sf.classify_scheme(cyc13), sf.ClassificationError,
+         "not an association scheme", 13, 4),
+    ]
+    for count, (refuse, error, what, n, d) in enumerate(refusals, 1):
+        with pytest.raises(Exception) as info:
+            refuse()
+        assert type(info.value) is error and len(reports) == count, what
+        assert str(info.value) == (
+            f"{what}:\n"
+            f"points n = {n}, classes d = {d}\n"
+            "axiom (i)   diagonal relation:        pass\n"
+            "axiom (ii)  partition, all nonempty:  pass\n"
+            "axiom (iii) transposes are classes:   pass\n"
+            "axiom (iv)  constant path counts:     FAIL\n"
+            "  - forced"), what
 
 
 def test_symmetrize_cyc13(cyc13):

@@ -37,6 +37,11 @@ def gate_passes(p, z) -> bool:
     return matrices is not None and ref.is_integral(matrices)
 
 
+def _splittable(n, k, lam, mu, r, s, m1, m2) -> bool:
+    """SrgParams.splittable in integers: k, k2 = n - k - 1, m1 and m2 all even."""
+    return not (k % 2 or (n - k - 1) % 2 or m1 % 2 or m2 % 2)
+
+
 @lru_cache(maxsize=None)
 def splittable(n_max: int) -> list:
     """Parameter sets up to n_max that can split and have a nonempty z window."""
@@ -185,7 +190,7 @@ def test_scan_funnel(monkeypatch, n_max, funnel):
     candidate, and records."""
     monkeypatch.setenv("SKEWFISS_THREADS", "1")
     sets = feasibility._srg_sets(n_max)
-    splittable_sets = [ints for ints in sets if feasibility._splittable(*ints)]
+    splittable_sets = [ints for ints in sets if _splittable(*ints)]
     ends = window = square = passed = with_candidate = 0
     for ints in splittable_sets:
         forms = spectra.EntryForms(*ints)
@@ -208,7 +213,7 @@ def test_scan_funnel(monkeypatch, n_max, funnel):
 def test_tuple_stage_matches_frozen_stage_up_to_5000():
     """srg_stage on each splittable integer tuple up to 5000 passes exactly the
     candidates of the frozen stage on the three-point forms."""
-    sets = [ints for ints in feasibility._srg_sets(5000) if feasibility._splittable(*ints)]
+    sets = [ints for ints in feasibility._srg_sets(5000) if _splittable(*ints)]
     assert len(sets) == 3421
     found = 0
     for ints in sets:
