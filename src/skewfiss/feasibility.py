@@ -26,8 +26,10 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt
+from math import gcd
 from multiprocessing import Pool
+
+import numpy as np
 
 from .constructions import (
     cyc4_closed_form,
@@ -208,93 +210,80 @@ def srg_candidates(n_max: int):
     scheme.  Disconnected (mu = 0) and complete multipartite (mu = k)
     parameters belong to the imprimitive family and are excluded here.
 
-    With eigenvalues r and s = -m, k = mu + r*m and k - lam - 1 = (r+1)(m-1),
-    so mu divides k(k - lam - 1) exactly when it divides r(r+1)(m-1)m: mu
-    runs over those divisors only (m = 1 gives n = k + 1, never a set here).
+    The sets are _srg_sets', listed by the eigenvalues r and s = -m and the
+    divisors mu of r(r+1)(m-1)m (m = 1 gives n = k + 1, never a set here).
     """
     for ints in _srg_sets(n_max):
         yield _srg_from_spectrum(*ints)
 
 
+_SWEEP_CHUNK = 1 << 13  # swept values per array pass, which bounds the sweep's memory
+
+
 def _srg_sets(n_max: int, splittable: bool = False) -> list[tuple]:
     """srg_candidates' sets as sorted integer tuples (n, k, lam, mu, r, s, m1, m2), or
-    only those that can split (k, n - k - 1, m1 and m2 all even, as
-    SrgParams.splittable asks): k = mu + r*m is even exactly when
-    mu has the parity of r*m, so only divisors mu of that parity are drawn."""
+    only those that can split (k, n - k - 1, m1 and m2 even: SrgParams.splittable).
+
+    With eigenvalues r and s = -m, k = mu + r*m, x = k - lam - 1 = (r+1)(m-1) and
+    n = 1 + k + k*x/mu, so mu divides D = r*m*x and n <= n_max is
+    mu^2 - b*mu + D <= 0, b = n_max - 1 - r*m - x.  Each (m, r) has that exact
+    window [L, U] of mu, cut by lam >= 0, k <= kmax, mu <= x (2k <= n - 1) and, to
+    split, mu of r*m's parity (k even), and sweeps the shorter of [L, U] (mu = t
+    with D % t == 0) and [ceil(D/U), floor(D/L)] (mu = D/t), _SWEEP_CHUNK values
+    per numpy pass; every other filter is an array mask (_listed).
+    """
     if n_max > 5000:
         raise ValueError("scan capped at n_max = 5000")
-    found = []
+    if n_max ** 4 >= 2 ** 63:  # every intermediate below is under n_max**4
+        raise OverflowError(f"n_max = {n_max} overflows the int64 sweep")
     kmax = max((n_max - 1) // 2, 0)
-    factors = _consecutive_factors(kmax)
-    for m in range(2, kmax + 1):
-        for r in range(1, kmax // m + 1):
-            rm, x = r * m, (r + 1) * (m - 1)
-            # n - 1 = rm + x + mu + rm*x/mu >= rm + x + 2*sqrt(rm*x), increasing in r
-            if 1 + rm + x + 2 * isqrt(rm * x) > n_max:
-                break
-            # lam = mu + r - m >= 0, k <= kmax, and mu <= x is 2k <= n - 1
-            for mu in _divisors_between(factors[r], factors[m - 1], max(1, m - r),
-                                        min(kmax - rm, x), rm % 2 if splittable else None):
-                k = mu + rm
-                lam = mu + r - m
-                n = 1 + k + k * x // mu
-                if n > n_max or splittable and n % 2 == 0:
-                    continue
-                s = -m
-                numer = (n - 1) * m - k
-                if numer % (r + m):
-                    continue
-                m1 = numer // (r + m)
-                m2 = n - 1 - m1
-                if m1 <= 0 or m2 <= 0 or m1 == m2 or splittable and m1 % 2:
-                    continue
-                if (r + 1) * (k + r + 2 * r * s) > (k + r) * (s + 1) ** 2:
-                    continue
-                if (s + 1) * (k + s + 2 * r * s) > (k + s) * (r + 1) ** 2:
-                    continue
-                found.append((n, k, lam, mu, r, s, m1, m2))
-    return sorted(found)
+    per_m = kmax // np.arange(2, kmax + 1, dtype=np.int64)
+    m = np.repeat(np.arange(2, kmax + 1, dtype=np.int64), per_m)
+    r = np.arange(m.size, dtype=np.int64) - np.repeat(np.cumsum(per_m) - per_m, per_m) + 1
+    rm, x = r * m, (r + 1) * (m - 1)
+    d, b = rm * x, n_max - 1 - rm - x
+    disc = b * b - 4 * d
+    root = np.floor(np.sqrt(np.maximum(disc, 0))).astype(np.int64)
+    root -= root * root > disc  # -1 where disc < 0 (no mu); else isqrt, as disc < 2**52
+    step = 1 + splittable
+    lo = np.maximum((b - root + 1) // 2, np.maximum(m - r, 1))
+    lo += (lo - rm) % step
+    hi = np.minimum((b + root) // 2, np.minimum(kmax - rm, x))
+    hi -= (hi - rm) % step
+    m, r, d, lo, hi = (a[lo <= hi] for a in (m, r, d, lo, hi))
+    direct, co_lo = (hi - lo) // step + 1, -(-d // hi)
+    co = np.maximum(d // lo - co_lo + 1, 0)
+    own, swept = direct <= co, np.minimum(direct, co)
+    stride, ends = np.where(own, step, 1), np.cumsum(swept)
+    base = np.where(own, lo, co_lo) - (ends - swept) * stride
+    found = [np.zeros((0, 8), dtype=np.int64)]
+    for begin in range(0, int(swept.sum()), _SWEEP_CHUNK):
+        end = min(begin + _SWEEP_CHUNK, int(ends[-1]))
+        first, last = np.searchsorted(ends, [begin, end - 1], side="right")
+        span = slice(first, last + 1)  # the pairs in this chunk, each clipped to it
+        i = np.repeat(np.arange(first, last + 1),
+                      np.minimum(ends[span], end) - np.maximum(ends[span] - swept[span], begin))
+        t = base[i] + np.arange(begin, end, dtype=np.int64) * stride[i]
+        hit = d[i] % t == 0
+        i, t = i[hit], t[hit]
+        found.append(_listed(m[i], r[i], np.where(own[i], t, d[i] // t), splittable))
+    found = np.concatenate(found)
+    return list(map(tuple, found[np.lexsort(found.T[::-1])].tolist()))
 
 
-def _consecutive_factors(limit: int) -> list:
-    """factors[t] = {prime: exponent} of t*(t+1) for 1 <= t <= limit."""
-    spf = list(range(limit + 2))
-    for q in range(2, isqrt(limit + 1) + 1):
-        if spf[q] == q:
-            for multiple in range(q * q, limit + 2, q):
-                if spf[multiple] == multiple:
-                    spf[multiple] = q
-    single = [{} for _ in range(limit + 2)]
-    for t in range(2, limit + 2):
-        q = spf[t]
-        single[t] = dict(single[t // q])
-        single[t][q] = single[t].get(q, 0) + 1
-    # t and t+1 are coprime, so their factorisations merge without overlap
-    return [{}] + [{**single[t], **single[t + 1]} for t in range(1, limit + 1)]
-
-
-def _divisors_between(f1: dict, f2: dict, lo: int, hi: int, parity=None) -> list[int]:
-    """Divisors d of the product of two factorisations with lo <= d <= hi, only odd
-    ones for parity 1, only even ones (2 * divisors of the product / 2) for parity 0."""
-    merged = dict(f1)
-    for q, e in f2.items():
-        merged[q] = merged.get(q, 0) + e
-    if parity == 1:
-        merged.pop(2, None)
-    elif parity == 0:
-        merged[2] -= 1
-        return [2 * d for d in _divisors_between(merged, {}, -(-lo // 2), hi // 2)]
-    divisors = [1]
-    for q, e in merged.items():
-        grown = []
-        for d in divisors:
-            for _ in range(e):
-                d *= q
-                if d > hi:
-                    break
-                grown.append(d)
-        divisors += grown
-    return [d for d in divisors if lo <= d <= hi]
+def _listed(m, r, mu, splittable: bool):
+    """The rows (n, k, lam, mu, r, s, m1, m2) of the (m, r, mu) that pass every other filter."""
+    k, s, x = mu + r * m, -m, (r + 1) * (m - 1)
+    n = 1 + k + k * x // mu
+    numer = (n - 1) * m - k
+    m1 = numer // (r + m)
+    m2 = n - 1 - m1
+    ok = (numer % (r + m) == 0) & (m1 > 0) & (m2 > 0) & (m1 != m2)
+    ok &= (r + 1) * (k + r + 2 * r * s) <= (k + r) * (s + 1) ** 2
+    ok &= (s + 1) * (k + s + 2 * r * s) <= (k + s) * (r + 1) ** 2
+    if splittable:
+        ok &= (k % 2 == 0) & (n % 2 == 1) & (m1 % 2 == 0)
+    return np.stack([n, k, mu + r - m, mu, r, s, m1, m2], axis=1)[ok]
 
 
 def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, witness=None) -> ScanRecord:
@@ -366,9 +355,9 @@ def scan_srg(n_max: int) -> list[ScanRecord]:
 def _srg_records(ints: tuple) -> list[ScanRecord]:
     """The records of one splittable integer set: its SrgParams is built, for
     fission_scan, only when the integer stage yields a candidate, and shares
-    the entry forms the stage has read."""
+    the entry forms, which keep the stage's candidates, so the stage runs once."""
     forms = EntryForms(*ints)
-    if next(srg_stage(forms), None) is None:
+    if not srg_stage(forms):
         return []
     return fission_scan(_srg_from_spectrum(*ints, forms=forms))
 

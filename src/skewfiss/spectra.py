@@ -787,10 +787,11 @@ class EntryForms:
     form is its _FORM_TABLE row applied to their values and slopes, over
     M = 4*n*k_d*k2^2*m1; it holds at rational z too and is not reduced.
     forms[e] computes entry e on first read and keeps it, so the integer
-    stage reads only the entries it tests; iterating reads all 32.
+    stage reads only the entries it tests; iterating reads all 32.  _stage
+    keeps srg_stage's candidates once it has run.
     """
 
-    __slots__ = ("n", "k", "k2", "m1", "_consts", "_slopes", "_dens", "_forms")
+    __slots__ = ("n", "k", "k2", "m1", "_consts", "_slopes", "_dens", "_forms", "_stage")
 
     def __init__(self, n: int, k: int, lam: int, mu: int, r: int, s: int, m1: int, m2: int):
         k2 = n - k - 1
@@ -804,6 +805,7 @@ class EntryForms:
         self._slopes = (s * nk2, k * r * n, k2 * d, g1 * k2 * d, g1 * k * d, g1 * k2)
         self._dens = (4 * nk * k2 * d, 4 * nk2 * k2 * d)
         self._forms = [None] * len(_FORM_TABLE)
+        self._stage = None
 
     def __getitem__(self, e: int) -> tuple:
         form = self._forms[e]
@@ -858,9 +860,11 @@ _P2_12 = 5
 
 def end_types(f: EntryForms) -> list[str]:
     """Types I and II, in that order, whose closed form passes the integrality
-    gate: closed_form_integral at their z, n*k2/m1 and 0, where sqrt(yz) = 0."""
-    return [table_type for table_type, z in ((TYPE_I, Fraction(f.n * f.k2, f.m1)), (TYPE_II, 0))
-            if closed_form_integral(f, z)]
+    gate: the test of closed_form_integral at their z = zn/zd, n*k2/m1 and 0,
+    where sqrt(yz) = 0, so each entry is the integer pair (A*zd + B*zn, M*zd)."""
+    ends = ((TYPE_I, f.n * f.k2, f.m1), (TYPE_II, 0, 1))
+    return [table_type for table_type, zn, zd in ends
+            if all(a * zd + b * zn >= 0 and (a * zd + b * zn) % (m * zd) == 0 for a, b, _, m in f)]
 
 
 def type3_window(f: EntryForms):
@@ -883,17 +887,21 @@ def type3_window(f: EntryForms):
         z += step
 
 
-def srg_stage(f: EntryForms, keep=None):
+def srg_stage(f: EntryForms, keep=None) -> tuple:
     """The integer stage of one parameter set: (table_type, z) of each candidate
     whose closed form passes the integrality gate, types I and II (z None)
     from end_types, then the type3_window z that closed_form_integral
     passes, in increasing order.  keep is a window z passed untested (a
-    Krein witness).  A generator, so next() stops at the first candidate."""
-    for table_type in end_types(f):
-        yield table_type, None
-    for z in type3_window(f):
-        if z == keep or closed_form_integral(f, z):
-            yield TYPE_III, z
+    Krein witness).  Without keep the stage runs once per EntryForms and f
+    keeps its candidates, so the scan's test for a candidate and
+    fission_scan's records read the same run."""
+    if keep is None and f._stage is not None:
+        return f._stage
+    stage = tuple((table_type, None) for table_type in end_types(f)) + tuple(
+        (TYPE_III, z) for z in type3_window(f) if z == keep or closed_form_integral(f, z))
+    if keep is None:
+        f._stage = stage
+    return stage
 
 
 def _solve_type3_z(p: SrgParams, planes) -> FissionCandidate | None:

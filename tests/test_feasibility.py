@@ -1,6 +1,10 @@
+from math import isqrt
 from types import SimpleNamespace
 
 import pytest
+import reference_enumeration as ref_enum
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import skewfiss as sf
 import skewfiss.feasibility as feasibility
@@ -122,16 +126,42 @@ def test_splittable_sets_are_the_filtered_sets(n_max):
         ints for ints in everything if _splittable(*ints)]
 
 
-@pytest.mark.parametrize("parity", [None, 0, 1])
-def test_divisors_between_keeps_the_parity(parity):
-    """Every divisor of r(r+1)(m-1)m in [lo, hi] of the asked parity, once."""
-    factors = feasibility._consecutive_factors(40)
-    for r, m, lo, hi in [(1, 2, 1, 10), (3, 5, 2, 500), (8, 9, 1, 10 ** 6), (12, 13, 7, 200),
-                         (39, 40, 3, 5000), (6, 2, 5, 5)]:
-        product = r * (r + 1) * (m - 1) * m
-        got = feasibility._divisors_between(factors[r], factors[m - 1], lo, hi, parity)
-        assert sorted(got) == [d for d in range(lo, hi + 1) if product % d == 0
-                               and (parity is None or d % 2 == parity)], (r, m, parity)
+def _sweep_matches_reference(n_max):
+    for splittable in (False, True):
+        got = feasibility._srg_sets(n_max, splittable)
+        assert got == ref_enum.srg_sets(n_max, splittable), (n_max, splittable)
+        assert all(type(v) is int for ints in got for v in ints), (n_max, splittable)
+
+
+def test_sweep_equals_divisor_generation_up_to_400():
+    """The array sweep lists the sets of the frozen divisor generation, as
+    Python ints, in both modes at every n_max in [-5, 400].  That range holds
+    510 pairs (m, r) whose isqrt guard 1 + r*m + x + 2*isqrt(r*m*x) <= n_max
+    passes while mu^2 - b*mu + D <= 0 has no real root (the first at
+    n_max = 14, (m, r) = (2, 2)): the sweep must read those windows as empty."""
+    complex_windows = []
+    for n_max in range(-5, 401):
+        _sweep_matches_reference(n_max)
+        kmax = max((n_max - 1) // 2, 0)
+        for m in range(2, kmax + 1):
+            for r in range(1, kmax // m + 1):
+                rm, x = r * m, (r + 1) * (m - 1)
+                if 1 + rm + x + 2 * isqrt(rm * x) > n_max:
+                    break
+                if (n_max - 1 - rm - x) ** 2 < 4 * rm * x:
+                    complex_windows.append((n_max, m, r))
+    assert len(complex_windows) == 510 and complex_windows[0] == (14, 2, 2)
+
+
+@pytest.mark.parametrize("n_max", [1300, 3000, 5000])
+def test_sweep_equals_divisor_generation(n_max):
+    _sweep_matches_reference(n_max)
+
+
+@given(st.integers(min_value=-10, max_value=5000))
+@settings(max_examples=20, deadline=None)
+def test_sweep_equals_divisor_generation_drawn(n_max):
+    _sweep_matches_reference(n_max)
 
 
 @pytest.mark.parametrize("n_max", [-5, 0, 1, 2, 5, 9, 10, 50, 300, 1300, 3000, 5000])

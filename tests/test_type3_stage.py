@@ -210,6 +210,49 @@ def test_scan_funnel(monkeypatch, n_max, funnel):
     assert records == ends + passed
 
 
+def test_scan_runs_each_stage_once(monkeypatch):
+    """scan_srg(1300) runs each splittable set's integer stage once: every one
+    of the 3360 window z goes through closed_form_integral exactly once (the
+    ends are tested in end_types' integer pairs), and the 37 records get 37
+    closed forms.  The funnel is 2027 sets, 736 splittable."""
+    monkeypatch.setenv("SKEWFISS_THREADS", "1")
+    tested, closed = Counter(), []
+    integral, closed_form = spectra.closed_form_integral, feasibility.intersection_matrices_closed_form
+
+    def counted_integral(f, z):
+        tested[f, z] += 1
+        return integral(f, z)
+
+    def counted_closed_form(p, cand):
+        closed.append(cand)
+        return closed_form(p, cand)
+
+    monkeypatch.setattr(spectra, "closed_form_integral", counted_integral)
+    monkeypatch.setattr(feasibility, "intersection_matrices_closed_form", counted_closed_form)
+    records = sf.scan_srg(1300)
+    funnel = (len(feasibility._srg_sets(1300)), len(feasibility._srg_sets(1300, splittable=True)),
+              len(tested), len(closed), len(records))
+    assert funnel == (2027, 736, 3360, 37, 37)
+    assert set(tested.values()) == {1}
+
+
+def test_integer_ends_match_fraction_ends_up_to_5000():
+    """end_types tests z = n*k2/m1 and z = 0 as integer pairs; on every
+    splittable set up to 5000 it names the types that closed_form_integral
+    passes at those ends as Fraction z."""
+    sets = feasibility._srg_sets(5000, splittable=True)
+    assert len(sets) == 3421
+    passed = 0
+    for ints in sets:
+        forms = spectra.EntryForms(*ints)
+        n, k, *_, m1, _ = ints
+        ends = ((TYPE_I, Fraction(n * (n - k - 1), m1)), (TYPE_II, 0))
+        expected = [t for t, z in ends if closed_form_integral(forms, z)]
+        assert spectra.end_types(forms) == expected, ints[:4]
+        passed += len(expected)
+    assert passed == 56
+
+
 def test_tuple_stage_matches_frozen_stage_up_to_5000():
     """srg_stage on each splittable integer tuple up to 5000 passes exactly the
     candidates of the frozen stage on the three-point forms."""
