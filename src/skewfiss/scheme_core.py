@@ -646,16 +646,33 @@ def _canonical_rows(body: np.ndarray, rows: int, n: int, width: int) -> np.ndarr
     """The n * rows tokens of body, or None if it departs from the layout.
 
     body is the bytes of the rows with the "\n" before them: every token
-    starts after a separator.
+    starts after a separator.  When every token is one digit (width 1, 2n
+    bytes a row), separators and digits alternate and are read as such;
+    any other block, or one that departs from that, is read by _token_runs.
     """
+    if width == 1 and len(body) == 2 * n * rows + 1:
+        digits = body[1::2] - ord("0")
+        if (digits < 10).all() and np.array_equal(body[0::2], _separators(rows, n)):
+            return digits
+    return _token_runs(body, rows, n, width)
+
+
+def _separators(rows: int, n: int) -> np.ndarray:
+    """The separators of rows canonical rows of n tokens, from the "\n" before them."""
+    want = np.full(rows * n + 1, ord(" "), dtype=np.uint8)
+    want[::n] = ord("\n")
+    return want
+
+
+def _token_runs(body: np.ndarray, rows: int, n: int, width: int) -> np.ndarray | None:
+    """_canonical_rows for tokens of 1..width digits, read as digit runs."""
     digits = body - ord("0")
     is_digit = digits < 10
     is_sep = ~is_digit
     if np.count_nonzero(is_sep) != rows * n + 1:
         return None
-    want = np.full(rows * n + 1, ord(" "), dtype=np.uint8)
-    want[::n] = ord("\n")
-    if not np.array_equal(np.compress(is_sep, body), want) or (is_sep[1:] & is_sep[:-1]).any():
+    if (not np.array_equal(np.compress(is_sep, body), _separators(rows, n))
+            or (is_sep[1:] & is_sep[:-1]).any()):
         return None
     # value[q]: the number spelt by the digit run that ends at byte q
     value = (digits * is_digit).astype(np.int16)

@@ -31,15 +31,13 @@ radicals as ComplexSurds; a pseudocyclic (conference) table's entries
 carry nested radicals sqrt(c + e*sqrt(q)), and its module Q(sqrt(q)) +
 Q(sqrt(q))*i*u+ + Q(sqrt(q))*i*u-, u+- the two radicals, has a 6x6x6
 structure tensor per (q, g, h).  Each entry is integer coordinates over
-one denominator, the contractions run in int64 where an explicit bound on
-every partial sum stays below 2^63 and on Python ints otherwise, and
-_gate tests the p tensor in those integers, as it does the closed form's:
-a SurdSum is built only for a Krein value or for the first p value that
-fails.  A read-out (_read_out, for q and for p_values_from_table) builds
-one SurdSum per distinct (coordinates, scale) and puts one object in every
-cell of equal value, so a table's work after the contractions scales with
-its few distinct values (2 to 8 of the 125 Krein cells of a conference
-table up to q = 325), and negatives() reads each one's sign once.
+one denominator; each contraction is one batched matmul, in int64 where an
+explicit bound on every partial sum stays below 2^63 and on Python ints
+otherwise.  _gate tests the p tensor in those integers, as it does the
+closed form's.  KreinTensor keeps the integer sums and builds a SurdSum
+only for a cell that is read, once per distinct (coordinates, scale);
+negatives() reads the sign of each distinct coordinate vector once, so a
+Krein verdict builds values only for the negative cells.
 """
 
 from __future__ import annotations
@@ -407,20 +405,25 @@ def _max_abs(a: np.ndarray) -> int:
 
 @lru_cache(maxsize=None)
 def _plan(spec: str) -> tuple:
-    """(sizes, axes) of an einsum spec: sizes the (operand, axis) each summed
-    index takes its size from, axes the np.tensordot axes when two operands
-    sum exactly their shared indices, each once, and keep the rest in order,
-    else None."""
+    """(sizes, layout) of an einsum spec: sizes the (operand, axis) each summed index
+    takes its size from.  For two operands whose indices appear once, summed only if
+    shared, layout is their transposes to (batch = shared kept, left, summed) and
+    (batch, summed, right), len(batch), len(left) and the output's order; else None."""
     inputs, output = spec.split("->")
     subs = inputs.split(",")
     where = {c: (k, x) for k, sub in enumerate(subs) for x, c in enumerate(sub)}
     summed = sorted(where.keys() - set(output))
-    axes = None
-    if (len(subs) == 2 and set(subs[0]) & set(subs[1]) == set(summed)
-            and all(len(set(s)) == len(s) for s in subs)
-            and "".join(c for c in "".join(subs) if c not in summed) == output):
-        axes = tuple(tuple(sub.index(c) for c in summed) for sub in subs)
-    return tuple(where[c] for c in summed), axes
+    layout = None
+    if len(subs) == 2 and all(len(set(s)) == len(s) for s in (*subs, output)):
+        a, b = subs
+        batch, shared = [c for c in a if c in b and c in output], [c for c in a if c in summed]
+        left, right = [c for c in a if c not in b], [c for c in b if c not in a]
+        kept = batch + left + right
+        if sorted(kept) == sorted(output):
+            layout = (tuple(map(a.index, batch + left + shared)),
+                      tuple(map(b.index, batch + shared + right)),
+                      len(batch), len(left), tuple(map(kept.index, output)))
+    return tuple(where[c] for c in summed), layout
 
 
 def _exact_einsum(spec: str, *operands, maxima=None) -> np.ndarray:
@@ -429,19 +432,24 @@ def _exact_einsum(spec: str, *operands, maxima=None) -> np.ndarray:
     (number of summed terms) * prod(max(1, max |operand|)) bounds every
     partial product and partial sum, in any evaluation order; at or above
     _INT64_LIMIT (2^63) the contraction runs on Python ints (dtype object).
-    maxima: each operand's max |entry|, or None to scan it.  Two operands
-    that sum exactly their shared indices, each once, and keep the rest in
-    order are contracted by np.tensordot.  Each spec is parsed once (_plan).
+    maxima: each operand's max |entry|, or None to scan it.  Two operands with
+    a _plan layout (one per spec) are contracted by one batched np.matmul;
+    any other spec runs through np.einsum.
     """
-    sizes, axes = _plan(spec)
+    sizes, layout = _plan(spec)
     bound = prod(operands[k].shape[x] for k, x in sizes)
     for op, m in zip(operands, maxima or (None,) * len(operands)):
         bound *= _max_abs(op) if m is None else max(1, m)
     dtype = np.int64 if bound < _INT64_LIMIT else object
     ops = [op.astype(dtype, copy=False) for op in operands]
-    if axes is not None:
-        return np.tensordot(*ops, axes=axes)
-    return np.einsum(spec, *ops)
+    if layout is None:
+        return np.einsum(spec, *ops)
+    ta, tb, nb, nl, out = layout
+    a, b = ops[0].transpose(ta), ops[1].transpose(tb)
+    kept = a.shape[:nb + nl] + b.shape[a.ndim - nl:]  # b: batch and summed, then right
+    a = a.reshape(prod(kept[:nb]), prod(kept[nb:nb + nl]), prod(a.shape[nb + nl:]))
+    b = b.reshape(a.shape[0], a.shape[2], prod(kept[nb + nl:]))
+    return np.matmul(a, b).reshape(kept).transpose(out)
 
 
 def _structure_tensor(q: int, g: int, h: int) -> tuple[np.ndarray, int]:
@@ -586,41 +594,27 @@ def _surd(x: list, keys, num: int, den: int = 1) -> SurdSum:
     return _reduced({k: c * den for k, c in zip(keys, x) if c}, num)
 
 
-def _read_out(S, scales, value) -> tuple:
-    """Nested tuples t[i][j][l] = value(x, scale) of the coordinates x =
-    S[i, j, l] (the int64 or object sums of _identity_sums) and scales, one
-    per cell in (i, j, l) order.  value runs once per distinct (x, scale),
-    and cells of equal value hold one object, so each distinct value is
-    checked once (KreinTensor.negatives)."""
-    d = S.shape[0]
-    cells = list(zip(map(tuple, S.reshape(d ** 3, -1).tolist()), scales))
-    memo, values = {}, {}
-    for key in dict.fromkeys(cells):
-        v = value(*key)
-        memo[key] = values.setdefault(v, v)
-    flat = list(map(memo.__getitem__, cells))
-    return tuple(tuple(tuple(flat[r:r + d]) for r in range(p, p + d * d, d))
-                 for p in range(0, d ** 3, d * d))
-
-
 def check_orthogonality(t: CharacterTable) -> None:
-    """Column orthogonality sum_h m_h P[h][i] conj(P[h][j]) = n k_i [i=j], exactly.
+    """Column orthogonality sum_h m_h P[h][i] conj(P[h][j]) = n k_i [i=j], exactly:
+    column 0 of P is all ones, so that sum is n k_j p^j_(i,0) in the eigenvalue
+    identity, and orthogonality is p^j_(i,0) = [i = j], the only cells read."""
+    values = _p_values(t)
+    for i, j in product(range(len(t.valencies)), repeat=2):
+        if values[i, 0, j] != int(i == j):
+            raise ConsistencyError(
+                f"orthogonality fails at columns ({i},{j}): p^{j}_({i},0) = {values[i, 0, j]}")
 
-    Column 0 of P is all ones, so that sum is n k_j p^j_(i,0) in the
-    eigenvalue identity, and orthogonality is p^j_(i,0) = [i = j].
-    """
-    for i, row in enumerate(p_values_from_table(t)):
-        for j, value in enumerate(row[0]):
-            if value != int(i == j):
-                raise ConsistencyError(
-                    f"orthogonality fails at columns ({i},{j}): p^{j}_({i},0) = {value}")
+
+def _p_values(t: CharacterTable) -> KreinTensor:
+    """The eigenvalue-identity values p^l_ij, each built when it is read."""
+    S, den, keys = _identity_sums(t, t.multiplicities)
+    scales = [(den * t.n * k.numerator, k.denominator) for k in t.valencies]
+    return KreinTensor(S, keys, scales * len(scales) ** 2, lambda x, c: _surd(x, keys, *c))
 
 
 def p_values_from_table(t: CharacterTable) -> tuple:
     """Eigenvalue-identity values p^l_ij as exact SurdSums, no integrality gate."""
-    S, den, keys = _identity_sums(t, t.multiplicities)
-    scales = [(den * t.n * k.numerator, k.denominator) for k in t.valencies]
-    return _read_out(S, scales * len(scales) ** 2, lambda x, c: _surd(x, keys, *c))
+    return _p_values(t).q
 
 
 def p_from_table(t: CharacterTable) -> IntersectionTensor:
@@ -653,46 +647,52 @@ def _gate(num, div, irrational, value, valencies) -> IntersectionTensor:
                               valencies=tuple(int(v) for v in valencies))
 
 
-@dataclass(frozen=True)
 class KreinTensor:
-    """q^l_ij values as exact SurdSums, all real."""
+    """q^l_ij of a table as exact real SurdSums, q[i][j][l]: cell (i, j, l) is
+    value(x, c) of its integer coordinates x over sqrt(keys) (_identity_sums)
+    and a key c of a positive scale, built when read, once per distinct (x, c);
+    cells of equal value hold one object.  p_values_from_table reads p alike."""
 
-    q: tuple  # q[i][j][l]
+    def __init__(self, S: np.ndarray, keys, scales: list, value):
+        self._d, self._keys, self._value = S.shape[0], keys, value
+        self._memo, self._values = {}, {}
+        self._cells = list(zip(map(tuple, S.reshape(len(scales), -1).tolist()), scales))
 
-    def __getitem__(self, idx):
-        i, j, l = idx
-        return self.q[i][j][l]
+    def __getitem__(self, idx) -> SurdSum:
+        key = self._cells[(idx[0] * self._d + idx[1]) * self._d + idx[2]]
+        if key not in self._memo:
+            v = self._value(*key)
+            self._memo[key] = self._values.setdefault(v, v)
+        return self._memo[key]
+
+    @property
+    def q(self) -> tuple:
+        rng = range(self._d)
+        return tuple(tuple(tuple(self[i, j, l] for l in rng) for j in rng) for i in rng)
 
     def negatives(self) -> list[tuple[tuple[int, int, int], SurdSum]]:
-        """All (l, i, j) with q^l_ij < 0, in lexicographic order of (l, i, j).
-        Each distinct object (q_from_table puts one in all cells of equal
-        value) has its sign read once."""
-        q = self.q
-        distinct = {id(v): v for plane in q for row in plane for v in row}
-        negative = {key for key, v in distinct.items() if v.sign() < 0}
-        if not negative:
-            return []
-        rng = range(len(q))
-        return [((l, i, j), q[i][j][l]) for l, i, j in product(rng, repeat=3)
-                if id(q[i][j][l]) in negative]
+        """All (l, i, j) with q^l_ij < 0, in lexicographic order of (l, i, j).  The
+        sign of sum_a x_a sqrt(keys[a]), that of x's values, is read once per distinct x."""
+        sign = {x: _surd(x, self._keys, 1).sign() for x in {x for x, _ in self._cells}}
+        d = self._d
+        cells = sorted((c % d, c // (d * d), c // d % d)
+                       for c, (x, _) in enumerate(self._cells) if sign[x] < 0)
+        return [((l, i, j), self[i, j, l]) for l, i, j in cells]
 
 
 def q_from_table(t: CharacterTable) -> KreinTensor:
-    """Krein numbers from the eigenvalue identity; negativity is a result."""
+    """Krein numbers from the eigenvalue identity; negativity is a result.
+    Cell (i, j, l) keys on m_i m_j as the integer pair (a_i a_j, b_i b_j), where
+    m_i = a_i/b_i in lowest terms."""
     S, den, keys = _identity_sums(t, [Fraction(k.denominator ** 2, k.numerator ** 2)
                                       for k in t.valencies], columns=True)
-    ratios = [x.as_integer_ratio() for x in t.multiplicities]
     if t.kind == "conference":
-        # m_i m_j / n goes into the read-out denominator of each sum
-        scale = [[(den * t.n * di * dj, ni * nj) for nj, dj in ratios] for ni, di in ratios]
-        value = lambda x, c: _surd(x, keys, *c)
+        value = lambda x, c: _surd(x, keys, den * t.n * c[1], c[0])
     else:
-        index = {}  # cell (i, j) keys on the index of m_i m_j, an integer ratio in lowest terms
-        scale = [[index.setdefault((ni * nj // g, di * dj // g), len(index)) for nj, dj in ratios
-                  for g in (gcd(ni * nj, di * dj),)] for ni, di in ratios]
-        factors = [Fraction(a, b * t.n) for a, b in index]  # one per distinct product
-        value = lambda x, c: _surd(x, keys, den) * factors[c]
-    return KreinTensor(q=_read_out(S, [c for row in scale for c in row for _ in ratios], value))
+        value = lambda x, c: _surd(x, keys, den) * Fraction(c[0], c[1] * t.n)
+    ratios = [x.as_integer_ratio() for x in t.multiplicities]
+    pairs = [(ai * aj, bi * bj) for ai, bi in ratios for aj, bj in ratios]
+    return KreinTensor(S, keys, [c for c in pairs for _ in ratios], value)
 
 
 # -- closed-form intersection matrices ---------------------------------------

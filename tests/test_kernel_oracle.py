@@ -201,21 +201,26 @@ def test_int_array_falls_back_to_python_ints():
 
 
 @pytest.mark.parametrize("spec,shapes", [
-    ("hija,hlac->ijlc", [(3, 2, 2, 4), (3, 2, 4, 5)]),  # tensordot
-    ("xhjb,abc->xhjac", [(2, 3, 2, 4), (4, 4, 3)]),  # tensordot
-    ("ij,jk->ik", [(2, 3), (3, 4)]),  # tensordot
-    ("hia,hjac->hijc", [(3, 2, 4), (3, 2, 4, 5)]),  # h kept: einsum
-    ("ij,jk->ki", [(2, 3), (3, 4)]),  # output reordered: einsum
+    ("hija,hlac->ijlc", [(3, 2, 2, 4), (3, 2, 4, 5)]),  # matmul, h and a summed
+    ("xhjb,abc->xhjac", [(2, 3, 2, 4), (4, 4, 3)]),  # matmul
+    ("ij,jk->ik", [(2, 3), (3, 4)]),  # matmul
+    ("hia,hjac->hijc", [(3, 2, 4), (3, 2, 4, 5)]),  # h kept: batched matmul
+    ("ij,jk->ki", [(2, 3), (3, 4)]),  # output reordered: matmul
     ("ij,k->i", [(2, 3), (4,)]),  # j and k summed in one operand each: einsum
     ("ii,ij->j", [(3, 3), (3, 2)]),  # a repeated index: einsum
+    ("h,hia->hia", [(3,), (3, 2, 4)]),  # nothing summed: batched matmul
+    ("ijl,l->ijl", [(2, 3, 4), (4,)]),  # l kept, output reordered: batched matmul
 ])
 def test_exact_einsum_matches_einsum(monkeypatch, spec, shapes):
+    """Equal to np.einsum on Python ints, in int64 and on the object path."""
     rng = np.random.default_rng(0)
     ops = [rng.integers(-9, 10, size=shape) for shape in shapes]
-    expected = np.einsum(spec, *ops).tolist()
-    assert _exact_einsum(spec, *ops).tolist() == expected
+    expected = np.einsum(spec, *(op.astype(object) for op in ops)).tolist()
+    out = _exact_einsum(spec, *ops)
+    assert out.dtype == np.int64 and out.tolist() == expected
     monkeypatch.setattr(spectra, "_INT64_LIMIT", 0)
-    assert _exact_einsum(spec, *ops).tolist() == expected
+    out = _exact_einsum(spec, *ops)
+    assert out.dtype == object and out.tolist() == expected
 
 
 def test_exact_rejections_still_raise():
@@ -309,6 +314,12 @@ def _surd_gate(t):
         valencies=tuple(int(v) for v in t.valencies))
 
 
+def _krein_sums(t) -> np.ndarray:
+    """The Krein identity's integer coordinates, one row per cell in (i, j, l) order."""
+    S = _identity_sums(t, [Fraction(1) / (k * k) for k in t.valencies], True)[0]
+    return S.reshape(len(t.valencies) ** 3, -1)
+
+
 def _per_cell_krein(t):
     """q^l_ij read out cell by cell: one _surd per cell, times m_i m_j / n."""
     S, den, keys = _identity_sums(t, [Fraction(1) / (k * k) for k in t.valencies], True)
@@ -332,7 +343,8 @@ def _per_cell_krein(t):
 @settings(max_examples=30, deadline=None)
 def test_krein_read_out_shares_equal_values(limit, t):
     """q_from_table equals the per-cell read-out, equal cells are one object,
-    and negatives() reads one sign per distinct value, in (l, i, j) order."""
+    and negatives() reads one sign per distinct coordinate vector of the
+    integer sums, in (l, i, j) order."""
     signed = []
     sign = SurdSum.sign
     with pytest.MonkeyPatch.context() as mp:
@@ -344,25 +356,26 @@ def test_krein_read_out_shares_equal_values(limit, t):
     assert _triples(krein.q) == _triples(expected)
     by_value = {}
     assert all(by_value.setdefault(x, x) is x for plane in krein.q for row in plane for x in row)
-    assert sorted(map(id, signed)) == sorted(map(id, by_value.values()))
+    assert len(signed) == len(set(map(tuple, _krein_sums(t).tolist())))
     rng = range(len(expected))
     assert negatives == [((l, i, j), expected[i][j][l]) for l in rng for i in rng for j in rng
                          if expected[i][j][l].sign() < 0]
 
 
-def _distinct_krein_keys(t) -> int:
-    """Distinct (coordinates, m_i m_j) over the 125 cells of a surd table's q."""
-    S, _, _ = _identity_sums(t, [Fraction(1) / (k * k) for k in t.valencies], True)
-    m = t.multiplicities
-    return len({(tuple(S[i, j, l].tolist()), m[i] * m[j])
-                for i, j, l in product(range(len(m)), repeat=3)})
+def _distinct_krein_keys(t, cells) -> int:
+    """Distinct (coordinates, m_i m_j) over the given (i, j, l) cells of q."""
+    d, m = len(t.valencies), t.multiplicities
+    sums = _krein_sums(t).tolist()
+    return len({(tuple(sums[(i * d + j) * d + l]), m[i] * m[j]) for i, j, l in cells})
 
 
 def test_srg_scan_krein_read_out_and_multiplications(monkeypatch):
     """On every table of scan srg --max-n 1300, q_from_table equals the
-    per-cell read-out, equal cells are one object, and SurdSum.__mul__ runs
-    once per distinct (coordinates, m_i m_j): 934 calls over the scan, the
-    surd_mul count of the bench's traced srg_scan pass."""
+    per-cell read-out and equal cells are one object.  The scan's Krein
+    verdicts run SurdSum.__mul__ once per distinct (coordinates, m_i m_j)
+    among the cells they read, the negative ones: 22 calls, the surd_mul
+    count of the bench's traced srg_scan pass.  Reading every cell of a
+    table (q) runs it once per distinct (coordinates, m_i m_j) of the table."""
     monkeypatch.setenv("SKEWFISS_THREADS", "1")
     mul, calls = SurdSum.__mul__, []
 
@@ -375,20 +388,62 @@ def test_srg_scan_krein_read_out_and_multiplications(monkeypatch):
         mp.setattr(SurdSum, "__rmul__", counted)
         records = sf.scan_srg(1300)
         scan_calls = len(calls)
-        per_table = []
         for rec in records:
             del calls[:]
             krein = sf.q_from_table(rec.table)
-            per_table.append(len(calls))
-            assert len(calls) == _distinct_krein_keys(rec.table), rec.n
+            assert len(calls) == 0, rec.n
             by_value = {}
             assert all(by_value.setdefault(x, x) is x
                        for plane in krein.q for row in plane for x in row)
+            assert len(calls) == _distinct_krein_keys(rec.table, product(range(5), repeat=3))
     assert len(records) == 37
-    assert scan_calls == sum(per_table) == 934
+    read = 0
     for rec in records:
-        assert _triples(sf.q_from_table(rec.table).q) == _triples(
-            _per_cell_krein(rec.table))
+        expected = _per_cell_krein(rec.table)
+        assert _triples(sf.q_from_table(rec.table).q) == _triples(expected)
+        negative = [(i, j, l) for i, j, l in product(range(5), repeat=3)
+                    if expected[i][j][l].sign() < 0]
+        read += _distinct_krein_keys(rec.table, negative)
+    assert scan_calls == read == 22
+
+
+def test_identity_values_built_only_where_read(monkeypatch):
+    """On the tables of scan srg --max-n 1300 and scan conference --max-n 325:
+    one cell read from a fresh Krein tensor builds one SurdSum; negatives()
+    builds one per distinct coordinate vector (its sign) and one per distinct
+    (coordinates, m_i m_j) among the negative cells, and q then equals the
+    per-cell read-out and holds the objects negatives() returned;
+    check_orthogonality reads the 25 cells p^j_(i,0), building one value per
+    distinct (coordinates, k_j) among them."""
+    monkeypatch.setenv("SKEWFISS_THREADS", "1")
+    tables = [rec.table for rec in sf.scan_srg(1300) + sf.conference_scan(325)]
+    assert len(tables) == 37 + 33
+    built, read = [], []
+    surd, getitem = spectra._surd, spectra.KreinTensor.__getitem__
+    monkeypatch.setattr(spectra, "_surd", lambda *args: built.append(args) or surd(*args))
+    monkeypatch.setattr(spectra.KreinTensor, "__getitem__",
+                        lambda self, idx: read.append(idx) or getitem(self, idx))
+    rng = range(5)
+    for t in tables:
+        krein = sf.q_from_table(t)
+        del built[:]
+        krein[1, 2, 3]
+        assert len(built) == 1
+        krein = sf.q_from_table(t)
+        del built[:]
+        negatives = krein.negatives()
+        sums = _krein_sums(t)
+        cells = [(i, j, l) for (l, i, j), _ in negatives]
+        assert len(built) == len(set(map(tuple, sums.tolist()))) + _distinct_krein_keys(t, cells)
+        q = krein.q
+        assert _triples(q) == _triples(_per_cell_krein(t))
+        assert all(value is q[i][j][l] for (l, i, j), value in negatives)
+        del built[:], read[:]
+        sf.check_orthogonality(t)
+        assert sorted(read) == [(i, 0, j) for i in rng for j in rng]
+        p_sums = _identity_sums(t, t.multiplicities)[0].tolist()
+        assert len(built) == len({(tuple(p_sums[i][0][j]), t.valencies[j])
+                                  for i in rng for j in rng})
 
 
 def _structure_tensor_by_rules(q, g, h):

@@ -543,6 +543,38 @@ def test_crlf_byte_cases_match_reference(tmp_path, name, case):
         assert scheme_core._read_canonical(data) is None
 
 
+def _one_digit_byte_cases():
+    """Width-1 files by name:  cyc13 (d = 4) through every byte case, and
+    a d = 9 file of several row blocks with its last row's tokens edited."""
+    s = corpus("cyc13")
+    cases = [(case, BYTE_CASES[case](scheme_bytes(s), s.d)) for case in BYTE_CASES]
+    rel = np.random.default_rng(7).integers(1, 10, size=(600, 600))
+    np.fill_diagonal(rel, 0)
+    big = scheme_bytes(AssociationScheme(rel, d=9))
+    cases.append(("600_canonical", big))
+    for name, token in (("wide", b"10"), ("letter", b"x"), ("zero", b"0")):
+        cases.append((f"600_last_row_{name}", _edit_token(big, 600, 5, lambda t: token)))
+    cases.append(("600_last_row_tab", _edit_row(big, 600, lambda r: r.replace(b" ", b"\t", 1))))
+    return dict(cases)
+
+
+ONE_DIGIT_CASES = _one_digit_byte_cases()
+
+
+@pytest.mark.parametrize("crlf", [False, True], ids=["lf", "crlf"])
+@pytest.mark.parametrize("case", ONE_DIGIT_CASES)
+def test_one_digit_rows_match_token_runs(tmp_path, monkeypatch, crlf, case):
+    """The one-digit read of _canonical_rows against _token_runs, the general
+    reading, on the same bytes: the same scheme, or the same fall back to
+    the token walk and the same outcome there."""
+    data = ONE_DIGIT_CASES[case]
+    if crlf:
+        data = data.replace(b"\n", b"\r\n")
+    fast = scheme_core._read_canonical(data), parse_both(tmp_path, data)[0]
+    monkeypatch.setattr(scheme_core, "_canonical_rows", scheme_core._token_runs)
+    assert fast == (scheme_core._read_canonical(data), parse_both(tmp_path, data)[0])
+
+
 @pytest.mark.parametrize("row", range(1, 14))
 def test_crlf_file_with_one_lf_row_matches_reference(tmp_path, row):
     """CRLF everywhere but at the end of one row: that row's last byte is a
