@@ -646,14 +646,14 @@ def _canonical_rows(body: np.ndarray, rows: int, n: int, width: int) -> np.ndarr
     """The n * rows tokens of body, or None if it departs from the layout.
 
     body is the bytes of the rows with the "\n" before them: every token
-    starts after a separator.  When every token is one digit (width 1, 2n
-    bytes a row), separators and digits alternate and are read as such;
-    any other block, or one that departs from that, is read by _token_runs.
+    starts after a separator.  One-digit tokens (width 1) fill rows of
+    exactly 2n bytes with the "\n", as _read_canonical has checked, so
+    separators and digits must alternate; wider tokens go to _token_runs.
     """
-    if width == 1 and len(body) == 2 * n * rows + 1:
+    if width == 1:
         digits = body[1::2] - ord("0")
-        if (digits < 10).all() and np.array_equal(body[0::2], _separators(rows, n)):
-            return digits
+        ok = (digits < 10).all() and np.array_equal(body[0::2], _separators(rows, n))
+        return digits if ok else None
     return _token_runs(body, rows, n, width)
 
 

@@ -22,22 +22,21 @@ closed_form_integral at each z), which reads entries in order and stops at
 the first that fails; column orthogonality is the identity's
 p^j_(i,0) = [i = j].
 
-Both kinds of table run the identity as the same two integer
-contractions in one module per table, read by rows for p and transposed,
-by columns, for q.  A surd table's module is the algebra spanned by all its
-radicands closed under products (1, i*sqrt(x1), i*sqrt(x2), sqrt(x1*x2)
-on every scan table), its integer structure tensor the products of those
-radicals as ComplexSurds; a pseudocyclic (conference) table's entries
-carry nested radicals sqrt(c + e*sqrt(q)), and its module Q(sqrt(q)) +
-Q(sqrt(q))*i*u+ + Q(sqrt(q))*i*u-, u+- the two radicals, has a 6x6x6
-structure tensor per (q, g, h).  Each entry is integer coordinates over
-one denominator; each contraction is one batched matmul, in int64 where an
-explicit bound on every partial sum stays below 2^63 and on Python ints
-otherwise.  _gate tests the p tensor in those integers, as it does the
-closed form's.  KreinTensor keeps the integer sums and builds a SurdSum
-only for a cell that is read, once per distinct (coordinates, scale);
-negatives() reads the sign of each distinct coordinate vector once, so a
-Krein verdict builds values only for the negative cells.
+Both kinds of table run the identity as the same two integer contractions in
+one module per table, read by rows for p and transposed, by columns, for q.  A
+surd table's module is the algebra spanned by all its radicands closed under
+products (1, i*sqrt(x1), i*sqrt(x2), sqrt(x1*x2) on every scan table), its
+integer structure tensor the products of those radicals as ComplexSurds; a
+pseudocyclic (conference) table's entries carry nested radicals u+- =
+sqrt((q +- g*sqrt(q))/8), and its module, spanned over Q(sqrt(q)) by 1, i*u+
+and i*u-, has a 6x6x6 structure tensor per (q, g, h).  Each entry is integer
+coordinates over one denominator; each contraction that sums an index is one
+batched matmul, in int64 where an explicit bound on every partial sum stays
+below 2^63 and on Python ints otherwise.  _gate tests the p tensor in those
+integers, as it does the closed form's.  KreinTensor keeps the integer sums
+and builds a SurdSum only for a cell that is read, once per distinct
+(coordinates, scale); negatives() reads one sign per distinct coordinate
+vector, so a Krein verdict builds values only for the negative cells.
 """
 
 from __future__ import annotations
@@ -406,8 +405,8 @@ def _max_abs(a: np.ndarray) -> int:
 @lru_cache(maxsize=None)
 def _plan(spec: str) -> tuple:
     """(sizes, layout) of an einsum spec: sizes the (operand, axis) each summed index
-    takes its size from.  For two operands whose indices appear once, summed only if
-    shared, layout is their transposes to (batch = shared kept, left, summed) and
+    takes its size from.  For two operands whose indices appear once and which sum a
+    shared index, layout is their transposes to (batch = shared kept, left, summed) and
     (batch, summed, right), len(batch), len(left) and the output's order; else None."""
     inputs, output = spec.split("->")
     subs = inputs.split(",")
@@ -419,7 +418,7 @@ def _plan(spec: str) -> tuple:
         batch, shared = [c for c in a if c in b and c in output], [c for c in a if c in summed]
         left, right = [c for c in a if c not in b], [c for c in b if c not in a]
         kept = batch + left + right
-        if sorted(kept) == sorted(output):
+        if shared and sorted(kept) == sorted(output):
             layout = (tuple(map(a.index, batch + left + shared)),
                       tuple(map(b.index, batch + shared + right)),
                       len(batch), len(left), tuple(map(kept.index, output)))
@@ -433,8 +432,8 @@ def _exact_einsum(spec: str, *operands, maxima=None) -> np.ndarray:
     partial product and partial sum, in any evaluation order; at or above
     _INT64_LIMIT (2^63) the contraction runs on Python ints (dtype object).
     maxima: each operand's max |entry|, or None to scan it.  Two operands with
-    a _plan layout (one per spec) are contracted by one batched np.matmul;
-    any other spec runs through np.einsum.
+    a _plan layout (one per spec) are contracted by one batched np.matmul; any
+    other spec, such as one that sums nothing, runs faster through np.einsum.
     """
     sizes, layout = _plan(spec)
     bound = prod(operands[k].shape[x] for k, x in sizes)
@@ -659,7 +658,8 @@ class KreinTensor:
         self._cells = list(zip(map(tuple, S.reshape(len(scales), -1).tolist()), scales))
 
     def __getitem__(self, idx) -> SurdSum:
-        key = self._cells[(idx[0] * self._d + idx[1]) * self._d + idx[2]]
+        i, j, l = (range(self._d)[x] for x in idx)  # IndexError, or wrapped per axis
+        key = self._cells[(i * self._d + j) * self._d + l]
         if key not in self._memo:
             v = self._value(*key)
             self._memo[key] = self._values.setdefault(v, v)

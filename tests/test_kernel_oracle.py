@@ -446,6 +446,31 @@ def test_identity_values_built_only_where_read(monkeypatch):
                                   for i in rng for j in rng})
 
 
+def _petersen_table():
+    """The 3x3 character table of the Petersen graph, srg(10, 3, 0, 1)."""
+    p, one = sf.srg_derive(10, 3, 0, 1), ComplexSurd(1)
+    rows = ((one, ComplexSurd(p.k), ComplexSurd(p.k2)), (one, ComplexSurd(p.r), ComplexSurd(p.t)),
+            (one, ComplexSurd(p.s), ComplexSurd(p.u)))
+    return sf.CharacterTable(entries=rows, multiplicities=tuple(map(Fraction, (1, p.m1, p.m2))),
+                             valencies=tuple(map(Fraction, (1, p.k, p.k2))), n=p.n, kind="surd")
+
+
+@pytest.mark.parametrize("t", [_petersen_table(), _srg_table((105, 26, 13, 4), TYPE_III, 540),
+                               _conference_both_h((325, -15))[1]], ids=["d3", "srg", "conference"])
+def test_krein_index_checked_per_axis(t):
+    """krein[i, j, l] indexes each axis as a sequence of length d does: an
+    index out of range raises IndexError, a negative one counts from the end
+    of its own axis, and no index reaches a cell of another row."""
+    krein, d = sf.q_from_table(t), len(t.valencies)
+    q = krein.q
+    for bad in ((0, 0, d), (0, d, 0), (d, 0, 0), (0, 0, -d - 1), (-d - 1, 0, 0)):
+        with pytest.raises(IndexError):
+            krein[bad]
+    for i, j, l in product(range(-d, d), repeat=3):
+        assert krein[i, j, l] is q[i][j][l]
+    assert krein[0, 0, -1] is krein[0, 0, d - 1] and krein[-1, 0, 0] is krein[d - 1, 0, 0]
+
+
 def _structure_tensor_by_rules(q, g, h):
     """_structure_tensor as the nine rules expanded in a Python loop on every call."""
     r, s = sf.exactnum.square_split(q)
