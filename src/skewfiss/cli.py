@@ -246,10 +246,8 @@ def cmd_krein(args) -> int:
     for l in range(5):
         for i in range(5):
             for j in range(5):
-                value = tensor[i, j, l]
-                sgn = value.sign()
-                mark = {1: "+", 0: "0", -1: "-"}[sgn]
-                print(f"q^{l}_({i},{j}) = {value}  [{mark}]")
+                mark = {1: "+", 0: "0", -1: "-"}[tensor.sign((i, j, l))]
+                print(f"q^{l}_({i},{j}) = {tensor[i, j, l]}  [{mark}]")
     return 0
 
 

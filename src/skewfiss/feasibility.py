@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd
-from multiprocessing import Pool
 
 import numpy as np
 
@@ -127,6 +126,8 @@ def _scan(units, work) -> list[ScanRecord]:
     usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     threads = min(threads, usable or 1)
     if threads > 1:
+        from multiprocessing import Pool  # only here: the import slows every start-up
+
         with Pool(processes=threads) as pool:
             batches = pool.map(work, units, chunksize=8)
     else:
@@ -186,7 +187,7 @@ def _krein_verdict(rec: ScanRecord, table: CharacterTable, witness=None) -> Scan
     else:
         l, i, j = witness
         value = krein[i, j, l]
-        if value.sign() >= 0:
+        if krein.sign((i, j, l)) >= 0:
             raise ConsistencyError(
                 f"n = {rec.n}, z = {rec.z}: q^{l}_({i},{j}) = {value} is not negative")
         negatives = [(witness, value)]

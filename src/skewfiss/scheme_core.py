@@ -167,12 +167,22 @@ class AssociationScheme:
     """Relation-index matrix with d nontrivial classes.
 
     Construction checks only shape and index range; the scheme axioms are
-    established by ``verify_axioms``.  The matrix is frozen after
-    construction so schemes can be shared across scan workers.
+    established by ``verify_axioms``.  Entries are stored as int16, and an
+    entry that the cast would change (65537, 1.7, 70000 as a Python int) is
+    a SchemeError.  The matrix is frozen after construction so schemes can
+    be shared across scan workers.
     """
 
     def __init__(self, rel, d: int | None = None):
-        mat = np.asarray(rel, dtype=np.int16)
+        given = np.asarray(rel)
+        try:
+            with np.errstate(invalid="ignore"):  # NaN: a changed entry, no warning
+                mat = given.astype(np.int16, copy=False)
+        except (OverflowError, TypeError, ValueError):
+            mat = None
+        # int16 input is mat itself, so only another dtype pays the comparison
+        if mat is None or (mat is not given and not np.array_equal(mat, given)):
+            raise SchemeError("relation indices must be integers in the int16 range")
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise SchemeError(f"relation matrix must be square, got shape {mat.shape}")
         n = mat.shape[0]

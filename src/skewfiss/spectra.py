@@ -22,21 +22,21 @@ closed_form_integral at each z), which reads entries in order and stops at
 the first that fails; column orthogonality is the identity's
 p^j_(i,0) = [i = j].
 
-Both kinds of table run the identity as the same two integer contractions in
-one module per table, read by rows for p and transposed, by columns, for q.  A
+Both kinds of table run the identity as the same integer products in one
+module per table, read by rows for p and transposed, by columns, for q.  A
 surd table's module is the algebra spanned by all its radicands closed under
 products (1, i*sqrt(x1), i*sqrt(x2), sqrt(x1*x2) on every scan table), its
 integer structure tensor the products of those radicals as ComplexSurds; a
 pseudocyclic (conference) table's entries carry nested radicals u+- =
 sqrt((q +- g*sqrt(q))/8), and its module, spanned over Q(sqrt(q)) by 1, i*u+
 and i*u-, has a 6x6x6 structure tensor per (q, g, h).  Each entry is integer
-coordinates over one denominator; each contraction that sums an index is one
-batched matmul, in int64 where an explicit bound on every partial sum stays
-below 2^63 and on Python ints otherwise.  _gate tests the p tensor in those
-integers, as it does the closed form's.  KreinTensor keeps the integer sums
-and builds a SurdSum only for a cell that is read, once per distinct
-(coordinates, scale); negatives() reads one sign per distinct coordinate
-vector, so a Krein verdict builds values only for the negative cells.
+coordinates over one denominator; the five products (three matmuls, two
+broadcast multiplies) each run in int64 when the bound their call site states
+is below 2^63, on Python ints otherwise.  _gate tests the p tensor in those
+integers, as it does the closed form's.  KreinTensor keeps the integer sums,
+builds a SurdSum only for a cell that is read, once per distinct
+(coordinates, scale), and reads one sign per distinct coordinate vector, so a
+Krein verdict builds values only for the negative cells.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 
 import numpy as np
 
@@ -402,53 +402,11 @@ def _max_abs(a: np.ndarray) -> int:
     return max(1, -int(a.min()), int(a.max()))
 
 
-@lru_cache(maxsize=None)
-def _plan(spec: str) -> tuple:
-    """(sizes, layout) of an einsum spec: sizes the (operand, axis) each summed index
-    takes its size from.  For two operands whose indices appear once and which sum a
-    shared index, layout is their transposes to (batch = shared kept, left, summed) and
-    (batch, summed, right), len(batch), len(left) and the output's order; else None."""
-    inputs, output = spec.split("->")
-    subs = inputs.split(",")
-    where = {c: (k, x) for k, sub in enumerate(subs) for x, c in enumerate(sub)}
-    summed = sorted(where.keys() - set(output))
-    layout = None
-    if len(subs) == 2 and all(len(set(s)) == len(s) for s in (*subs, output)):
-        a, b = subs
-        batch, shared = [c for c in a if c in b and c in output], [c for c in a if c in summed]
-        left, right = [c for c in a if c not in b], [c for c in b if c not in a]
-        kept = batch + left + right
-        if shared and sorted(kept) == sorted(output):
-            layout = (tuple(map(a.index, batch + left + shared)),
-                      tuple(map(b.index, batch + shared + right)),
-                      len(batch), len(left), tuple(map(kept.index, output)))
-    return tuple(where[c] for c in summed), layout
-
-
-def _exact_einsum(spec: str, *operands, maxima=None) -> np.ndarray:
-    """np.einsum on integer arrays, in int64 only where that is exact.
-
-    (number of summed terms) * prod(max(1, max |operand|)) bounds every
-    partial product and partial sum, in any evaluation order; at or above
-    _INT64_LIMIT (2^63) the contraction runs on Python ints (dtype object).
-    maxima: each operand's max |entry|, or None to scan it.  Two operands with
-    a _plan layout (one per spec) are contracted by one batched np.matmul; any
-    other spec, such as one that sums nothing, runs faster through np.einsum.
-    """
-    sizes, layout = _plan(spec)
-    bound = prod(operands[k].shape[x] for k, x in sizes)
-    for op, m in zip(operands, maxima or (None,) * len(operands)):
-        bound *= _max_abs(op) if m is None else max(1, m)
+def _exact(op, bound: int, *operands) -> np.ndarray:
+    """op(*operands) in int64 when bound, the caller's bound on every partial product
+    and sum (terms * max|a| * max|b|, each at least 1), is below 2^63, else on Python ints."""
     dtype = np.int64 if bound < _INT64_LIMIT else object
-    ops = [op.astype(dtype, copy=False) for op in operands]
-    if layout is None:
-        return np.einsum(spec, *ops)
-    ta, tb, nb, nl, out = layout
-    a, b = ops[0].transpose(ta), ops[1].transpose(tb)
-    kept = a.shape[:nb + nl] + b.shape[a.ndim - nl:]  # b: batch and summed, then right
-    a = a.reshape(prod(kept[:nb]), prod(kept[nb:nb + nl]), prod(a.shape[nb + nl:]))
-    b = b.reshape(a.shape[0], a.shape[2], prod(kept[nb + nl:]))
-    return np.matmul(a, b).reshape(kept).transpose(out)
+    return op(*(a.astype(dtype, copy=False) for a in operands))
 
 
 def _structure_tensor(q: int, g: int, h: int) -> tuple[np.ndarray, int]:
@@ -540,15 +498,17 @@ def _surd_module(entries) -> tuple:
 
 
 def _module(t: CharacterTable) -> tuple:
-    """(E, L, den, keys, maxima) of a table of either kind: E[h, i] entry
-    (h, i) in _conference_module's or _surd_module's coordinates, L[0, h, j]
-    and L[1, h, j] the multiplication matrices of E[h, j] and of its
-    conjugate, maxima the max |entry| of E, L[0], L[1].  Transposing E and
-    L reads the columns in the same module."""
+    """(E, L, den, keys, maxima) of a table of either kind: E[h, i] entry (h, i)
+    in _conference_module's or _surd_module's coordinates, L[x, h, j] =
+    sum_b E_x[h, j, b] M[:, b, :] the multiplication matrices of E_0 = E and of
+    its conjugate E_1, maxima the max |entry| of E, L[0], L[1].  Transposing E
+    and L reads the columns in the same module."""
     E, M, den, keys = (_conference_module(t) if t.kind == "conference"
                        else _surd_module(t.entries))
-    conj = E * np.array([1] * len(keys) + [-1] * (E.shape[-1] - len(keys)))
-    L = _exact_einsum("xhjb,abc->xhjac", np.stack((E, conj)), M)
+    dim = E.shape[-1]
+    both = np.stack((E, E * np.array([1] * len(keys) + [-1] * (dim - len(keys)))))
+    L = _exact(np.matmul, dim * _max_abs(E) * _max_abs(M), both,
+               M.transpose(1, 0, 2).reshape(dim, dim * dim)).reshape(*both.shape, dim)
     return E, L, den, keys, (_max_abs(E), _max_abs(L[0]), _max_abs(L[1]))
 
 
@@ -563,9 +523,9 @@ def _identity_sums(t: CharacterTable, weights, columns=False):
     an int64 array, or Python ints where int64 would not be exact.
 
     E[h, i] = P[h][i], or P[i][h] with columns=True (the table's one module
-    transposed).  Two contractions, W[h, i, j] = w_h E[h, i] E[h, j] and
-    S[i, j, l] = sum_h W[h, i, j] conj(E[h, l]), weights scaled to
-    integers.  ConsistencyError names the first (i, j, l) not real."""
+    transposed).  X[h, i] = w_h E[h, i], weights scaled to integers, then one
+    matmul each: W[h, i, j] = X[h, i] E[h, j] batched over h, and S[i, j, l] =
+    sum_h W[h, i, j] conj(E[h, l]).  ConsistencyError names the first (i, j, l) not real."""
     last, module = _last_module[0]
     if last is not t:
         module = _module(t)
@@ -575,9 +535,13 @@ def _identity_sums(t: CharacterTable, weights, columns=False):
         E, L = E.transpose(1, 0, 2), L.transpose(0, 2, 1, 3, 4)
     scale = lcm(*(w.denominator for w in weights))
     w = [x.numerator * (scale // x.denominator) for x in weights]
-    X = _exact_einsum("h,hia->hia", _int_array(w), E, maxima=(max(map(abs, w)), maxima[0]))
-    W = _exact_einsum("hia,hjac->hijc", X, L[0], maxima=(None, maxima[1]))
-    S = _exact_einsum("hija,hlac->ijlc", W, L[1], maxima=(None, maxima[2]))
+    d, _, dim = E.shape
+    by_h = lambda A: A.transpose(0, 2, 1, 3).reshape(d, dim, d * dim)  # A[h, a, (j, c)]
+    X = _exact(np.multiply, max(map(abs, w)) * maxima[0], _int_array(w)[:, None, None], E)
+    W = _exact(np.matmul, dim * _max_abs(X) * maxima[1], X, by_h(L[0])).reshape(d, d, d, dim)
+    S = _exact(np.matmul, d * dim * _max_abs(W) * maxima[2],  # sums h and a together
+               W.transpose(1, 2, 0, 3).reshape(d * d, -1), by_h(L[1]).reshape(d * dim, -1))
+    S = S.reshape(d, d, d, dim)
     den *= scale
     imaginary = S[..., len(keys):].any(axis=-1)
     if imaginary.any():
@@ -625,7 +589,8 @@ def p_from_table(t: CharacterTable) -> IntersectionTensor:
     SurdSum for InfeasibleError: such a table belongs to no scheme."""
     S, den, keys = _identity_sums(t, t.multiplicities)
     scales = [(den * t.n * k.numerator, k.denominator) for k in t.valencies]
-    num = _exact_einsum("ijl,l->ijl", S[..., 0], _int_array([d for _, d in scales]))
+    dens = _int_array([d for _, d in scales])
+    num = _exact(np.multiply, _max_abs(S[..., 0]) * _max_abs(dens), S[..., 0], dens)
     return _gate(num, _int_array([n for n, _ in scales]), (S[..., 1:] != 0).any(axis=-1),
                  lambda i, j, l: _surd(S[i, j, l].tolist(), keys, *scales[l]), t.valencies)
 
@@ -654,12 +619,24 @@ class KreinTensor:
 
     def __init__(self, S: np.ndarray, keys, scales: list, value):
         self._d, self._keys, self._value = S.shape[0], keys, value
-        self._memo, self._values = {}, {}
+        self._memo, self._values, self._signs = {}, {}, {}
         self._cells = list(zip(map(tuple, S.reshape(len(scales), -1).tolist()), scales))
 
-    def __getitem__(self, idx) -> SurdSum:
+    def _cell(self, idx) -> tuple:
         i, j, l = (range(self._d)[x] for x in idx)  # IndexError, or wrapped per axis
-        key = self._cells[(i * self._d + j) * self._d + l]
+        return self._cells[(i * self._d + j) * self._d + l]
+
+    def _sign(self, x: tuple) -> int:
+        if x not in self._signs:
+            self._signs[x] = _surd(x, self._keys, 1).sign()
+        return self._signs[x]
+
+    def sign(self, idx) -> int:
+        """The sign (-1, 0 or 1) of cell idx = (i, j, l), read once per coordinate vector."""
+        return self._sign(self._cell(idx)[0])
+
+    def __getitem__(self, idx) -> SurdSum:
+        key = self._cell(idx)
         if key not in self._memo:
             v = self._value(*key)
             self._memo[key] = self._values.setdefault(v, v)
@@ -671,12 +648,10 @@ class KreinTensor:
         return tuple(tuple(tuple(self[i, j, l] for l in rng) for j in rng) for i in rng)
 
     def negatives(self) -> list[tuple[tuple[int, int, int], SurdSum]]:
-        """All (l, i, j) with q^l_ij < 0, in lexicographic order of (l, i, j).  The
-        sign of sum_a x_a sqrt(keys[a]), that of x's values, is read once per distinct x."""
-        sign = {x: _surd(x, self._keys, 1).sign() for x in {x for x, _ in self._cells}}
+        """All (l, i, j) with q^l_ij < 0 by sign(), in lexicographic order of (l, i, j)."""
         d = self._d
         cells = sorted((c % d, c // (d * d), c // d % d)
-                       for c, (x, _) in enumerate(self._cells) if sign[x] < 0)
+                       for c, (x, _) in enumerate(self._cells) if self._sign(x) < 0)
         return [((l, i, j), self[i, j, l]) for l, i, j in cells]
 
 

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ import skewfiss.cli as cli
 import skewfiss.feasibility as feasibility
 import skewfiss.scheme_core as scheme_core
 import skewfiss.spectra as spectra
+from skewfiss.exactnum import SurdSum
 from skewfiss.scheme_core import IntersectionTensor
 from skewfiss.spectra import TYPE_III, ClosedForm, ConsistencyError
 
@@ -251,6 +253,30 @@ def test_krein_command(tmp_path, capsys):
     assert "[-]" not in text  # pseudocyclic split on 5 points is Krein-clean
 
 
+@pytest.mark.parametrize("q,vectors", [(13, 5), (125, 7)])
+def test_krein_signs_once_per_coordinate_vector(tmp_path, capsys, monkeypatch, q, vectors):
+    """krein marks each of the 125 cells from one SurdSum.sign per distinct
+    integer coordinate vector of the Krein identity's sums."""
+    path = str(tmp_path / f"c{q}.ascm")
+    run(capsys, "construct", "cyc", "--q", str(q), "--d", "4", "-o", path)
+    signed, tables = [], []
+    classify, sign = feasibility.classify_scheme, SurdSum.sign
+
+    def classified(scheme):
+        result = classify(scheme)
+        tables.append(result.table)
+        del signed[:]  # count the Krein read-out's signs only
+        return result
+
+    monkeypatch.setattr(feasibility, "classify_scheme", classified)
+    monkeypatch.setattr(SurdSum, "sign", lambda x: signed.append(x) or sign(x))
+    code, text, _ = run(capsys, "krein", path)
+    assert code == 0 and text.count("  [") == 125
+    t, = tables
+    S = spectra._identity_sums(t, [Fraction(1) / (k * k) for k in t.valencies], True)[0]
+    assert len(signed) == len(set(map(tuple, S.reshape(125, -1).tolist()))) == vectors
+
+
 def test_exit_code_invalid_input(tmp_path, capsys):
     code, _, err = run(capsys, "verify", str(tmp_path / "missing.ascm"))
     assert code == 1 and "error" in err
@@ -328,8 +354,9 @@ def test_scan_conference_checks_every_record(capsys, monkeypatch):
 
 @pytest.fixture
 def pool_sizes(monkeypatch):
-    """Replaces feasibility.Pool with an in-process stand-in on a 3-CPU affinity
-    mask; the returned list collects the size of every pool opened."""
+    """Replaces multiprocessing.Pool, which feasibility imports only to open a
+    pool, with an in-process stand-in on a 3-CPU affinity mask; the returned
+    list collects the size of every pool opened."""
     sizes = []
 
     class RecordingPool:
@@ -345,7 +372,7 @@ def pool_sizes(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return [fn(x) for x in items]
 
-    monkeypatch.setattr(feasibility, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
     return sizes
 
@@ -353,7 +380,7 @@ def pool_sizes(monkeypatch):
 @pytest.mark.parametrize("value", ["0", "-3", "two", ""])
 def test_threads_env_rejects_non_positive(capsys, monkeypatch, value):
     monkeypatch.setenv("SKEWFISS_THREADS", value)
-    monkeypatch.setattr(feasibility, "Pool", None)  # any pool use would fail loudly
+    monkeypatch.setattr(multiprocessing, "Pool", None)  # any pool use would fail loudly
     for family, bound in SMALL_SCANS.items():
         code, out, err = run(capsys, "scan", family, *bound)
         assert code == 1 and out == "" and err.startswith("error: SKEWFISS_THREADS"), family
@@ -387,6 +414,14 @@ def test_scans_without_an_affinity_mask(capsys, monkeypatch, pool_sizes):
             code, out, err = run(capsys, "scan", family, *bound, "--format", "json")
             assert (code, out, err) == expected[family] and pool_sizes == pools, family
             pool_sizes.clear()
+
+
+def test_import_does_not_load_multiprocessing():
+    """Only a scan above one thread imports multiprocessing: every other run
+    of the package starts without it."""
+    code = "import sys, skewfiss.cli; sys.exit('multiprocessing' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # -- the indent-2 JSON layout against the stdlib encoder ---------------------------

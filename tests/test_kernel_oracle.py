@@ -6,11 +6,12 @@ property here compares the package with it value by value, through the
 canonical ``to_triples`` form.
 """
 
+import contextlib
 import dataclasses
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import prod
+from math import lcm
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from skewfiss.spectra import (
     TYPE_I,
     TYPE_II,
     TYPE_III,
-    _exact_einsum,
+    _exact,
     _identity_sums,
     _int_array,
     _surd,
@@ -172,24 +173,21 @@ def test_surd_object_path_matches_int64(quad, table_type, z):
     assert_object_path_matches_int64(sf.character_table(p, sf.make_candidate(p, table_type, z)))
 
 
-def test_exact_einsum_bound_picks_dtype():
-    # bound = (summed terms) * prod(max(1, max |operand|))
-    just_below = _exact_einsum("ij->i", np.array([[2**63 - 1]], dtype=object))
-    assert just_below.dtype == np.int64 and just_below.tolist() == [2**63 - 1]
-    at_limit = _exact_einsum("ij->i", np.array([[2**62, 2**62]], dtype=object))
-    assert at_limit.dtype == object and at_limit.tolist() == [2**63]
-    negative = _exact_einsum("ij->i", np.array([[-2**62] * 3], dtype=object))
-    assert negative.dtype == object and negative.tolist() == [-3 * 2**62]
-    # every summed index counts: 2 * 2 terms of 2^61 reach 2^63
-    two_summed = _exact_einsum("ijk->i", np.full((1, 2, 2), 2**61, dtype=object))
-    assert two_summed.dtype == object and two_summed.tolist() == [2**63]
-    x = np.array([[2**40, -3], [5, 2**40]], dtype=object)
-    product = _exact_einsum("ij,jk->ik", x, x)  # bound 2 * 2^80
-    assert product.dtype == object
-    assert product.tolist() == [[2**80 - 15, -3 * 2**40 - 3 * 2**40],
-                                [5 * 2**40 + 5 * 2**40, 2**80 - 15]]
-    small = _exact_einsum("ij,jk->ik", x // 2**20, x // 2**20)
-    assert small.dtype == np.int64
+def test_exact_bound_picks_dtype():
+    """A stated bound of 2^63 - 1 runs in int64 and 2^63 on Python ints; the
+    values are exact on both sides, negative ones included."""
+    ones = np.ones((2, 1), dtype=np.int64)
+    fits = np.array([[2**62, 2**62 - 1], [-2**62, -2**62 + 1]])
+    out = _exact(np.matmul, 2**63 - 1, fits, ones)
+    assert out.dtype == np.int64 and out.tolist() == [[2**63 - 1], [-2**63 + 1]]
+    wraps = np.array([[2**62, 2**62], [-2**62, -2**62 - 1]])  # int64 would wrap both sums
+    out = _exact(np.matmul, 2**63, wraps, ones)
+    assert out.dtype == object and out.tolist() == [[2**63], [-2**63 - 1]]
+    assert all(type(x) is int for x in out.ravel())
+    out = _exact(np.multiply, 2**63, np.array([2**62, -3]), np.array([2, 2**62]))
+    assert out.dtype == object and out.tolist() == [2**63, -3 * 2**62]
+    out = _exact(np.multiply, 2**63 - 1, np.array([2**62 - 1, -3]), np.array([2, 2**61]))
+    assert out.dtype == np.int64 and out.tolist() == [2**63 - 2, -3 * 2**61]
 
 
 def test_int_array_falls_back_to_python_ints():
@@ -200,27 +198,76 @@ def test_int_array_falls_back_to_python_ints():
         assert all(type(x) is int for x in a.ravel())
 
 
-@pytest.mark.parametrize("spec,shapes", [
-    ("hija,hlac->ijlc", [(3, 2, 2, 4), (3, 2, 4, 5)]),  # matmul, h and a summed
-    ("xhjb,abc->xhjac", [(2, 3, 2, 4), (4, 4, 3)]),  # matmul
-    ("ij,jk->ik", [(2, 3), (3, 4)]),  # matmul
-    ("hia,hjac->hijc", [(3, 2, 4), (3, 2, 4, 5)]),  # h kept: batched matmul
-    ("ij,jk->ki", [(2, 3), (3, 4)]),  # output reordered: matmul
-    ("ij,k->i", [(2, 3), (4,)]),  # j and k summed in one operand each: einsum
-    ("ii,ij->j", [(3, 3), (3, 2)]),  # a repeated index: einsum
-    ("h,hia->hia", [(3,), (3, 2, 4)]),  # nothing summed: batched matmul
-    ("ijl,l->ijl", [(2, 3, 4), (4,)]),  # l kept, output reordered: batched matmul
+def _written_out_products(mp, limit, dim):
+    """The identity's five products on random integers, in a module of dim
+    coordinates (half of them real), as _exact returned them, each paired with
+    its index formula and np.einsum of it on Python ints: _module's L, then
+    _identity_sums' weight scaling X and contractions W and S on rows and on
+    columns, then p_from_table's valency scaling.  Imaginary sums and
+    non-integral p are expected here."""
+    rng = np.random.default_rng(dim)
+    d, real = 5, dim // 2
+    E, M = rng.integers(-9, 10, size=(d, d, dim)), rng.integers(-9, 10, size=(dim, dim, dim))
+    keys = [1, 2, 3, 5][:real]
+    fractions = lambda: tuple(Fraction(*map(int, rng.integers(1, 9, size=2))) for _ in range(d))
+    t = sf.CharacterTable(entries=(), multiplicities=fractions(), valencies=fractions(),
+                          n=7, kind="surd")
+    outputs, expected, exact = [], [], spectra._exact
+
+    def recorded(op, bound, *ops):
+        outputs.append(exact(op, bound, *ops))
+        return outputs[-1]
+
+    def einsum(spec, *ops):
+        expected.append((spec, np.einsum(spec, *ops)))
+        return expected[-1][1]
+
+    _limit(mp, limit)
+    mp.setattr(spectra, "_surd_module", lambda entries: (E, M, 1, keys))
+    mp.setattr(spectra, "_exact", recorded)
+    obj = lambda a: np.asarray(a).astype(object)
+    both = obj(np.stack((E, E * np.array([1] * real + [-1] * (dim - real)))))
+    L = einsum("xhjb,abc->xhjac", both, obj(M))
+    for weights, columns in ((t.multiplicities, False),
+                             ([1 / (k * k) for k in t.valencies], True)):
+        scale = lcm(*(w.denominator for w in weights))
+        w = obj([x.numerator * (scale // x.denominator) for x in weights])
+        Ew, Lw = (E.transpose(1, 0, 2), L.transpose(0, 2, 1, 3, 4)) if columns else (E, L)
+        X = einsum("h,hia->hia", w, obj(Ew))
+        W = einsum("hia,hjac->hijc", X, Lw[0])
+        einsum("hija,hlac->ijlc", W, Lw[1])
+        with contextlib.suppress(sf.ConsistencyError):
+            _identity_sums(t, weights, columns)
+    S = rng.integers(-9, 10, size=(d, d, d, real))
+    mp.setattr(spectra, "_identity_sums", lambda t, weights: (S, 1, keys))
+    dens = obj([k.denominator for k in t.valencies])
+    einsum("ijl,l->ijl", obj(S[..., 0]), dens)
+    with contextlib.suppress(sf.InfeasibleError):
+        sf.p_from_table(t)
+    assert len(outputs) == len(expected) == 8
+    return [(spec, out, want) for out, (spec, want) in zip(outputs, expected)]
+
+
+# one case per index formula; the ids keep the case names these products had
+# when a spec-parsed helper ran them
+@pytest.mark.parametrize("spec", [
+    pytest.param("hija,hlac->ijlc", id="hija,hlac->ijlc-shapes0"),  # S, rows and columns
+    pytest.param("xhjb,abc->xhjac", id="xhjb,abc->xhjac-shapes1"),  # the module's L
+    pytest.param("hia,hjac->hijc", id="hia,hjac->hijc-shapes3"),  # W, rows and columns
+    pytest.param("h,hia->hia", id="h,hia->hia-shapes7"),  # X, rows and columns
+    pytest.param("ijl,l->ijl", id="ijl,l->ijl-shapes8"),  # p's valency scaling
 ])
-def test_exact_einsum_matches_einsum(monkeypatch, spec, shapes):
-    """Equal to np.einsum on Python ints, in int64 and on the object path."""
-    rng = np.random.default_rng(0)
-    ops = [rng.integers(-9, 10, size=shape) for shape in shapes]
-    expected = np.einsum(spec, *(op.astype(object) for op in ops)).tolist()
-    out = _exact_einsum(spec, *ops)
-    assert out.dtype == np.int64 and out.tolist() == expected
-    monkeypatch.setattr(spectra, "_INT64_LIMIT", 0)
-    out = _exact_einsum(spec, *ops)
-    assert out.dtype == object and out.tolist() == expected
+def test_exact_einsum_matches_einsum(spec):
+    """The product of one index formula equals np.einsum of it on Python ints,
+    in int64 and on the object path, at every module dim."""
+    for limit, dim in product([_INT64_LIMIT, 0], [2, 4, 6, 8]):
+        with pytest.MonkeyPatch.context() as mp:
+            products = _written_out_products(mp, limit, dim)
+        found = [(out, want) for s, out, want in products if s == spec]
+        assert len(found) == (1 if spec in ("xhjb,abc->xhjac", "ijl,l->ijl") else 2)
+        for out, want in found:
+            assert out.dtype == (np.int64 if limit else object)
+            assert out.reshape(want.shape).tolist() == want.tolist()
 
 
 def test_exact_rejections_still_raise():
@@ -559,22 +606,18 @@ def test_surd_module_built_once_per_table(monkeypatch):
     (sf.scan_srg, 5000, 47), (sf.imprimitive_scan, 1000, 48),
     (sf.johnson_scan, 400, 54), (sf.conference_scan, 5000, 53)])
 def test_scan_contractions_run_in_int64(monkeypatch, scan, arg, bits):
-    """Every contraction of the CI scans runs in int64, each bound (as
-    _exact_einsum computes it) below 2^bits."""
-    bounds, dtypes = [], set()
+    """Every product of the CI scans runs in int64, each bound (as its call
+    site states it to _exact) below 2^bits."""
+    bounds, dtypes, exact = [], set(), spectra._exact
 
-    def recorded(spec, *ops, maxima=None):
-        sizes, _ = spectra._plan(spec)
-        bound = prod(ops[k].shape[x] for k, x in sizes)
-        for op, m in zip(ops, maxima or (None,) * len(ops)):
-            bound *= spectra._max_abs(op) if m is None else max(1, m)
+    def recorded(op, bound, *ops):
         bounds.append(bound)
-        out = _exact_einsum(spec, *ops, maxima=maxima)
+        out = exact(op, bound, *ops)
         dtypes.add(out.dtype)
         return out
 
     monkeypatch.setenv("SKEWFISS_THREADS", "1")  # the contractions run in this process
-    monkeypatch.setattr(spectra, "_exact_einsum", recorded)
+    monkeypatch.setattr(spectra, "_exact", recorded)
     scan(arg)
     assert dtypes == {np.dtype(np.int64)}
     assert 0 < max(bounds) < 2 ** bits

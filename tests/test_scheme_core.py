@@ -65,6 +65,18 @@ def test_constructor_rejects_bad_input():
         AssociationScheme([[0, 9], [9, 0]], d=4)  # index out of range
 
 
+def test_constructor_refuses_lossy_entries(monkeypatch, cyc13):
+    """An entry the int16 cast would change is a SchemeError, not a relation
+    index; exact-integer floats construct, and int16 input is not compared."""
+    for rel in (np.array([[0, 65537], [1, 0]]), np.array([[0, 1.7], [1, 0]]),
+                [[0, 70000], [1, 0]]):
+        with pytest.raises(SchemeError, match="int16"):
+            AssociationScheme(rel)
+    assert AssociationScheme(np.zeros((1, 1))).d == 0
+    monkeypatch.setattr(np, "array_equal", None)  # any comparison would fail loudly
+    assert AssociationScheme(np.array(cyc13.rel)).n == 13
+
+
 def test_intersection_tensor_requires_valid_scheme():
     rel = [[0, 1, 1], [1, 0, 1], [2, 1, 0]]
     with pytest.raises(SchemeError):
