@@ -90,34 +90,49 @@ def _row(rec: ScanRecord) -> tuple:
 _QUOTE = json.encoder.encode_basestring_ascii
 
 
-def _json(x, indent: str = "\n") -> str:
+def _json(x, indent: str = "\n", memo: dict | None = None) -> str:
     """json.dumps(x, indent=2), byte for byte, without the pure-Python
     encoder that CPython runs whenever indent is set.  Dicts, lists and
-    tuples are laid out here and scalars encoded as the stdlib encodes them;
-    anything else (nan, inf, keys that are not str, unsupported types) goes
-    to json.dumps, which also raises its TypeError."""
-    if isinstance(x, str):
-        return _QUOTE(x)
-    if x is None or x is True or x is False:
-        return "null" if x is None else "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float) and math.isfinite(x):
-        return float.__repr__(x)
-    inner = indent + "  "
-    if isinstance(x, (list, tuple)):
-        if not x:
-            return "[]"
-        # int items (not bools) are written in place: an int list is one join
-        return "[" + inner + ("," + inner).join([int.__repr__(v) if type(v) is int else
-                                                 _json(v, inner) for v in x]) + indent + "]"
+    tuples, told apart by exact type first, are laid out here: an int item
+    (not a bool) and an item that is a nonempty list or tuple of ints are
+    written in place, one join each, and within one item of the outermost
+    container a dict met again at one depth (a table's shared cells) is
+    written once, memo keeping its text by id.  Scalars are encoded as the
+    stdlib encodes them; anything else (nan, inf, keys that are not str,
+    unsupported types) goes to json.dumps, which also raises its TypeError."""
+    t = type(x)
+    if t is not dict and t is not list and t is not tuple:
+        if isinstance(x, str):
+            return _QUOTE(x)
+        if x is None or x is True or x is False:
+            return "null" if x is None else "true" if x else "false"
+        if isinstance(x, int):
+            return int.__repr__(x)
+        if isinstance(x, float) and math.isfinite(x):
+            return float.__repr__(x)
+        if not isinstance(x, (list, tuple, dict)):
+            return json.dumps(x)
+    if not x:
+        return "{}" if isinstance(x, dict) else "[]"
+    # each text is one expression, so the item texts are freed before its last copy
+    inner, outermost = indent + "  ", memo is None
     if isinstance(x, dict):
-        if not x:
-            return "{}"
-        items = [(_QUOTE(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": " +
-                 _json(v, inner) for k, v in x.items()]
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    return json.dumps(x)
+        key = (id(x), indent)  # x outlives the call, so its id names it throughout
+        if outermost or key not in memo:
+            text = "{" + inner + ("," + inner).join([
+                (_QUOTE(k) if isinstance(k, str) else json.dumps({k: 0})[1:-4]) + ": " +
+                (int.__repr__(v) if type(v) is int else _json(v, inner, {} if outermost else memo))
+                for k, v in x.items()]) + indent + "}"
+            if outermost:
+                return text
+            memo[key] = text
+        return memo[key]
+    deeper = inner + "  "
+    return "[" + inner + ("," + inner).join([
+        int.__repr__(v) if type(v) is int else
+        "[" + deeper + ("," + deeper).join(map(int.__repr__, v)) + inner + "]"
+        if (type(v) is list or type(v) is tuple) and v and all(type(c) is int for c in v)
+        else _json(v, inner, {} if outermost else memo) for v in x]) + indent + "]"
 
 
 def format_records(records: list[ScanRecord], family: str, fmt: str) -> str:

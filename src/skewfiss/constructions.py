@@ -220,6 +220,7 @@ def cyclotomic_scheme(q: int, d: int) -> AssociationScheme:
     rel = np.empty((q, q), dtype=np.int16)
     for b in row_blocks(q, q):  # rel[x][y] = cls[y - x]
         rel[b] = cls[_axpy(elems[b, None], elems[None, :], -1, field.p, field.b)]
+    rel.setflags(write=False)
     scheme = AssociationScheme(rel, d=d)
     require_scheme(scheme, SchemeError, "cyclotomic construction failed verification")
     return scheme
@@ -334,11 +335,13 @@ def wreath(inner: AssociationScheme, outer: AssociationScheme) -> AssociationSch
             inner_map = np.array([0, 1, 4], dtype=np.int16)
             outer_map = np.array([0, 2, 3], dtype=np.int16)
 
-    big = np.kron(outer_map[outer.rel], np.ones((ni, ni), dtype=np.int16))
+    # repeat makes a fresh array (np.kron's is a view), so AssociationScheme keeps it
+    big = outer_map[outer.rel].repeat(ni, axis=0).repeat(ni, axis=1)
     inner_block = inner_map[inner.rel]
     for u in range(no):
         sl = slice(u * ni, (u + 1) * ni)
         big[sl, sl] = inner_block
+    big.setflags(write=False)
     scheme = AssociationScheme(big, d=di + do)
     require_scheme(scheme, SchemeError, "wreath construction failed verification")
     return scheme
@@ -369,6 +372,7 @@ def johnson2_scheme(v: int) -> AssociationScheme:
     a, b = np.triu_indices(v, 1)  # the 2-subsets {a, b}, a < b, in lexicographic order
     shared = sum(x[:, None] == y[None, :] for x in (a, b) for y in (a, b))
     rel = (2 - shared).astype(np.int16)
+    rel.setflags(write=False)
     scheme = AssociationScheme(rel, d=2)
     require_scheme(scheme, SchemeError, "2-subset construction failed verification")
     return scheme

@@ -169,8 +169,11 @@ class AssociationScheme:
     Construction checks only shape and index range; the scheme axioms are
     established by ``verify_axioms``.  Entries are stored as int16, and an
     entry that the cast would change (65537, 1.7, 70000 as a Python int) is
-    a SchemeError.  The matrix is frozen after construction so schemes can
-    be shared across scan workers.
+    a SchemeError.  The stored matrix is frozen so schemes can be shared
+    across scan workers, and the flags of the caller's array are never
+    changed: an int16 array that is read-only and owns its memory is kept
+    as it is (every builder and loader hands over such an array, so none is
+    copied), anything else is copied into a fresh frozen matrix.
     """
 
     def __init__(self, rel, d: int | None = None):
@@ -191,6 +194,8 @@ class AssociationScheme:
         check_size(n, d)
         if mat.min(initial=0) < 0 or int(mat.max(initial=0)) > d:
             raise SchemeError("relation index out of range 0..d")
+        if mat is given and (mat.flags.writeable or not mat.flags.owndata):
+            mat = mat.copy()
         mat.setflags(write=False)
         self.n = n
         self.d = d
@@ -541,7 +546,9 @@ def fuse(s: AssociationScheme, blocks: list[list[int]]) -> AssociationScheme:
     """
     owner = check_partition(s, blocks)
     lut = np.array(owner, dtype=np.int16)
-    fused = AssociationScheme(lut[s.rel], d=len(blocks) - 1)
+    rel = lut[s.rel]
+    rel.setflags(write=False)
+    fused = AssociationScheme(rel, d=len(blocks) - 1)
     require_scheme(fused, FusionError, "admissible partition does not yield a scheme")
     return fused
 
@@ -649,6 +656,7 @@ def _read_canonical(data: bytes) -> AssociationScheme | None:
         if len(zeros) != len(diagonal) or (zeros != diagonal).any():
             return None
         rel[b] = block.reshape(-1, n)
+    rel.setflags(write=False)
     return AssociationScheme(rel, d=d)
 
 
@@ -727,4 +735,5 @@ def _read_tokens(text: str) -> AssociationScheme:
             if (v == 0) != (r == c):
                 raise SchemeParseError("relation 0 must be exactly the diagonal", r + 2, c + 1)
             rel[r, c] = v
+    rel.setflags(write=False)
     return AssociationScheme(rel, d=d)

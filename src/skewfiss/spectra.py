@@ -33,10 +33,11 @@ and i*u-, has a 6x6x6 structure tensor per (q, g, h).  Each entry is integer
 coordinates over one denominator; the five products (three matmuls, two
 broadcast multiplies) each run in int64 when the bound their call site states
 is below 2^63, on Python ints otherwise.  _gate tests the p tensor in those
-integers, as it does the closed form's.  KreinTensor keeps the integer sums,
-builds a SurdSum only for a cell that is read, once per distinct
-(coordinates, scale), and reads one sign per distinct coordinate vector, so a
-Krein verdict builds values only for the negative cells.
+integers; the closed form's tensor() tests its 125 entries one by one in
+Python and names its first failure as _gate does.  KreinTensor keeps the
+integer sums, builds a SurdSum only for a cell that is read, once per
+distinct (coordinates, scale), and reads one sign per distinct coordinate
+vector, so a Krein verdict builds values only for the negative cells.
 """
 
 from __future__ import annotations
@@ -280,24 +281,26 @@ class CharacterTable:
         return self.entries[row][col]
 
     def to_json_dict(self) -> dict:
+        """A read-only serialization view of the table: one cell dict per
+        distinct entry object, which every position holding that object shares."""
+        distinct = {id(e): e for row in self.entries for e in row}
         if self.kind == "surd":
             # re.to_triples() and im.to_triples(), read off the signed radicands
-            cells = [[{"re": _triples([x for x in e._num.items() if x[0] > 0], e._den),
-                       "im": _triples([(-n, c) for n, c in e._num.items() if n < 0], e._den)}
-                      for e in row] for row in self.entries]
+            cells = {key: {"re": _triples([x for x in e._num.items() if x[0] > 0], e._den),
+                           "im": _triples([(-n, c) for n, c in e._num.items() if n < 0], e._den)}
+                     for key, e in distinct.items()}
         else:
-            cells = [[{"a": [e.a.numerator, e.a.denominator],
-                       "b": [e.b.numerator, e.b.denominator],
-                       "c": [e.c.numerator, e.c.denominator],
-                       "e": [e.e.numerator, e.e.denominator],
-                       "q": e.q, "im_sign": e.im_sign} for e in row]
-                     for row in self.entries]
+            cells = {key: {"a": [e.a.numerator, e.a.denominator],
+                           "b": [e.b.numerator, e.b.denominator],
+                           "c": [e.c.numerator, e.c.denominator],
+                           "e": [e.e.numerator, e.e.denominator],
+                           "q": e.q, "im_sign": e.im_sign} for key, e in distinct.items()}
         return {
             "kind": self.kind,
             "n": self.n,
             "multiplicities": [[m.numerator, m.denominator] for m in self.multiplicities],
             "valencies": [[v.numerator, v.denominator] for v in self.valencies],
-            "entries": cells,
+            "entries": [[cells[id(e)] for e in row] for row in self.entries],
         }
 
     def pretty(self) -> str:
@@ -331,16 +334,15 @@ def character_table(p: SrgParams, cand: FissionCandidate) -> CharacterTable:
     tau = ComplexSurd(Fraction(t, 2), surd_sqrt(z) / 2)
     sigma = ComplexSurd(Fraction(s, 2), surd_sqrt(b) / 2)
     omega = ComplexSurd(Fraction(u, 2), omega_im if z == 0 else -omega_im)
-    one = ComplexSurd(1)
-    row0 = (one, ComplexSurd(Fraction(k, 2)), ComplexSurd(Fraction(k2, 2)),
-            ComplexSurd(Fraction(k2, 2)), ComplexSurd(Fraction(k, 2)))
-    cj = lambda x: x.conjugate()
+    one, half_k, half_k2 = (ComplexSurd(x) for x in (1, Fraction(k, 2), Fraction(k2, 2)))
+    # each entry is built once: the table holds 11 distinct entry objects
+    rho_bar, tau_bar, sigma_bar, omega_bar = (x.conjugate() for x in (rho, tau, sigma, omega))
     rows = (
-        row0,
-        (one, rho, tau, cj(tau), cj(rho)),
-        (one, sigma, omega, cj(omega), cj(sigma)),
-        (one, cj(sigma), cj(omega), omega, sigma),
-        (one, cj(rho), cj(tau), tau, rho),
+        (one, half_k, half_k2, half_k2, half_k),
+        (one, rho, tau, tau_bar, rho_bar),
+        (one, sigma, omega, omega_bar, sigma_bar),
+        (one, sigma_bar, omega_bar, omega, sigma),
+        (one, rho_bar, tau_bar, tau, rho),
     )
     mults = (Fraction(1), Fraction(m1, 2), Fraction(m2, 2), Fraction(m2, 2), Fraction(m1, 2))
     vals = (Fraction(1), Fraction(k, 2), Fraction(k2, 2), Fraction(k2, 2), Fraction(k, 2))
@@ -596,11 +598,11 @@ def p_from_table(t: CharacterTable) -> IntersectionTensor:
 
 
 def _gate(num, div, irrational, value, valencies) -> IntersectionTensor:
-    """The integrality gate of p_from_table and ClosedForm.tensor(): each
-    p^l_ij = num[i, j, l] / div (div > 0, broadcast) must be a nonnegative
-    integer with irrational[i, j, l] false, tested at once on int64 or
-    Python-int arrays.  InfeasibleError names the first failing (i, j, l),
-    in lexicographic order, with value(i, j, l)."""
+    """The integrality gate of p_from_table: each p^l_ij = num[i, j, l] / div
+    (div > 0, broadcast) must be a nonnegative integer with irrational[i, j, l]
+    false, tested at once on int64 or Python-int arrays.  InfeasibleError
+    names the first failing (i, j, l), in lexicographic order, with
+    value(i, j, l), as ClosedForm.tensor() names its own."""
     bad = np.argwhere((num < 0) | (num % div != 0) | irrational)
     if len(bad):
         i, j, l = bad[0].tolist()
@@ -694,12 +696,19 @@ class ClosedForm:
         return (identity, self.b1, self.b2, mirrored(self.b2), mirrored(self.b1))
 
     def tensor(self) -> IntersectionTensor:
-        """The completed integer tensor through _gate, on each entry's integer
-        ratio; InfeasibleError names the first bad (i, j, l) and its entry."""
+        """The completed planes as an integer tensor; InfeasibleError names the
+        first (i, j, l), in lexicographic order, whose entry is not a nonnegative integer."""
         planes = self.planes()
-        ratios = _int_array([[[x.as_integer_ratio() for x in row] for row in p] for p in planes])
-        return _gate(ratios[..., 0], ratios[..., 1], False, lambda i, j, l: planes[i][j][l],
-                     self.valencies)
+        for i, plane in enumerate(planes):
+            for j, row in enumerate(plane):
+                for l, x in enumerate(row):
+                    if type(x) is not int or x < 0:
+                        num, den = x.as_integer_ratio()
+                        if den != 1 or num < 0:
+                            raise InfeasibleError(f"p^{l}_({i},{j}) = {x} is not a nonnegative "
+                                                  "integer", where=(i, j, l), value=x)
+        return IntersectionTensor(p=tuple(tuple(tuple(map(int, r)) for r in p) for p in planes),
+                                  valencies=tuple(int(v) for v in self.valencies))
 
 
 def _complete_matrix(principal, rel: int, valency: int) -> tuple:

@@ -437,7 +437,22 @@ json_values = st.recursive(
     max_leaves=24)
 
 
-@given(json_values)
+# rows of ints, bools mixed in, empty rows, as lists and tuples: the row path
+int_rows = st.lists(st.one_of(st.integers(), st.integers(-2**200, 2**200), st.booleans()),
+                    max_size=4)
+int_tables = st.lists(st.one_of(int_rows, int_rows.map(tuple)), max_size=4)
+int_data = st.recursive(
+    st.one_of(int_tables, int_tables.map(tuple), st.integers(), st.floats()),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(json_keys, st.one_of(inner, st.integers()),
+                                            max_size=4)),
+    max_leaves=12)
+
+
+# json_values, and the row path: lists and tuples of int rows (bools, empty and
+# huge rows among them), dicts of ints under any key, one object met several times
+@given(st.one_of(json_values, int_data,
+                 st.builds(lambda v: [v, v, [v], {"k": v, "j": (v, v)}], int_data)))
 @example([])
 @example({})
 @example(((), [{}], {"": []}))
@@ -448,9 +463,39 @@ json_values = st.recursive(
 @example([0, -2 ** 70])
 @example(((3, 2 ** 64, -1), [[1, 2], (3, -4), [], [[5], (6, 7)]], [1, False, None, 1.5]))
 @example({"re": [(2, -1, 3)], "im": []})
-@settings(max_examples=300, deadline=None)
+@example([[]])
+@example(([], [[]], ((),), [[], [1]]))
+@example([[True, 1], [1, False], (0, -1), [2 ** 64, -2 ** 200]])
+@example({1: 2, "a": [[3]], None: [(4,)], 2.5: [[float("nan"), 1]], True: [[float("inf")]]})
+@example([{"re": [(2, -1, 3)], "im": []}] * 3)
+@settings(max_examples=500, deadline=None)
 def test_json_layout_matches_stdlib(x):
     assert cli._json(x) == json.dumps(x, indent=2)
+
+
+unsupported = st.sampled_from([Fraction(1, 2), {2}, b"x", 1j, object(), (1).bit_length])
+
+
+@given(st.recursive(st.one_of(json_leaves, unsupported),
+                    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                                            st.lists(inner, max_size=4).map(tuple),
+                                            st.dictionaries(st.one_of(json_keys, st.tuples()),
+                                                            inner, max_size=4)),
+                    max_leaves=16))
+@example([[1, 2], [3, Fraction(1, 2)]])
+@example({"a": [1], (): 2})
+@settings(max_examples=300, deadline=None)
+def test_json_raises_the_stdlibs_type_error(x):
+    """Where the stdlib raises TypeError (an unsupported object, a key of an
+    unsupported type), the same TypeError is raised, naming the first one."""
+    try:
+        want = json.dumps(x, indent=2)
+    except TypeError as exc:
+        with pytest.raises(TypeError) as info:
+            cli._json(x)
+        assert str(info.value) == str(exc)
+    else:
+        assert cli._json(x) == want
 
 
 def test_json_rejects_what_the_stdlib_rejects():

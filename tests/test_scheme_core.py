@@ -77,6 +77,45 @@ def test_constructor_refuses_lossy_entries(monkeypatch, cyc13):
     assert AssociationScheme(np.array(cyc13.rel)).n == 13
 
 
+def test_constructor_leaves_the_callers_array_alone(cyc13):
+    """A writable int16 array stays writable, and writing to it afterwards
+    does not reach the scheme: the scheme keeps a frozen copy of its own."""
+    a = np.array(cyc13.rel)
+    s = AssociationScheme(a)
+    new = cyc13.rel[0, 1] % 4 + 1
+    a[0, 1] = new
+    assert a.flags.writeable and a[0, 1] == new
+    assert s.rel[0, 1] == cyc13.rel[0, 1] != new and not s.rel.flags.writeable
+    view = np.array(cyc13.rel)[:, :]  # read-only but not owning its memory: copied
+    view.setflags(write=False)
+    assert AssociationScheme(view).rel is not view
+    frozen = np.array(cyc13.rel)
+    frozen.setflags(write=False)
+    assert AssociationScheme(frozen).rel is frozen
+
+
+def test_builders_and_loaders_hand_over_an_array_that_is_kept(monkeypatch, tmp_path, cyc13):
+    """Every builder and loader freezes the array it made, so the constructor
+    keeps that array rather than copying it."""
+    init, handed = AssociationScheme.__init__, []
+
+    def recording_init(self, rel, d=None):
+        init(self, rel, d)
+        handed.append(self.rel is rel)
+
+    monkeypatch.setattr(AssociationScheme, "__init__", recording_init)
+    save_scheme(cyc13, str(tmp_path / "c.ascm"))
+    (tmp_path / "t.ascm").write_text("3 2\n0  1 2\n1 0 2\n2 2 0\n")
+    for build in (lambda: sf.cyclotomic_scheme(13, 4), lambda: sf.johnson2_scheme(5),
+                  lambda: sf.wreath(sf.cyclotomic_scheme(3, 2), sf.cyclotomic_scheme(7, 2)),
+                  lambda: scheme_core.fuse(cyc13, [[0], [1, 4], [2, 3]]),
+                  lambda: load_scheme(str(tmp_path / "c.ascm")),
+                  lambda: load_scheme(str(tmp_path / "t.ascm"))):
+        handed.clear()
+        build()
+        assert handed and all(handed)
+
+
 def test_intersection_tensor_requires_valid_scheme():
     rel = [[0, 1, 1], [1, 0, 1], [2, 1, 0]]
     with pytest.raises(SchemeError):
