@@ -7,8 +7,7 @@ conversion, cross-checks in the test suite) and never decides a result.
 ``SurdSum`` (real) and ``ComplexSurd`` share one stored form: a map from
 squarefree radicands to integer numerators over one reduced positive
 denominator.  A ``ComplexSurd`` radicand may be negative, sqrt(-n) meaning
-i*sqrt(n), so both classes add and multiply through the same two loops
-(``_sum`` and ``_product``).
+i*sqrt(n), so both classes multiply through one loop (``_product``).
 """
 
 from __future__ import annotations
@@ -153,7 +152,16 @@ class SurdSum:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return _reduced(*_sum(self, other))
+        g = gcd(self._den, other._den)
+        f1, f2 = other._den // g, self._den // g
+        num = {n: c * f1 for n, c in self._num.items()}
+        for n, c in other._num.items():
+            total = num.get(n, 0) + c * f2
+            if total:
+                num[n] = total
+            else:
+                del num[n]
+        return _reduced(num, self._den * f1)
 
     __radd__ = __add__
 
@@ -184,7 +192,12 @@ class SurdSum:
     __rmul__ = __mul__
 
     def __truediv__(self, other: RationalLike) -> "SurdSum":
-        return _reduced(*_divided(self, other))
+        d = _as_fraction(other)
+        if d == 0:
+            raise ZeroDivisionError("division of a surd sum by zero")
+        sgn = -1 if d < 0 else 1
+        return _reduced({n: sgn * c * d.denominator for n, c in self._num.items()},
+                        self._den * abs(d.numerator))
 
     # -- comparison -------------------------------------------------------
 
@@ -267,20 +280,6 @@ def _reduced(num: dict[int, int], den: int, cls=SurdSum):
     return out
 
 
-def _sum(x, y) -> tuple[dict[int, int], int]:
-    """Numerators and denominator of x + y, both in the stored form."""
-    g = gcd(x._den, y._den)
-    f1, f2 = y._den // g, x._den // g
-    num = {n: c * f1 for n, c in x._num.items()}
-    for n, c in y._num.items():
-        total = num.get(n, 0) + c * f2
-        if total:
-            num[n] = total
-        else:
-            del num[n]
-    return num, x._den * f1
-
-
 def _product(x, y) -> tuple[dict[int, int], int]:
     """Numerators and denominator of x * y, both in the stored form.
 
@@ -302,16 +301,6 @@ def _product(x, y) -> tuple[dict[int, int], int]:
             else:
                 del num[rad]
     return num, x._den * y._den
-
-
-def _divided(x, other: RationalLike) -> tuple[dict[int, int], int]:
-    """Numerators and denominator of x / other for a nonzero rational other."""
-    d = _as_fraction(other)
-    if d == 0:
-        raise ZeroDivisionError("division of a surd sum by zero")
-    sgn = -1 if d < 0 else 1
-    return ({n: sgn * c * d.denominator for n, c in x._num.items()},
-            x._den * abs(d.numerator))
 
 
 def _coerce(x) -> SurdSum:
@@ -352,9 +341,11 @@ class ComplexSurd:
     i*sqrt(n), and -1 that of i.  The keys +-n over squarefree n >= 1 are
     a Q-basis of the complex surds, so the SurdSum form (integer numerators
     over one reduced positive denominator) is canonical here as well, and
-    SurdSum's product and sum loops serve both classes.  ``re`` and ``im``
-    are read-only views: the canonical SurdSums of the positive keys and of
-    the negative keys negated.
+    SurdSum's product loop serves both classes.  A value is built from its
+    re and im parts and then only multiplied, conjugated and compared: it
+    has no sum, difference, negation or quotient.  ``re`` and ``im`` are
+    read-only views: the canonical SurdSums of the positive keys and of the
+    negative keys negated.
     """
 
     __slots__ = ("_num", "_den")
@@ -381,23 +372,6 @@ class ComplexSurd:
     def is_real(self) -> bool:
         return min(self._num, default=1) > 0
 
-    def __add__(self, other) -> "ComplexSurd":
-        other = _coerce_complex(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return _reduced(*_sum(self, other), ComplexSurd)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "ComplexSurd":
-        return _reduced({n: -c for n, c in self._num.items()}, self._den, ComplexSurd)
-
-    def __sub__(self, other) -> "ComplexSurd":
-        other = _coerce_complex(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other) -> "ComplexSurd":
         other = _coerce_complex(other)
         if other is NotImplemented:
@@ -405,9 +379,6 @@ class ComplexSurd:
         return _reduced(*_product(self, other), ComplexSurd)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other: RationalLike) -> "ComplexSurd":
-        return _reduced(*_divided(self, other), ComplexSurd)
 
     def __eq__(self, other) -> bool:
         other = _coerce_complex(other)

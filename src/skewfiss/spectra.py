@@ -32,12 +32,13 @@ sqrt((q +- g*sqrt(q))/8), and its module, spanned over Q(sqrt(q)) by 1, i*u+
 and i*u-, has a 6x6x6 structure tensor per (q, g, h).  Each entry is integer
 coordinates over one denominator; the five products (three matmuls, two
 broadcast multiplies) each run in int64 when the bound their call site states
-is below 2^63, on Python ints otherwise.  _gate tests the p tensor in those
-integers; the closed form's tensor() tests its 125 entries one by one in
-Python and names its first failure as _gate does.  KreinTensor keeps the
-integer sums, builds a SurdSum only for a cell that is read, once per
-distinct (coordinates, scale), and reads one sign per distinct coordinate
-vector, so a Krein verdict builds values only for the negative cells.
+is below 2^63, on Python ints otherwise.  p_from_table gates the p tensor in
+those integers; the closed form's tensor() tests its 125 entries one by one
+in Python and names its first failure as p_from_table does.  KreinTensor
+keeps the integer sums, builds a SurdSum only for a cell that is read, once
+per distinct (coordinates, scale), and reads one sign per distinct
+coordinate vector, so a Krein verdict builds values only for the negative
+cells.
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ def character_table(p: SrgParams, cand: FissionCandidate) -> CharacterTable:
     if not p.splittable():
         raise InfeasibleError(
             f"{p.quad()}: multiplicities and valencies must all be even to split")
-    r, s, t, u = (Fraction(x) for x in p.eig_ints())
+    r, s, t, u = p.eig_ints()
     n, k, k2, m1, m2 = p.n, p.k, p.k2, p.m1, p.m2
     z = cand.z
     y, b, c = _side_values(p, z)
@@ -334,7 +335,7 @@ def character_table(p: SrgParams, cand: FissionCandidate) -> CharacterTable:
     tau = ComplexSurd(Fraction(t, 2), surd_sqrt(z) / 2)
     sigma = ComplexSurd(Fraction(s, 2), surd_sqrt(b) / 2)
     omega = ComplexSurd(Fraction(u, 2), omega_im if z == 0 else -omega_im)
-    one, half_k, half_k2 = (ComplexSurd(x) for x in (1, Fraction(k, 2), Fraction(k2, 2)))
+    one, half_k, half_k2 = (ComplexSurd(x) for x in (1, k // 2, k2 // 2))
     # each entry is built once: the table holds 11 distinct entry objects
     rho_bar, tau_bar, sigma_bar, omega_bar = (x.conjugate() for x in (rho, tau, sigma, omega))
     rows = (
@@ -344,8 +345,9 @@ def character_table(p: SrgParams, cand: FissionCandidate) -> CharacterTable:
         (one, sigma_bar, omega_bar, omega, sigma),
         (one, rho_bar, tau_bar, tau, rho),
     )
-    mults = (Fraction(1), Fraction(m1, 2), Fraction(m2, 2), Fraction(m2, 2), Fraction(m1, 2))
-    vals = (Fraction(1), Fraction(k, 2), Fraction(k2, 2), Fraction(k2, 2), Fraction(k, 2))
+    # k, k2, m1 and m2 are even; each distinct half is one Fraction, in both tuples
+    unit, f1, f2, v1, v2 = Fraction(1), *(Fraction(x, 2) for x in (m1, m2, k, k2))
+    mults, vals = (unit, f1, f2, f2, f1), (unit, v1, v2, v2, v1)
     return CharacterTable(entries=rows, multiplicities=mults, valencies=vals,
                           n=n, kind="surd")
 
@@ -586,31 +588,21 @@ def p_from_table(t: CharacterTable) -> IntersectionTensor:
     """Intersection tensor from the eigenvalue identity; exact.
 
     p^l_ij is a nonnegative integer exactly when its sqrt coordinates are 0
-    and its rational one a nonnegative multiple of den*n*k_l, which _gate
-    tests in integers; only the first (i, j, l) that fails is read out, as a
-    SurdSum for InfeasibleError: such a table belongs to no scheme."""
+    and its rational one a nonnegative multiple of den*n*k_l, tested at once
+    in integers; only the first (i, j, l) that fails, in lexicographic order,
+    is read out, as a SurdSum for InfeasibleError: such a table belongs to no scheme."""
     S, den, keys = _identity_sums(t, t.multiplicities)
     scales = [(den * t.n * k.numerator, k.denominator) for k in t.valencies]
-    dens = _int_array([d for _, d in scales])
+    dens, div = _int_array([d for _, d in scales]), _int_array([n for n, _ in scales])
     num = _exact(np.multiply, _max_abs(S[..., 0]) * _max_abs(dens), S[..., 0], dens)
-    return _gate(num, _int_array([n for n, _ in scales]), (S[..., 1:] != 0).any(axis=-1),
-                 lambda i, j, l: _surd(S[i, j, l].tolist(), keys, *scales[l]), t.valencies)
-
-
-def _gate(num, div, irrational, value, valencies) -> IntersectionTensor:
-    """The integrality gate of p_from_table: each p^l_ij = num[i, j, l] / div
-    (div > 0, broadcast) must be a nonnegative integer with irrational[i, j, l]
-    false, tested at once on int64 or Python-int arrays.  InfeasibleError
-    names the first failing (i, j, l), in lexicographic order, with
-    value(i, j, l), as ClosedForm.tensor() names its own."""
-    bad = np.argwhere((num < 0) | (num % div != 0) | irrational)
+    bad = np.argwhere((num < 0) | (num % div != 0) | (S[..., 1:] != 0).any(axis=-1))
     if len(bad):
         i, j, l = bad[0].tolist()
-        x = value(i, j, l)
+        x = _surd(S[i, j, l].tolist(), keys, *scales[l])
         raise InfeasibleError(f"p^{l}_({i},{j}) = {x} is not a nonnegative integer",
                               where=(i, j, l), value=x)
     return IntersectionTensor(p=tuple(tuple(map(tuple, plane)) for plane in (num // div).tolist()),
-                              valencies=tuple(int(v) for v in valencies))
+                              valencies=tuple(int(v) for v in t.valencies))
 
 
 class KreinTensor:
@@ -681,7 +673,7 @@ class ClosedForm:
 
     b_i[j][k] = p^k_ij.  B3 and B4 are B2 and B1 mirrored through PAIRED
     (p^k_ij = p^{k'}_{j'i'}), so ``planes()`` is the one completion of the
-    5x5x5 tensor and ``tensor()`` passes it through the integrality gate.
+    5x5x5 tensor and ``tensor()`` gates its entries one by one.
     """
 
     b1: tuple
