@@ -3,7 +3,8 @@
 Every command is deterministic given its flags and input files; identical
 invocations produce byte-identical output.  Exit codes: 0 on success, 1 on
 invalid input, 2 when an internal consistency check fails (the two
-independent tensor derivations disagree, which would mean a bug).
+independent tensor derivations disagree, which would mean a bug), 141 when
+the reader of stdout closed it early (as a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import constructions, feasibility, scheme_core
@@ -275,7 +277,14 @@ def main(argv=None) -> int:
     commands = {"verify": cmd_verify, "construct": cmd_construct, "classify": cmd_classify,
                 "scan": cmd_scan, "krein": cmd_krein}
     try:
-        return commands[args.command](args)
+        code = commands[args.command](args)
+        sys.stdout.flush()  # a closed pipe raises here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:  # the reader left: silence the final flush, exit as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except ConsistencyError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
         return 2

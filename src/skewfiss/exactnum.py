@@ -119,10 +119,9 @@ class SurdSum:
             return 1 if signs.pop() else -1
         if len(self._num) == 2:
             (n1, c1), (n2, c2) = self._num.items()
-            # exactly one of c1, c2 is positive here; it wins if its square does
+            # exactly one of c1, c2 is positive here; it wins if its square does.  The
+            # squarefree n1 != n2 make c1^2*n1 = c2^2*n2 impossible (n1/n2 no square)
             diff = c1 * c1 * n1 - c2 * c2 * n2
-            if diff == 0:
-                return 0
             return 1 if (diff > 0) == (c1 > 0) else -1
         shift = 16
         while True:

@@ -208,8 +208,8 @@ def srg_candidates(n_max: int):
 
     Filters: the counting identity, integral eigenvalues, positive integral
     multiplicities, and the two classical Krein inequalities of the 2-class
-    scheme.  Disconnected (mu = 0) and complete multipartite (mu = k)
-    parameters belong to the imprimitive family and are excluded here.
+    scheme (2k <= n - 1 implies the first).  Disconnected (mu = 0) and complete
+    multipartite (mu = k) parameters are the imprimitive family's, not listed here.
 
     The sets are _srg_sets', listed by the eigenvalues r and s = -m and the
     divisors mu of r(r+1)(m-1)m (m = 1 gives n = k + 1, never a set here).
@@ -227,11 +227,11 @@ def _srg_sets(n_max: int, splittable: bool = False) -> list[tuple]:
 
     With eigenvalues r and s = -m, k = mu + r*m, x = k - lam - 1 = (r+1)(m-1) and
     n = 1 + k + k*x/mu, so mu divides D = r*m*x and n <= n_max is
-    mu^2 - b*mu + D <= 0, b = n_max - 1 - r*m - x.  Each (m, r) has that exact
-    window [L, U] of mu, cut by lam >= 0, k <= kmax, mu <= x (2k <= n - 1) and, to
-    split, mu of r*m's parity (k even), and sweeps the shorter of [L, U] (mu = t
-    with D % t == 0) and [ceil(D/U), floor(D/L)] (mu = D/t), _SWEEP_CHUNK values
-    per numpy pass; every other filter is an array mask (_listed).
+    mu^2 - b*mu + D <= 0, b = n_max - 1 - r*m - x.  Each (m, r) sweeps that exact
+    window [L, U] of mu, cut by lam >= 0 and mu <= x (2k <= n - 1, so k <= kmax) and,
+    to split, stepped by 2 over mu of r*m's parity (k even), _SWEEP_CHUNK values per
+    numpy pass; every other filter is an array mask (_listed).  The co-divisors D/mu
+    span D/(L*U) >= r*m/x > 1/2 times [L, U]: never fewer values, up to rounding.
     """
     if n_max > 5000:
         raise ValueError("scan capped at n_max = 5000")
@@ -249,14 +249,12 @@ def _srg_sets(n_max: int, splittable: bool = False) -> list[tuple]:
     step = 1 + splittable
     lo = np.maximum((b - root + 1) // 2, np.maximum(m - r, 1))
     lo += (lo - rm) % step
-    hi = np.minimum((b + root) // 2, np.minimum(kmax - rm, x))
+    hi = np.minimum((b + root) // 2, x)
     hi -= (hi - rm) % step
     m, r, d, lo, hi = (a[lo <= hi] for a in (m, r, d, lo, hi))
-    direct, co_lo = (hi - lo) // step + 1, -(-d // hi)
-    co = np.maximum(d // lo - co_lo + 1, 0)
-    own, swept = direct <= co, np.minimum(direct, co)
-    stride, ends = np.where(own, step, 1), np.cumsum(swept)
-    base = np.where(own, lo, co_lo) - (ends - swept) * stride
+    swept = (hi - lo) // step + 1
+    ends = np.cumsum(swept)
+    base = lo - (ends - swept) * step
     found = [np.zeros((0, 8), dtype=np.int64)]
     for begin in range(0, int(swept.sum()), _SWEEP_CHUNK):
         end = min(begin + _SWEEP_CHUNK, int(ends[-1]))
@@ -264,27 +262,28 @@ def _srg_sets(n_max: int, splittable: bool = False) -> list[tuple]:
         span = slice(first, last + 1)  # the pairs in this chunk, each clipped to it
         i = np.repeat(np.arange(first, last + 1),
                       np.minimum(ends[span], end) - np.maximum(ends[span] - swept[span], begin))
-        t = base[i] + np.arange(begin, end, dtype=np.int64) * stride[i]
-        hit = d[i] % t == 0
-        i, t = i[hit], t[hit]
-        found.append(_listed(m[i], r[i], np.where(own[i], t, d[i] // t), splittable))
+        mu = base[i] + np.arange(begin, end, dtype=np.int64) * step
+        hit = d[i] % mu == 0
+        found.append(_listed(m[i[hit]], r[i[hit]], mu[hit], splittable))
     found = np.concatenate(found)
     return list(map(tuple, found[np.lexsort(found.T[::-1])].tolist()))
 
 
 def _listed(m, r, mu, splittable: bool):
-    """The rows (n, k, lam, mu, r, s, m1, m2) of the (m, r, mu) that pass every other filter."""
+    """The rows (n, k, lam, mu, r, s, m1, m2) of the (m, r, mu) that pass every other filter.
+
+    The sweep implies the rest: m1 > 0, as n - 1 - k = k*x/mu > 0 and m >= 2; m2 > 0, as
+    m1 < (n-1)*m/(r+m) < n - 1; k even to split, as mu has r*m's parity; the first Krein
+    inequality, as mu <= x gives (r+1)(k+r+2rs) <= (r+1)(m-1) <= (k+r)(s+1)^2."""
     k, s, x = mu + r * m, -m, (r + 1) * (m - 1)
     n = 1 + k + k * x // mu
     numer = (n - 1) * m - k
     m1 = numer // (r + m)
-    m2 = n - 1 - m1
-    ok = (numer % (r + m) == 0) & (m1 > 0) & (m2 > 0) & (m1 != m2)
-    ok &= (r + 1) * (k + r + 2 * r * s) <= (k + r) * (s + 1) ** 2
+    ok = (numer % (r + m) == 0) & (2 * m1 != n - 1)  # m1 != m2: not a conference set
     ok &= (s + 1) * (k + s + 2 * r * s) <= (k + s) * (r + 1) ** 2
     if splittable:
-        ok &= (k % 2 == 0) & (n % 2 == 1) & (m1 % 2 == 0)
-    return np.stack([n, k, mu + r - m, mu, r, s, m1, m2], axis=1)[ok]
+        ok &= (n % 2 == 1) & (m1 % 2 == 0)
+    return np.stack([n, k, mu + r - m, mu, r, s, m1, n - 1 - m1], axis=1)[ok]
 
 
 def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, witness=None) -> ScanRecord:

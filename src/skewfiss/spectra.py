@@ -127,9 +127,7 @@ def srg_derive(n: int, k: int, lam: int, mu: int) -> SrgParams:
     if k * (k - lam - 1) != (n - k - 1) * mu:
         raise ValueError(
             f"parameter identity k(k-lam-1) = (n-k-1)mu fails for ({n},{k},{lam},{mu})")
-    disc = (lam - mu) ** 2 + 4 * (k - mu)
-    if disc <= 0:
-        raise ValueError(f"degenerate spectrum for ({n},{k},{lam},{mu})")
+    disc = (lam - mu) ** 2 + 4 * (k - mu)  # > 0: 0 needs lam = mu = k, and lam < k
     w = isqrt(disc)
     if w * w == disc:
         r_i = (lam - mu + w) // 2
@@ -137,11 +135,8 @@ def srg_derive(n: int, k: int, lam: int, mu: int) -> SrgParams:
         num = (n - 1) * (-s_i) - k
         if num % (r_i - s_i):
             raise ValueError(f"non-integer multiplicities for ({n},{k},{lam},{mu})")
-        m1 = num // (r_i - s_i)
-        m2 = n - 1 - m1
-        if m1 <= 0 or m2 <= 0:
-            raise ValueError(f"non-positive multiplicities for ({n},{k},{lam},{mu})")
-        return _srg_from_spectrum(n, k, lam, mu, r_i, s_i, m1, m2)
+        m1 = num // (r_i - s_i)  # s < 0 <= r and 0 < k < n - 1 give 0 < m1 < n - 1
+        return _srg_from_spectrum(n, k, lam, mu, r_i, s_i, m1, n - 1 - m1)
     # irrational eigenvalues force equal multiplicities
     if 2 * k + (n - 1) * (lam - mu) != 0 or (n - 1) % 2:
         raise ValueError(f"non-integer multiplicities for ({n},{k},{lam},{mu})")

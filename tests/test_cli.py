@@ -81,6 +81,39 @@ def test_verify_prints_every_block_system(tmp_path, capsys):
     assert "imprimitive block systems: [[0, 1, 4], [0, 1, 2, 3, 4]]" in text.splitlines()
 
 
+def test_verify_reports_a_failing_file_that_classify_and_krein_refuse(tmp_path, capsys):
+    """A well-formed 3-point file whose R_1 is not regular fails axiom (iv):
+    verify prints the report and exits 0, classify and krein exit 1."""
+    path = tmp_path / "irregular.ascm"
+    path.write_text("3 2\n0 1 1\n1 0 2\n1 2 0\n")
+    code, text, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert "axiom (iv)  constant path counts:     FAIL" in text.splitlines()
+    assert "  - count of (R_1, R_1) paths over R_0 pairs varies: 1 .. 2" in text.splitlines()
+    assert text.count("pass") == 3
+    assert "valencies:" not in text and "B1 =" not in text
+    for command in ("classify", "krein"):
+        code, text, err = run(capsys, command, str(path))
+        assert code == 1 and text == "", command
+        assert err.startswith("error: not an association scheme:"), command
+
+
+def test_closed_stdout_exits_as_sigpipe_and_silently():
+    """The reader takes one byte of the srg scan's JSON (about 250 KB, more
+    than a pipe holds) and closes the pipe: exit 141, nothing on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
+           "SKEWFISS_THREADS": "1"}
+    proc = subprocess.Popen([sys.executable, "-m", "skewfiss", "scan", "srg", "--max-n", "1300",
+                             "--format", "json"], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.read(1) == b"["
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
+
+
 @pytest.mark.parametrize("d", ["0", "-1"])
 def test_construct_cyc_rejects_class_count_below_one(tmp_path, d):
     """Run as a program, so an uncaught exception would show as a traceback."""

@@ -191,6 +191,11 @@ def test_fission_scan_105_krein():
     assert rec.krein_index is not None
 
 
+def test_fission_scan_of_a_set_that_cannot_split():
+    """Petersen's k = 3 is odd, so no 4-class split halves it: no records."""
+    assert sf.fission_scan(sf.srg_derive(10, 3, 0, 1)) == []
+
+
 def test_fission_scan_rejects_conference():
     with pytest.raises(ValueError):
         sf.fission_scan(sf.srg_derive(13, 6, 2, 3))
@@ -275,6 +280,12 @@ def test_classify_round_trips(cyc13, wreath_3_7, wreath_7_3):
     assert (w2.params["f"], w2.params["g"]) == (7, 3)
     thin = sf.classify_scheme(sf.cyclotomic_scheme(5, 4))
     assert (thin.family, thin.params["g"]) == ("conference", 1)
+
+
+def test_classification_str_of_an_srg_split():
+    c = feasibility.Classification(family="srg", n=57, params={"k": 14, "lam": 1, "mu": 4},
+                                   table_type=TYPE_III, z=Fraction(27))
+    assert str(c) == "srg (57, 14, 1, 4) type III z=27"
 
 
 def test_classify_small_prime_powers():
