@@ -13,18 +13,19 @@ srg scan's units are splittable integer sets, and a set gets an SrgParams
 only when its stage yields a candidate.  classify_scheme solves the
 counted p^2_(1,2) for z, which names the type, and names an srg scheme by
 the side that srg_candidates lists first.  No closed-form entry is computed
-here.  One builder, _dual_derivation_record, makes every srg, imprimitive
-and 2-subset record, and a candidate the stage passes but the gate rejects
-raises ConsistencyError.  Every feasible and Krein-excluded record has
-passed the dual derivation: closed-form intersection matrices (cyclotomic
-for conference graphs) equal to the eigenvalue-identity tensor in exact
-arithmetic; _krein_verdict then gives its exact Krein verdict."""
+here.  _dual_derivation_record makes the record of each candidate the stage
+passes and raises ConsistencyError if the gate rejects it; _johnson_witness
+makes the 2-subset Krein witness's, whose closed form may fail the gate.
+Every feasible and Krein-excluded record has passed the dual derivation:
+closed-form intersection matrices (cyclotomic for conference graphs) equal
+to the eigenvalue identity's in exact arithmetic, then an exact Krein verdict."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import gcd
 
@@ -175,26 +176,12 @@ def _realized_h(q: int, g: int, h: int, planes: tuple) -> int | None:
     return None
 
 
-def _krein_verdict(rec: ScanRecord, table: CharacterTable, witness=None) -> ScanRecord:
-    """Attach the table and mark rec Krein-excluded by its first negative q^l_ij.
-
-    witness = (l, i, j) names the entry to report instead, and raises
-    ConsistencyError unless that entry is negative.
-    """
-    krein = q_from_table(table)
-    if witness is None:
-        negatives = krein.negatives()
-    else:
-        l, i, j = witness
-        value = krein[i, j, l]
-        if krein.sign((i, j, l)) >= 0:
-            raise ConsistencyError(
-                f"n = {rec.n}, z = {rec.z}: q^{l}_({i},{j}) = {value} is not negative")
-        negatives = [(witness, value)]
+def _krein_verdict(rec: ScanRecord, table: CharacterTable) -> ScanRecord:
+    """Attach the table and mark rec Krein-excluded by its first negative q^l_ij."""
+    negatives = q_from_table(table).negatives()
     if negatives:
         (l, i, j), value = negatives[0]
-        rec.status = KREIN_EXCLUDED
-        rec.krein_index, rec.krein_value = (l, i, j), value
+        rec.status, rec.krein_index, rec.krein_value = KREIN_EXCLUDED, (l, i, j), value
         rec.notes = f"q^{l}_({i},{j}) = {value} < 0"
     rec.table = table
     return rec
@@ -286,28 +273,22 @@ def _listed(m, r, mu, splittable: bool):
     return np.stack([n, k, mu + r - m, mu, r, s, m1, n - 1 - m1], axis=1)[ok]
 
 
-def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, witness=None) -> ScanRecord:
+def _dual_derivation_record(p: SrgParams, cand: FissionCandidate) -> ScanRecord:
     """The srg record of cand: closed form, integrality gate, eq-(1) round
     trip, then exact Krein signs.
 
     cand passed the integer stage, so a closed form that is irrational or
-    fails the gate raises ConsistencyError, unless a Krein witness is named:
-    that record is reported if the closed form's planes() equal the
-    identity's values, with a note naming its first non-integral entry.
+    fails the gate raises ConsistencyError.
     """
     try:
-        closed = intersection_matrices_closed_form(p, cand)
-        expected, note = closed.tensor(), ""
+        expected = intersection_matrices_closed_form(p, cand).tensor()
     except InfeasibleError as exc:
-        if witness is None or exc.where is None:  # no entry: sqrt(yz) is irrational
-            raise ConsistencyError(
-                f"{p.quad()} type {cand}: the integer stage passed it but the "
-                f"closed form is not integral: {exc}") from exc
-        (i, j, l), expected = exc.where, closed.planes()
-        note = f"; intersection numbers also non-integral (p^{l}_({i},{j}) = {exc.value})"
+        raise ConsistencyError(
+            f"{p.quad()} type {cand}: the integer stage passed it but the "
+            f"closed form is not integral: {exc}") from exc
     table = character_table(p, cand)
     try:
-        derived = p_values_from_table(table) if note else p_from_table(table)
+        derived = p_from_table(table)
     except InfeasibleError as exc:
         raise ConsistencyError(
             f"{p.quad()} type {cand}: closed forms are integral but the "
@@ -315,16 +296,18 @@ def _dual_derivation_record(p: SrgParams, cand: FissionCandidate, witness=None) 
     if derived != expected:
         raise ConsistencyError(
             f"{p.quad()} type {cand}: eigenvalue identity differs from the closed form")
-    rec = ScanRecord(family="srg", n=p.n, table_type=cand.table_type,
-                     params={"k": p.k, "lam": p.lam, "mu": p.mu, "r": p.r.as_integer(),
-                             "s": p.s.as_integer(), "m1": p.m1, "m2": p.m2},
-                     z=int(cand.z) if cand.table_type == TYPE_III else None)
-    _krein_verdict(rec, table, witness)
-    rec.notes += note
-    return rec
+    return _krein_verdict(_srg_record(p, cand), table)
 
 
-def fission_scan(p: SrgParams, witness=None) -> list[ScanRecord]:
+def _srg_record(p: SrgParams, cand: FissionCandidate, **verdict) -> ScanRecord:
+    """The srg record of cand: its parameters, type and z, then verdict's fields."""
+    return ScanRecord(family="srg", n=p.n, table_type=cand.table_type,
+                      params={"k": p.k, "lam": p.lam, "mu": p.mu, "r": p.r.as_integer(),
+                              "s": p.s.as_integer(), "m1": p.m1, "m2": p.m2},
+                      z=int(cand.z) if cand.table_type == TYPE_III else None, **verdict)
+
+
+def fission_scan(p: SrgParams) -> list[ScanRecord]:
     """All split candidates over one non-conference parameter set.
 
     The candidates are those of spectra.srg_stage on the set's entry forms
@@ -333,17 +316,12 @@ def fission_scan(p: SrgParams, witness=None) -> list[ScanRecord]:
     when sqrt(yz) is rational and every closed-form entry there a
     nonnegative integer.  Only z the stage rejects are dropped: each
     candidate becomes one record (_dual_derivation_record) or raises.
-    witness = (z, (l, i, j)) has the type-III record at z report q^l_ij
-    whether or not it passes the gate, so that z skips the integer stage.
     """
     if p.conference:
         raise ValueError("fission_scan needs non-conference parameters")
     if not p.splittable():
         return []
-    witness_z, entry = witness or (None, None)
-    cands = [make_candidate(p, t, z) for t, z in srg_stage(p.forms, witness_z)]
-    return [_dual_derivation_record(p, cand, entry if cand.z == witness_z else None)
-            for cand in cands]
+    return [_dual_derivation_record(p, make_candidate(p, t, z)) for t, z in srg_stage(p.forms)]
 
 
 def scan_srg(n_max: int) -> list[ScanRecord]:
@@ -392,8 +370,8 @@ def johnson_scan(v_max: int) -> list[ScanRecord]:
     """Scan the 2-subset intersection family for 4-class skew splits.
 
     Splitting needs both multiplicities even, i.e. v = 3 mod 4; other v are
-    recorded as parity-excluded.  For v = 3 mod 4 the generic scan runs and
-    two structural candidates are always reported among the rejections:
+    recorded as parity-excluded.  For v = 3 mod 4 the srg stage's candidates
+    get records, and two structural candidates are always among the rejections:
     z = v(v-3)^2/4 carries the negative Krein witness q^3_(1,1), and
     z = v(v-3)^2/2 drives the auxiliary c nonpositive.
     """
@@ -408,11 +386,12 @@ def _johnson_records(v: int) -> list[ScanRecord]:
                   else f"m2 = v(v-3)/2 = {v * (v - 3) // 2} odd")
         return [ScanRecord(family="johnson", n=n, params=params, status=INTEGRALITY_EXCLUDED,
                            notes=f"multiplicity parity: {reason}")]
-    p = srg_derive(n, k, lam, mu)
-    # z = v(v-3)^2/4 is a type-III candidate for every such v.  For v = 3 mod 8
-    # its entry p^2_(2,2) = (v-4)(v-7)/8 is a half-integer, so the gate would
-    # drop it; its Krein number is still a standalone rejection certificate.
-    records = fission_scan(p, witness=(v * (v - 3) ** 2 // 4, (3, 1, 1)))
+    p = srg_derive(n, k, lam, mu)  # splittable: v = 3 mod 4 makes k and n - k - 1 even too
+    # the stage's candidates and the Krein witness, by z (types I and II, z None, first)
+    witness = (TYPE_III, v * (v - 3) ** 2 // 4)
+    cands = sorted(dict.fromkeys((*srg_stage(p.forms), witness)), key=lambda c: c[1] or 0)
+    records = [_johnson_witness(p, c[1]) if c == witness
+               else _dual_derivation_record(p, make_candidate(p, *c)) for c in cands]
     for rec in records:
         rec.family, rec.params = "johnson", {"v": v, **rec.params}
     z = v * (v - 3) ** 2 // 2
@@ -421,6 +400,31 @@ def _johnson_records(v: int) -> list[ScanRecord]:
         family="johnson", n=n, params=params, table_type=TYPE_III, z=z,
         status=INTEGRALITY_EXCLUDED, notes=f"auxiliary c = (v-1)(4-v)/2 = {c} <= 0"))
     return records
+
+
+def _johnson_witness(p: SrgParams, z: int) -> ScanRecord:
+    """The record at the Krein witness z = v(v-3)^2/4, a standalone certificate by
+    q^3_(1,1) < 0 whether or not the gate passes z: for v = 3 mod 8 it fails, as
+    p^2_(2,2) = (v-4)(v-7)/8 is a half-integer, and a note names the first non-integral
+    entry.  ConsistencyError unless the identity's values are the closed form's planes()
+    and q^3_(1,1) is negative."""
+    cand = make_candidate(p, TYPE_III, z)
+    closed, note = intersection_matrices_closed_form(p, cand), ""
+    try:
+        closed.tensor()
+    except InfeasibleError as exc:
+        i, j, l = exc.where
+        note = f"; intersection numbers also non-integral (p^{l}_({i},{j}) = {exc.value})"
+    table = character_table(p, cand)
+    if p_values_from_table(table) != closed.planes():
+        raise ConsistencyError(
+            f"{p.quad()} type {cand}: eigenvalue identity differs from the closed form")
+    krein = q_from_table(table)
+    value = krein[1, 1, 3]
+    if krein.sign((1, 1, 3)) >= 0:
+        raise ConsistencyError(f"n = {p.n}, z = {z}: q^3_(1,1) = {value} is not negative")
+    return _srg_record(p, cand, status=KREIN_EXCLUDED, krein_index=(3, 1, 1), krein_value=value,
+                       notes=f"q^3_(1,1) = {value} < 0{note}", table=table)
 
 
 # -- classification of a concrete scheme ----------------------------------------
@@ -486,7 +490,7 @@ def classify_scheme(s: AssociationScheme) -> Classification:
     tmap = report.transpose_map
     n = s.n
 
-    matches: list[Classification] = []
+    matches = []  # (Classification, its table's builder): only the returned match builds one
     for sigma in _relabelings(tmap):
         perm = _permuted_tensor(T, sigma)
         k = 2 * T.valencies[sigma[1]]
@@ -501,11 +505,9 @@ def classify_scheme(s: AssociationScheme) -> Classification:
             for ts in two_squares(n):
                 hh = _realized_h(n, ts.g, ts.h, perm)
                 if hh is not None:
-                    matches.append(Classification(
-                        family="conference", n=n,
-                        params={"q": n, "g": ts.g, "h": hh},
-                        relabeling=sigma,
-                        table=conference_table(n, ts.g)))
+                    matches.append((Classification(
+                        family="conference", n=n, params={"q": n, "g": ts.g, "h": hh},
+                        relabeling=sigma), partial(conference_table, n, ts.g)))
             continue
 
         if mu == k or (mu and not p.splittable()):
@@ -522,10 +524,10 @@ def classify_scheme(s: AssociationScheme) -> Classification:
         if perm == cf.planes():
             family, params = (("imprimitive", {"f": k + 1, "g": n // (k + 1)}) if mu == 0
                               else ("srg", {"k": k, "lam": lam, "mu": mu}))
-            matches.append(Classification(
+            matches.append((Classification(
                 family=family, n=n, params=params, table_type=cand.table_type,
                 z=cand.z if cand.table_type == TYPE_III else None,
-                relabeling=sigma, table=character_table(p, cand)))
+                relabeling=sigma), partial(character_table, p, cand)))
 
     if not matches:
         raise ClassificationError(
@@ -534,10 +536,10 @@ def classify_scheme(s: AssociationScheme) -> Classification:
     # an srg scheme also matches as the split of its complement: keep the side
     # that srg_candidates lists first, the smaller (k, lam)
     side = lambda m: (m.params["k"], m.params["lam"])
-    first_side = min((side(m) for m in matches if m.family == "srg"), default=None)
-    matches = [m for m in matches if m.family != "srg" or side(m) == first_side]
-    first = matches[0]
-    for other in matches[1:]:
+    first_side = min((side(m) for m, _ in matches if m.family == "srg"), default=None)
+    (first, table), *others = [(m, t) for m, t in matches
+                               if m.family != "srg" or side(m) == first_side]
+    for other, _ in others:
         same_family = other.family == first.family
         if not same_family or (first.family == "srg"
                                and (other.params != first.params
@@ -545,4 +547,5 @@ def classify_scheme(s: AssociationScheme) -> Classification:
                                     or other.z != first.z)):
             raise ClassificationError(
                 f"ambiguous classification: {first} vs {other}")
+    first.table = table()
     return first

@@ -759,7 +759,7 @@ class EntryForms:
     M = 4*n*k_d*k2^2*m1; it holds at rational z too and is not reduced.
     forms[e] computes entry e on first read and keeps it, so the integer
     stage reads only the entries it tests; iterating reads all 32.  _stage
-    keeps srg_stage's candidates once it has run.
+    keeps srg_stage's candidates from its one run.
     """
 
     __slots__ = ("n", "k", "k2", "m1", "_consts", "_slopes", "_dens", "_forms", "_stage")
@@ -858,21 +858,17 @@ def type3_window(f: EntryForms):
         z += step
 
 
-def srg_stage(f: EntryForms, keep=None) -> tuple:
+def srg_stage(f: EntryForms) -> tuple:
     """The integer stage of one parameter set: (table_type, z) of each candidate
     whose closed form passes the integrality gate, types I and II (z None)
     from end_types, then the type3_window z that closed_form_integral
-    passes, in increasing order.  keep is a window z passed untested (a
-    Krein witness).  Without keep the stage runs once per EntryForms and f
+    passes, in increasing order.  The stage runs once per EntryForms and f
     keeps its candidates, so the scan's test for a candidate and
     fission_scan's records read the same run."""
-    if keep is None and f._stage is not None:
-        return f._stage
-    stage = tuple((table_type, None) for table_type in end_types(f)) + tuple(
-        (TYPE_III, z) for z in type3_window(f) if z == keep or closed_form_integral(f, z))
-    if keep is None:
-        f._stage = stage
-    return stage
+    if f._stage is None:
+        f._stage = tuple((table_type, None) for table_type in end_types(f)) + tuple(
+            (TYPE_III, z) for z in type3_window(f) if closed_form_integral(f, z))
+    return f._stage
 
 
 def _solve_type3_z(p: SrgParams, planes) -> FissionCandidate | None:

@@ -358,7 +358,7 @@ def test_scan_srg_stage_gate_disagreement_exits_2(capsys, monkeypatch):
     irrational."""
     monkeypatch.setenv("SKEWFISS_THREADS", "1")
 
-    def open_stage(forms, keep=None):
+    def open_stage(forms):
         yield from ((t, None) for t in spectra.end_types(forms))
         yield from ((TYPE_III, z) for z in spectra.type3_window(forms))
 
@@ -366,6 +366,41 @@ def test_scan_srg_stage_gate_disagreement_exits_2(capsys, monkeypatch):
     code, out, err = run(capsys, "scan", "srg", "--max-n", "200")
     assert code == 2 and out == ""
     assert "(25, 8, 3, 2) type III z=40: " in err and "irrational" in err
+
+
+def test_scan_johnson_witness_that_reads_nonnegative_exits_2(capsys, monkeypatch):
+    """The 2-subset record at z = v(v-3)^2/4 is a certificate only through a
+    negative q^3_(1,1): a Krein tensor whose sign reads 0 there is a
+    consistency failure, first met at v = 7 (n = 21, z = 28)."""
+    monkeypatch.setenv("SKEWFISS_THREADS", "1")
+    real = feasibility.q_from_table
+
+    def unsigned(table):
+        krein = real(table)
+        krein.sign = lambda idx: 0
+        return krein
+
+    monkeypatch.setattr(feasibility, "q_from_table", unsigned)
+    code, out, err = run(capsys, "scan", "johnson", "--max-v", "11")
+    assert code == 2 and out == ""
+    assert "n = 21, z = 28: q^3_(1,1) = " in err and "is not negative" in err
+
+
+def test_scan_johnson_witness_identity_mismatch_exits_2(capsys, monkeypatch):
+    """The 2-subset witness compares the eigenvalue identity's values with the
+    closed form's planes() at its z: one value moved is a consistency failure."""
+    monkeypatch.setenv("SKEWFISS_THREADS", "1")
+    real = feasibility.p_values_from_table
+
+    def moved(table):
+        planes = [[list(row) for row in plane] for plane in real(table)]
+        planes[1][1][1] += 1
+        return tuple(tuple(map(tuple, plane)) for plane in planes)
+
+    monkeypatch.setattr(feasibility, "p_values_from_table", moved)
+    code, out, err = run(capsys, "scan", "johnson", "--max-v", "11")
+    assert code == 2 and out == ""
+    assert "(21, 10, 5, 4) type III z=28: eigenvalue identity differs from the closed form" in err
 
 
 def test_scan_conference_checks_every_record(capsys, monkeypatch):

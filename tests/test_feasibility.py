@@ -288,6 +288,27 @@ def test_classification_str_of_an_srg_split():
     assert str(c) == "srg (57, 14, 1, 4) type III z=27"
 
 
+def test_classify_builds_the_returned_match_table_only(monkeypatch, wreath_3_7, wreath_7_3):
+    """A conference scheme matches on 8 relabelings and an imprimitive wreath
+    on 4; classify_scheme builds the table of the one match it returns."""
+    built, matches = [], []
+    for name in ("conference_table", "character_table"):
+        real = getattr(feasibility, name)
+        monkeypatch.setattr(feasibility, name,
+                            lambda *args, real=real, name=name: built.append(name) or real(*args))
+    real_match = feasibility.Classification
+    monkeypatch.setattr(feasibility, "Classification",
+                        lambda **fields: matches.append(fields) or real_match(**fields))
+    for scheme, table, count in ((sf.cyclotomic_scheme(29, 4), "conference_table", 8),
+                                 (wreath_3_7, "character_table", 4),
+                                 (wreath_7_3, "character_table", 4)):
+        built.clear()
+        matches.clear()
+        got = sf.classify_scheme(scheme)
+        assert (built, len(matches)) == ([table], count)
+        assert got.table is not None
+
+
 def test_classify_small_prime_powers():
     for q in (29, 37, 53):
         got = sf.classify_scheme(sf.cyclotomic_scheme(q, 4))
@@ -329,7 +350,8 @@ def _three_trial_matches(tensor, n):
 def test_classify_solves_z_on_every_record_tensor(monkeypatch):
     """classify_scheme on the closed-form tensor of each scan_srg(1300) record
     builds one closed form per relabeling, from the solved z, and finds the
-    matches of the earlier three-trial search, the record itself among them.
+    matches of the earlier three-trial search, the record itself among them;
+    it builds one character table, the returned match's.
     The complement's relabeling matches too, and classify keeps the side
     that srg_candidates lists first: 29 records classify as themselves and
     8 as their complement partner, the second-listed sides of the k = k2
@@ -341,11 +363,21 @@ def test_classify_solves_z_on_every_record_tensor(monkeypatch):
         p = sf.srg_derive(rec.n, rec.params["k"], rec.params["lam"], rec.params["mu"])
         cand = sf.make_candidate(p, rec.table_type, rec.z)
         tensors.append((rec, p, sf.intersection_matrices_closed_form(p, cand).tensor()))
-    built, matched = [], []
+    built, matched, tables = [], [], []
     real_closed, real_table = feasibility.intersection_matrices_closed_form, feasibility.character_table
+    real_match = feasibility.Classification
+
+    def match(**fields):
+        c = real_match(**fields)
+        quad = (c.n, c.params["k"], c.params["lam"], c.params["mu"])
+        cand = sf.make_candidate(sf.srg_derive(*quad), c.table_type, c.z)
+        matched.append((quad, cand.table_type, cand.z))
+        return c
+
     monkeypatch.setattr(feasibility, "intersection_matrices_closed_form",
                         lambda p, cand: built.append(cand) or real_closed(p, cand))
-    monkeypatch.setattr(feasibility, "character_table", lambda p, cand: matched.append(
+    monkeypatch.setattr(feasibility, "Classification", match)
+    monkeypatch.setattr(feasibility, "character_table", lambda p, cand: tables.append(
         (p.quad(), cand.table_type, cand.z)) or real_table(p, cand))
     monkeypatch.setattr(feasibility, "is_skew_symmetric", lambda s: True)
     key = lambda x: (x.n, x.params["k"], x.params["lam"], x.table_type, x.z)
@@ -357,10 +389,13 @@ def test_classify_solves_z_on_every_record_tensor(monkeypatch):
                             lambda s, error, what, report=report: report)
         built.clear()
         matched.clear()
+        tables.clear()
         got = sf.classify_scheme(SimpleNamespace(n=p.n, d=4))
         assert len(built) <= 8
         assert (p.quad(), rec.table_type, sf.make_candidate(p, rec.table_type, rec.z).z) in matched
         assert matched == _three_trial_matches(tensor, p.n), p.quad()
+        quad = (got.n, got.params["k"], got.params["lam"], got.params["mu"])
+        assert len(tables) == 1 and tables[0][:2] == (quad, got.table_type) and tables[0] in matched
         assert got.family == "srg" and key(got) in keys
         if key(got) != key(rec):
             assert (got.params["k"], got.params["lam"]) < (rec.params["k"], rec.params["lam"])

@@ -236,6 +236,16 @@ def test_scan_runs_each_stage_once(monkeypatch):
     assert set(tested.values()) == {1}
 
 
+def test_stage_on_the_2_subset_family():
+    """The integer stage of the 2-subset parameters at every v = 3 mod 4,
+    7 <= v <= 399, passes exactly the Krein witness z = v(v-3)^2/4 when
+    v = 7 mod 8, and nothing when v = 3 mod 8 (where that z's p^2_(2,2) =
+    (v-4)(v-7)/8 is a half-integer)."""
+    for v in range(7, 400, 4):
+        stage = spectra.srg_stage(sf.srg_derive(*sf.johnson2_params(v)).forms)
+        assert stage == (((TYPE_III, v * (v - 3) ** 2 // 4),) if v % 8 == 7 else ()), v
+
+
 def test_integer_ends_match_fraction_ends_up_to_5000():
     """end_types tests z = n*k2/m1 and z = 0 as integer pairs; on every
     splittable set up to 5000 it names the types that closed_form_integral
@@ -269,7 +279,7 @@ def test_tuple_stage_matches_frozen_stage_up_to_5000():
 def test_johnson_witness_has_rational_sqrt_yz():
     """At the Johnson witness z = v(v-3)^2/4 the radicand of _entries_at is
     the square of k2*m1*v(v-3)/2 for every v = 3 mod 4, so the witness's
-    closed form is always rational and fission_scan needs no skip for it."""
+    closed form is always rational and _johnson_witness needs no skip for it."""
     for v in range(7, 3000, 4):
         p = sf.srg_derive(*sf.johnson2_params(v))
         z = v * (v - 3) ** 2 // 4
