@@ -32,6 +32,7 @@ from math import gcd
 import numpy as np
 
 from .constructions import (
+    conference_params,
     cyc4_closed_form,
     johnson2_params,
     prime_power,
@@ -317,8 +318,6 @@ def fission_scan(p: SrgParams) -> list[ScanRecord]:
     nonnegative integer.  Only z the stage rejects are dropped: each
     candidate becomes one record (_dual_derivation_record) or raises.
     """
-    if p.conference:
-        raise ValueError("fission_scan needs non-conference parameters")
     if not p.splittable():
         return []
     return [_dual_derivation_record(p, make_candidate(p, t, z)) for t, z in srg_stage(p.forms)]
@@ -476,9 +475,11 @@ def classify_scheme(s: AssociationScheme) -> Classification:
     """Match a verified 4-class skew-symmetric scheme against the taxonomy.
 
     Search runs over the 8 transpose-respecting relabelings; the counted
-    tensor must reproduce one closed form exactly.  An srg scheme matches
-    on its complement's side too, and is named by the side srg_candidates
-    lists first.  No match means either an implementation bug or an object
+    tensor must reproduce one closed form exactly.  A relabeling whose
+    integers are conference_params(n) is compared with the cyclotomic closed
+    forms of n's two-squares representations, and every other goes through
+    srg_derive.  An srg scheme matches on its complement's side too, and is
+    named by the side srg_candidates lists first.  No match means either an implementation bug or an object
     outside the known classification, and raises rather than guessing.
     """
     report = require_scheme(s, ClassificationError, "not an association scheme")
@@ -496,12 +497,7 @@ def classify_scheme(s: AssociationScheme) -> Classification:
         k = 2 * T.valencies[sigma[1]]
         lam = sum(perm[i][j][1] for i in (1, 4) for j in (1, 4))
         mu = sum(perm[i][j][2] for i in (1, 4) for j in (1, 4))
-        try:
-            p = srg_derive(n, k, lam, mu)
-        except ValueError:
-            continue
-
-        if p.conference:
+        if n % 4 == 1 and (n, k, lam, mu) == conference_params(n):
             for ts in two_squares(n):
                 hh = _realized_h(n, ts.g, ts.h, perm)
                 if hh is not None:
@@ -509,7 +505,10 @@ def classify_scheme(s: AssociationScheme) -> Classification:
                         family="conference", n=n, params={"q": n, "g": ts.g, "h": hh},
                         relabeling=sigma), partial(conference_table, n, ts.g)))
             continue
-
+        try:
+            p = srg_derive(n, k, lam, mu)
+        except ValueError:
+            continue
         if mu == k or (mu and not p.splittable()):
             continue  # mu = k: complete multipartite side, paired with mu = 0 (imprimitive)
         # p^2_(1,2) is strictly increasing in z, so it names the one candidate to

@@ -77,11 +77,12 @@ class ConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class SrgParams:
-    """Parameters (n, k, lam, mu) with derived exact spectrum.
+    """Parameters (n, k, lam, mu) of a non-conference srg with its spectrum.
 
     r > s are the nontrivial eigenvalues, t = -1-r and u = -1-s those of the
-    complement, m1 and m2 the multiplicities.  conference means m1 == m2
-    (irrational eigenvalues unless n is a square).
+    complement, m1 != m2 the multiplicities.  The eigenvalues are integers
+    held as SurdSums: t = -1 - r makes the only SurdSum additions of an srg
+    scan, which the benchmark's srg_scan workload expects above zero.
     """
 
     n: int
@@ -95,20 +96,15 @@ class SrgParams:
     u: SurdSum
     m1: int
     m2: int
-    conference: bool
-    # the closed form's entry forms, read by every srg decision; None when r
-    # and s are irrational
-    forms: EntryForms | None = field(default=None, compare=False, repr=False)
+    # the closed form's entry forms, read by every srg decision
+    forms: EntryForms = field(compare=False, repr=False)
 
     def splittable(self) -> bool:
         """Multiplicities and valencies all even, as a 4-class split halves them."""
         return not (self.m1 % 2 or self.m2 % 2 or self.k % 2 or self.k2 % 2)
 
     def eig_ints(self) -> tuple[int, int, int, int]:
-        vals = tuple(x.as_integer() for x in (self.r, self.s, self.t, self.u))
-        if any(v is None for v in vals):
-            raise InfeasibleError(f"eigenvalues of {self.quad()} are irrational")
-        return vals
+        return tuple(x.as_integer() for x in (self.r, self.s, self.t, self.u))
 
     def quad(self) -> tuple[int, int, int, int]:
         return (self.n, self.k, self.lam, self.mu)
@@ -119,7 +115,13 @@ class SrgParams:
 
 
 def srg_derive(n: int, k: int, lam: int, mu: int) -> SrgParams:
-    """Exact eigenvalues and multiplicities from (n, k, lam, mu)."""
+    """Exact eigenvalues and multiplicities from (n, k, lam, mu).
+
+    m1 = m2 exactly when 2k + (n-1)(lam-mu) = 0, which the parameter identity
+    turns into the conference parameters (4t+1, 2t, t-1, t), the only ones
+    whose eigenvalues may be irrational.  They raise InfeasibleError: a
+    pseudocyclic split has its own table, conference_table(q, g).
+    """
     if not (0 < k < n - 1):
         raise ValueError(f"need 0 < k < n-1, got k={k}, n={n}")
     if lam >= k or mu > k or lam < 0 or mu < 0:
@@ -127,36 +129,31 @@ def srg_derive(n: int, k: int, lam: int, mu: int) -> SrgParams:
     if k * (k - lam - 1) != (n - k - 1) * mu:
         raise ValueError(
             f"parameter identity k(k-lam-1) = (n-k-1)mu fails for ({n},{k},{lam},{mu})")
+    if 2 * k + (n - 1) * (lam - mu) == 0:
+        raise InfeasibleError(
+            f"({n},{k},{lam},{mu}) are conference parameters (m1 = m2): a pseudocyclic "
+            "split's table is conference_table(q, g)")
     disc = (lam - mu) ** 2 + 4 * (k - mu)  # > 0: 0 needs lam = mu = k, and lam < k
     w = isqrt(disc)
-    if w * w == disc:
-        r_i = (lam - mu + w) // 2
-        s_i = (lam - mu - w) // 2
-        num = (n - 1) * (-s_i) - k
-        if num % (r_i - s_i):
-            raise ValueError(f"non-integer multiplicities for ({n},{k},{lam},{mu})")
-        m1 = num // (r_i - s_i)  # s < 0 <= r and 0 < k < n - 1 give 0 < m1 < n - 1
-        return _srg_from_spectrum(n, k, lam, mu, r_i, s_i, m1, n - 1 - m1)
-    # irrational eigenvalues force equal multiplicities
-    if 2 * k + (n - 1) * (lam - mu) != 0 or (n - 1) % 2:
+    r, s = (lam - mu + w) // 2, (lam - mu - w) // 2
+    num = (n - 1) * (-s) - k
+    if w * w != disc or num % (r - s):  # a non-square disc makes m1 - m2 irrational
         raise ValueError(f"non-integer multiplicities for ({n},{k},{lam},{mu})")
-    half = surd_sqrt(disc) / 2
-    rational = SurdSum(Fraction(lam - mu, 2))
-    return _srg_from_spectrum(n, k, lam, mu, rational + half, rational - half,
-                              (n - 1) // 2, (n - 1) // 2)
+    m1 = num // (r - s)  # s < 0 <= r and 0 < k < n - 1 give 0 < m1 < n - 1
+    return _srg_from_spectrum(n, k, lam, mu, r, s, m1, n - 1 - m1)
 
 
-def _srg_from_spectrum(n: int, k: int, lam: int, mu: int, r, s, m1: int,
+def _srg_from_spectrum(n: int, k: int, lam: int, mu: int, r: int, s: int, m1: int,
                        m2: int, forms: EntryForms | None = None) -> SrgParams:
-    """SrgParams with eigenvalues r > s (ints or SurdSums) and multiplicities
-    m1, m2, taken as given: srg_derive computes and checks them first, and
+    """SrgParams with integer eigenvalues r > s and multiplicities m1 != m2,
+    taken as given: srg_derive computes and checks them first, and
     srg_candidates has them from its own enumeration.  forms: the set's
     EntryForms, where the scan's integer stage has them already."""
-    if forms is None and isinstance(r, int):
+    if forms is None:
         forms = EntryForms(n, k, lam, mu, r, s, m1, m2)
     r, s = SurdSum(r), SurdSum(s)
     return SrgParams(n=n, k=k, lam=lam, mu=mu, k2=n - k - 1, r=r, s=s, t=-1 - r, u=-1 - s,
-                     m1=m1, m2=m2, conference=m1 == m2, forms=forms)
+                     m1=m1, m2=m2, forms=forms)
 
 
 # -- fission candidates -------------------------------------------------------
@@ -316,8 +313,6 @@ def character_table(p: SrgParams, cand: FissionCandidate) -> CharacterTable:
     except that type II (z = 0) takes the other root, +sqrt(c)/2, for omega
     (at type I's end c = 0).
     """
-    if p.conference:
-        raise InfeasibleError("conference parameters: use conference_table(q, g)")
     if not p.splittable():
         raise InfeasibleError(
             f"{p.quad()}: multiplicities and valencies must all be even to split")
@@ -713,9 +708,6 @@ def intersection_matrices_closed_form(p: SrgParams, cand: FissionCandidate) -> C
     ends of z's range, types I and II, sqrt(yz) = 0).  sqrt(yz) must be
     rational or the candidate is structurally infeasible.
     """
-    if p.conference:
-        raise InfeasibleError("conference parameters have no rational closed form; "
-                              "use the cyclotomic closed form instead")
     entries = _entries_at(p.forms, cand.z)
     if entries is None:
         raise InfeasibleError(f"sqrt(y*z) is irrational at z = {cand.z}: no rational "

@@ -119,10 +119,7 @@ def corollary_filters(p: SrgParams, table_type: str) -> FilterResult:
     if table_type not in (TYPE_I, TYPE_II):
         raise ValueError(f"corollary filters apply to types I and II, not {table_type!r}")
     reasons = []
-    try:
-        r, s, t, u = p.eig_ints()
-    except InfeasibleError:
-        return FilterResult(False, ("eigenvalues r, s are not integers",))
+    r, s, t, u = p.eig_ints()
     if table_type == TYPE_II:
         r, s, t, u = s, r, u, t
     k, k2, lam, mu = p.k, p.k2, p.lam, p.mu

@@ -257,9 +257,7 @@ def test_criterion_7c_filter_soundness():
             continue
         try:
             p = sf.srg_derive(n, k, lam, mu)
-        except ValueError:
-            continue
-        if p.conference:
+        except ValueError:  # conference parameters among them
             continue
         checked += 1
         ends = end_types(p.forms)

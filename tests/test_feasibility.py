@@ -14,6 +14,7 @@ from skewfiss.feasibility import (
     INTEGRALITY_EXCLUDED,
     KREIN_EXCLUDED,
 )
+from skewfiss.scheme_core import IntersectionTensor
 from skewfiss.spectra import TYPE_I, TYPE_II, TYPE_III, type3_window
 from fractions import Fraction
 
@@ -197,8 +198,10 @@ def test_fission_scan_of_a_set_that_cannot_split():
 
 
 def test_fission_scan_rejects_conference():
-    with pytest.raises(ValueError):
-        sf.fission_scan(sf.srg_derive(13, 6, 2, 3))
+    """fission_scan never sees conference parameters: srg_derive refuses
+    them, so no SrgParams of a conference graph exists."""
+    with pytest.raises(sf.InfeasibleError, match="conference_table"):
+        sf.srg_derive(13, 6, 2, 3)
 
 
 def test_z_candidate_window():
@@ -307,6 +310,50 @@ def test_classify_builds_the_returned_match_table_only(monkeypatch, wreath_3_7, 
         got = sf.classify_scheme(scheme)
         assert (built, len(matches)) == ([table], count)
         assert got.table is not None
+
+
+@pytest.mark.parametrize("q, g", [(5, 1), (13, -3), (29, 5), (125, -11)])
+def test_classify_names_a_conference_scheme_from_its_integers(monkeypatch, q, g):
+    """Every relabeling of a cyclotomic scheme reads conference_params(q), so
+    classify_scheme never calls srg_derive on it; the match is unchanged."""
+    calls = []
+    real = feasibility.srg_derive
+    monkeypatch.setattr(feasibility, "srg_derive", lambda *quad: calls.append(quad) or real(*quad))
+    got = sf.classify_scheme(sf.cyclotomic_scheme(q, 4))
+    assert calls == []
+    assert (got.family, got.n, got.params, got.table_type, got.z, got.relabeling) == (
+        "conference", q, {"q": q, "g": g, "h": 1}, None, None, (0, 1, 2, 3, 4))
+    assert str(got) == f"conference q={q} g={g} h=1"
+    assert got.table.to_json_dict() == sf.conference_table(q, g).to_json_dict()
+
+
+def test_classify_refuses_a_tensor_that_matches_no_closed_form(monkeypatch):
+    """The closed-form tensor of srg(57, 14, 1, 4) type III z = 27 classifies
+    as itself; with p^3_(1,2) raised by one, every relabeling still reads
+    valid srg integers and solves for a z, so each of the 8 builds a closed
+    form, and none equals the counted tensor."""
+    p = sf.srg_derive(57, 14, 1, 4)
+    tensor = sf.intersection_matrices_closed_form(p, sf.make_candidate(p, TYPE_III, 27)).tensor()
+    planes = [[list(row) for row in plane] for plane in tensor.p]
+    planes[1][2][3] += 1
+    bent = IntersectionTensor(p=tuple(tuple(map(tuple, plane)) for plane in planes),
+                              valencies=tensor.valencies)
+    built = []
+    real_closed = feasibility.intersection_matrices_closed_form
+    monkeypatch.setattr(feasibility, "intersection_matrices_closed_form",
+                        lambda p, cand: built.append(cand) or real_closed(p, cand))
+    monkeypatch.setattr(feasibility, "is_skew_symmetric", lambda s: True)
+
+    def classify(counted):
+        report = SimpleNamespace(ok=True, tensor=counted, transpose_map=[0, 4, 3, 2, 1])
+        monkeypatch.setattr(feasibility, "require_scheme", lambda s, error, what: report)
+        built.clear()
+        return sf.classify_scheme(SimpleNamespace(n=57, d=4))
+
+    assert str(classify(tensor)) == "srg (57, 14, 1, 4) type III z=27"
+    with pytest.raises(sf.ClassificationError, match="matches no known closed form"):
+        classify(bent)
+    assert len(built) == 8
 
 
 def test_classify_small_prime_powers():

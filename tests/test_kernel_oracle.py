@@ -54,7 +54,7 @@ def gated_candidates(n_max: int) -> list:
     closed form passes the integer stage: the tables a scan derives twice."""
     out = []
     for p in sf.srg_candidates(n_max):
-        if not p.conference and p.splittable():
+        if p.splittable():
             out += [(p.quad(), t, None) for t in end_types(p.forms)]
             out += [(p.quad(), TYPE_III, z) for z in type3_window(p.forms)
                     if closed_form_integral(p.forms, z)]

@@ -3,6 +3,7 @@ import random
 import signal
 from fractions import Fraction
 
+import numpy as np
 import pytest
 import reference_closed_form as ref
 from conference_numeric import conference_numeric_check
@@ -23,7 +24,6 @@ def test_srg_derive_integer_cases():
     p = sf.srg_derive(57, 14, 1, 4)
     assert p.eig_ints() == (2, -5, -3, 4)
     assert (p.m1, p.m2) == (38, 18)
-    assert not p.conference
 
     p2 = sf.srg_derive(105, 26, 13, 4)
     assert p2.eig_ints() == (11, -2, -12, 1)
@@ -31,12 +31,67 @@ def test_srg_derive_integer_cases():
 
 
 def test_srg_derive_conference():
-    p = sf.srg_derive(13, 6, 2, 3)
-    assert p.conference and p.m1 == p.m2 == 6
-    assert p.r == (SurdSum(-1) + surd_sqrt(13)) / 2
-    assert p.s == (SurdSum(-1) - surd_sqrt(13)) / 2
-    with pytest.raises(sf.InfeasibleError):
-        p.eig_ints()
+    """Conference parameters have m1 = m2 = 6 and eigenvalues (-1 +- sqrt(13))/2:
+    srg_derive refuses them and names the pseudocyclic table."""
+    with pytest.raises(sf.InfeasibleError, match=r"conference_table\(q, g\)"):
+        sf.srg_derive(13, 6, 2, 3)
+
+
+def test_srg_derive_refuses_every_conference_set():
+    """(4t+1, 2t, t-1, t) for t = 1..50, the squares n = 9, 25, 49, 81 and 121,
+    whose eigenvalues are integers, among them."""
+    assert {9, 25, 49, 81, 121} <= {4 * t + 1 for t in range(1, 51)}
+    for t in range(1, 51):
+        with pytest.raises(sf.InfeasibleError, match=r"conference_table\(q, g\)"):
+            sf.srg_derive(4 * t + 1, 2 * t, t - 1, t)
+
+
+def _quads_up_to(n_max: int) -> list[tuple]:
+    """Every (n, k, lam, mu) with n <= n_max that passes srg_derive's parameter
+    checks: 0 < k < n-1, 0 <= lam < k, 0 <= mu <= k and k(k-lam-1) = (n-k-1)mu."""
+    quads = []
+    for n in range(3, n_max + 1):
+        for k in range(1, n - 1):
+            for lam in range(k):
+                mu, rest = divmod(k * (k - lam - 1), n - k - 1)
+                if not rest and mu <= k:
+                    quads.append((n, k, lam, mu))
+    return quads
+
+
+def test_srg_derive_equal_multiplicities_are_the_conference_sets():
+    """Test-side oracle: the eigenvalues k > r > s of the 3x3 intersection
+    matrix of (I, A, J-I-A), in floats, give m1 = (-k - (n-1)s)/(r-s) and
+    m2 = n-1-m1.  They are equal exactly on conference_params(n); srg_derive
+    refuses those, returns the oracle's integral spectra and rejects every other
+    set as a plain ValueError."""
+    quads = _quads_up_to(200)
+    n, k, lam, mu = np.array(quads, dtype=float).T
+    zero = np.zeros_like(n)
+    mats = np.stack([np.stack([zero, k, zero], 1), np.stack([zero + 1, lam, k - lam - 1], 1),
+                     np.stack([zero, mu, k - mu], 1)], 1)
+    s, r, _ = np.sort(np.linalg.eigvals(mats).real, axis=1).T
+    m1 = (-k - (n - 1) * s) / (r - s)
+    m2 = n - 1 - m1
+    integral = (np.abs(m1 - np.round(m1)) < 1e-6) & (np.abs(r - np.round(r)) < 1e-6)
+    conference = accepted = 0
+    for quad, x1, x2, x, y, whole in zip(quads, m1, m2, r, s, integral):
+        is_conference = quad[0] % 4 == 1 and quad == sf.conference_params(quad[0])
+        assert (abs(x1 - x2) < 1e-6) == is_conference, quad
+        if is_conference:
+            conference += 1
+            with pytest.raises(sf.InfeasibleError, match="conference_table"):
+                sf.srg_derive(*quad)
+        elif whole:
+            accepted += 1
+            p = sf.srg_derive(*quad)
+            assert (p.m1, p.m2) == (round(x1), round(x2)) and p.m1 != p.m2, quad
+            assert p.eig_ints()[:2] == (round(x), round(y)), quad
+        else:
+            with pytest.raises(ValueError) as exc:
+                sf.srg_derive(*quad)
+            assert not isinstance(exc.value, sf.InfeasibleError), quad
+    assert (len(quads), conference, accepted) == (57957, 49, 1818)
 
 
 def test_srg_derive_errors():
@@ -115,11 +170,9 @@ def test_character_table_type3_57():
 
 
 def test_character_table_errors():
-    conf = sf.srg_derive(13, 6, 2, 3)
+    petersen = sf.srg_derive(10, 3, 0, 1)  # k = 3 is odd: no split halves it
     with pytest.raises(sf.InfeasibleError):
-        sf.character_table(conf, sf.make_candidate(conf, TYPE_I))
-    with pytest.raises(sf.InfeasibleError):
-        sf.intersection_matrices_closed_form(conf, sf.make_candidate(conf, TYPE_I))
+        sf.character_table(petersen, sf.make_candidate(petersen, TYPE_I))
     p = sf.srg_derive(57, 14, 1, 4)
     with pytest.raises(ValueError):
         sf.make_candidate(p, TYPE_III)  # no z
@@ -406,9 +459,6 @@ def test_corollary_filters():
     p729 = sf.srg_derive(729, 182, 55, 42)
     assert ref.corollary_filters(p729, TYPE_I).passed
     assert end_types(p729.forms) == [TYPE_I] and _gate_passes(p729, TYPE_I)
-    conf = sf.srg_derive(13, 6, 2, 3)
-    res = ref.corollary_filters(conf, TYPE_I)
-    assert not res.passed and "not integers" in res.reasons[0]
     # 2-subset parameters at v = 3 mod 4: lam + s = v - 4 = 3 mod 4
     for v in (7, 11, 15):
         p = sf.srg_derive(*sf.johnson2_params(v))
@@ -481,9 +531,7 @@ def test_two_class_krein_inequalities_vs_tensor():
         n = 1 + k + num // mu
         try:
             p = sf.srg_derive(n, k, lam, mu)
-        except ValueError:
-            continue
-        if p.conference:
+        except ValueError:  # conference parameters among them
             continue
         checked += 1
         s = -m
