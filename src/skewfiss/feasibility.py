@@ -4,8 +4,8 @@ Four families cover all symmetrizations: pseudocyclic/conference graphs,
 ordinary strongly regular graphs, imprimitive (clique-blown-up) graphs and
 the 2-subset intersection family.  Each scanner is one call of _scan, which
 maps a per-unit function (a q, an srg parameter set, an (f, g) or a v) over
-the family's units, fanned out over SKEWFISS_THREADS processes; the
-records come out in the order of the units.  In the srg-like families each
+the family's units in this process; the records come out in the order of
+the units.  In the srg-like families each
 decision reads the closed-form entries' integer forms (spectra.EntryForms):
 spectra.srg_stage passes the types I and II and the type-III z whose closed
 form passes its integrality gate, so only those get a closed form.  The
@@ -22,7 +22,6 @@ to the eigenvalue identity's in exact arithmetic, then an exact Krein verdict.""
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -110,31 +109,8 @@ class ScanRecord:
 
 def _scan(units, work) -> list[ScanRecord]:
     """Every record of work(unit), in the order of the units and then of work's
-    records: each scanner lists its units in the order its output takes.
-
-    SKEWFISS_THREADS (default 1) must be a positive integer and is capped at
-    the CPUs this process may use (os.cpu_count() where os has no affinity
-    mask, as on macOS and Windows); above 1 the units fan out over one process
-    pool, so work is a module-level function.  Pool.map keeps the units'
-    order, so the records are the same at every thread count.
-    """
-    raw = os.environ.get("SKEWFISS_THREADS", "1")
-    try:
-        threads = int(raw)
-    except ValueError:
-        threads = 0
-    if threads <= 0:
-        raise ValueError(f"SKEWFISS_THREADS = {raw!r} is not a positive integer")
-    usable = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = min(threads, usable or 1)
-    if threads > 1:
-        from multiprocessing import Pool  # only here: the import slows every start-up
-
-        with Pool(processes=threads) as pool:
-            batches = pool.map(work, units, chunksize=8)
-    else:
-        batches = map(work, units)
-    return list(chain.from_iterable(batches))
+    records: each scanner lists its units in the order its output takes."""
+    return list(chain.from_iterable(map(work, units)))
 
 
 # -- conference / pseudocyclic scan -------------------------------------------

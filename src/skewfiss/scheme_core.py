@@ -169,11 +169,12 @@ class AssociationScheme:
     Construction checks only shape and index range; the scheme axioms are
     established by ``verify_axioms``.  Entries are stored as int16, and an
     entry that the cast would change (65537, 1.7, 70000 as a Python int) is
-    a SchemeError.  The stored matrix is frozen so schemes can be shared
-    across scan workers, and the flags of the caller's array are never
-    changed: an int16 array that is read-only and owns its memory is kept
-    as it is (every builder and loader hands over such an array, so none is
-    copied), anything else is copied into a fresh frozen matrix.
+    a SchemeError.  The stored matrix is frozen because the cached _pairs,
+    _transpose and _transitive assume it never changes, and the flags of
+    the caller's array are never changed: an int16 array that is read-only
+    and owns its memory is kept as it is (every builder and loader hands
+    over such an array, so none is copied), anything else is copied into a
+    fresh frozen matrix.
     """
 
     def __init__(self, rel, d: int | None = None):

@@ -101,8 +101,7 @@ def test_verify_reports_a_failing_file_that_classify_and_krein_refuse(tmp_path, 
 def test_closed_stdout_exits_as_sigpipe_and_silently():
     """The reader takes one byte of the srg scan's JSON (about 250 KB, more
     than a pipe holds) and closes the pipe: exit 141, nothing on stderr."""
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]),
-           "SKEWFISS_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     proc = subprocess.Popen([sys.executable, "-m", "skewfiss", "scan", "srg", "--max-n", "1300",
                              "--format", "json"], stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, env=env)
@@ -330,7 +329,7 @@ def test_exit_code_internal_consistency(capsys, monkeypatch):
     assert code == 2 and "consistency" in err
 
 
-def test_scan_imprimitive_non_integral_closed_form_exits_2(capsys, monkeypatch, pool_sizes):
+def test_scan_imprimitive_non_integral_closed_form_exits_2(capsys, monkeypatch):
     """A non-integral imprimitive closed form is a consistency failure, not a skip."""
     real = feasibility.intersection_matrices_closed_form
 
@@ -341,13 +340,10 @@ def test_scan_imprimitive_non_integral_closed_form_exits_2(capsys, monkeypatch, 
         return ClosedForm(b1=tuple(map(tuple, b1)), b2=cf.b2, valencies=cf.valencies)
 
     monkeypatch.setattr(feasibility, "intersection_matrices_closed_form", halved)
-    for threads in ("1", "2"):  # in process, then raised inside a (stand-in) worker
-        monkeypatch.setenv("SKEWFISS_THREADS", threads)
-        code, out, err = run(capsys, "scan", "imprimitive", "--max-n", "21")
-        assert code == 2 and "(9, 2, 1, 0) type I: " in err
-        assert "p^1_(1,1) = 1/2 is not a nonnegative integer" in err
-        assert out == ""
-    assert pool_sizes == [2]
+    code, out, err = run(capsys, "scan", "imprimitive", "--max-n", "21")
+    assert code == 2 and "(9, 2, 1, 0) type I: " in err
+    assert "p^1_(1,1) = 1/2 is not a nonnegative integer" in err
+    assert out == ""
 
 
 def test_scan_srg_stage_gate_disagreement_exits_2(capsys, monkeypatch):
@@ -356,7 +352,6 @@ def test_scan_srg_stage_gate_disagreement_exits_2(capsys, monkeypatch):
     stage forced open (types I and II still tested, every window z passed),
     the first such z is (25, 8, 3, 2) type III z = 40, whose sqrt(yz) is
     irrational."""
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")
 
     def open_stage(forms):
         yield from ((t, None) for t in spectra.end_types(forms))
@@ -372,7 +367,6 @@ def test_scan_johnson_witness_that_reads_nonnegative_exits_2(capsys, monkeypatch
     """The 2-subset record at z = v(v-3)^2/4 is a certificate only through a
     negative q^3_(1,1): a Krein tensor whose sign reads 0 there is a
     consistency failure, first met at v = 7 (n = 21, z = 28)."""
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")
     real = feasibility.q_from_table
 
     def unsigned(table):
@@ -389,7 +383,6 @@ def test_scan_johnson_witness_that_reads_nonnegative_exits_2(capsys, monkeypatch
 def test_scan_johnson_witness_identity_mismatch_exits_2(capsys, monkeypatch):
     """The 2-subset witness compares the eigenvalue identity's values with the
     closed form's planes() at its z: one value moved is a consistency failure."""
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")
     real = feasibility.p_values_from_table
 
     def moved(table):
@@ -420,73 +413,24 @@ def test_scan_conference_checks_every_record(capsys, monkeypatch):
     assert out == ""
 
 
-@pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replaces multiprocessing.Pool, which feasibility imports only to open a
-    pool, with an in-process stand-in on a 3-CPU affinity mask; the returned
-    list collects the size of every pool opened."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return [fn(x) for x in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    return sizes
-
-
-@pytest.mark.parametrize("value", ["0", "-3", "two", ""])
-def test_threads_env_rejects_non_positive(capsys, monkeypatch, value):
-    monkeypatch.setenv("SKEWFISS_THREADS", value)
-    monkeypatch.setattr(multiprocessing, "Pool", None)  # any pool use would fail loudly
-    for family, bound in SMALL_SCANS.items():
-        code, out, err = run(capsys, "scan", family, *bound)
-        assert code == 1 and out == "" and err.startswith("error: SKEWFISS_THREADS"), family
-
-
-def test_threads_env_clamped_to_usable_cpus(capsys, monkeypatch, pool_sizes):
-    for family, bound in SMALL_SCANS.items():
-        monkeypatch.setenv("SKEWFISS_THREADS", "100000")
-        code, many, _ = run(capsys, "scan", family, *bound, "--format", "json")
-        assert code == 0 and pool_sizes == [3], family
-        monkeypatch.setenv("SKEWFISS_THREADS", "1")
-        code, one, _ = run(capsys, "scan", family, *bound, "--format", "json")
-        assert code == 0 and pool_sizes == [3] and many == one != "[]", family
-        pool_sizes.clear()
-
-
-def test_scans_without_an_affinity_mask(capsys, monkeypatch, pool_sizes):
-    """Where os has no sched_getaffinity (macOS, Windows), every scan prints the
-    same bytes, and the thread count is capped at os.cpu_count() (1 when that
-    is unknown)."""
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")
+def test_scans_ignore_the_threads_variable(capsys, monkeypatch):
+    """Scans run in one process and never read SKEWFISS_THREADS: set to 2 on
+    a 3-CPU affinity mask, with no pool to open, every family prints the
+    bytes it prints with the variable unset."""
+    monkeypatch.delenv("SKEWFISS_THREADS", raising=False)
     expected = {family: run(capsys, "scan", family, *bound, "--format", "json")
                 for family, bound in SMALL_SCANS.items()}
-    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setenv("SKEWFISS_THREADS", "2")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    monkeypatch.setattr(multiprocessing, "Pool", None)
     for family, bound in SMALL_SCANS.items():
-        monkeypatch.setenv("SKEWFISS_THREADS", "1")
-        assert run(capsys, "scan", family, *bound, "--format", "json") == expected[family]
-        monkeypatch.setenv("SKEWFISS_THREADS", "100000")
-        for cpus, pools in ((3, [3]), (None, [])):
-            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-            code, out, err = run(capsys, "scan", family, *bound, "--format", "json")
-            assert (code, out, err) == expected[family] and pool_sizes == pools, family
-            pool_sizes.clear()
+        code, out, err = run(capsys, "scan", family, *bound, "--format", "json")
+        assert code == 0 and (code, out, err) == expected[family] and out != "[]", family
 
 
 def test_import_does_not_load_multiprocessing():
-    """Only a scan above one thread imports multiprocessing: every other run
-    of the package starts without it."""
+    """Importing the package loads no multiprocessing: scans run in one
+    process, and every start-up is spared the import."""
     code = "import sys, skewfiss.cli; sys.exit('multiprocessing' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

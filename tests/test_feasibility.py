@@ -403,7 +403,6 @@ def test_classify_solves_z_on_every_record_tensor(monkeypatch):
     that srg_candidates lists first: 29 records classify as themselves and
     8 as their complement partner, the second-listed sides of the k = k2
     pairs, which are records too."""
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")
     records = sf.scan_srg(1300)
     tensors = []
     for rec in records:
@@ -467,19 +466,6 @@ def test_scan_srg_statuses_small():
     assert by_key[(21, TYPE_III, 28)] == KREIN_EXCLUDED
 
 
-@pytest.mark.parametrize("family", ["conference", "srg", "imprimitive", "johnson"])
-def test_scan_threads_match(monkeypatch, family):
-    """Every scanner gives the same records in process and over two workers."""
-    scanner, bound = {"conference": (sf.conference_scan, 200), "srg": (sf.scan_srg, 300),
-                      "imprimitive": (sf.imprimitive_scan, 100),
-                      "johnson": (sf.johnson_scan, 40)}[family]
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("SKEWFISS_THREADS", threads)
-        runs.append([r.to_dict() for r in scanner(bound)])
-    assert runs[0] == runs[1] and runs[0]
-
-
 _TYPE_ORDER = {None: -1, TYPE_I: 0, TYPE_II: 1, TYPE_III: 2}
 
 
@@ -499,11 +485,10 @@ def _record_key(rec):
     (sf.conference_scan, 325), (sf.conference_scan, 2000), (sf.scan_srg, 1300),
     (sf.scan_srg, 5000), (sf.imprimitive_scan, 100), (sf.imprimitive_scan, 600),
     (sf.johnson_scan, 200), (sf.johnson_scan, 400)])
-def test_scan_lists_records_in_key_order(monkeypatch, scanner, bound):
+def test_scan_lists_records_in_key_order(scanner, bound):
     """Records come out in the order of the units, and that is their order
     by the old sort key: n, then g descending, f, or (k, lam) with types
     I, II, III and increasing z; for the 2-subset family v, type and z."""
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")
     keys = [_record_key(rec) for rec in scanner(bound)]
     assert keys == sorted(keys) and keys
 

@@ -416,14 +416,13 @@ def _distinct_krein_keys(t, cells) -> int:
     return len({(tuple(sums[(i * d + j) * d + l]), m[i] * m[j]) for i, j, l in cells})
 
 
-def test_srg_scan_krein_read_out_and_multiplications(monkeypatch):
+def test_srg_scan_krein_read_out_and_multiplications():
     """On every table of scan srg --max-n 1300, q_from_table equals the
     per-cell read-out and equal cells are one object.  The scan's Krein
     verdicts run SurdSum.__mul__ once per distinct (coordinates, m_i m_j)
     among the cells they read, the negative ones: 22 calls, the surd_mul
     count of the bench's traced srg_scan pass.  Reading every cell of a
     table (q) runs it once per distinct (coordinates, m_i m_j) of the table."""
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")
     mul, calls = SurdSum.__mul__, []
 
     def counted(self, other):
@@ -462,7 +461,6 @@ def test_identity_values_built_only_where_read(monkeypatch):
     per-cell read-out and holds the objects negatives() returned;
     check_orthogonality reads the 25 cells p^j_(i,0), building one value per
     distinct (coordinates, k_j) among them."""
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")
     tables = [rec.table for rec in sf.scan_srg(1300) + sf.conference_scan(325)]
     assert len(tables) == 37 + 33
     built, read = [], []
@@ -616,7 +614,6 @@ def test_scan_contractions_run_in_int64(monkeypatch, scan, arg, bits):
         dtypes.add(out.dtype)
         return out
 
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")  # the contractions run in this process
     monkeypatch.setattr(spectra, "_exact", recorded)
     scan(arg)
     assert dtypes == {np.dtype(np.int64)}

@@ -50,7 +50,6 @@ def test_traced_operators_keep_their_callers(monkeypatch):
     caller on that workload's path, and each it expects at zero has none:
     scan srg --max-n 1300 as JSON, and the conference table, p_from_table
     and q_from_table(...).negatives() for the 33 (q, g) of conference_scan(325)."""
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")  # every call in this process
     pairs = [(r.params["q"], r.params["g"]) for r in feasibility.conference_scan(325)]
     assert len(pairs) == 33
     counts = {}

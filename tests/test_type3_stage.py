@@ -77,11 +77,10 @@ def test_stage_and_window_match_gate_on_every_z_up_to_300():
     assert (len(sets), tried, passed) == (126, 46242, 6)
 
 
-def test_solve_type3_z_inverts_every_record_up_to_1300(monkeypatch):
+def test_solve_type3_z_inverts_every_record_up_to_1300():
     """classify's inverse of p^2_(1,2) gives back each record's candidate:
     its own z for type III, n*k2/m1 for type I and 0 for type II.  Each
     record's closed form is the reference's at its z."""
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")
     records = sf.scan_srg(1300)
     assert len(records) == 37
     assert sum(rec.table_type == TYPE_III for rec in records) == 25
@@ -144,7 +143,6 @@ def test_scan_builds_candidates_only_for_survivors(monkeypatch):
     """scan srg --max-n 1300: every candidate built becomes a record, 12 of
     types I and II that pass the ends test and 25 type-III z that pass the
     stage, out of 3360 in the windows."""
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")
     built = []
     real = feasibility.make_candidate
     monkeypatch.setattr(feasibility, "make_candidate",
@@ -159,7 +157,6 @@ def test_scan_builds_full_forms_only_for_candidate_sets(monkeypatch):
     the 27 sets whose stage yields a candidate, on the forms the stage
     read, and only those sets have all 32 forms computed (by the closed
     forms of their records)."""
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")
     computed, sets, built = Counter(), {}, []
     real_form, real_params = spectra.EntryForms._form, feasibility._srg_from_spectrum
 
@@ -183,12 +180,11 @@ def test_scan_builds_full_forms_only_for_candidate_sets(monkeypatch):
     (1300, (2027, 736, 12, 3360, 260, 25, 27, 37)),
     (5000, (9211, 3421, 56, 29642, 1019, 92, 102, 148)),
 ])
-def test_scan_funnel(monkeypatch, n_max, funnel):
+def test_scan_funnel(n_max, funnel):
     """The srg scan's funnel: parameter sets, splittable sets, types I and II
     that pass the ends test, window z, window z with a square radicand
     (rational sqrt(yz)), type-III z that pass the stage, sets with a
     candidate, and records."""
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")
     sets = feasibility._srg_sets(n_max)
     splittable_sets = [ints for ints in sets if _splittable(*ints)]
     ends = window = square = passed = with_candidate = 0
@@ -215,7 +211,6 @@ def test_scan_runs_each_stage_once(monkeypatch):
     of the 3360 window z goes through closed_form_integral exactly once (the
     ends are tested in end_types' integer pairs), and the 37 records get 37
     closed forms.  The funnel is 2027 sets, 736 splittable."""
-    monkeypatch.setenv("SKEWFISS_THREADS", "1")
     tested, closed = Counter(), []
     integral, closed_form = spectra.closed_form_integral, feasibility.intersection_matrices_closed_form
 
